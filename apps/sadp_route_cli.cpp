@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -154,12 +153,12 @@ std::optional<CliOptions> parse_cli(int argc, char** argv) {
   parser.add_string("--journal-sync", &journal_sync,
                     "journal fsync policy: none, batch or always", "POLICY");
   std::string failpoints_spec;
-  std::string failpoints_seed_text = "0";
+  std::uint64_t failpoints_seed = 0;
   parser.add_string("--failpoints", &failpoints_spec,
                     "arm deterministic fault sites "
                     "(e.g. journal.append=err@0.3;engine.job=delay(50ms))",
                     "SPEC");
-  parser.add_string("--failpoints-seed", &failpoints_seed_text,
+  parser.add_uint64("--failpoints-seed", &failpoints_seed,
                     "base seed for failpoint probability draws", "SEED");
   parser.add_string("--trace", &options.trace_path,
                     "write a Chrome trace-event JSON of the run "
@@ -236,8 +235,7 @@ std::optional<CliOptions> parse_cli(int argc, char** argv) {
   if (!failpoints_spec.empty()) {
     const util::Status armed =
         util::FailPointRegistry::instance().configure(
-            failpoints_spec,
-            std::strtoull(failpoints_seed_text.c_str(), nullptr, 10));
+            failpoints_spec, failpoints_seed);
     if (!armed.is_ok()) {
       std::fprintf(stderr, "bad --failpoints: %s\n", armed.to_string().c_str());
       return std::nullopt;
@@ -504,13 +502,7 @@ int run_delta(const CliOptions& options) {
     summary.jobs = 1;
     summary.workers = 1;
     summary.wall_seconds = run.wall_seconds;
-    switch (run.outcome.status) {
-      case engine::JobStatus::kOk: summary.ok = 1; break;
-      case engine::JobStatus::kDegraded: summary.degraded = 1; break;
-      case engine::JobStatus::kFailed: summary.failed = 1; break;
-      case engine::JobStatus::kTimeout: summary.timed_out = 1; break;
-      case engine::JobStatus::kCancelled: summary.cancelled = 1; break;
-    }
+    summary.tally(run.outcome.status);
     std::printf("%s\n%s\n%s\n",
                 api::response_row_line(run.outcome, 1, 1).c_str(),
                 api::response_delta_line(run.summary).c_str(),

@@ -27,7 +27,6 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
@@ -90,12 +89,12 @@ int main(int argc, char** argv) {
                     "record relay spans and write a sadp.flow_trace.v1 "
                     "file on exit", "FILE");
   std::string failpoints_spec;
-  std::string failpoints_seed_text = "0";
+  std::uint64_t failpoints_seed = 0;
   parser.add_string("--failpoints", &failpoints_spec,
                     "arm deterministic fault sites at startup "
                     "(e.g. dispatch.relay=err@0.2)",
                     "SPEC");
-  parser.add_string("--failpoints-seed", &failpoints_seed_text,
+  parser.add_uint64("--failpoints-seed", &failpoints_seed,
                     "base seed for failpoint probability draws", "SEED");
   if (!parser.parse(argc, argv)) return 2;
   options.quiet = quiet;
@@ -124,8 +123,7 @@ int main(int argc, char** argv) {
   if (!failpoints_spec.empty()) {
     const sadp::util::Status armed =
         sadp::util::FailPointRegistry::instance().configure(
-            failpoints_spec,
-            std::strtoull(failpoints_seed_text.c_str(), nullptr, 10));
+            failpoints_spec, failpoints_seed);
     if (!armed.is_ok()) {
       std::fprintf(stderr, "bad --failpoints: %s\n", armed.to_string().c_str());
       return 2;

@@ -9,11 +9,14 @@
 //   sadp_routed --port 7471 --workers 4 --max-requests 2
 //   sadp_routed --port 0                      # ephemeral; port is printed
 //   sadp_routed --port 7471 --cache-entries 0 # disable the result cache
-//   sadp_routed --port 7471 --beacon-peers 127.0.0.1:7472,127.0.0.1:7473
+//
+// A fleet of daemons is fronted by sadp_route_dispatch, which learns each
+// backend's load from stats probes; daemons never talk to each other.
 //
 // Client modes (talk to a RUNNING daemon or dispatcher, then exit):
 //
-//   sadp_routed --stats --port 7471   # print queue/cache/peer stats
+//   sadp_routed --stats --port 7471   # print queue/cache stats (a
+//                                     # dispatcher adds one line per backend)
 //   sadp_routed --metrics --port 7471 # print Prometheus text exposition
 //   sadp_routed --ping  --port 7471   # liveness probe (exit 0 when up)
 //   sadp_routed --drain --port 7471   # ask it to drain gracefully
@@ -32,7 +35,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
@@ -43,20 +45,6 @@
 #include "util/failpoint.hpp"
 
 namespace {
-
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string token =
-        csv.substr(start, comma == std::string::npos ? comma : comma - start);
-    if (!token.empty()) out.push_back(token);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
 
 int print_stats(const std::string& host, int port) {
   sadp::api::StatsReply stats;
@@ -94,9 +82,8 @@ int main(int argc, char** argv) {
   bool clear_failpoints_mode = false;
   std::string set_failpoints_spec;
   std::string failpoints_spec;
-  std::string failpoints_seed_text = "0";
+  std::uint64_t failpoints_seed = 0;
   std::string host = "127.0.0.1";
-  std::string beacon_peers_csv;
   int cache_entries = 256;
   sadp::util::ArgParser parser(
       "SADP routing service: sadp.flow_request.v1 batches over loopback TCP");
@@ -110,10 +97,6 @@ int main(int argc, char** argv) {
                  "N");
   parser.add_int("--cache-entries", &cache_entries,
                  "result cache capacity in entries (0 = disabled)", "N");
-  parser.add_string("--beacon-peers", &beacon_peers_csv,
-                    "sibling daemons to gossip load beacons to", "H:P,...");
-  parser.add_int("--beacon-interval-ms", &options.beacon_interval_ms,
-                 "beacon cadence in milliseconds", "MS");
   parser.add_flag("--quiet", &quiet, "suppress per-request log lines");
   parser.add_string("--host", &host, "client modes: server host", "HOST");
   parser.add_flag("--stats", &stats_mode,
@@ -132,7 +115,7 @@ int main(int argc, char** argv) {
                     "arm deterministic fault sites at startup "
                     "(e.g. journal.append=err@0.3;net.write=short)",
                     "SPEC");
-  parser.add_string("--failpoints-seed", &failpoints_seed_text,
+  parser.add_uint64("--failpoints-seed", &failpoints_seed,
                     "base seed for failpoint probability draws", "SEED");
   parser.add_string("--set-failpoints", &set_failpoints_spec,
                     "client mode: arm failpoints in a running daemon", "SPEC");
@@ -140,8 +123,6 @@ int main(int argc, char** argv) {
                   "client mode: disarm all failpoints in a running daemon");
   if (!parser.parse(argc, argv)) return 2;
   options.quiet = quiet;
-  const std::uint64_t failpoints_seed =
-      std::strtoull(failpoints_seed_text.c_str(), nullptr, 10);
 
   if (!set_failpoints_spec.empty() || clear_failpoints_mode) {
     if (options.port <= 0) {
@@ -208,7 +189,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   options.cache_entries = static_cast<std::size_t>(cache_entries);
-  options.beacon_peers = split_csv(beacon_peers_csv);
 
   if (!failpoints_spec.empty()) {
     const sadp::util::Status armed =

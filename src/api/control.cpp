@@ -32,7 +32,6 @@ const char* control_type_name(ControlRequest::Type type) noexcept {
     case ControlRequest::Type::kPing: return "ping";
     case ControlRequest::Type::kStats: return "stats";
     case ControlRequest::Type::kDrain: return "drain";
-    case ControlRequest::Type::kBeacon: return "beacon";
     case ControlRequest::Type::kFailpoint: return "failpoint";
     case ControlRequest::Type::kMetrics: return "metrics";
     case ControlRequest::Type::kSchemas: return "schemas";
@@ -44,11 +43,6 @@ std::string serialize_control_request(const ControlRequest& request) {
   util::JsonWriter json;
   json.begin_object();
   json.key("type").value(control_type_name(request.type));
-  if (request.type == ControlRequest::Type::kBeacon) {
-    json.key("from").value(request.from);
-    json.key("queue_depth").value(request.queue_depth);
-    json.key("active").value(request.active);
-  }
   if (request.type == ControlRequest::Type::kFailpoint) {
     json.key("spec").value(request.spec);
     json.key("seed").value(request.seed);
@@ -86,8 +80,6 @@ std::optional<ControlRequest> parse_control_request(std::string_view line,
     request.type = ControlRequest::Type::kStats;
   } else if (type->string_value == "drain") {
     request.type = ControlRequest::Type::kDrain;
-  } else if (type->string_value == "beacon") {
-    request.type = ControlRequest::Type::kBeacon;
   } else if (type->string_value == "failpoint") {
     request.type = ControlRequest::Type::kFailpoint;
   } else if (type->string_value == "metrics") {
@@ -97,18 +89,10 @@ std::optional<ControlRequest> parse_control_request(std::string_view line,
   } else {
     return fail("unknown control type '" + type->string_value + "'");
   }
-  if (!read_opt_string(*doc, "from", &request.from)) {
-    return fail("malformed beacon payload");
-  }
   if (!read_opt_string(*doc, "spec", &request.spec)) {
     return fail("malformed failpoint payload");
   }
   std::string field_error;
-  if (!util::read_json_int(*doc, "queue_depth", &request.queue_depth,
-                           &field_error) ||
-      !util::read_json_int(*doc, "active", &request.active, &field_error)) {
-    return fail("malformed beacon payload: " + field_error);
-  }
   if (!util::read_json_int(*doc, "seed", &request.seed, &field_error)) {
     return fail("malformed failpoint payload: " + field_error);
   }

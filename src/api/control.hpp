@@ -15,9 +15,6 @@
 //   → {"type":"drain"}            // same effect as SIGTERM
 //   ← {"schema":"sadp.control.v1","type":"draining"}
 //
-//   → {"type":"beacon","from":"127.0.0.1:7447","queue_depth":2,"active":2}
-//     (no reply; the sender closes immediately)
-//
 //   → {"type":"failpoint","spec":"journal.append=err@0.5","seed":42}
 //   ← {"schema":"sadp.control.v1","type":"failpoints","armed":1}
 //     (empty spec clears every armed failpoint; see util/failpoint.hpp for
@@ -38,10 +35,8 @@
 //     --metrics` / `sadp_route_dispatch --metrics` unescape and print it,
 //     which is what a scrape sidecar or the smoke tests consume)
 //
-// Beacons are the load/liveness gossip between sibling daemons — each
-// backend periodically tells its peers how deep its queue is, a miniature
-// of an OSPF hello.  The dispatcher's health probes are plain "stats"
-// round trips; a backend whose reply goes stale is routed around.
+// The dispatcher's health probes are plain "stats" round trips; a
+// backend whose reply goes stale is routed around.
 //
 // A control line is recognized by leading with its "type" member (all
 // producers in this repo emit {"type":... first); anything carrying the
@@ -65,16 +60,11 @@ struct ControlRequest {
     kPing,
     kStats,
     kDrain,
-    kBeacon,
     kFailpoint,
     kMetrics,
     kSchemas,  ///< feature probe: which request/response schemas are spoken
   };
   Type type = Type::kPing;
-  // Beacon payload: the sender's advertised address and load.
-  std::string from;
-  int queue_depth = 0;
-  int active = 0;
   // Failpoint payload: the spec list to apply (empty = clear all) and the
   // deterministic schedule seed.
   std::string spec;
@@ -102,13 +92,13 @@ struct ControlRequest {
 // ---------------------------------------------------------------------------
 // Replies.
 
-/// One row of a stats reply's peer table: a sibling daemon known through
-/// beacons, or (in the dispatcher's stats) a backend known through probes.
+/// One row of a dispatcher's stats reply: a backend as its probes last saw
+/// it.  A daemon's own stats carry no peers.
 struct PeerStatus {
   std::string addr;
   int queue_depth = 0;
   int active = 0;
-  double age_seconds = 0.0;  ///< since the last beacon / successful probe
+  double age_seconds = 0.0;  ///< since the last successful probe
   bool alive = true;
 };
 

@@ -599,19 +599,16 @@ std::string response_summary_line(const ResponseSummary& summary) {
   return json.str();
 }
 
-std::string response_summary_line(const engine::BatchResult& batch,
-                                  int workers, double wall_seconds) {
-  ResponseSummary summary;
-  summary.jobs = batch.outcomes.size();
-  summary.ok = batch.ok;
-  summary.degraded = batch.degraded;
-  summary.failed = batch.failed;
-  summary.timed_out = batch.timed_out;
-  summary.cancelled = batch.cancelled;
-  summary.resumed = batch.resumed;
-  summary.workers = workers;
-  summary.wall_seconds = wall_seconds;
-  return response_summary_line(summary);
+void ResponseSummary::tally(engine::JobStatus status,
+                            bool from_journal) noexcept {
+  switch (status) {
+    case engine::JobStatus::kOk: ++ok; break;
+    case engine::JobStatus::kDegraded: ++degraded; break;
+    case engine::JobStatus::kFailed: ++failed; break;
+    case engine::JobStatus::kTimeout: ++timed_out; break;
+    case engine::JobStatus::kCancelled: ++cancelled; break;
+  }
+  if (from_journal) ++resumed;
 }
 
 std::string response_error_line(const util::Status& error) {

@@ -221,6 +221,11 @@ struct ResponseSummary {
   std::string trace_id;
   std::int64_t recv_unix_us = 0;
   std::int64_t sent_unix_us = 0;
+
+  /// Count one finished row: its status bucket, plus `resumed` when the
+  /// row was restored from a journal.  Every producer of a "batch" line
+  /// (the daemon's runners, `sadp_route --wire`) counts through here.
+  void tally(engine::JobStatus status, bool from_journal = false) noexcept;
 };
 
 /// {"schema":...,"type":"batch","jobs":N,"ok":...,"degraded":...,
@@ -228,10 +233,6 @@ struct ResponseSummary {
 ///  "cache_hits":...,"cache_misses":...,"workers":W,"wall_seconds":S
 ///  [,"trace_id":...,"recv_unix_us":...,"sent_unix_us":...]}
 [[nodiscard]] std::string response_summary_line(const ResponseSummary& summary);
-
-/// Convenience overload for callers with a plain engine batch (no cache).
-[[nodiscard]] std::string response_summary_line(
-    const engine::BatchResult& batch, int workers, double wall_seconds);
 
 /// {"schema":...,"type":"error","code":"resource_exhausted","message":...}
 [[nodiscard]] std::string response_error_line(const util::Status& error);

@@ -84,6 +84,28 @@ double get_number_or_zero(const util::JsonValue& doc, const char* key) {
   return (v != nullptr && v->is_number()) ? v->number_value : 0.0;
 }
 
+/// Required integer field through util::json_int: absent, mistyped,
+/// fractional or out of range sets `bad` (and `why`, first failure only)
+/// instead of reaching a cast.
+template <typename Int>
+void get_int(const util::JsonValue& doc, const char* key, Int* out, bool& bad,
+             std::string& why) {
+  const util::JsonValue* v = member(doc, key, bad);
+  std::string error;
+  if (v == nullptr || util::json_int(*v, key, out, &error)) return;
+  bad = true;
+  if (why.empty()) why = error;
+}
+
+/// Optional integer field: absent (journals written before the field
+/// existed) reads as 0; present goes through the same check as get_int.
+template <typename Int>
+void get_int_or_zero(const util::JsonValue& doc, const char* key, Int* out,
+                     bool& bad, std::string& why) {
+  *out = 0;
+  if (doc.find(key) != nullptr) get_int(doc, key, out, bad, why);
+}
+
 bool get_bool(const util::JsonValue& doc, const char* key, bool& bad) {
   const util::JsonValue* v = member(doc, key, bad);
   if (v == nullptr || !v->is_bool()) {
@@ -205,41 +227,33 @@ std::optional<JobOutcome> parse_outcome_object(const util::JsonValue& doc,
       util::parse_status_code(get_string(doc, "error_code", bad)),
       get_string(doc, "error", bad));
 
+  // Integer fields are checked, never cast: a row or journal record with
+  // 1e30, 0.5 or -1 in a count is malformed, not undefined behaviour.
+  std::string why;
   core::ExperimentResult& r = outcome.result;
   r.benchmark = get_string(doc, "benchmark", bad);
   r.routing.routed_all = get_bool(doc, "routed_all", bad);
-  r.routing.unrouted_nets = static_cast<int>(get_number(doc, "unrouted_nets", bad));
-  r.routing.wirelength =
-      static_cast<long long>(get_number(doc, "wirelength", bad));
-  r.routing.via_count = static_cast<int>(get_number(doc, "via_count", bad));
-  r.routing.rr_iterations =
-      static_cast<std::size_t>(get_number(doc, "rr_iterations", bad));
-  r.routing.queue_peak =
-      static_cast<std::size_t>(get_number(doc, "queue_peak", bad));
-  r.routing.maze_pops =
-      static_cast<std::uint64_t>(get_number(doc, "maze_pops", bad));
-  r.routing.maze_relaxations =
-      static_cast<std::uint64_t>(get_number(doc, "maze_relaxations", bad));
-  r.routing.maze_searches =
-      static_cast<std::uint64_t>(get_number(doc, "maze_searches", bad));
-  r.routing.heap_reuse =
-      static_cast<std::uint64_t>(get_number(doc, "heap_reuse", bad));
-  r.routing.fvp_cache_hits =
-      static_cast<std::uint64_t>(get_number(doc, "fvp_cache_hits", bad));
-  r.routing.maze_pops_p50 =
-      static_cast<std::uint64_t>(get_number_or_zero(doc, "maze_pops_p50"));
-  r.routing.maze_pops_p95 =
-      static_cast<std::uint64_t>(get_number_or_zero(doc, "maze_pops_p95"));
-  r.routing.maze_pops_max =
-      static_cast<std::uint64_t>(get_number_or_zero(doc, "maze_pops_max"));
+  get_int(doc, "unrouted_nets", &r.routing.unrouted_nets, bad, why);
+  get_int(doc, "wirelength", &r.routing.wirelength, bad, why);
+  get_int(doc, "via_count", &r.routing.via_count, bad, why);
+  get_int(doc, "rr_iterations", &r.routing.rr_iterations, bad, why);
+  get_int(doc, "queue_peak", &r.routing.queue_peak, bad, why);
+  get_int(doc, "maze_pops", &r.routing.maze_pops, bad, why);
+  get_int(doc, "maze_relaxations", &r.routing.maze_relaxations, bad, why);
+  get_int(doc, "maze_searches", &r.routing.maze_searches, bad, why);
+  get_int(doc, "heap_reuse", &r.routing.heap_reuse, bad, why);
+  get_int(doc, "fvp_cache_hits", &r.routing.fvp_cache_hits, bad, why);
+  get_int_or_zero(doc, "maze_pops_p50", &r.routing.maze_pops_p50, bad, why);
+  get_int_or_zero(doc, "maze_pops_p95", &r.routing.maze_pops_p95, bad, why);
+  get_int_or_zero(doc, "maze_pops_max", &r.routing.maze_pops_max, bad, why);
   // Optional (absent = serial row, possibly from a pre-partition journal).
   {
-    const double partitions = get_number_or_zero(doc, "partitions");
-    r.routing.partitions = partitions > 0 ? static_cast<int>(partitions) : 1;
-    r.routing.partition_regions =
-        static_cast<int>(get_number_or_zero(doc, "partition_regions"));
-    r.routing.boundary_nets =
-        static_cast<int>(get_number_or_zero(doc, "boundary_nets"));
+    int partitions = 0;
+    get_int_or_zero(doc, "partitions", &partitions, bad, why);
+    r.routing.partitions = partitions > 0 ? partitions : 1;
+    get_int_or_zero(doc, "partition_regions", &r.routing.partition_regions,
+                    bad, why);
+    get_int_or_zero(doc, "boundary_nets", &r.routing.boundary_nets, bad, why);
     r.routing.partition_seconds = get_number_or_zero(doc, "partition_seconds");
     r.routing.reconcile_seconds = get_number_or_zero(doc, "reconcile_seconds");
     // Absent on PR 8 journals (pre-breakdown) — restored as 0.
@@ -250,17 +264,14 @@ std::optional<JobOutcome> parse_outcome_object(const util::JsonValue& doc,
     r.routing.region_seconds_mean =
         get_number_or_zero(doc, "region_seconds_mean");
   }
-  r.routing.remaining_congestion =
-      static_cast<std::size_t>(get_number(doc, "remaining_congestion", bad));
-  r.routing.remaining_fvps =
-      static_cast<std::size_t>(get_number(doc, "remaining_fvps", bad));
-  r.routing.uncolorable_vias =
-      static_cast<int>(get_number(doc, "uncolorable_vias", bad));
-  r.single_vias = static_cast<int>(get_number(doc, "single_vias", bad));
-  r.dvi_candidates =
-      static_cast<std::size_t>(get_number(doc, "dvi_candidates", bad));
-  r.dvi.dead_vias = static_cast<int>(get_number(doc, "dead_vias", bad));
-  r.dvi.uncolorable = static_cast<int>(get_number(doc, "uncolorable", bad));
+  get_int(doc, "remaining_congestion", &r.routing.remaining_congestion, bad,
+          why);
+  get_int(doc, "remaining_fvps", &r.routing.remaining_fvps, bad, why);
+  get_int(doc, "uncolorable_vias", &r.routing.uncolorable_vias, bad, why);
+  get_int(doc, "single_vias", &r.single_vias, bad, why);
+  get_int(doc, "dvi_candidates", &r.dvi_candidates, bad, why);
+  get_int(doc, "dead_vias", &r.dvi.dead_vias, bad, why);
+  get_int(doc, "uncolorable", &r.dvi.uncolorable, bad, why);
   r.ilp_status = *ilp_status;
 
   const util::JsonValue* inserted = doc.find("inserted");
@@ -268,11 +279,14 @@ std::optional<JobOutcome> parse_outcome_object(const util::JsonValue& doc,
   if (!bad) {
     r.dvi.inserted.reserve(inserted->array.size());
     for (const util::JsonValue& v : inserted->array) {
-      if (!v.is_number()) {
+      int dvic = 0;
+      std::string error;
+      if (!util::json_int(v, "inserted", &dvic, &error)) {
         bad = true;
+        if (why.empty()) why = error;
         break;
       }
-      r.dvi.inserted.push_back(static_cast<int>(v.number_value));
+      r.dvi.inserted.push_back(dvic);
     }
   }
 
@@ -300,7 +314,8 @@ std::optional<JobOutcome> parse_outcome_object(const util::JsonValue& doc,
   outcome.metrics.region_seconds_mean = r.routing.region_seconds_mean;
 
   if (bad) {
-    return fail("malformed journal record for label '" + outcome.label + "'");
+    return fail("malformed journal record for label '" + outcome.label + "'" +
+                (why.empty() ? "" : ": " + why));
   }
   return outcome;
 }
@@ -382,18 +397,24 @@ std::optional<JobOutcome> parse_journal_line(std::string_view line,
     }
     checksummed = true;
   }
-  (void)checksummed;
 
   std::string parse_error;
-  const auto doc = util::parse_json(object, &parse_error);
-  if (!doc || !doc->is_object()) {
-    if (error != nullptr) *error = "not a JSON object: " + parse_error;
+  std::optional<JobOutcome> outcome;
+  if (const auto doc = util::parse_json(object, &parse_error)) {
+    outcome = parse_outcome_object(*doc, &parse_error);
+  } else {
+    parse_error = "not a JSON object: " + parse_error;
+  }
+  if (!outcome) {
+    // The CRC held, so these are the bytes the writer meant: a record that
+    // still does not decode is corrupt, not a torn tail.
+    if (corrupt != nullptr) *corrupt = checksummed;
+    if (error != nullptr) *error = parse_error;
     return std::nullopt;
   }
-  auto outcome = parse_outcome_object(*doc, error);
   // Whatever the record said, a row read back from the journal file is a
   // restored row.
-  if (outcome) outcome->from_journal = true;
+  outcome->from_journal = true;
   return outcome;
 }
 

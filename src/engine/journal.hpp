@@ -23,7 +23,9 @@
 //
 // Load classifies bad lines instead of silently eating them:
 //   torn     unparsable (the crash-truncated tail, garbage bytes)
-//   corrupt  parsable but CRC mismatch (bit rot, torn-then-overwritten)
+//   corrupt  CRC mismatch (bit rot, torn-then-overwritten), or a CRC that
+//            holds over a record that does not decode (e.g. a count of
+//            1e30): intact bytes that were written wrong, not torn ones
 // Both are skipped — never fatal; the matching jobs re-execute — and the
 // counts surface in JournalLoadStats / BatchResult::journal_skipped.
 //
@@ -70,7 +72,8 @@ void write_outcome_object(util::JsonWriter& json, const JobOutcome& outcome);
 /// Parse one journal line (v2 checksummed or bare v1) back into an outcome
 /// (`router` stays null, `from_journal` is set).  Returns nullopt and fills
 /// `error` on malformed input, schema mismatch or checksum mismatch; sets
-/// `*corrupt` (when non-null) iff the JSON parsed but the CRC disagreed.
+/// `*corrupt` (when non-null) iff the line carries a well-formed CRC suffix
+/// and either the CRC disagrees or the checksummed record does not decode.
 [[nodiscard]] std::optional<JobOutcome> parse_journal_line(
     std::string_view line, std::string* error = nullptr,
     bool* corrupt = nullptr);
@@ -123,7 +126,7 @@ struct JournalLoadStats {
   std::size_t lines = 0;            ///< non-empty lines
   std::size_t records = 0;          ///< well-formed records loaded
   std::size_t skipped_torn = 0;     ///< unparsable (truncation, garbage)
-  std::size_t skipped_corrupt = 0;  ///< CRC mismatch
+  std::size_t skipped_corrupt = 0;  ///< CRC mismatch or undecodable record
   std::size_t legacy_v1 = 0;        ///< loaded records without a checksum
 
   [[nodiscard]] std::size_t skipped() const noexcept {

@@ -52,9 +52,11 @@ void emit_value(util::JsonWriter& json, const util::JsonValue& value) {
   }
 }
 
-/// Copy one trace event, overriding pid and shifting ts.
-void emit_event(util::JsonWriter& json, const util::JsonValue& event, int pid,
-                std::int64_t shift_us) {
+/// Copy one trace event, overriding pid and shifting ts.  False (with the
+/// field error in *error) when a numeric ts is not an in-range integer.
+[[nodiscard]] bool emit_event(util::JsonWriter& json,
+                              const util::JsonValue& event, int pid,
+                              std::int64_t shift_us, std::string* error) {
   json.begin_object();
   bool saw_pid = false;
   for (const auto& [key, member] : event.object) {
@@ -62,8 +64,9 @@ void emit_event(util::JsonWriter& json, const util::JsonValue& event, int pid,
       json.key("pid").value(pid);
       saw_pid = true;
     } else if (key == "ts" && member.is_number()) {
-      json.key("ts").value(
-          static_cast<long long>(member.number_value) + shift_us);
+      std::int64_t ts = 0;
+      if (!util::json_int(member, "ts", &ts, error)) return false;
+      json.key("ts").value(static_cast<long long>(ts + shift_us));
     } else {
       json.key(key);
       emit_value(json, member);
@@ -71,6 +74,7 @@ void emit_event(util::JsonWriter& json, const util::JsonValue& event, int pid,
   }
   if (!saw_pid) json.key("pid").value(pid);
   json.end_object();
+  return true;
 }
 
 [[nodiscard]] bool is_process_name_meta(const util::JsonValue& event) {
@@ -121,7 +125,9 @@ util::Status merge_traces(const std::vector<MergeInput>& inputs,
     }
     const util::JsonValue* anchor = item.doc.find("clock_unix_us");
     if (anchor != nullptr && anchor->is_number()) {
-      item.anchor_us = static_cast<std::int64_t>(anchor->number_value);
+      if (!util::json_int(*anchor, "clock_unix_us", &item.anchor_us, &error)) {
+        return util::Status::invalid_input(input.path + ": " + error);
+      }
       item.has_anchor = true;
     }
     const util::JsonValue* process = item.doc.find("process");
@@ -168,7 +174,9 @@ util::Status merge_traces(const std::vector<MergeInput>& inputs,
 
     for (const util::JsonValue& event : item.events->array) {
       if (!event.is_object() || is_process_name_meta(event)) continue;
-      emit_event(json, event, pid, shift_us);
+      if (std::string error; !emit_event(json, event, pid, shift_us, &error)) {
+        return util::Status::invalid_input(inputs[i].path + ": " + error);
+      }
       ++total_events;
     }
   }

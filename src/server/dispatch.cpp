@@ -170,15 +170,16 @@ void RouteDispatcher::stop() {
   stopped_ = true;
   stopping_.store(true, std::memory_order_release);
   probe_cv_.notify_all();
+  // shutdown() unblocks the accept loop even on Linuxes where close()
+  // alone leaves accept() sleeping.  The fd is closed and cleared only
+  // after the join: the accept loop reads listen_fd_ on every iteration.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
+  if (probe_thread_.joinable()) probe_thread_.join();
   if (listen_fd_ >= 0) {
-    // shutdown() unblocks the accept loop even on Linuxes where close()
-    // alone leaves accept() sleeping.
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (probe_thread_.joinable()) probe_thread_.join();
   std::unique_lock<std::mutex> lock(handlers_mutex_);
   handlers_cv_.wait(lock, [this] { return handler_count_ == 0; });
 }
@@ -426,8 +427,6 @@ void RouteDispatcher::handle_control(int fd, const std::string& line) {
       (void)send_line(fd, api::draining_line());
       return;
     }
-    case api::ControlRequest::Type::kBeacon:
-      return;  // dispatchers do not gossip
     case api::ControlRequest::Type::kFailpoint: {
       // Applied to the dispatcher's own registry; chaos drivers arm each
       // backend directly through its own control port.

@@ -81,37 +81,17 @@ bool set_nonblocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-/// "host:port" -> (host, port); false on malformed input.
-bool split_host_port(const std::string& addr, std::string* host, int* port) {
-  const std::size_t colon = addr.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= addr.size()) return false;
-  *host = addr.substr(0, colon);
-  try {
-    *port = std::stoi(addr.substr(colon + 1));
-  } catch (...) {
-    return false;
+/// One server span on the process telemetry clock, tagged with the
+/// request's trace id when it carries one.
+void server_span(const char* name, std::int64_t start_us, std::int64_t end_us,
+                 const std::string& trace_id) {
+  if (!obs::tracing_enabled()) return;
+  if (trace_id.empty()) {
+    obs::complete(name, start_us, end_us - start_us);
+  } else {
+    obs::complete(name, start_us, end_us - start_us,
+                  {{"trace_id", trace_id}});
   }
-  return *port > 0 && *port < 65536;
-}
-
-/// Blocking one-shot fire-and-forget line to host:port (beacon sender).
-void send_oneshot_line(const std::string& host, int port,
-                       const std::string& line) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return;
-  }
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) ==
-      0) {
-    const std::string framed = line + "\n";
-    (void)::send(fd, framed.data(), framed.size(), MSG_NOSIGNAL);
-  }
-  ::close(fd);
 }
 
 }  // namespace
@@ -241,9 +221,6 @@ util::Status RouteServer::start() {
   }
 
   loop_thread_ = std::thread([this] { event_loop(); });
-  if (!options_.beacon_peers.empty()) {
-    beacon_thread_ = std::thread([this] { beacon_loop(); });
-  }
   return util::Status::ok();
 }
 
@@ -409,93 +386,64 @@ void RouteServer::read_ready(const std::shared_ptr<Connection>& conn) {
 void RouteServer::handle_line(const std::shared_ptr<Connection>& conn,
                               std::string line) {
   conn->line_complete_us = util::process_uptime_us();
+  conn->state = ConnState::kFlushing;  // unless a runner is admitted below
   if (api::looks_like_control_line(line)) {
-    conn->state = ConnState::kFlushing;
     handle_control_line(conn, line);
     return;
   }
-
-  // Admission shared by both flow verbs: drain rejection, then the bounded
-  // in-flight slot.  Returns false (with the rejection line enqueued) when
-  // the request must not start a runner.
-  const auto admit = [&]() -> bool {
-    if (draining()) {
-      conn->state = ConnState::kFlushing;
-      enqueue_line(conn,
-                   api::response_error_line(util::Status::resource_exhausted(
-                       "server is draining; retry elsewhere")),
-                   /*finish_after=*/true);
-      return false;
-    }
-    if (active_.load(std::memory_order_acquire) >= options_.max_requests) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      server_metrics().rejected.inc();
-      conn->state = ConnState::kFlushing;
-      enqueue_line(conn,
-                   api::response_error_line(util::Status::resource_exhausted(
-                       "server at capacity (" +
-                       std::to_string(options_.max_requests) +
-                       " requests in flight); retry later")),
-                   /*finish_after=*/true);
-      return false;
-    }
-    active_.fetch_add(1, std::memory_order_acq_rel);
-    server_metrics().requests.inc();
-    server_metrics().queue_depth.add(1);
-    conn->state = ConnState::kRunning;
-    conn->runner_started = true;
-    return true;
+  const auto reject = [&](const util::Status& status) {
+    enqueue_line(conn, api::response_error_line(status),
+                 /*finish_after=*/true);
   };
 
+  // Both flow verbs parse into one Runner; admission and the spawn below
+  // are shared.
   std::string parse_error;
+  Runner runner;
   if (api::looks_like_delta_line(line)) {
-    auto delta = api::parse_delta_request(line, &parse_error);
-    if (!delta) {
-      conn->state = ConnState::kFlushing;
-      enqueue_line(conn,
-                   api::response_error_line(
-                       util::Status::invalid_input(parse_error)),
-                   /*finish_after=*/true);
-      return;
+    if (auto delta = api::parse_delta_request(line, &parse_error)) {
+      runner.name = "delta runner";
+      runner.trace_id = delta->trace_id;
+      runner.body = [this, conn, request = std::move(*delta)](
+                        api::ResponseSummary* summary) {
+        return run_delta(conn, request, summary);
+      };
     }
-    if (!admit()) return;
-    if (!options_.quiet) {
-      std::fprintf(stderr, "[sadp_routed] delta request: %zu change(s)\n",
-                   delta->changes.size());
-    }
-    std::shared_ptr<Connection> shared = conn;
-    api::FlowDeltaRequest moved = std::move(*delta);
-    conn->runner = std::thread(
-        [this, shared, request = std::move(moved)]() mutable {
-          run_delta_request(shared, std::move(request));
-          shared->runner_done.store(true, std::memory_order_release);
-          wake();
-        });
+  } else if (auto request = api::parse_request(line, &parse_error)) {
+    runner.name = "request runner";
+    runner.trace_id = request->trace_id;
+    runner.body = [this, conn, request = std::move(*request)](
+                      api::ResponseSummary* summary) {
+      return run_flow(conn, request, summary);
+    };
+  }
+  if (!runner.body) {
+    reject(util::Status::invalid_input(parse_error));
     return;
   }
-
-  auto request = api::parse_request(line, &parse_error);
-  if (!request) {
-    conn->state = ConnState::kFlushing;
-    enqueue_line(conn,
-                 api::response_error_line(
-                     util::Status::invalid_input(parse_error)),
-                 /*finish_after=*/true);
+  if (draining()) {
+    reject(util::Status::resource_exhausted(
+        "server is draining; retry elsewhere"));
     return;
   }
-  if (!admit()) return;
-  if (!options_.quiet) {
-    std::fprintf(stderr, "[sadp_routed] request: %zu job(s), workers=%d\n",
-                 request->jobs.size(), request->workers);
+  if (active_.load(std::memory_order_acquire) >= options_.max_requests) {
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    server_metrics().rejected.inc();
+    reject(util::Status::resource_exhausted(
+        "server at capacity (" + std::to_string(options_.max_requests) +
+        " requests in flight); retry later"));
+    return;
   }
-  std::shared_ptr<Connection> shared = conn;
-  api::FlowRequest moved = std::move(*request);
-  conn->runner = std::thread(
-      [this, shared, request = std::move(moved)]() mutable {
-        run_request(shared, std::move(request));
-        shared->runner_done.store(true, std::memory_order_release);
-        wake();
-      });
+  active_.fetch_add(1, std::memory_order_acq_rel);
+  server_metrics().requests.inc();
+  server_metrics().queue_depth.add(1);
+  conn->state = ConnState::kRunning;
+  conn->runner_started = true;
+  conn->runner = std::thread([this, conn, runner = std::move(runner)] {
+    run_frame(conn, runner);
+    conn->runner_done.store(true, std::memory_order_release);
+    wake();
+  });
 }
 
 void RouteServer::handle_control_line(const std::shared_ptr<Connection>& conn,
@@ -529,13 +477,6 @@ void RouteServer::handle_control_line(const std::shared_ptr<Connection>& conn,
       begin_drain();
       enqueue_line(conn, api::draining_line(), /*finish_after=*/true);
       return;
-    case api::ControlRequest::Type::kBeacon: {
-      record_beacon(*control);
-      // No reply; the sender closed (or will) without reading.
-      const std::lock_guard<std::mutex> lock(conn->mutex);
-      conn->finish = true;
-      return;
-    }
     case api::ControlRequest::Type::kFailpoint: {
       util::FailPointRegistry& registry = util::FailPointRegistry::instance();
       if (control->spec.empty()) {
@@ -569,10 +510,10 @@ void RouteServer::handle_control_line(const std::shared_ptr<Connection>& conn,
 }
 
 // ---------------------------------------------------------------------------
-// Request runner (one thread per admitted request, bounded by max_requests)
+// Runner frame (one thread per admitted request, bounded by max_requests)
 
-void RouteServer::run_request(const std::shared_ptr<Connection>& conn,
-                              api::FlowRequest request) {
+void RouteServer::run_frame(const std::shared_ptr<Connection>& conn,
+                            const Runner& runner) {
   struct SlotGuard {
     RouteServer* server;
     ~SlotGuard() {
@@ -585,168 +526,23 @@ void RouteServer::run_request(const std::shared_ptr<Connection>& conn,
   const std::int64_t admitted_us = util::process_uptime_us();
   metrics.admission_wait.observe_us(
       static_cast<std::uint64_t>(admitted_us - conn->line_complete_us));
-  if (obs::tracing_enabled()) {
-    // Cross-thread span: begun by the event loop's line-complete stamp,
-    // recorded here on the runner.
-    if (request.trace_id.empty()) {
-      obs::complete("server.admission", conn->line_complete_us,
-                    admitted_us - conn->line_complete_us);
-    } else {
-      obs::complete("server.admission", conn->line_complete_us,
-                    admitted_us - conn->line_complete_us,
-                    {{"trace_id", request.trace_id}});
-    }
-  }
+  // Cross-thread span: begun by the event loop's line-complete stamp,
+  // recorded here on the runner.
+  server_span("server.admission", conn->line_complete_us, admitted_us,
+              runner.trace_id);
 
   if (options_.on_request_admitted) options_.on_request_admitted();
 
   try {
-    const util::Status valid = api::validate(request);
-    if (!valid.is_ok()) {
-      enqueue_line(conn, api::response_error_line(valid), true);
+    util::Timer wall;
+    api::ResponseSummary summary;
+    if (const util::Status done = runner.body(&summary); !done.is_ok()) {
+      enqueue_line(conn, api::response_error_line(done), true);
       return;
     }
-
-    util::Timer wall;
-    const std::size_t total = request.jobs.size();
-    std::size_t streamed = 0;
-
-    // Journaled batches bypass the cache: the journal is the authority for
-    // --resume, and cache-served rows are never journaled, so mixing the
-    // two would leave resume holes.
-    const bool use_cache = cache_->enabled() && request.journal_path.empty() &&
-                           !request.resume;
-
-    std::vector<std::pair<std::size_t, CachedRow>> hits;  // job index -> row
-    std::map<std::string, std::string> miss_keys;  // label -> canonical key
-    api::FlowRequest misses = request;
-    if (use_cache) {
-      misses.jobs.clear();
-      for (std::size_t i = 0; i < request.jobs.size(); ++i) {
-        const api::JobRequest& job = request.jobs[i];
-        const auto key = job_cache_key(job);
-        if (key.has_value()) {
-          if (auto row = cache_->lookup(*key)) {
-            hits.emplace_back(i, std::move(*row));
-            continue;
-          }
-          miss_keys[api::effective_label(job)] = *key;
-        }
-        misses.jobs.push_back(job);
-      }
-      metrics.cache_hits.inc(hits.size());
-      metrics.cache_misses.inc(total - hits.size());
-    }
-
-    // Echoing the request's trace context onto each row needs the span id
-    // by label (on_job_done only sees the outcome).  Empty map when the
-    // request is untraced, so every lookup misses and rows stay untraced.
-    std::map<std::string, const std::string*> span_by_label;
-    if (!request.trace_id.empty()) {
-      for (const api::JobRequest& job : request.jobs) {
-        span_by_label[api::effective_label(job)] = &job.span_id;
-      }
-    }
-    const auto span_for = [&](const std::string& label) -> const std::string& {
-      static const std::string kEmpty;
-      const auto it = span_by_label.find(label);
-      return it == span_by_label.end() ? kEmpty : *it->second;
-    };
-
-    if (!hits.empty()) {
-      // Materialize the full request once before replaying anything, so a
-      // request with an unknown benchmark still fails with a single error
-      // line instead of a half-stream.
-      std::vector<engine::FlowJob> scratch;
-      const util::Status materialized = api::to_flow_jobs(request, &scratch);
-      if (!materialized.is_ok()) {
-        enqueue_line(conn, api::response_error_line(materialized), true);
-        return;
-      }
-    }
-
-    std::size_t hit_ok = 0;
-    std::size_t hit_degraded = 0;
-    for (const auto& [index, row] : hits) {
-      const api::JobRequest& job = request.jobs[index];
-      (row.degraded ? hit_degraded : hit_ok)++;
-      enqueue_line(conn,
-                   api::response_row_line_raw(
-                       replay_journal_object(row, api::effective_label(job),
-                                             job.arm),
-                       ++streamed, total, "hit", request.trace_id,
-                       job.span_id),
-                   false);
-    }
-
-    api::ResponseSummary summary;
-    summary.jobs = total;
-    summary.ok = hit_ok;
-    summary.degraded = hit_degraded;
-    summary.cache_hits = hits.size();
-    summary.cache_misses = use_cache ? total - hits.size() : 0;
-
-    if (!misses.jobs.empty()) {
-      api::DispatchOptions hooks;
-      hooks.cancel = conn->cancel;
-      hooks.drain = drain_token_;
-      hooks.executor = pool_.get();
-      hooks.max_workers = pool_->size();
-      const char* miss_mark = use_cache ? "miss" : nullptr;
-      // on_job_done is serialized by the engine, so `streamed` needs no
-      // lock; the runner itself is blocked inside dispatch() meanwhile.
-      hooks.on_job_done = [&](const engine::JobOutcome& outcome, std::size_t,
-                              std::size_t) {
-        if (use_cache) {
-          const auto key = miss_keys.find(outcome.label);
-          if (key != miss_keys.end()) {
-            if (auto row = make_cached_row(outcome)) {
-              cache_->insert(key->second, std::move(*row));
-            }
-          }
-        }
-        if (conn->client_gone.load(std::memory_order_relaxed)) return;
-        enqueue_line(conn,
-                     api::response_row_line(outcome, ++streamed, total,
-                                            miss_mark, request.trace_id,
-                                            span_for(outcome.label)),
-                     false);
-      };
-
-      const api::DispatchResult run = api::dispatch(misses, hooks);
-      if (!run.status.is_ok()) {
-        enqueue_line(conn, api::response_error_line(run.status), true);
-        return;
-      }
-      if (!run.batch.journal_error.is_ok() && !options_.quiet) {
-        std::fprintf(stderr, "[sadp_routed] journal error: %s\n",
-                     run.batch.journal_error.to_string().c_str());
-      }
-      // Journal-restored rows never pass through on_job_done; stream them
-      // after the executed ones so the client still receives every row
-      // exactly once.
-      for (const engine::JobOutcome& outcome : run.batch.outcomes) {
-        if (!outcome.from_journal) continue;
-        if (conn->client_gone.load(std::memory_order_relaxed)) break;
-        enqueue_line(conn,
-                     api::response_row_line(outcome, ++streamed, total,
-                                            nullptr, request.trace_id,
-                                            span_for(outcome.label)),
-                     false);
-      }
-      summary.ok += run.batch.ok;
-      summary.degraded += run.batch.degraded;
-      summary.failed = run.batch.failed;
-      summary.timed_out = run.batch.timed_out;
-      summary.cancelled = run.batch.cancelled;
-      summary.resumed = run.batch.resumed;
-      summary.workers = run.workers;
-    } else {
-      summary.workers = capped_workers(request.workers);
-    }
     summary.wall_seconds = wall.seconds();
-    if (!request.trace_id.empty()) {
-      summary.trace_id = request.trace_id;
+    if (!runner.trace_id.empty()) {
+      summary.trace_id = runner.trace_id;
       // The hop's receive instant: realtime at the moment the event loop
       // completed the request line, reconstructed from the shared process
       // clock anchor so it agrees with the admission span's start.
@@ -756,14 +552,7 @@ void RouteServer::run_request(const std::shared_ptr<Connection>& conn,
     }
     const std::int64_t done_us = util::process_uptime_us();
     metrics.run.observe_us(static_cast<std::uint64_t>(done_us - admitted_us));
-    if (obs::tracing_enabled()) {
-      if (request.trace_id.empty()) {
-        obs::complete("server.run", admitted_us, done_us - admitted_us);
-      } else {
-        obs::complete("server.run", admitted_us, done_us - admitted_us,
-                      {{"trace_id", request.trace_id}});
-      }
-    }
+    server_span("server.run", admitted_us, done_us, runner.trace_id);
     conn->summary_enqueued_us = done_us;
     enqueue_line(conn, api::response_summary_line(summary), true);
 
@@ -780,161 +569,226 @@ void RouteServer::run_request(const std::shared_ptr<Connection>& conn,
   } catch (const std::exception& e) {
     enqueue_line(conn,
                  api::response_error_line(util::Status::internal(
-                     std::string("request runner: ") + e.what())),
+                     std::string(runner.name) + ": " + e.what())),
                  true);
   }
 }
 
-void RouteServer::run_delta_request(const std::shared_ptr<Connection>& conn,
-                                    api::FlowDeltaRequest request) {
-  struct SlotGuard {
-    RouteServer* server;
-    ~SlotGuard() {
-      server->active_.fetch_sub(1, std::memory_order_acq_rel);
-      server_metrics().queue_depth.add(-1);
-    }
-  } slot{this};
-
+util::Status RouteServer::run_flow(const std::shared_ptr<Connection>& conn,
+                                   const api::FlowRequest& request,
+                                   api::ResponseSummary* summary) {
+  if (!options_.quiet) {
+    std::fprintf(stderr, "[sadp_routed] request: %zu job(s), workers=%d\n",
+                 request.jobs.size(), request.workers);
+  }
+  if (const util::Status valid = api::validate(request); !valid.is_ok()) {
+    return valid;
+  }
   ServerMetrics& metrics = server_metrics();
-  const std::int64_t admitted_us = util::process_uptime_us();
-  metrics.admission_wait.observe_us(
-      static_cast<std::uint64_t>(admitted_us - conn->line_complete_us));
-  if (obs::tracing_enabled()) {
-    if (request.trace_id.empty()) {
-      obs::complete("server.admission", conn->line_complete_us,
-                    admitted_us - conn->line_complete_us);
-    } else {
-      obs::complete("server.admission", conn->line_complete_us,
-                    admitted_us - conn->line_complete_us,
-                    {{"trace_id", request.trace_id}});
+  const std::size_t total = request.jobs.size();
+  std::size_t streamed = 0;
+
+  // Journaled batches bypass the cache: the journal is the authority for
+  // --resume, and cache-served rows are never journaled, so mixing the
+  // two would leave resume holes.
+  const bool use_cache = cache_->enabled() && request.journal_path.empty() &&
+                         !request.resume;
+
+  std::vector<std::pair<std::size_t, CachedRow>> hits;  // job index -> row
+  std::map<std::string, std::string> miss_keys;  // label -> canonical key
+  api::FlowRequest misses = request;
+  if (use_cache) {
+    misses.jobs.clear();
+    for (std::size_t i = 0; i < request.jobs.size(); ++i) {
+      const api::JobRequest& job = request.jobs[i];
+      const auto key = job_cache_key(job);
+      if (key.has_value()) {
+        if (auto row = cache_->lookup(*key)) {
+          hits.emplace_back(i, std::move(*row));
+          continue;
+        }
+        miss_keys[api::effective_label(job)] = *key;
+      }
+      misses.jobs.push_back(job);
+    }
+    metrics.cache_hits.inc(hits.size());
+    metrics.cache_misses.inc(total - hits.size());
+  }
+
+  // Echoing the request's trace context onto each row needs the span id
+  // by label (on_job_done only sees the outcome).  Empty map when the
+  // request is untraced, so every lookup misses and rows stay untraced.
+  std::map<std::string, const std::string*> span_by_label;
+  if (!request.trace_id.empty()) {
+    for (const api::JobRequest& job : request.jobs) {
+      span_by_label[api::effective_label(job)] = &job.span_id;
+    }
+  }
+  const auto span_for = [&](const std::string& label) -> const std::string& {
+    static const std::string kEmpty;
+    const auto it = span_by_label.find(label);
+    return it == span_by_label.end() ? kEmpty : *it->second;
+  };
+
+  if (!hits.empty()) {
+    // Materialize the full request once before replaying anything, so a
+    // request with an unknown benchmark still fails with a single error
+    // line instead of a half-stream.
+    std::vector<engine::FlowJob> scratch;
+    if (const util::Status materialized = api::to_flow_jobs(request, &scratch);
+        !materialized.is_ok()) {
+      return materialized;
     }
   }
 
-  if (options_.on_request_admitted) options_.on_request_admitted();
+  summary->jobs = total;
+  summary->cache_hits = hits.size();
+  summary->cache_misses = use_cache ? total - hits.size() : 0;
+  for (const auto& [index, row] : hits) {
+    const api::JobRequest& job = request.jobs[index];
+    summary->tally(row.degraded ? engine::JobStatus::kDegraded
+                                : engine::JobStatus::kOk);
+    enqueue_line(conn,
+                 api::response_row_line_raw(
+                     replay_journal_object(row, api::effective_label(job),
+                                           job.arm),
+                     ++streamed, total, "hit", request.trace_id, job.span_id),
+                 false);
+  }
+  if (misses.jobs.empty()) {
+    summary->workers = capped_workers(request.workers);
+    return util::Status::ok();
+  }
 
-  try {
-    const util::Status valid = api::validate_delta(request);
-    if (!valid.is_ok()) {
-      enqueue_line(conn, api::response_error_line(valid), true);
-      return;
-    }
-
-    util::Timer wall;
-    const std::string label = api::effective_label(request.base);
-
-    // The cache key needs the base text (it is content-addressed in the
-    // solution bytes), so resolve it up front; a miss re-parses inside
-    // dispatch_delta, which is cheap next to the route itself.
-    std::string base_text;
-    if (const util::Status loaded =
-            api::load_base_solution(request, &base_text);
-        !loaded.is_ok()) {
-      enqueue_line(conn, api::response_error_line(loaded), true);
-      return;
-    }
-    const bool use_cache = cache_->enabled();
-    const std::optional<std::string> key =
-        use_cache ? api::delta_cache_key(request, base_text) : std::nullopt;
-
-    api::ResponseSummary summary;
-    summary.jobs = 1;
-    summary.workers = 1;  // ECO re-routes run serially on the runner thread
-    const auto finish_stream = [&] {
-      summary.wall_seconds = wall.seconds();
-      if (!request.trace_id.empty()) {
-        summary.trace_id = request.trace_id;
-        summary.recv_unix_us =
-            util::process_unix_anchor_us() + conn->line_complete_us;
-        summary.sent_unix_us = util::unix_now_us();
-      }
-      const std::int64_t done_us = util::process_uptime_us();
-      metrics.run.observe_us(
-          static_cast<std::uint64_t>(done_us - admitted_us));
-      if (obs::tracing_enabled()) {
-        if (request.trace_id.empty()) {
-          obs::complete("server.run", admitted_us, done_us - admitted_us);
-        } else {
-          obs::complete("server.run", admitted_us, done_us - admitted_us,
-                        {{"trace_id", request.trace_id}});
+  api::DispatchOptions hooks;
+  hooks.cancel = conn->cancel;
+  hooks.drain = drain_token_;
+  hooks.executor = pool_.get();
+  hooks.max_workers = pool_->size();
+  const char* miss_mark = use_cache ? "miss" : nullptr;
+  // on_job_done is serialized by the engine, so `streamed` needs no lock;
+  // the runner itself is blocked inside dispatch() meanwhile.
+  hooks.on_job_done = [&](const engine::JobOutcome& outcome, std::size_t,
+                          std::size_t) {
+    if (use_cache) {
+      const auto key = miss_keys.find(outcome.label);
+      if (key != miss_keys.end()) {
+        if (auto row = make_cached_row(outcome)) {
+          cache_->insert(key->second, std::move(*row));
         }
       }
-      conn->summary_enqueued_us = done_us;
-      enqueue_line(conn, api::response_summary_line(summary), true);
-    };
-
-    if (key.has_value()) {
-      if (auto row = cache_->lookup(*key)) {
-        metrics.cache_hits.inc();
-        (row->degraded ? summary.degraded : summary.ok)++;
-        summary.cache_hits = 1;
-        enqueue_line(conn,
-                     api::response_row_line_raw(
-                         replay_journal_object(*row, label, request.base.arm),
-                         1, 1, "hit", request.trace_id, request.base.span_id),
-                     false);
-        enqueue_line(
-            conn,
-            api::response_delta_line_raw(row->delta_json, request.trace_id),
-            false);
-        finish_stream();
-        return;
-      }
     }
-    if (use_cache) {
-      metrics.cache_misses.inc();
-      summary.cache_misses = 1;
-    }
-
-    api::DeltaDispatchOptions hooks;
-    hooks.cancel = conn->cancel;
-    const api::DeltaDispatchResult run = api::dispatch_delta(request, hooks);
-    if (!run.status.is_ok()) {
-      enqueue_line(conn, api::response_error_line(run.status), true);
-      return;
-    }
-
-    if (key.has_value() &&
-        (run.outcome.status == engine::JobStatus::kOk ||
-         run.outcome.status == engine::JobStatus::kDegraded)) {
-      if (auto row = make_cached_row(run.outcome)) {
-        row->delta_json = api::delta_payload_suffix(run.summary);
-        cache_->insert(*key, std::move(*row));
-      }
-    }
-
-    switch (run.outcome.status) {
-      case engine::JobStatus::kOk: summary.ok = 1; break;
-      case engine::JobStatus::kDegraded: summary.degraded = 1; break;
-      case engine::JobStatus::kFailed: summary.failed = 1; break;
-      case engine::JobStatus::kTimeout: summary.timed_out = 1; break;
-      case engine::JobStatus::kCancelled: summary.cancelled = 1; break;
-    }
-    if (!conn->client_gone.load(std::memory_order_relaxed)) {
-      enqueue_line(conn,
-                   api::response_row_line(run.outcome, 1, 1,
-                                          use_cache ? "miss" : nullptr,
-                                          request.trace_id,
-                                          request.base.span_id),
-                   false);
-      enqueue_line(conn,
-                   api::response_delta_line(run.summary, request.trace_id),
-                   false);
-    }
-    finish_stream();
-
-    if (!options_.quiet) {
-      std::fprintf(stderr,
-                   "[sadp_routed] delta done: ripped=%d untouched=%d "
-                   "changes=%d (%.2fs)\n",
-                   run.summary.nets_ripped, run.summary.nets_untouched,
-                   run.summary.changes, run.wall_seconds);
-    }
-  } catch (const std::exception& e) {
+    if (conn->client_gone.load(std::memory_order_relaxed)) return;
     enqueue_line(conn,
-                 api::response_error_line(util::Status::internal(
-                     std::string("delta runner: ") + e.what())),
-                 true);
+                 api::response_row_line(outcome, ++streamed, total, miss_mark,
+                                        request.trace_id,
+                                        span_for(outcome.label)),
+                 false);
+  };
+
+  const api::DispatchResult run = api::dispatch(misses, hooks);
+  if (!run.status.is_ok()) return run.status;
+  if (!run.batch.journal_error.is_ok() && !options_.quiet) {
+    std::fprintf(stderr, "[sadp_routed] journal error: %s\n",
+                 run.batch.journal_error.to_string().c_str());
   }
+  // Journal-restored rows never pass through on_job_done; stream them after
+  // the executed ones so the client still receives every row exactly once.
+  for (const engine::JobOutcome& outcome : run.batch.outcomes) {
+    summary->tally(outcome.status, outcome.from_journal);
+    if (!outcome.from_journal ||
+        conn->client_gone.load(std::memory_order_relaxed)) {
+      continue;
+    }
+    enqueue_line(conn,
+                 api::response_row_line(outcome, ++streamed, total, nullptr,
+                                        request.trace_id,
+                                        span_for(outcome.label)),
+                 false);
+  }
+  summary->workers = run.workers;
+  return util::Status::ok();
+}
+
+util::Status RouteServer::run_delta(const std::shared_ptr<Connection>& conn,
+                                    const api::FlowDeltaRequest& request,
+                                    api::ResponseSummary* summary) {
+  if (!options_.quiet) {
+    std::fprintf(stderr, "[sadp_routed] delta request: %zu change(s)\n",
+                 request.changes.size());
+  }
+  if (const util::Status valid = api::validate_delta(request);
+      !valid.is_ok()) {
+    return valid;
+  }
+  ServerMetrics& metrics = server_metrics();
+  const std::string label = api::effective_label(request.base);
+
+  // The cache key needs the base text (it is content-addressed in the
+  // solution bytes), so resolve it up front; a miss re-parses inside
+  // dispatch_delta, which is cheap next to the route itself.
+  std::string base_text;
+  if (const util::Status loaded = api::load_base_solution(request, &base_text);
+      !loaded.is_ok()) {
+    return loaded;
+  }
+  const bool use_cache = cache_->enabled();
+  const std::optional<std::string> key =
+      use_cache ? api::delta_cache_key(request, base_text) : std::nullopt;
+
+  summary->jobs = 1;
+  summary->workers = 1;  // ECO re-routes run serially on the runner thread
+  if (key.has_value()) {
+    if (auto row = cache_->lookup(*key)) {
+      metrics.cache_hits.inc();
+      summary->tally(row->degraded ? engine::JobStatus::kDegraded
+                                   : engine::JobStatus::kOk);
+      summary->cache_hits = 1;
+      enqueue_line(conn,
+                   api::response_row_line_raw(
+                       replay_journal_object(*row, label, request.base.arm),
+                       1, 1, "hit", request.trace_id, request.base.span_id),
+                   false);
+      enqueue_line(
+          conn, api::response_delta_line_raw(row->delta_json, request.trace_id),
+          false);
+      return util::Status::ok();
+    }
+  }
+  if (use_cache) {
+    metrics.cache_misses.inc();
+    summary->cache_misses = 1;
+  }
+
+  api::DeltaDispatchOptions hooks;
+  hooks.cancel = conn->cancel;
+  const api::DeltaDispatchResult run = api::dispatch_delta(request, hooks);
+  if (!run.status.is_ok()) return run.status;
+
+  if (key.has_value() && run.outcome.ok()) {
+    if (auto row = make_cached_row(run.outcome)) {
+      row->delta_json = api::delta_payload_suffix(run.summary);
+      cache_->insert(*key, std::move(*row));
+    }
+  }
+  summary->tally(run.outcome.status);
+  if (!conn->client_gone.load(std::memory_order_relaxed)) {
+    enqueue_line(conn,
+                 api::response_row_line(run.outcome, 1, 1,
+                                        use_cache ? "miss" : nullptr,
+                                        request.trace_id, request.base.span_id),
+                 false);
+    enqueue_line(conn, api::response_delta_line(run.summary, request.trace_id),
+                 false);
+  }
+  if (!options_.quiet) {
+    std::fprintf(stderr,
+                 "[sadp_routed] delta done: ripped=%d untouched=%d "
+                 "changes=%d (%.2fs)\n",
+                 run.summary.nets_ripped, run.summary.nets_untouched,
+                 run.summary.changes, run.wall_seconds);
+  }
+  return util::Status::ok();
 }
 
 int RouteServer::capped_workers(int requested) const noexcept {
@@ -1068,7 +922,7 @@ void RouteServer::sweep_connections() {
 }
 
 // ---------------------------------------------------------------------------
-// Stats and beacons
+// Stats
 
 api::StatsReply RouteServer::stats() const {
   api::StatsReply reply;
@@ -1082,51 +936,7 @@ api::StatsReply RouteServer::stats() const {
   reply.draining = draining();
   reply.latency_p50_ms = server_metrics().run.percentile_ms(0.5);
   reply.latency_p99_ms = server_metrics().run.percentile_ms(0.99);
-  const double now = uptime_.seconds();
-  const std::lock_guard<std::mutex> lock(peers_mutex_);
-  for (const auto& [addr, record] : peers_) {
-    api::PeerStatus peer;
-    peer.addr = addr;
-    peer.queue_depth = record.queue_depth;
-    peer.active = record.active;
-    peer.age_seconds = now - record.last_seen_uptime;
-    reply.peers.push_back(std::move(peer));
-  }
   return reply;
-}
-
-void RouteServer::record_beacon(const api::ControlRequest& beacon) {
-  if (beacon.from.empty()) return;
-  const std::lock_guard<std::mutex> lock(peers_mutex_);
-  PeerRecord& record = peers_[beacon.from];
-  record.queue_depth = beacon.queue_depth;
-  record.active = beacon.active;
-  record.last_seen_uptime = uptime_.seconds();
-}
-
-void RouteServer::beacon_loop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(beacon_cv_mutex_);
-      beacon_cv_.wait_for(
-          lock, std::chrono::milliseconds(options_.beacon_interval_ms),
-          [this] { return stopping_.load(std::memory_order_acquire); });
-    }
-    if (stopping_.load(std::memory_order_acquire)) return;
-    api::ControlRequest beacon;
-    beacon.type = api::ControlRequest::Type::kBeacon;
-    beacon.from = "127.0.0.1:" + std::to_string(port_);
-    beacon.queue_depth = static_cast<int>(active());
-    beacon.active = beacon.queue_depth;
-    const std::string line = api::serialize_control_request(beacon);
-    for (const std::string& peer : options_.beacon_peers) {
-      std::string host;
-      int port = 0;
-      if (split_host_port(peer, &host, &port)) {
-        send_oneshot_line(host, port, line);
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1138,8 +948,6 @@ void RouteServer::stop() {
   begin_drain();
   stopping_.store(true, std::memory_order_release);
   if (wake_fd_ >= 0) wake();
-  beacon_cv_.notify_all();
-  if (beacon_thread_.joinable()) beacon_thread_.join();
   if (loop_thread_.joinable()) loop_thread_.join();
   if (pool_) pool_->shutdown();
   if (listen_fd_ >= 0) {

@@ -1,6 +1,5 @@
 // Long-lived routing service: an epoll event-loop TCP daemon around
-// api::dispatch, with a content-addressed result cache and load/liveness
-// beacons for multi-daemon fleets.
+// api::dispatch, with a content-addressed result cache.
 //
 // sadp_routed listens on a loopback TCP port and speaks three newline-
 // delimited JSON dialects on the same socket:
@@ -11,7 +10,7 @@
 //     solution + change list, see api/flow_delta.hpp), one "row" + one
 //     "delta" summary + one "batch" line out, through the same admission
 //     gate and result cache as flow requests;
-//   * tiny sadp.control.v1 lines ({"type":"ping"|"stats"|"drain"|"beacon"})
+//   * tiny sadp.control.v1 lines ({"type":"ping"|"stats"|"drain"|...})
 //     answered on the event loop itself, so health probes work even when
 //     every admission slot is busy.
 //
@@ -44,11 +43,9 @@
 // authority for --resume, and cache-served rows are not journaled, so
 // mixing them would leave resume holes.
 //
-// Beacons: with `beacon_peers` configured, a sender thread periodically
-// pushes {"type":"beacon","from":...,"queue_depth":...} to each sibling
-// daemon; received beacons land in a peer table surfaced by
-// {"type":"stats"}.  This is the daemons' load/liveness gossip; the
-// dispatcher's probes are plain stats round trips over the same lines.
+// Runner frame: both flow verbs parse into a Runner and share one
+// admit-and-spawn site and one frame (run_frame) around their body; the
+// bodies (run_flow, run_delta) only stream rows and count the summary.
 //
 // Cancellation and shutdown match the PR 5 daemon: client disconnect
 // cancels that batch, per-job/batch deadlines ride inside the request,
@@ -128,9 +125,6 @@ struct ServerOptions {
   std::size_t max_request_bytes = 16u << 20;
   /// Result-cache capacity in entries; 0 disables caching.
   std::size_t cache_entries = 256;
-  /// Sibling daemons ("host:port") to gossip load/liveness beacons to.
-  std::vector<std::string> beacon_peers;
-  int beacon_interval_ms = 500;
   /// Suppress the per-request stderr log lines.
   bool quiet = false;
   /// Test hook: invoked on the request's runner thread after the request
@@ -224,13 +218,33 @@ class RouteServer {
   void handle_line(const std::shared_ptr<Connection>& conn, std::string line);
   void handle_control_line(const std::shared_ptr<Connection>& conn,
                            const std::string& line);
-  void run_request(const std::shared_ptr<Connection>& conn,
-                   api::FlowRequest request);
-  /// Runner body of an admitted sadp.flow_delta.v1 request: cache lookup
-  /// by delta_cache_key, dispatch_delta on a miss, and a row + "delta" +
-  /// "batch" line stream either way.
-  void run_delta_request(const std::shared_ptr<Connection>& conn,
-                         api::FlowDeltaRequest request);
+
+  /// One parsed flow-verb request, ready for the runner frame.
+  struct Runner {
+    const char* name = "";  ///< internal-error prefix ("request runner")
+    std::string trace_id;   ///< the request's trace context; "" = untraced
+    /// Streams the request's rows and fills the summary's counts; a
+    /// non-ok status ends the stream with that error line instead.
+    std::function<util::Status(api::ResponseSummary*)> body;
+  };
+  /// The runner frame (one thread per admitted request, bounded by
+  /// max_requests): releases the admission slot on exit, records the
+  /// admission-wait and run histograms and spans, runs the body, stamps
+  /// and enqueues the "batch" summary, and turns an exception into one
+  /// internal-error line.
+  void run_frame(const std::shared_ptr<Connection>& conn,
+                 const Runner& runner);
+  /// Body of a sadp.flow_request.v1 batch: cache hits replay, misses go
+  /// through api::dispatch, one row per job either way.
+  [[nodiscard]] util::Status run_flow(const std::shared_ptr<Connection>& conn,
+                                      const api::FlowRequest& request,
+                                      api::ResponseSummary* summary);
+  /// Body of a sadp.flow_delta.v1 request: cache lookup by
+  /// delta_cache_key, dispatch_delta on a miss, and a row + "delta" line
+  /// either way.
+  [[nodiscard]] util::Status run_delta(
+      const std::shared_ptr<Connection>& conn,
+      const api::FlowDeltaRequest& request, api::ResponseSummary* summary);
   /// Append `line` + '\n' to the connection's output (any thread).
   void enqueue_line(const std::shared_ptr<Connection>& conn,
                     const std::string& line, bool finish_after);
@@ -243,8 +257,6 @@ class RouteServer {
   /// runner, if any, has exited.
   void sweep_connections();
   void wake() noexcept;
-  void beacon_loop();
-  void record_beacon(const api::ControlRequest& beacon);
   [[nodiscard]] int capped_workers(int requested) const noexcept;
 
   ServerOptions options_;
@@ -256,7 +268,6 @@ class RouteServer {
   int wake_fd_ = -1;
   int port_ = 0;
   std::thread loop_thread_;
-  std::thread beacon_thread_;
   std::atomic<bool> draining_{false};
   std::atomic<bool> stopping_{false};
   util::CancelToken drain_token_ = util::CancelToken::cancellable();
@@ -264,18 +275,6 @@ class RouteServer {
   std::atomic<std::size_t> rejected_{0};
   std::map<int, std::shared_ptr<Connection>> connections_;  // event loop only
   bool listener_registered_ = false;
-
-  struct PeerRecord {
-    int queue_depth = 0;
-    int active = 0;
-    double last_seen_uptime = 0.0;  ///< uptime_ timestamp of the last beacon
-  };
-  mutable std::mutex peers_mutex_;
-  std::map<std::string, PeerRecord> peers_;
-
-  std::mutex beacon_cv_mutex_;
-  std::condition_variable beacon_cv_;
-
   bool stopped_ = false;
 };
 

@@ -1,5 +1,8 @@
 #include "util/args.hpp"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 
@@ -21,6 +24,11 @@ void ArgParser::add_string(const std::string& name, std::string* target,
 void ArgParser::add_int(const std::string& name, int* target,
                         const std::string& help, const std::string& metavar) {
   options_.push_back(Option{name, Kind::kInt, target, help, metavar});
+}
+
+void ArgParser::add_uint64(const std::string& name, std::uint64_t* target,
+                           const std::string& help, const std::string& metavar) {
+  options_.push_back(Option{name, Kind::kUint64, target, help, metavar});
 }
 
 void ArgParser::add_double(const std::string& name, double* target,
@@ -76,11 +84,32 @@ bool ArgParser::parse(int argc, char** argv) {
         break;
       case Kind::kInt: {
         char* end = nullptr;
+        errno = 0;
         const long parsed = std::strtol(value.c_str(), &end, 10);
-        if (end == value.c_str() || *end != '\0') {
-          return fail(argv0, arg + " expects an integer, got '" + value + "'");
+        if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
+            parsed < INT_MIN || parsed > INT_MAX) {
+          return fail(argv0, arg + " expects an integer in [" +
+                                 std::to_string(INT_MIN) + ", " +
+                                 std::to_string(INT_MAX) + "], got '" +
+                                 value + "'");
         }
         *static_cast<int*>(option->target) = static_cast<int>(parsed);
+        break;
+      }
+      case Kind::kUint64: {
+        char* end = nullptr;
+        errno = 0;
+        const unsigned long long parsed =
+            std::strtoull(value.c_str(), &end, 10);
+        // strtoull would accept (and negate) a leading '-'.
+        if (value.empty() ||
+            !std::isdigit(static_cast<unsigned char>(value[0])) ||
+            *end != '\0' || errno == ERANGE) {
+          return fail(argv0, arg + " expects an unsigned integer in [0, " +
+                                 std::to_string(UINT64_MAX) + "], got '" +
+                                 value + "'");
+        }
+        *static_cast<std::uint64_t*>(option->target) = parsed;
         break;
       }
       case Kind::kDouble: {

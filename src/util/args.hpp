@@ -8,12 +8,13 @@
 //   parser.add_double("--ilp-limit", &limit, "per-instance ILP limit", "S");
 //   if (!parser.parse(argc, argv)) return 2;   // unknown flag => nonzero
 //
-// Unknown flags, missing values and malformed numbers are hard errors:
-// parse() prints the problem plus the usage text to stderr and returns
-// false, so no binary can silently continue with a half-parsed command
-// line.
+// Unknown flags, missing values and malformed or out-of-range numbers are
+// hard errors: parse() prints the problem plus the usage text to stderr
+// and returns false, so no binary can silently continue with a half-parsed
+// command line.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,10 @@ class ArgParser {
                   const std::string& help, const std::string& metavar = "VALUE");
   void add_int(const std::string& name, int* target, const std::string& help,
                const std::string& metavar = "N");
+  /// Unsigned 64-bit value (seeds): digits only, so "-1" is an error rather
+  /// than 2^64-1.
+  void add_uint64(const std::string& name, std::uint64_t* target,
+                  const std::string& help, const std::string& metavar = "N");
   void add_double(const std::string& name, double* target,
                   const std::string& help, const std::string& metavar = "X");
 
@@ -54,7 +59,7 @@ class ArgParser {
   [[nodiscard]] std::string usage(const std::string& argv0) const;
 
  private:
-  enum class Kind { kFlag, kString, kInt, kDouble };
+  enum class Kind { kFlag, kString, kInt, kUint64, kDouble };
 
   struct Option {
     std::string name;

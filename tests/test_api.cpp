@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/control.hpp"
@@ -198,6 +199,26 @@ TEST(FlowApi, IntegerFieldsMustBeExactAndInRange) {
     EXPECT_FALSE(api::parse_response_line(bad, &error).has_value()) << bad;
     EXPECT_NE(error.find("must be an integer"), std::string::npos) << error;
   }
+
+  // The row's embedded outcome (the journal record) is held to the same
+  // rule: counts are non-negative integers that fit their field.
+  engine::JobOutcome outcome;
+  outcome.label = "row_ints";
+  const std::string row = api::response_row_line(outcome, 1, 1);
+  ASSERT_TRUE(api::parse_response_line(row, &error).has_value()) << error;
+  for (const auto& [field, value] : {std::pair{"wirelength", "1e30"},
+                                     std::pair{"via_count", "0.5"},
+                                     std::pair{"maze_pops", "-1"}}) {
+    const std::string member = std::string("\"") + field + "\":0";
+    const std::size_t at = row.find(member);
+    ASSERT_NE(at, std::string::npos) << field;
+    std::string bad = row;
+    bad.replace(at, member.size(), std::string("\"") + field + "\":" + value);
+    EXPECT_FALSE(api::parse_response_line(bad, &error).has_value()) << bad;
+    EXPECT_NE(error.find("field '" + std::string(field) + "' must be an integer"),
+              std::string::npos)
+        << error;
+  }
 }
 
 TEST(FlowApi, ValidateCatchesStructuralErrors) {
@@ -300,16 +321,18 @@ TEST(FlowApi, ResponseRowEmbedsTheJournalObjectBitIdentically) {
 }
 
 TEST(FlowApi, SummaryAndErrorLinesRoundTrip) {
-  engine::BatchResult batch;
-  batch.outcomes.resize(5);
-  batch.ok = 2;
-  batch.degraded = 1;
-  batch.failed = 1;
-  batch.cancelled = 1;
-  batch.resumed = 2;
+  api::ResponseSummary batch;
+  batch.jobs = 5;
+  batch.workers = 4;
+  batch.wall_seconds = 2.25;
+  batch.tally(engine::JobStatus::kOk, /*from_journal=*/true);
+  batch.tally(engine::JobStatus::kOk, /*from_journal=*/true);
+  batch.tally(engine::JobStatus::kDegraded);
+  batch.tally(engine::JobStatus::kFailed);
+  batch.tally(engine::JobStatus::kCancelled);
   std::string error;
   const auto summary = api::parse_response_line(
-      api::response_summary_line(batch, 4, 2.25), &error);
+      api::response_summary_line(batch), &error);
   ASSERT_TRUE(summary.has_value()) << error;
   EXPECT_EQ(summary->kind, api::ResponseEvent::Kind::kBatch);
   EXPECT_EQ(summary->jobs, 5u);
@@ -531,24 +554,15 @@ TEST(ControlApi, MetricsReplyRoundTripsAndRejectsTruncation) {
 TEST(ControlApi, RequestsRoundTripAndDemultiplex) {
   for (const auto type :
        {api::ControlRequest::Type::kPing, api::ControlRequest::Type::kStats,
-        api::ControlRequest::Type::kDrain,
-        api::ControlRequest::Type::kBeacon}) {
+        api::ControlRequest::Type::kDrain}) {
     api::ControlRequest request;
     request.type = type;
-    if (type == api::ControlRequest::Type::kBeacon) {
-      request.from = "127.0.0.1:7471";
-      request.queue_depth = 3;
-      request.active = 2;
-    }
     const std::string line = api::serialize_control_request(request);
     EXPECT_TRUE(api::looks_like_control_line(line)) << line;
     std::string error;
     const auto parsed = api::parse_control_request(line, &error);
     ASSERT_TRUE(parsed.has_value()) << error;
     EXPECT_EQ(parsed->type, type);
-    EXPECT_EQ(parsed->from, request.from);
-    EXPECT_EQ(parsed->queue_depth, request.queue_depth);
-    EXPECT_EQ(parsed->active, request.active);
   }
 
   // Flow requests must never demultiplex as control lines.
@@ -569,8 +583,7 @@ TEST(ControlApi, IntegerMembersAreCheckedNotCast) {
   for (const char* bad :
        {R"({"type":"failpoint","spec":"","seed":-1})",
         R"({"type":"failpoint","spec":"","seed":9007199254740992})",
-        R"({"type":"failpoint","spec":"","seed":0.25})",
-        R"({"type":"beacon","from":"a:1","queue_depth":1e30})"}) {
+        R"({"type":"failpoint","spec":"","seed":0.25})"}) {
     EXPECT_FALSE(api::parse_control_request(bad, &error).has_value()) << bad;
     EXPECT_NE(error.find("must be an integer"), std::string::npos) << error;
   }

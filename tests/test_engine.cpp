@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -294,12 +295,30 @@ TEST(ArgParser, HelpPrintsUsageAndExitsZero) {
 
 TEST(ArgParser, MissingOrMalformedValueIsAnError) {
   int jobs = 0;
+  std::uint64_t seed = 0;
   util::ArgParser parser("test");
   parser.add_int("--jobs", &jobs, "");
+  parser.add_uint64("--seed", &seed, "");
   const char* missing[] = {"prog", "--jobs"};
   EXPECT_FALSE(parser.parse(2, const_cast<char**>(missing)));
-  const char* malformed[] = {"prog", "--jobs", "many"};
-  EXPECT_FALSE(parser.parse(3, const_cast<char**>(malformed)));
+  // Malformed or out of the target's range: never truncated, never wrapped.
+  for (const char* bad :
+       {"--jobs=many", "--jobs=4294967297", "--jobs=-2147483649",
+        "--jobs=99999999999999999999", "--seed=abc", "--seed=-1",
+        "--seed= 7", "--seed=18446744073709551616", "--seed=7x"}) {
+    const std::string arg = bad;
+    const std::string flag = arg.substr(0, arg.find('='));
+    const std::string value = arg.substr(arg.find('=') + 1);
+    const char* argv[] = {"prog", flag.c_str(), value.c_str()};
+    EXPECT_FALSE(parser.parse(3, const_cast<char**>(argv))) << bad;
+  }
+  EXPECT_EQ(jobs, 0);
+  EXPECT_EQ(seed, 0u);
+  const char* widest[] = {"prog", "--jobs", "2147483647", "--seed",
+                          "18446744073709551615"};
+  EXPECT_TRUE(parser.parse(5, const_cast<char**>(widest)));
+  EXPECT_EQ(jobs, 2147483647);
+  EXPECT_EQ(seed, 18446744073709551615u);
 }
 
 }  // namespace

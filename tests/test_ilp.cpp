@@ -391,43 +391,3 @@ TEST(Simplex, LpBoundNeverBelowIlpOptimum) {
 
 }  // namespace
 }  // namespace sadp::ilp
-
-// --- LP export ----------------------------------------------------------------
-
-#include "ilp/lp_export.hpp"
-
-namespace sadp::ilp {
-namespace {
-
-TEST(LpExport, RendersObjectiveConstraintsAndBinaries) {
-  Model m;
-  const VarId x = m.add_var("x");
-  const VarId y = m.add_var("y");
-  m.set_objective({{x, 3.0}, {y, -2.0}}, true);
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, Sense::kLe, 1.0);
-  m.add_constraint({{x, 1.0}, {y, -4.0}}, Sense::kGe, -3.0);
-  m.add_constraint({{x, 1.0}}, Sense::kEq, 1.0);
-
-  const std::string lp = to_lp_string(m, "demo");
-  EXPECT_NE(lp.find("Maximize"), std::string::npos);
-  EXPECT_NE(lp.find("3 x"), std::string::npos);
-  EXPECT_NE(lp.find("- 2 y"), std::string::npos);
-  EXPECT_NE(lp.find("<= 1"), std::string::npos);
-  EXPECT_NE(lp.find(">= -3"), std::string::npos);
-  EXPECT_NE(lp.find(" = 1"), std::string::npos);
-  EXPECT_NE(lp.find("Binaries"), std::string::npos);
-  EXPECT_NE(lp.find("End"), std::string::npos);
-}
-
-TEST(LpExport, MinimizationAndEmptyObjective) {
-  Model m;
-  m.add_var("a");
-  m.set_objective({}, false);
-  m.add_constraint({{0, 2.0}}, Sense::kLe, 1.0);
-  const std::string lp = to_lp_string(m);
-  EXPECT_NE(lp.find("Minimize"), std::string::npos);
-  EXPECT_NE(lp.find("2 a"), std::string::npos);
-}
-
-}  // namespace
-}  // namespace sadp::ilp

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/flow_engine.hpp"
@@ -176,12 +177,27 @@ TEST(JournalLoad, TrailingGarbageAndRottedRecordsAreClassified) {
     extra << rotted << '\n';
     // Plain garbage bytes.
     extra << "!!not json at all##" << '\n';
+    // Intact framing (the CRC holds) over counts no field can hold: the
+    // record is corrupt, and reading it must not reach an undefined cast.
+    for (const auto& [field, value] :
+         {std::pair<std::string, std::string>{"\"wirelength\":", "1e30"},
+          {"\"via_count\":", "0.5"},
+          {"\"maze_pops\":", "-1"}}) {
+      std::string object = engine::journal_line(sample_outcome("wild"));
+      const std::size_t at = object.find(field);
+      ASSERT_NE(at, std::string::npos) << field;
+      const std::size_t from = at + field.size();
+      object.replace(from, object.find_first_of(",}", from) - from, value);
+      char crc[9];
+      std::snprintf(crc, sizeof crc, "%08x", util::crc32(object));
+      extra << object << '#' << crc << '\n';
+    }
   }
   engine::JournalLoadStats stats;
   const auto records = engine::load_journal(path, &stats);
   EXPECT_EQ(records.size(), 1u);
-  EXPECT_EQ(stats.lines, 3u);
-  EXPECT_EQ(stats.skipped_corrupt, 1u);
+  EXPECT_EQ(stats.lines, 6u);
+  EXPECT_EQ(stats.skipped_corrupt, 4u);
   EXPECT_EQ(stats.skipped_torn, 1u);
   std::remove(path.c_str());
 }

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/flow_engine.hpp"
@@ -455,6 +456,26 @@ TEST(Merge, RejectsNonTraceInput) {
   const util::Status garbage =
       obs::merge_traces({{"y.json", "not json"}}, &merged);
   EXPECT_FALSE(garbage.is_ok());
+
+  // Timestamps and anchors are checked integers: a fractional or huge one
+  // is a structured error naming the file, never an undefined cast.
+  const std::string good = tiny_trace("p", 1'000'000, 10, "cafe");
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"\"ts\":10", "\"ts\":10.5"},
+        {"\"ts\":10", "\"ts\":1e300"},
+        {"\"clock_unix_us\":1000000", "\"clock_unix_us\":0.25"},
+        {"\"clock_unix_us\":1000000", "\"clock_unix_us\":-1e30"}}) {
+    std::string text = good;
+    const std::size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    text.replace(at, from.size(), to);
+    const util::Status wild =
+        obs::merge_traces({{"ok.json", good}, {"wild.json", text}}, &merged);
+    EXPECT_EQ(wild.code(), util::StatusCode::kInvalidInput) << to;
+    EXPECT_EQ(wild.message().rfind("wild.json: ", 0), 0u) << wild.message();
+    EXPECT_NE(wild.message().find("must be an integer"), std::string::npos)
+        << wild.message();
+  }
 }
 
 }  // namespace

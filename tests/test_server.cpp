@@ -1,21 +1,30 @@
 // Loopback integration tests of the sadp_routed service layer: wire rows
-// vs in-process dispatch, bounded admission (resource_exhausted), and
-// graceful drain + journal resume.
+// vs in-process dispatch, bounded admission (resource_exhausted), the
+// runner frame both flow verbs share, and graceful drain + journal resume.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <functional>
 #include <future>
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/flow_api.hpp"
+#include "api/flow_delta.hpp"
+#include "core/flow.hpp"
+#include "core/solution_io.hpp"
+#include "netlist/bench_gen.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "server/route_client.hpp"
 #include "server/route_server.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -167,6 +176,126 @@ TEST(RouteServer, OverloadRejectsWithResourceExhausted) {
   const server::RemoteBatch accepted = held.get();
   EXPECT_TRUE(accepted.all_ok()) << accepted.status.to_string();
   server.stop();
+}
+
+/// An ECO request against a freshly routed tiny base: drop net 1.
+api::FlowDeltaRequest tiny_delta(const char* name) {
+  api::FlowDeltaRequest request;
+  request.base = spec_job(name, 36, 10);
+  const netlist::PlacedNetlist base = netlist::generate(*request.base.spec);
+  core::FlowConfig config;
+  config.dvi_method = core::DviMethod::kHeuristic;
+  const core::FlowRun run = core::run_flow(base, config);
+  request.base_solution = core::solution_to_text(core::capture_solution(
+      base.name, run.router->routing_grid(), config.options.style,
+      run.router->nets()));
+  core::EcoChange remove;
+  remove.kind = core::EcoChange::Kind::kRemoveNet;
+  remove.net = 1;
+  request.changes = {remove};
+  return request;
+}
+
+std::uint64_t histogram_count(const char* name) {
+  return obs::metrics().histogram(name, "").snapshot().hist.count();
+}
+
+/// Does the trace hold a `name` span tagged with `trace_id`?
+bool has_tagged_span(const std::string& trace_json, const std::string& name,
+                     const std::string& trace_id) {
+  const auto doc = util::parse_json(trace_json);
+  const util::JsonValue* events = doc ? doc->find("traceEvents") : nullptr;
+  if (events == nullptr) return false;
+  for (const util::JsonValue& event : events->array) {
+    const util::JsonValue* event_name = event.find("name");
+    const util::JsonValue* args = event.find("args");
+    const util::JsonValue* id = args ? args->find("trace_id") : nullptr;
+    if (event_name != nullptr && event_name->is_string() &&
+        event_name->string_value == name && id != nullptr && id->is_string() &&
+        id->string_value == trace_id) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(RouteServerFrame, BothVerbsShareAdmissionMetricsAndSpans) {
+  // Flow batches and ECO deltas run in one runner frame: each verb gets the
+  // same capacity and drain rejections, one admission-wait and one run
+  // observation per request, and trace-tagged server.admission/server.run
+  // spans.
+  api::FlowRequest flow;
+  flow.jobs.push_back(spec_job("frame_flow", 36, 10));
+  const api::FlowDeltaRequest delta = tiny_delta("frame_delta");
+  using Send = std::function<server::RemoteBatch(int port,
+                                                 const std::string& trace)>;
+  const std::vector<std::pair<const char*, Send>> verbs = {
+      {"flow",
+       [&](int port, const std::string& trace) {
+         api::FlowRequest request = flow;
+         request.trace_id = trace;
+         return server::run_remote("127.0.0.1", port, request);
+       }},
+      {"delta",
+       [&](int port, const std::string& trace) {
+         api::FlowDeltaRequest request = delta;
+         request.trace_id = trace;
+         return server::run_remote_delta("127.0.0.1", port, request);
+       }},
+  };
+  for (const auto& [verb, send] : verbs) {
+    SCOPED_TRACE(verb);
+    // max_requests=1 and a gate in the admitted hook hold the only slot
+    // (first admission only) until released.
+    std::promise<void> admitted;
+    std::promise<void> release;
+    std::shared_future<void> release_future = release.get_future().share();
+    std::atomic<bool> first{true};
+    server::ServerOptions options = quiet_options();
+    options.max_requests = 1;
+    options.on_request_admitted = [&, release_future] {
+      if (!first.exchange(false)) return;
+      admitted.set_value();
+      release_future.wait();
+    };
+    server::RouteServer server(options);
+    ASSERT_TRUE(server.start().is_ok());
+    const int port = server.port();
+
+    auto held = std::async(std::launch::async, [&] { return send(port, ""); });
+    admitted.get_future().wait();
+    const server::RemoteBatch rejected = send(port, "");
+    EXPECT_EQ(rejected.status.code(), util::StatusCode::kResourceExhausted);
+    EXPECT_TRUE(rejected.rows.empty());
+    EXPECT_EQ(server.rejected(), 1u);
+    release.set_value();
+    EXPECT_TRUE(held.get().all_ok());
+    // The runner frees its slot just after the summary goes out.
+    while (server.active() != 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+
+    const std::string trace_id = std::string("f4a3e0000000000") + verb[0];
+    const std::uint64_t waits =
+        histogram_count("sadp_server_request_admission_wait_seconds");
+    const std::uint64_t runs = histogram_count("sadp_server_request_run_seconds");
+    obs::TraceSession session;
+    session.install();
+    EXPECT_TRUE(send(port, trace_id).all_ok());
+    EXPECT_EQ(histogram_count("sadp_server_request_admission_wait_seconds"),
+              waits + 1);
+    EXPECT_EQ(histogram_count("sadp_server_request_run_seconds"), runs + 1);
+
+    server.begin_drain();
+    const server::RemoteBatch drained = send(port, "");
+    EXPECT_EQ(drained.status.code(), util::StatusCode::kResourceExhausted);
+    EXPECT_NE(drained.status.message().find("draining"), std::string::npos);
+    server.stop();  // joins the runners, so their trace buffers are quiet
+    session.uninstall();
+    const std::string json = session.to_json();
+    EXPECT_TRUE(has_tagged_span(json, "server.admission", trace_id));
+    EXPECT_TRUE(has_tagged_span(json, "server.run", trace_id));
+  }
 }
 
 TEST(RouteServer, DuplicateLabelsComeBackAsStructuredInvalidInput) {

@@ -354,32 +354,6 @@ TEST(ServiceControl, PingStatsAndDrainRoundTrips) {
   server.stop();
 }
 
-TEST(ServiceControl, BeaconsPopulateThePeerTable) {
-  server::ServerOptions options_a = quiet_options();
-  server::RouteServer a(options_a);
-  ASSERT_TRUE(a.start().is_ok());
-
-  server::ServerOptions options_b = quiet_options();
-  options_b.beacon_peers = {"127.0.0.1:" + std::to_string(a.port())};
-  options_b.beacon_interval_ms = 40;
-  server::RouteServer b(options_b);
-  ASSERT_TRUE(b.start().is_ok());
-
-  // Wait for at least one beacon to land in a's peer table.
-  api::StatsReply stats;
-  bool seen = false;
-  for (int i = 0; i < 100 && !seen; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ASSERT_TRUE(server::query_stats("127.0.0.1", a.port(), &stats).is_ok());
-    seen = !stats.peers.empty();
-  }
-  ASSERT_TRUE(seen) << "no beacon arrived";
-  EXPECT_EQ(stats.peers[0].addr, "127.0.0.1:" + std::to_string(b.port()));
-  EXPECT_TRUE(stats.peers[0].alive);
-  b.stop();
-  a.stop();
-}
-
 // ---------------------------------------------------------------------------
 // Telemetry over the control plane.
 
@@ -595,21 +569,37 @@ TEST(ServiceWire, MalformedLinesGetStructuredErrors) {
   server::RouteServer server(quiet_options());
   ASSERT_TRUE(server.start().is_ok());
 
+  // Retired load gossip: now just another unknown control type.
+  const std::string beacon =
+      R"({"type":"beacon","from":"127.0.0.1:7471","queue_depth":1,"active":1})";
   const std::vector<std::string> garbage = {
       "this is not json",
       "{\"schema\":\"sadp.flow_request.v1\",\"jobs\":[{\"benchm",  // truncated
       "{\"schema\":\"nope.v9\",\"jobs\":[]}",
       "{\"type\":\"bogus_control\"}",
+      beacon,
       "{}",
   };
-  for (const std::string& line : garbage) {
-    const std::vector<std::string> reply = raw_exchange(server.port(), line);
+  const auto expect_invalid_input = [](int port, const std::string& line) {
+    const std::vector<std::string> reply = raw_exchange(port, line);
     ASSERT_EQ(reply.size(), 1u) << line;
     const auto event = api::parse_response_line(reply[0]);
     ASSERT_TRUE(event.has_value()) << reply[0];
     EXPECT_EQ(event->kind, api::ResponseEvent::Kind::kError) << line;
     EXPECT_EQ(event->error.code(), util::StatusCode::kInvalidInput) << line;
+  };
+  for (const std::string& line : garbage) {
+    expect_invalid_input(server.port(), line);
   }
+  // The dispatcher answers control lines itself, with the same rejection.
+  server::DispatcherOptions dispatch_options;
+  dispatch_options.port = 0;
+  dispatch_options.backends = {"127.0.0.1:" + std::to_string(server.port())};
+  dispatch_options.quiet = true;
+  server::RouteDispatcher dispatcher(dispatch_options);
+  ASSERT_TRUE(dispatcher.start().is_ok());
+  expect_invalid_input(dispatcher.port(), beacon);
+  dispatcher.stop();
   // The server survives all of it.
   api::FlowRequest request;
   request.jobs.push_back(spec_job("after_garbage", 36, 12));

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Service fleet smoke: boot a dispatcher + two beacon-linked backends,
+# Service fleet smoke: boot a dispatcher + two backends,
 # drive real batches through the front door, and assert the fleet
 # behaviors the tests can't see from inside one process:
 #
@@ -104,7 +104,6 @@ if [ "$SKIP_TOPOLOGY" -eq 0 ]; then
   PORT_A="$(scrape_port "$workdir/a.log" "listening on")"
 
   "./$BUILD/apps/sadp_routed" --port 0 --workers 2 \
-    --beacon-peers "127.0.0.1:$PORT_A" --beacon-interval-ms 100 \
     --trace "$workdir/trace_b.json" >"$workdir/b.log" 2>&1 &
   pids+=($!)
   PORT_B="$(scrape_port "$workdir/b.log" "listening on")"

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "core/cost_maps.hpp"
+#include "core/dvi_exact.hpp"
 #include "core/dvi_heuristic.hpp"
 #include "core/flow.hpp"
 #include "core/maze_router.hpp"
@@ -225,18 +226,13 @@ void BM_ExactColoring(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactColoring);
 
-/// Shared routed fixture for the flow-level kernels.
+/// A design routed once with DVI+TPL-aware costs, for the flow-level kernels.
 struct RoutedFixture {
   netlist::PlacedNetlist instance;
   std::unique_ptr<core::SadpRouter> router;
   core::DviProblem problem;
 
-  RoutedFixture() {
-    netlist::BenchSpec spec;
-    spec.name = "micro";
-    spec.width = 96;
-    spec.height = 96;
-    spec.num_nets = 90;
+  explicit RoutedFixture(const netlist::BenchSpec& spec) {
     instance = netlist::generate(spec);
     core::FlowOptions options;
     options.consider_dvi = true;
@@ -249,7 +245,14 @@ struct RoutedFixture {
 };
 
 RoutedFixture& fixture() {
-  static RoutedFixture f;
+  static RoutedFixture f([] {
+    netlist::BenchSpec spec;
+    spec.name = "micro";
+    spec.width = 96;
+    spec.height = 96;
+    spec.num_nets = 90;
+    return spec;
+  }());
   return f;
 }
 
@@ -281,6 +284,30 @@ void BM_BuildDviProblem(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildDviProblem)->Unit(benchmark::kMillisecond);
+
+/// efc_s (scaled), as the end-to-end dvi_exact workload routes it.  Its
+/// exact DVI stops on the per-component node limit (~4.0 M nodes per
+/// solve), not on the clock, so the solve time measures the DFS itself.
+RoutedFixture& efc() {
+  static RoutedFixture f(*netlist::spec_for("efc_s", true));
+  return f;
+}
+
+void BM_DviExact(benchmark::State& state) {
+  // Per node: the FVP cut (would_create_fvp) plus ViaDb::add/remove window
+  // upkeep, and one budget poll every 256 nodes.
+  auto& f = efc();
+  double nodes = 0.0;
+  for (auto _ : state) {
+    const core::DviExactOutput out =
+        core::solve_dvi_exact(f.problem, f.router->via_db());
+    nodes += static_cast<double>(out.nodes);
+    benchmark::DoNotOptimize(out.result.dead_vias);
+  }
+  state.counters["nodes/solve"] = nodes / static_cast<double>(state.iterations());
+  state.counters["nodes/s"] = benchmark::Counter(nodes, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_DviExact)->Unit(benchmark::kMillisecond);
 
 /// ecc_10x (689x705, 4180 nets) routed once with DVI+TPL-aware costs: the
 /// base design of an ECO request, for the layers every delta pays before

@@ -6,7 +6,6 @@
 
 #include "core/dvi_heuristic.hpp"
 #include "obs/trace.hpp"
-#include "util/failpoint.hpp"
 #include "util/timer.hpp"
 #include "via/coloring.hpp"
 #include "via/decomp_graph.hpp"
@@ -14,11 +13,6 @@
 namespace sadp::core {
 
 namespace {
-
-// Fault site (util/failpoint.hpp): 'cancel' behaves exactly like the
-// external token firing here — remaining components keep the heuristic
-// warm-start answer.
-sadp::util::FailPoint g_fp_solver_cancel("solver.cancel");
 
 /// Union-find over via indices.
 class UnionFind {
@@ -40,10 +34,15 @@ class UnionFind {
   std::vector<int> parent_;
 };
 
+/// Choices below are component-local: entry j is the candidate index
+/// inserted for via comp[j], or -1 for none.
 class ExactSolver {
  public:
   ExactSolver(const DviProblem& problem, via::ViaDb db, const DviExactParams& params)
-      : problem_(problem), db_(std::move(db)), params_(params) {}
+      : problem_(problem),
+        db_(std::move(db)),
+        params_(params),
+        budget_(params.time_limit_seconds, params.cancel) {}
 
   DviExactOutput run() {
     DviExactOutput out;
@@ -73,18 +72,21 @@ class ExactSolver {
       // Two vias interact iff some pair of their features (the via itself
       // or any feasible candidate) coincides or lies within same-color
       // pitch — exactly the variable sharing of the C2/C5/C6/C7 rows.
-      auto features = [&](int i) {
-        std::vector<grid::Point> f;
-        f.push_back(problem_.vias[static_cast<std::size_t>(i)].at);
-        for (const auto& c : problem_.feasible[static_cast<std::size_t>(i)]) {
-          f.push_back(c);
-        }
-        return f;
+      // Feature 0 of via i is the via itself, feature k > 0 its candidate
+      // k - 1.
+      auto num_features = [&](int i) {
+        return problem_.feasible[static_cast<std::size_t>(i)].size() + 1;
+      };
+      auto feature = [&](int i, std::size_t k) {
+        const auto v = static_cast<std::size_t>(i);
+        return k == 0 ? problem_.vias[v].at : problem_.feasible[v][k - 1];
       };
       auto interact = [&](int i, int j) {
-        for (const auto& a : features(i)) {
-          for (const auto& b : features(j)) {
-            if (a == b || via::vias_conflict(a, b)) return true;
+        for (std::size_t a = 0; a < num_features(i); ++a) {
+          const grid::Point p = feature(i, a);
+          for (std::size_t b = 0; b < num_features(j); ++b) {
+            const grid::Point q = feature(j, b);
+            if (p == q || via::vias_conflict(p, q)) return true;
           }
         }
         return false;
@@ -126,16 +128,18 @@ class ExactSolver {
     // pre-coloring (only ever nonzero for no-TPL routing inputs).
     out.result.uncolorable = warm.result.uncolorable;
 
+    std::vector<int> choice;
     for (const auto& comp : comps) {
-      if (params_.cancel.stop_requested() ||
-          g_fp_solver_cancel.evaluate().kind == util::FailKind::kCancel) {
-        // Remaining components keep the heuristic warm-start answer.
-        out.proven_optimal = false;
-        commit(comp, component_warm_choice(comp, warm, out), out);
-        continue;
+      choice.clear();
+      for (const int i : comp) {
+        choice.push_back(warm.result.inserted[static_cast<std::size_t>(i)]);
       }
-      solve_component(comp, warm, out);
-      if (clock_.seconds() > params_.time_limit_seconds) out.proven_optimal = false;
+      // With no budget left a component keeps the heuristic warm start, and
+      // so do the remaining ones; a search stopped short keeps its incumbent.
+      if (budget_.exhausted() || !solve_component(comp, choice)) {
+        out.proven_optimal = false;
+      }
+      commit(comp, choice, out);
     }
 
     for (int i = 0; i < n; ++i) {
@@ -143,14 +147,14 @@ class ExactSolver {
         ++out.result.dead_vias;
       }
     }
-    out.result.seconds = clock_.seconds();
+    out.result.seconds = budget_.seconds();
     out.nodes = nodes_;
     return out;
   }
 
  private:
-  /// Exact 3-colorability of the component's originals plus the currently
-  /// committed insertions.
+  /// Exact 3-colorability of the component's originals plus the insertions
+  /// of `choice`.
   [[nodiscard]] bool component_colorable(const std::vector<int>& comp,
                                          const std::vector<int>& choice) {
     std::vector<std::pair<grid::Point, int>> located;
@@ -159,50 +163,40 @@ class ExactSolver {
       located.push_back({problem_.vias[static_cast<std::size_t>(i)].at,
                          problem_.vias[static_cast<std::size_t>(i)].via_layer});
     }
-    for (const int i : comp) {
-      const int k = choice[static_cast<std::size_t>(i)];
+    for (std::size_t j = 0; j < comp.size(); ++j) {
+      const int k = choice[j];
       if (k < 0) continue;
-      located.push_back(
-          {problem_.feasible[static_cast<std::size_t>(i)][static_cast<std::size_t>(k)],
-           problem_.vias[static_cast<std::size_t>(i)].via_layer});
+      const auto i = static_cast<std::size_t>(comp[j]);
+      located.push_back({problem_.feasible[i][static_cast<std::size_t>(k)],
+                         problem_.vias[i].via_layer});
     }
     return via::three_colorable(via::DecompGraph::from_located(located),
                                 /*budget=*/2'000'000);
   }
 
-  void solve_component(const std::vector<int>& comp, const DviHeuristicOutput& warm,
-                       DviExactOutput& out) {
-    // Order: fewest candidates first (most constrained).
-    std::vector<int> order = comp;
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-      return problem_.feasible[static_cast<std::size_t>(a)].size() <
-             problem_.feasible[static_cast<std::size_t>(b)].size();
+  /// Branch over the component's insertion choices.  `best_choice` enters
+  /// holding the warm start's (valid) choice and leaves holding the best
+  /// one found.  False when that is not proven optimal: the search stopped
+  /// short, or the originals alone are uncolorable.
+  [[nodiscard]] bool solve_component(const std::vector<int>& comp,
+                                     std::vector<int>& best_choice) {
+    // Order: fewest candidates first (most constrained), as positions in comp.
+    std::vector<std::size_t> order(comp.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    auto num_candidates = [&](std::size_t j) {
+      return problem_.feasible[static_cast<std::size_t>(comp[j])].size();
+    };
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return num_candidates(a) < num_candidates(b);
     });
 
-    std::vector<int> choice(out.result.inserted);  // global-sized scratch
-    std::vector<int> best_choice;
-    int best = -1;
-
-    // Seed with the heuristic's (valid) component solution.
-    {
-      int warm_count = 0;
-      for (const int i : comp) {
-        choice[static_cast<std::size_t>(i)] =
-            warm.result.inserted[static_cast<std::size_t>(i)];
-        if (choice[static_cast<std::size_t>(i)] >= 0) ++warm_count;
-      }
-      best = warm_count;
-      best_choice = choice;
-      for (const int i : comp) choice[static_cast<std::size_t>(i)] = -1;
-    }
+    int best = static_cast<int>(std::count_if(best_choice.begin(), best_choice.end(),
+                                              [](int k) { return k >= 0; }));
+    std::vector<int> choice(comp.size(), -1);
 
     // If the originals alone are uncolorable (no-TPL arms), exactness over
     // colorability is off the table; keep the heuristic answer.
-    if (!component_colorable(comp, choice)) {
-      out.proven_optimal = false;
-      commit(comp, best_choice, out);
-      return;
-    }
+    if (!component_colorable(comp, choice)) return false;
 
     const int total = static_cast<int>(comp.size());
     bool aborted = false;
@@ -213,10 +207,7 @@ class ExactSolver {
       if (aborted) return;
       if (++nodes_ > params_.node_limit ||
           ++component_nodes > params_.component_node_limit ||
-          clock_.seconds() > params_.time_limit_seconds ||
-          ((nodes_ & 0xFF) == 0 &&
-           (params_.cancel.stop_requested() ||
-            g_fp_solver_cancel.evaluate().kind == util::FailKind::kCancel))) {
+          budget_.node_exhausted(component_nodes)) {
         aborted = true;
         return;
       }
@@ -228,54 +219,40 @@ class ExactSolver {
         }
         return;
       }
-      const int i = order[static_cast<std::size_t>(depth)];
-      const auto& cands = problem_.feasible[static_cast<std::size_t>(i)];
-      const int layer = problem_.vias[static_cast<std::size_t>(i)].via_layer;
+      const std::size_t j = order[static_cast<std::size_t>(depth)];
+      const auto i = static_cast<std::size_t>(comp[j]);
+      const auto& cands = problem_.feasible[i];
+      const int layer = problem_.vias[i].via_layer;
       // Try inserting first (maximization), then skipping.
       for (int k = 0; k < static_cast<int>(cands.size()); ++k) {
         const grid::Point p = cands[static_cast<std::size_t>(k)];
         if (db_.has(layer, p)) continue;             // used location / via
         if (db_.would_create_fvp(layer, p)) continue;  // valid cut
         db_.add(layer, p);
-        choice[static_cast<std::size_t>(i)] = k;
+        choice[j] = k;
         self(self, depth + 1, inserted + 1);
-        choice[static_cast<std::size_t>(i)] = -1;
+        choice[j] = -1;
         db_.remove(layer, p);
         if (aborted) return;
       }
       self(self, depth + 1, inserted);
     };
     dfs(dfs, 0, 0);
-    if (aborted) out.proven_optimal = false;
-
-    commit(comp, best_choice, out);
-  }
-
-  /// Global-sized choice vector carrying the warm start's picks for `comp`
-  /// (used when an external cancel skips the component's search entirely).
-  [[nodiscard]] std::vector<int> component_warm_choice(
-      const std::vector<int>& comp, const DviHeuristicOutput& warm,
-      const DviExactOutput& out) const {
-    std::vector<int> choice(out.result.inserted);
-    for (const int i : comp) {
-      choice[static_cast<std::size_t>(i)] =
-          warm.result.inserted[static_cast<std::size_t>(i)];
-    }
-    return choice;
+    return !aborted;
   }
 
   void commit(const std::vector<int>& comp, const std::vector<int>& choice,
               DviExactOutput& out) {
-    for (const int i : comp) {
-      const int k = choice[static_cast<std::size_t>(i)];
-      out.result.inserted[static_cast<std::size_t>(i)] = k;
+    for (std::size_t j = 0; j < comp.size(); ++j) {
+      const auto i = static_cast<std::size_t>(comp[j]);
+      const int k = choice[j];
+      out.result.inserted[i] = k;
       if (k >= 0) {
-        const grid::Point p =
-            problem_.feasible[static_cast<std::size_t>(i)][static_cast<std::size_t>(k)];
-        out.inserted_at[static_cast<std::size_t>(i)] = p;
+        const grid::Point p = problem_.feasible[i][static_cast<std::size_t>(k)];
+        out.inserted_at[i] = p;
         // Keep committed insertions visible to later components' FVP checks
         // (they cannot interact, but the shared db must stay consistent).
-        db_.add(problem_.vias[static_cast<std::size_t>(i)].via_layer, p);
+        db_.add(problem_.vias[i].via_layer, p);
       }
     }
   }
@@ -283,7 +260,7 @@ class ExactSolver {
   const DviProblem& problem_;
   via::ViaDb db_;
   DviExactParams params_;
-  util::ThreadCpuTimer clock_;
+  const util::SolverBudget budget_;
   std::size_t nodes_ = 0;
 };
 

@@ -6,17 +6,11 @@
 #include "ilp/components.hpp"
 #include "ilp/simplex.hpp"
 #include "obs/trace.hpp"
-#include "util/failpoint.hpp"
 #include "util/timer.hpp"
 
 namespace sadp::ilp {
 
 namespace {
-
-// Fault site (util/failpoint.hpp): 'cancel' behaves exactly like the
-// external token firing at this polling point — the solver falls back to
-// its incumbent/warm answer on the budget-exceeded path.
-util::FailPoint g_fp_solver_cancel("solver.cancel");
 
 constexpr double kEps = 1e-9;
 constexpr double kFeasEps = 1e-6;
@@ -26,10 +20,10 @@ constexpr double kFeasEps = 1e-6;
 class ComponentSolver {
  public:
   ComponentSolver(const Model& model, const BnbParams& params,
-                  const util::ThreadCpuTimer& clock, bool tail_decomposition = true)
+                  const util::SolverBudget& budget, bool tail_decomposition = true)
       : model_(model),
         params_(params),
-        clock_(clock),
+        budget_(budget),
         tail_decomposition_(tail_decomposition) {
     const int n = model.num_vars();
     sign_ = model.maximize() ? 1.0 : -1.0;
@@ -157,15 +151,7 @@ class ComponentSolver {
   };
 
   [[nodiscard]] bool limits_exceeded() {
-    if (nodes_ > params_.max_nodes || clock_.seconds() > params_.time_limit_seconds) {
-      limits_hit_ = true;
-      return true;
-    }
-    // The external token involves a clock read when a deadline is armed, so
-    // poll it every 256 nodes rather than per node.
-    if ((nodes_ & 0xFF) == 0 &&
-        (params_.cancel.stop_requested() ||
-         g_fp_solver_cancel.evaluate().kind == util::FailKind::kCancel)) {
+    if (nodes_ > params_.max_nodes || budget_.node_exhausted(nodes_)) {
       limits_hit_ = true;
       return true;
     }
@@ -346,7 +332,7 @@ class ComponentSolver {
 
     tail_values_.assign(fixed_.begin(), fixed_.end());
     for (const auto& comp : split_components(residual)) {
-      ComponentSolver sub(comp.model, params_, clock_, /*tail_decomposition=*/false);
+      ComponentSolver sub(comp.model, params_, budget_, /*tail_decomposition=*/false);
       const Solution sol = sub.run();
       nodes_ += sol.nodes_explored;
       if (sol.status != SolveStatus::kOptimal && sol.status != SolveStatus::kFeasible) {
@@ -433,7 +419,7 @@ class ComponentSolver {
 
   const Model& model_;
   const BnbParams& params_;
-  const util::ThreadCpuTimer& clock_;
+  const util::SolverBudget& budget_;
   bool tail_decomposition_ = true;
   std::vector<int> tail_values_;
 
@@ -469,7 +455,7 @@ class ComponentSolver {
 
 Solution solve(const Model& model, const BnbParams& params) {
   obs::Span solve_span("ilp_bnb", model.num_vars());
-  util::ThreadCpuTimer clock;
+  const util::SolverBudget budget(params.time_limit_seconds, params.cancel);
   Solution total;
   total.status = SolveStatus::kOptimal;
   total.value.assign(static_cast<std::size_t>(model.num_vars()), 0);
@@ -478,7 +464,7 @@ Solution solve(const Model& model, const BnbParams& params) {
   std::int64_t comp_index = 0;
   for (const auto& comp : split_components(model)) {
     obs::Span comp_span("ilp_bnb_component", comp_index++);
-    ComponentSolver solver(comp.model, params, clock);
+    ComponentSolver solver(comp.model, params, budget);
     if (params.warm_start != nullptr &&
         static_cast<int>(params.warm_start->size()) == model.num_vars()) {
       std::vector<int> local(comp.global_var.size());

@@ -12,8 +12,9 @@
 //  * branching: highest |objective coefficient| first, objective-improving
 //    value first.
 //
-// Limits (nodes, wall clock) turn the solver into an anytime optimizer that
-// reports kFeasible instead of kOptimal, mirroring a time-limited Gurobi run.
+// Limits (nodes, thread CPU time) turn the solver into an anytime optimizer
+// that reports kFeasible instead of kOptimal, mirroring a time-limited Gurobi
+// run.
 #pragma once
 
 #include <cstddef>
@@ -26,10 +27,10 @@ namespace sadp::ilp {
 struct BnbParams {
   std::size_t max_nodes = 50'000'000;
   double time_limit_seconds = 600.0;
-  /// Cooperative external stop (wall deadline / batch cancel), polled every
-  /// few hundred nodes on top of the deterministic CPU-time budget above.
-  /// When it fires the solver returns its incumbent as kFeasible, exactly
-  /// like hitting the node or time limit.
+  /// Cooperative external stop (wall deadline / batch cancel), polled with
+  /// the CPU-time budget above (util::SolverBudget: first node of every
+  /// component, then every 256th).  When it fires the solver returns its
+  /// incumbent as kFeasible, exactly like hitting the node or time limit.
   util::CancelToken cancel;
   /// Solve an LP relaxation at each component root to tighten the bound.
   bool root_lp_bound = true;

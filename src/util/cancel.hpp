@@ -14,8 +14,9 @@
 //
 // Deadlines are wall-clock (steady_clock) by design: a per-job deadline
 // bounds user-visible latency.  The solvers keep their deterministic
-// per-thread CPU budgets (util::ThreadCpuTimer) independently; the token is
-// the non-deterministic safety net on top.
+// per-thread CPU budgets (util::ThreadCpuTimer) independently and poll the
+// token with them (util::SolverBudget); the token is the non-deterministic
+// safety net on top.
 #pragma once
 
 #include <atomic>

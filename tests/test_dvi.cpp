@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
+#include <string>
 
 #include "core/dvi_exact.hpp"
 #include "core/dvi_heuristic.hpp"
@@ -11,6 +13,7 @@
 #include "core/flow.hpp"
 #include "core/validate.hpp"
 #include "netlist/bench_gen.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 #include "via/coloring.hpp"
 #include "via/decomp_graph.hpp"
@@ -170,6 +173,71 @@ TEST(DviExact, AtLeastAsGoodAsHeuristicOnRoutedDesign) {
   EXPECT_TRUE(check_dvi_solution(router, problem, exact.result.inserted,
                                  exact.inserted_at)
                   .empty());
+}
+
+/// A square generated design routed DVI- and TPL-aware, with its DVI problem.
+struct RoutedDesign {
+  netlist::PlacedNetlist instance;
+  std::unique_ptr<SadpRouter> router;
+  DviProblem problem;
+  bool routed_all = false;
+
+  RoutedDesign(const std::string& name, int side, int nets) {
+    netlist::BenchSpec spec;
+    spec.name = name;
+    spec.width = side;
+    spec.height = side;
+    spec.num_nets = nets;
+    instance = netlist::generate(spec);
+    FlowOptions options;
+    options.consider_dvi = true;
+    options.consider_tpl = true;
+    router = std::make_unique<SadpRouter>(instance, options);
+    routed_all = router->run().routed_all;
+    problem = build_dvi_problem(router->nets(), router->routing_grid(),
+                                router->turn_rules());
+  }
+};
+
+// A time limit already spent before the search must cost the search, not
+// the answer: every component keeps the heuristic warm start, however few
+// nodes it would need.  On this design the exact optimum beats the warm
+// start, so a component searched past its deadline would show.
+TEST(DviExact, ZeroTimeLimitKeepsTheWarmStart) {
+  const RoutedDesign d("deadline_probe_1", 64, 50);
+  ASSERT_TRUE(d.routed_all);
+  const DviHeuristicOutput warm =
+      run_dvi_heuristic(d.problem, d.router->via_db(), DviParams{});
+  const DviExactOutput unlimited = solve_dvi_exact(d.problem, d.router->via_db());
+  ASSERT_TRUE(unlimited.proven_optimal);
+  ASSERT_LT(unlimited.result.dead_vias, warm.result.dead_vias);
+
+  DviExactParams params;
+  params.time_limit_seconds = 0.0;
+  const DviExactOutput stopped = solve_dvi_exact(d.problem, d.router->via_db(), params);
+  EXPECT_FALSE(stopped.proven_optimal);
+  EXPECT_EQ(stopped.result.dead_vias, warm.result.dead_vias);
+  EXPECT_EQ(stopped.result.inserted, warm.result.inserted);
+}
+
+// Node limits do not depend on the clock, so a node-limited solve is
+// reproducible: the node count, #DV and choices below pin the DFS visit
+// order.  Unlimited, this design takes 50,898 nodes to a #DV of 5.
+TEST(DviExact, ComponentNodeLimitPinsTheSearchOrder) {
+  const RoutedDesign d("dvi_repair_itest", 64, 60);
+  ASSERT_TRUE(d.routed_all);
+  DviExactParams params;
+  params.component_node_limit = 1000;
+  const DviExactOutput out = solve_dvi_exact(d.problem, d.router->via_db(), params);
+  EXPECT_FALSE(out.proven_optimal);
+  EXPECT_EQ(out.nodes, 1751u);
+  EXPECT_EQ(out.result.dead_vias, 6);
+  std::string choices;
+  for (const int k : out.result.inserted) {
+    if (!choices.empty()) choices += ',';
+    choices += std::to_string(k);
+  }
+  EXPECT_EQ(util::crc32(choices), 2068063127u);
 }
 
 TEST(DviHeuristic, ProtectsIsolatedVia) {

@@ -1,7 +1,8 @@
 // Deterministic failpoint injection: spec grammar, seeded replay, count
 // caps, pending-then-attach registration, the control-plane verb, the
-// engine.job seam, and the headline acceptance check — compiled-in but
-// disabled failpoints leave every row and perf counter bit-identical.
+// engine.job and solver.cancel seams, and the headline acceptance check —
+// compiled-in but disabled failpoints leave every row and perf counter
+// bit-identical.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,8 +12,15 @@
 #include <vector>
 
 #include "api/control.hpp"
+#include "core/dvi_exact.hpp"
+#include "core/dvi_heuristic.hpp"
+#include "core/dvi_ilp.hpp"
+#include "core/flow.hpp"
+#include "core/validate.hpp"
 #include "engine/flow_engine.hpp"
 #include "engine/journal.hpp"
+#include "ilp/bnb.hpp"
+#include "netlist/bench_gen.hpp"
 #include "util/failpoint.hpp"
 
 namespace {
@@ -207,6 +215,44 @@ TEST_F(FailPointTest, EngineJobCancelBehavesLikeARealCancel) {
       engine::FlowEngine(options).run(std::move(jobs));
   ASSERT_EQ(batch.outcomes.size(), 1u);
   EXPECT_EQ(batch.outcomes[0].status, engine::JobStatus::kCancelled);
+}
+
+// --- the solver.cancel seam -------------------------------------------------
+
+// Armed, solver.cancel stops both exact solvers at their first budget poll,
+// exactly like a fired cancel token: exact DVI keeps the heuristic warm
+// start, which is still a valid solution, and the B&B ILP reports no proof.
+// On this design the unlimited exact solve beats the warm start, so an
+// ignored failpoint would show.
+TEST_F(FailPointTest, SolverCancelStopsBothSolvers) {
+  netlist::BenchSpec spec;
+  spec.name = "deadline_probe_1";
+  spec.width = 64;
+  spec.height = 64;
+  spec.num_nets = 50;
+  const netlist::PlacedNetlist instance = netlist::generate(spec);
+  core::FlowOptions options;
+  options.consider_dvi = true;
+  options.consider_tpl = true;
+  core::SadpRouter router(instance, options);
+  ASSERT_TRUE(router.run().routed_all);
+  const core::DviProblem problem = core::build_dvi_problem(
+      router.nets(), router.routing_grid(), router.turn_rules());
+  const core::DviHeuristicOutput warm =
+      core::run_dvi_heuristic(problem, router.via_db(), core::DviParams{});
+  ASSERT_LT(core::solve_dvi_exact(problem, router.via_db()).result.dead_vias,
+            warm.result.dead_vias);
+
+  ASSERT_TRUE(configure("solver.cancel=cancel").is_ok());
+  const core::DviExactOutput exact = core::solve_dvi_exact(problem, router.via_db());
+  EXPECT_FALSE(exact.proven_optimal);
+  EXPECT_EQ(exact.result.inserted, warm.result.inserted);
+  EXPECT_TRUE(core::check_dvi_solution(router, problem, exact.result.inserted,
+                                       exact.inserted_at)
+                  .empty());
+
+  const ilp::Solution bnb = ilp::solve(core::build_dvi_ilp(problem).model);
+  EXPECT_NE(bnb.status, ilp::SolveStatus::kOptimal);
 }
 
 // --- the headline acceptance check ------------------------------------------

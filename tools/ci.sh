@@ -7,15 +7,18 @@
 #      must survive bit-identical through --resume and the fleet
 #   5. UBSan fleet smoke: same topology under -DSADP_SANITIZE=undefined
 #   6. Release build, full ctest
-#   7. Release bench smoke run; any `status=failed` progress line fails
-#   8. Router + partition perf smokes: BENCH_router.json and
+#   7. End-to-end benchmark smoke: bench_e2e/run_benchmark.py --smoke runs
+#      every workload at toy size with all checks and tracing; any failed
+#      check fails (including the standalone exact-DVI #DV match)
+#   8. Release bench smoke run; any `status=failed` progress line fails
+#   9. Router + partition perf smokes: BENCH_router.json and
 #      BENCH_partition.json (the latter gates partitions=4 >= 1.6x serial
 #      on ecc_10x_ramp)
-#   9. Service perf smoke: bench_service baselines into BENCH_service.json
-#  10. ECO perf smoke: bench_eco baselines into BENCH_eco.json and gates
+#  10. Service perf smoke: bench_service baselines into BENCH_service.json
+#  11. ECO perf smoke: bench_eco baselines into BENCH_eco.json and gates
 #      the incremental path >= 5x faster than a full re-route (p50)
 #
-# Step 6.5 runs the PartitionParallel test suite under TSan: region workers
+# Step 7.5 runs the PartitionParallel test suite under TSan: region workers
 # route on genuinely concurrent threads there, so a cross-region write is a
 # reported race, not a lucky pass.  The telemetry bit-identity tests run in
 # the same tree: rows must stay byte-identical with tracing/metrics on or
@@ -76,6 +79,9 @@ tools/service_smoke.sh --ubsan --skip-bench
 
 echo "== Release =="
 run_suite build-ci -DCMAKE_BUILD_TYPE=Release
+
+echo "== end-to-end benchmark smoke (every workload at toy size, all checks) =="
+python3 bench_e2e/run_benchmark.py --smoke
 
 echo "== TSan trace smoke (--trace under 2 workers) =="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DSADP_SANITIZE=thread >/dev/null

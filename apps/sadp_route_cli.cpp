@@ -173,7 +173,8 @@ std::optional<CliOptions> parse_cli(int argc, char** argv) {
                     "write a JSON report (single run) or engine metrics (batch)",
                     "FILE");
   parser.add_flag("--stats", &options.print_stats, "print the design statistics");
-  parser.add_flag("--validate", &options.validate, "validate the solution(s)");
+  parser.add_flag("--validate", &options.validate,
+                  "validate the routing and DVI solution(s)");
   parser.add_flag("--full", &options.full_scale,
                   "paper-scale benchmarks (default: scaled)");
   if (!parser.parse(argc, argv)) return std::nullopt;
@@ -356,9 +357,38 @@ int write_file_atomically(const std::string& path, const std::string& content) {
   return 0;
 }
 
+/// Every --validate check of a finished run that kept its router: the
+/// routing, then the DVI solution against its problem rebuilt from that
+/// router.  The problem spans every net, or only `dvi_nets` when given (an
+/// ECO re-route solves just the nets it ripped).
+std::vector<core::ValidationIssue> validate_outcome(
+    const CliOptions& options, const netlist::PlacedNetlist& instance,
+    const engine::JobOutcome& outcome,
+    const std::vector<grid::NetId>* dvi_nets = nullptr) {
+  const core::SadpRouter& router = *outcome.router;
+  std::vector<core::ValidationIssue> issues =
+      core::validate_routing(router, instance, options.consider_tpl);
+  std::vector<core::RoutedNet> subset;
+  if (dvi_nets != nullptr) {
+    for (const grid::NetId id : *dvi_nets) {
+      subset.push_back(router.nets()[static_cast<std::size_t>(id)]);
+    }
+  }
+  const core::DviProblem problem =
+      core::build_dvi_problem(dvi_nets != nullptr ? subset : router.nets(),
+                              router.routing_grid(), router.turn_rules());
+  const std::vector<core::ValidationIssue> dvi = core::check_dvi_solution(
+      router, problem, outcome.result.dvi.inserted, outcome.dvi_inserted_at,
+      options.consider_tpl);
+  issues.insert(issues.end(), dvi.begin(), dvi.end());
+  return issues;
+}
+
 /// Post-process one finished run: print, report, validate, save, render.
+/// `dvi_nets` is as in validate_outcome.
 int finish_single(const CliOptions& options, const netlist::PlacedNetlist& instance,
-                  const engine::JobOutcome& outcome) {
+                  const engine::JobOutcome& outcome,
+                  const std::vector<grid::NetId>* dvi_nets = nullptr) {
   if (!outcome.ok() || outcome.router == nullptr) {
     std::fprintf(stderr, "flow %s: %s\n",
                  engine::job_status_name(outcome.status),
@@ -398,8 +428,7 @@ int finish_single(const CliOptions& options, const netlist::PlacedNetlist& insta
 
   int exit_code = result.routing.routed_all ? 0 : 1;
   if (options.validate) {
-    const auto issues =
-        core::validate_routing(router, instance, options.consider_tpl);
+    const auto issues = validate_outcome(options, instance, outcome, dvi_nets);
     if (issues.empty()) {
       std::printf("validation: all checks passed\n");
     } else {
@@ -524,7 +553,7 @@ int run_delta(const CliOptions& options) {
     std::fprintf(stderr, "%s\n", edited.to_string().c_str());
     return 1;
   }
-  return finish_single(options, edit.edited, run.outcome);
+  return finish_single(options, edit.edited, run.outcome, &run.summary.ripped_ids);
 }
 
 /// Batch mode: several benchmarks through the engine, summary table + metrics.
@@ -594,9 +623,7 @@ int run_batch(const CliOptions& options, const std::vector<std::string>& names) 
     if (options.validate && outcome.router != nullptr) {
       const netlist::PlacedNetlist instance = netlist::generate(
           *netlist::spec_for(outcome.label, !options.full_scale));
-      const auto issues = core::validate_routing(*outcome.router, instance,
-                                                 options.consider_tpl);
-      for (const auto& issue : issues) {
+      for (const auto& issue : validate_outcome(options, instance, outcome)) {
         std::printf("validation issue (%s): %s\n", outcome.label.c_str(),
                     issue.what.c_str());
         exit_code = 1;

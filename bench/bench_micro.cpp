@@ -286,16 +286,18 @@ void BM_BuildDviProblem(benchmark::State& state) {
 BENCHMARK(BM_BuildDviProblem)->Unit(benchmark::kMillisecond);
 
 /// efc_s (scaled), as the end-to-end dvi_exact workload routes it.  Its
-/// exact DVI stops on the per-component node limit (~4.0 M nodes per
-/// solve), not on the clock, so the solve time measures the DFS itself.
+/// exact DVI proves the optimum (#DV 31) in 2,118 nodes per solve, so the
+/// heuristic warm start takes more of a solve than the DFS does.
 RoutedFixture& efc() {
   static RoutedFixture f(*netlist::spec_for("efc_s", true));
   return f;
 }
 
 void BM_DviExact(benchmark::State& state) {
-  // Per node: the FVP cut (would_create_fvp) plus ViaDb::add/remove window
-  // upkeep, and one budget poll every 256 nodes.
+  // Per solve: the heuristic warm start and the component split.  Per node:
+  // the bound's recount (would_create_fvp over the undecided vias'
+  // candidates), the FVP cut plus ViaDb::add/remove window upkeep, and one
+  // budget poll every 256 nodes.
   auto& f = efc();
   double nodes = 0.0;
   for (auto _ : state) {

@@ -14,6 +14,9 @@ namespace sadp::core {
 
 namespace {
 
+/// Components with more vias than this are searched after all the others.
+constexpr std::size_t kEagerVias = 64;
+
 /// Union-find over via indices.
 class UnionFind {
  public:
@@ -38,21 +41,17 @@ class UnionFind {
 /// inserted for via comp[j], or -1 for none.
 class ExactSolver {
  public:
-  ExactSolver(const DviProblem& problem, via::ViaDb db, const DviExactParams& params)
-      : problem_(problem),
-        db_(std::move(db)),
-        params_(params),
-        budget_(params.time_limit_seconds, params.cancel) {}
+  ExactSolver(const DviProblem& problem, via::ViaDb db, const DviExactParams& params,
+              const util::SolverBudget& budget)
+      : problem_(problem), db_(std::move(db)), params_(params), budget_(budget) {}
 
-  DviExactOutput run() {
+  /// Solve every component, each warm-started from `warm`'s choices.
+  DviExactOutput run(const DviResult& warm) {
     DviExactOutput out;
     const int n = problem_.num_vias();
     out.result.inserted.assign(static_cast<std::size_t>(n), -1);
     out.inserted_at.assign(static_cast<std::size_t>(n), {});
     out.proven_optimal = true;
-
-    // Warm start every component from the heuristic.
-    const DviHeuristicOutput warm = run_dvi_heuristic(problem_, db_, DviParams{});
 
     // Spatial components: vias interact only within Chebyshev distance 4 of
     // their centers (on the same layer).  Bucketed by 4x4 cells so the
@@ -126,20 +125,30 @@ class ExactSolver {
 
     // Residual uncolorable count is inherited from the heuristic's greedy
     // pre-coloring (only ever nonzero for no-TPL routing inputs).
-    out.result.uncolorable = warm.result.uncolorable;
+    out.result.uncolorable = warm.uncolorable;
 
+    // Components of up to kEagerVias vias go first, then the larger ones,
+    // each group in discovery order.  A component's search does not depend
+    // on the others, so the order matters only when the time limit runs out
+    // and every later component keeps its warm start.  Small components
+    // prove their optimum in a few thousand nodes; a large one can spend
+    // all of component_node_limit, so it must not starve them.
     std::vector<int> choice;
-    for (const auto& comp : comps) {
-      choice.clear();
-      for (const int i : comp) {
-        choice.push_back(warm.result.inserted[static_cast<std::size_t>(i)]);
+    for (const bool large : {false, true}) {
+      for (const auto& comp : comps) {
+        if ((comp.size() > kEagerVias) != large) continue;
+        choice.clear();
+        for (const int i : comp) {
+          choice.push_back(warm.inserted[static_cast<std::size_t>(i)]);
+        }
+        // With no budget left a component keeps the heuristic warm start,
+        // and so do the remaining ones; a search stopped short keeps its
+        // incumbent.
+        if (budget_.exhausted() || !solve_component(comp, choice)) {
+          out.proven_optimal = false;
+        }
+        commit(comp, choice, out);
       }
-      // With no budget left a component keeps the heuristic warm start, and
-      // so do the remaining ones; a search stopped short keeps its incumbent.
-      if (budget_.exhausted() || !solve_component(comp, choice)) {
-        out.proven_optimal = false;
-      }
-      commit(comp, choice, out);
     }
 
     for (int i = 0; i < n; ++i) {
@@ -202,6 +211,27 @@ class ExactSolver {
     bool aborted = false;
     std::size_t component_nodes = 0;
 
+    // Undecided vias (order positions from `depth` on) that still have an
+    // insertable candidate, counted only until the count exceeds `cap`.
+    // Along a DFS path the db only grows, and both tests of insertable()
+    // only flip from false to true as vias are added (a superset of a
+    // non-3-colorable window is still non-3-colorable).  So a via with no
+    // insertable candidate now gets no insertion below this node, and
+    // `inserted + open` bounds every leaf of the subtree.
+    auto open_vias = [&](int depth, int cap) {
+      int open = 0;
+      for (int d = depth; d < total && open <= cap; ++d) {
+        const auto i = static_cast<std::size_t>(comp[order[static_cast<std::size_t>(d)]]);
+        const int layer = problem_.vias[i].via_layer;
+        const auto& cands = problem_.feasible[i];
+        if (std::any_of(cands.begin(), cands.end(),
+                        [&](grid::Point p) { return insertable(layer, p); })) {
+          ++open;
+        }
+      }
+      return open;
+    };
+
     // DFS over the insertion choices with the FVP cut; colors at leaves.
     auto dfs = [&](auto&& self, int depth, int inserted) -> void {
       if (aborted) return;
@@ -211,7 +241,7 @@ class ExactSolver {
         aborted = true;
         return;
       }
-      if (inserted + (total - depth) <= best) return;  // bound
+      if (inserted + open_vias(depth, best - inserted) <= best) return;  // bound
       if (depth == total) {
         if (inserted > best && component_colorable(comp, choice)) {
           best = inserted;
@@ -226,8 +256,7 @@ class ExactSolver {
       // Try inserting first (maximization), then skipping.
       for (int k = 0; k < static_cast<int>(cands.size()); ++k) {
         const grid::Point p = cands[static_cast<std::size_t>(k)];
-        if (db_.has(layer, p)) continue;             // used location / via
-        if (db_.would_create_fvp(layer, p)) continue;  // valid cut
+        if (!insertable(layer, p)) continue;
         db_.add(layer, p);
         choice[j] = k;
         self(self, depth + 1, inserted + 1);
@@ -239,6 +268,13 @@ class ExactSolver {
     };
     dfs(dfs, 0, 0);
     return !aborted;
+  }
+
+  /// A candidate the DFS may insert: its location holds no via yet, and a
+  /// via there creates no FVP (a valid cut: an FVP window is never
+  /// 3-colorable).
+  [[nodiscard]] bool insertable(int layer, grid::Point p) const {
+    return !db_.has(layer, p) && !db_.would_create_fvp(layer, p);
   }
 
   void commit(const std::vector<int>& comp, const std::vector<int>& choice,
@@ -260,7 +296,7 @@ class ExactSolver {
   const DviProblem& problem_;
   via::ViaDb db_;
   DviExactParams params_;
-  const util::SolverBudget budget_;
+  const util::SolverBudget& budget_;
   std::size_t nodes_ = 0;
 };
 
@@ -269,8 +305,16 @@ class ExactSolver {
 DviExactOutput solve_dvi_exact(const DviProblem& problem, const via::ViaDb& vias,
                                const DviExactParams& params) {
   obs::Span span("dvi_exact", static_cast<std::int64_t>(problem.num_vias()));
-  ExactSolver solver(problem, vias, params);
-  return solver.run();
+  // The budget's clock starts before the warm start, so result.seconds and
+  // the time limit cover it.  The heuristic copies the caller's db and drops
+  // its copy before the solver takes its own, so two never coexist.  The
+  // whole warm output stays alive through the solve: freeing its geometry
+  // vectors first left holes that raised the dvi_exact workload's peak RSS
+  // from 87 to 95 MB.
+  const util::SolverBudget budget(params.time_limit_seconds, params.cancel);
+  const DviHeuristicOutput warm = run_dvi_heuristic(problem, vias, DviParams{});
+  ExactSolver solver(problem, vias, params, budget);
+  return solver.run(warm.result);
 }
 
 }  // namespace sadp::core

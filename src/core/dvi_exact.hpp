@@ -10,6 +10,10 @@
 //  * within a component it branches only over the insertion choice of each
 //    via ({none} + feasible DVICs), pruning combinations that create an FVP
 //    (a valid cut: an FVP window is never 3-colorable);
+//  * it bounds each search node by the undecided vias that still have a
+//    free, FVP-safe candidate: insertions only add vias, and a location
+//    that is taken or would complete an FVP stays so (every superset of an
+//    FVP window is an FVP), so no deeper insertion can revive it;
 //  * colors are not searched at all: at every leaf an exact backtracking
 //    3-coloring decides feasibility (catching the rare wheel patterns the
 //    FVP cut misses).

@@ -23,13 +23,6 @@ DviStageOutput run_dvi_heuristic_stage(const DviProblem& problem,
 }  // namespace
 
 DviStageOutput run_post_routing_dvi(const SadpRouter& router,
-                                    const FlowConfig& config) {
-  const DviProblem problem =
-      build_dvi_problem(router.nets(), router.routing_grid(), router.turn_rules());
-  return run_post_routing_dvi(router, config, problem);
-}
-
-DviStageOutput run_post_routing_dvi(const SadpRouter& router,
                                     const FlowConfig& config,
                                     const DviProblem& problem) {
   DviStageOutput out;
@@ -109,7 +102,7 @@ FlowRun run_flow(const netlist::PlacedNetlist& netlist, const FlowConfig& config
   run.result.dvi_candidates = problem.total_candidates();
 
   obs::Span dvi_span("dvi");
-  DviStageOutput dvi = run_post_routing_dvi(*run.router, config);
+  DviStageOutput dvi = run_post_routing_dvi(*run.router, config, problem);
   dvi_span.end();
   run.result.dvi = std::move(dvi.result);
   run.result.ilp_status = dvi.status;

@@ -77,13 +77,10 @@ struct FlowRun {
 [[nodiscard]] FlowRun run_flow(const netlist::PlacedNetlist& netlist,
                                const FlowConfig& config);
 
-/// Run only the post-routing DVI stage on an already-routed design.
-[[nodiscard]] DviStageOutput run_post_routing_dvi(const SadpRouter& router,
-                                                  const FlowConfig& config);
-
-/// Post-routing DVI over a caller-built problem — the incremental path: an
-/// ECO re-route builds the problem from only the re-routed subset of nets so
-/// the solve cost scales with the delta, not the design (DESIGN.md §16).
+/// Run only the post-routing DVI stage on an already-routed design, over a
+/// caller-built problem.  run_flow builds it from every net; an ECO re-route
+/// builds it from only the re-routed subset of nets so the solve cost scales
+/// with the delta, not the design (DESIGN.md §16).
 [[nodiscard]] DviStageOutput run_post_routing_dvi(const SadpRouter& router,
                                                   const FlowConfig& config,
                                                   const DviProblem& problem);

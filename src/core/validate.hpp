@@ -35,12 +35,15 @@ struct ValidationIssue {
 [[nodiscard]] std::vector<ValidationIssue> check_tpl_colorable(
     const via::ViaDb& vias);
 
-/// A DVI solution is legal: each insertion is at a feasible DVIC, no two
-/// redundant vias share a location, and the combined via set (per layer) is
-/// still 3-colorable.
+/// A DVI solution is legal: it has one entry per single via of `problem`,
+/// each insertion is at a feasible DVIC, no two redundant vias share a
+/// location, and the combined via set (per layer) is still 3-colorable.  The
+/// last check needs 3-colorable originals, so only `expect_tpl_clean` runs
+/// it (as in validate_routing).
 [[nodiscard]] std::vector<ValidationIssue> check_dvi_solution(
     const SadpRouter& router, const DviProblem& problem,
-    const std::vector<int>& inserted, const std::vector<grid::Point>& inserted_at);
+    const std::vector<int>& inserted, const std::vector<grid::Point>& inserted_at,
+    bool expect_tpl_clean = true);
 
 /// Run every applicable check for a finished flow.
 [[nodiscard]] std::vector<ValidationIssue> validate_routing(

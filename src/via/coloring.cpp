@@ -69,11 +69,13 @@ bool color_component(const DecompGraph& graph, const std::vector<int>& comp,
   const int n = static_cast<int>(order.size());
   std::vector<int> tentative(color);
 
+  // Every color tried costs one step, rejected ones included; the check
+  // comes before the decrement so a spent budget never wraps.
   auto recurse = [&](auto&& self, int i) -> bool {
     if (i == n) return true;
-    if (budget == 0) return false;
     const int v = order[static_cast<std::size_t>(i)];
     for (int c = 0; c < kNumTplColors; ++c) {
+      if (budget == 0) return false;
       --budget;
       bool ok = true;
       for (int u : graph.neighbors(v)) {
@@ -86,7 +88,6 @@ bool color_component(const DecompGraph& graph, const std::vector<int>& comp,
       tentative[v] = c;
       if (self(self, i + 1)) return true;
       tentative[v] = kUncolored;
-      if (budget == 0) return false;
     }
     return false;
   };

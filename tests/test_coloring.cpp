@@ -68,6 +68,22 @@ TEST(Coloring, K4IsUncolorable) {
   EXPECT_FALSE(three_colorable(graph));
 }
 
+// Coloring the triangle tries 6 colors: 1 for the first vertex, 2 for the
+// second, 3 for the third.  Each try costs one step of the budget, so a
+// smaller budget must fail however it runs out (a rejected try that spent
+// the last step once wrapped the budget and dropped the guard).
+TEST(Coloring, ExactColoringHonorsItsBudget) {
+  const DecompGraph graph = DecompGraph::from_points({{0, 0}, {1, 0}, {0, 1}});
+  for (std::size_t budget = 0; budget < 6; ++budget) {
+    EXPECT_FALSE(exact_three_coloring(graph, budget).has_value()) << budget;
+  }
+  for (std::size_t budget = 6; budget < 10; ++budget) {
+    const auto coloring = exact_three_coloring(graph, budget);
+    ASSERT_TRUE(coloring.has_value()) << budget;
+    EXPECT_TRUE(is_proper_coloring(graph, *coloring));
+  }
+}
+
 TEST(Coloring, ExtendRespectsFixedColors) {
   const DecompGraph graph = DecompGraph::from_points({{0, 0}, {1, 0}, {0, 1}});
   std::vector<int> seed = {2, kUncolored, kUncolored};

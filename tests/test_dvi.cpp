@@ -3,9 +3,12 @@
 // ILP-vs-heuristic relationship the paper's Tables VI/VII rest on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <vector>
 
 #include "core/dvi_exact.hpp"
 #include "core/dvi_heuristic.hpp"
@@ -66,13 +69,15 @@ int brute_force_max_insertions(const DviProblem& problem) {
   return best;
 }
 
-/// A random small DviProblem on one via layer with FVP-free originals.
+/// A random small DviProblem with FVP-free originals on via layer 1 of
+/// `db`'s square grid.
 DviProblem random_problem(std::uint64_t seed, int num_vias, via::ViaDb& db) {
+  const int side = db.width();
   util::Xoshiro256StarStar rng(seed);
   DviProblem problem;
   while (problem.num_vias() < num_vias) {
-    const grid::Point p{static_cast<int>(rng.below(10)),
-                        static_cast<int>(rng.below(10))};
+    const grid::Point p{static_cast<int>(rng.below(static_cast<std::uint64_t>(side))),
+                        static_cast<int>(rng.below(static_cast<std::uint64_t>(side)))};
     if (db.has(1, p) || db.would_create_fvp(1, p)) continue;
     db.add(1, p);
     problem.vias.push_back(SingleVia{problem.num_vias(), 1, p, false});
@@ -82,7 +87,7 @@ DviProblem random_problem(std::uint64_t seed, int num_vias, via::ViaDb& db) {
     std::vector<grid::Point> cands;
     for (grid::Dir d : grid::kPlanarDirs) {
       const grid::Point q = via.at + grid::step(d);
-      if (q.x < 0 || q.y < 0 || q.x >= 10 || q.y >= 10) continue;
+      if (!db.in_bounds(q)) continue;
       if (db.has(1, q)) continue;
       if (rng.chance(0.8)) cands.push_back(q);
     }
@@ -91,28 +96,52 @@ DviProblem random_problem(std::uint64_t seed, int num_vias, via::ViaDb& db) {
   return problem;
 }
 
-class DviSmallRandom : public ::testing::TestWithParam<int> {};
+/// One random case: the seed index and the side of its square grid.  On a
+/// 10x10 grid the vias mostly stand apart; on a 4x4 grid they are packed, so
+/// candidates are shared between vias and some would complete an FVP.
+struct RandomCase {
+  int seed = 0;
+  int side = 10;
+};
+
+// The test names print the seed alone (the instantiation names the side),
+// so the 10x10 cases keep the names they had with a plain seed parameter.
+void PrintTo(const RandomCase& c, std::ostream* os) { *os << c.seed; }
+
+std::vector<RandomCase> random_cases(int side) {
+  std::vector<RandomCase> cases;
+  for (int seed = 0; seed < 25; ++seed) cases.push_back({seed, side});
+  return cases;
+}
+
+class DviSmallRandom : public ::testing::TestWithParam<RandomCase> {
+ protected:
+  /// The case's problem; its originals go into `db_`.
+  DviProblem make_problem(std::uint64_t multiplier, std::uint64_t offset,
+                          int num_vias) {
+    return random_problem(
+        static_cast<std::uint64_t>(GetParam().seed) * multiplier + offset, num_vias,
+        db_);
+  }
+
+  via::ViaDb db_{GetParam().side, GetParam().side, 1};
+};
 
 TEST_P(DviSmallRandom, IlpMatchesBruteForce) {
-  via::ViaDb db(10, 10, 1);
-  const DviProblem problem =
-      random_problem(static_cast<std::uint64_t>(GetParam()) * 131 + 7, 4, db);
+  const DviProblem problem = make_problem(131, 7, 4);
   const int reference = brute_force_max_insertions(problem);
 
   DviIlpParams params;
-  const DviIlpOutput ilp = solve_dvi_ilp(problem, db, params);
-  ASSERT_EQ(ilp.status, ilp::SolveStatus::kOptimal) << "seed " << GetParam();
+  const DviIlpOutput ilp = solve_dvi_ilp(problem, db_, params);
+  ASSERT_EQ(ilp.status, ilp::SolveStatus::kOptimal);
   EXPECT_EQ(ilp.result.uncolorable, 0);
-  EXPECT_EQ(problem.num_vias() - ilp.result.dead_vias, reference)
-      << "seed " << GetParam();
+  EXPECT_EQ(problem.num_vias() - ilp.result.dead_vias, reference);
 }
 
 TEST_P(DviSmallRandom, HeuristicIsValidAndBounded) {
-  via::ViaDb db(10, 10, 1);
-  const DviProblem problem =
-      random_problem(static_cast<std::uint64_t>(GetParam()) * 977 + 3, 5, db);
+  const DviProblem problem = make_problem(977, 3, 5);
   const DviHeuristicOutput heuristic =
-      run_dvi_heuristic(problem, db, DviParams{});
+      run_dvi_heuristic(problem, db_, DviParams{});
 
   const int inserted = problem.num_vias() - heuristic.result.dead_vias;
   EXPECT_LE(inserted, brute_force_max_insertions(problem));
@@ -131,21 +160,41 @@ TEST_P(DviSmallRandom, HeuristicIsValidAndBounded) {
 }
 
 TEST_P(DviSmallRandom, ExactSolverMatchesBruteForce) {
-  via::ViaDb db(10, 10, 1);
-  const DviProblem problem =
-      random_problem(static_cast<std::uint64_t>(GetParam()) * 131 + 7, 4, db);
+  const DviProblem problem = make_problem(131, 7, 4);
   const int reference = brute_force_max_insertions(problem);
-  const DviExactOutput exact = solve_dvi_exact(problem, db);
+  const DviExactOutput exact = solve_dvi_exact(problem, db_);
   EXPECT_TRUE(exact.proven_optimal);
-  EXPECT_EQ(problem.num_vias() - exact.result.dead_vias, reference)
-      << "seed " << GetParam();
+  EXPECT_EQ(problem.num_vias() - exact.result.dead_vias, reference);
   // And agrees with the literal ILP.
-  const DviIlpOutput ilp = solve_dvi_ilp(problem, db);
+  const DviIlpOutput ilp = solve_dvi_ilp(problem, db_);
   ASSERT_EQ(ilp.status, ilp::SolveStatus::kOptimal);
   EXPECT_EQ(exact.result.dead_vias, ilp.result.dead_vias);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DviSmallRandom, ::testing::Range(0, 25));
+INSTANTIATE_TEST_SUITE_P(Seeds, DviSmallRandom, ::testing::ValuesIn(random_cases(10)));
+INSTANTIATE_TEST_SUITE_P(Dense, DviSmallRandom, ::testing::ValuesIn(random_cases(4)));
+
+// The dense cases reach what the sparse ones rarely do: a candidate two vias
+// share, and a candidate that would complete an FVP with the originals.
+TEST(DviSmallRandomDense, HasSharedAndFvpBlockedCandidates) {
+  int shared = 0;
+  int blocked = 0;
+  for (const RandomCase& c : random_cases(4)) {
+    via::ViaDb db(c.side, c.side, 1);
+    const DviProblem problem =
+        random_problem(static_cast<std::uint64_t>(c.seed) * 131 + 7, 4, db);
+    std::vector<grid::Point> seen;
+    for (const auto& cands : problem.feasible) {
+      for (const grid::Point q : cands) {
+        if (std::find(seen.begin(), seen.end(), q) != seen.end()) ++shared;
+        seen.push_back(q);
+        if (db.would_create_fvp(1, q)) ++blocked;
+      }
+    }
+  }
+  EXPECT_GT(shared, 0);
+  EXPECT_GT(blocked, 0);
+}
 
 TEST(DviExact, AtLeastAsGoodAsHeuristicOnRoutedDesign) {
   netlist::BenchSpec spec;
@@ -175,19 +224,23 @@ TEST(DviExact, AtLeastAsGoodAsHeuristicOnRoutedDesign) {
                   .empty());
 }
 
-/// A square generated design routed DVI- and TPL-aware, with its DVI problem.
+netlist::BenchSpec square_spec(const std::string& name, int side, int nets) {
+  netlist::BenchSpec spec;
+  spec.name = name;
+  spec.width = side;
+  spec.height = side;
+  spec.num_nets = nets;
+  return spec;
+}
+
+/// A generated design routed DVI- and TPL-aware, with its DVI problem.
 struct RoutedDesign {
   netlist::PlacedNetlist instance;
   std::unique_ptr<SadpRouter> router;
   DviProblem problem;
   bool routed_all = false;
 
-  RoutedDesign(const std::string& name, int side, int nets) {
-    netlist::BenchSpec spec;
-    spec.name = name;
-    spec.width = side;
-    spec.height = side;
-    spec.num_nets = nets;
+  explicit RoutedDesign(const netlist::BenchSpec& spec) {
     instance = netlist::generate(spec);
     FlowOptions options;
     options.consider_dvi = true;
@@ -204,7 +257,7 @@ struct RoutedDesign {
 // nodes it would need.  On this design the exact optimum beats the warm
 // start, so a component searched past its deadline would show.
 TEST(DviExact, ZeroTimeLimitKeepsTheWarmStart) {
-  const RoutedDesign d("deadline_probe_1", 64, 50);
+  const RoutedDesign d(square_spec("deadline_probe_1", 64, 50));
   ASSERT_TRUE(d.routed_all);
   const DviHeuristicOutput warm =
       run_dvi_heuristic(d.problem, d.router->via_db(), DviParams{});
@@ -222,15 +275,17 @@ TEST(DviExact, ZeroTimeLimitKeepsTheWarmStart) {
 
 // Node limits do not depend on the clock, so a node-limited solve is
 // reproducible: the node count, #DV and choices below pin the DFS visit
-// order.  Unlimited, this design takes 50,898 nodes to a #DV of 5.
+// order.  Unlimited, this design takes 305 nodes to a #DV of 5, from a warm
+// start of 9; a limit of 20 nodes per component stops one component
+// between the two.
 TEST(DviExact, ComponentNodeLimitPinsTheSearchOrder) {
-  const RoutedDesign d("dvi_repair_itest", 64, 60);
+  const RoutedDesign d(square_spec("dvi_repair_itest", 64, 60));
   ASSERT_TRUE(d.routed_all);
   DviExactParams params;
-  params.component_node_limit = 1000;
+  params.component_node_limit = 20;
   const DviExactOutput out = solve_dvi_exact(d.problem, d.router->via_db(), params);
   EXPECT_FALSE(out.proven_optimal);
-  EXPECT_EQ(out.nodes, 1751u);
+  EXPECT_EQ(out.nodes, 191u);
   EXPECT_EQ(out.result.dead_vias, 6);
   std::string choices;
   for (const int k : out.result.inserted) {
@@ -238,6 +293,21 @@ TEST(DviExact, ComponentNodeLimitPinsTheSearchOrder) {
     choices += std::to_string(k);
   }
   EXPECT_EQ(util::crc32(choices), 2068063127u);
+}
+
+// efc_s as the dvi_exact end-to-end workload routes it.  Counting every
+// undecided via as insertable stopped a 36-via component at the 4 M-node
+// limit with #DV 33; counting only the vias with a free, FVP-safe
+// candidate proves the optimum.
+TEST(DviExact, ProvesTheOptimumOnScaledEfc) {
+  const RoutedDesign d(*netlist::spec_for("efc_s", true));
+  ASSERT_TRUE(d.routed_all);
+  const DviExactOutput out = solve_dvi_exact(d.problem, d.router->via_db());
+  EXPECT_TRUE(out.proven_optimal);
+  EXPECT_EQ(out.result.dead_vias, 31);
+  EXPECT_TRUE(check_dvi_solution(*d.router, d.problem, out.result.inserted,
+                                 out.inserted_at)
+                  .empty());
 }
 
 TEST(DviHeuristic, ProtectsIsolatedVia) {

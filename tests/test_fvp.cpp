@@ -49,6 +49,18 @@ TEST(FvpRules, ThreeOrFewerViasNeverFvp) {
   }
 }
 
+// Adding vias never makes a window 3-colorable again.  The exact DVI bound
+// rests on this: a location that would complete an FVP stays blocked as
+// more vias are inserted.
+TEST(FvpRules, EverySupersetOfAnFvpIsAnFvp) {
+  for (int mask = 0; mask < 512; ++mask) {
+    if (!is_fvp(static_cast<WindowMask>(mask))) continue;
+    for (int super = mask; super < 512; super = (super + 1) | mask) {
+      EXPECT_TRUE(is_fvp(static_cast<WindowMask>(super))) << mask << " " << super;
+    }
+  }
+}
+
 TEST(FvpRules, FourCornersPlusCenterIsColorable) {
   // Fig. 7(a)-style: 4 corners + center is the only 5-via non-FVP family.
   WindowMask mask = 0;

@@ -6,7 +6,8 @@
 #   4. ASan chaos smoke: 11 seeded failpoint/SIGKILL schedules, rows
 #      must survive bit-identical through --resume and the fleet
 #   5. UBSan fleet smoke: same topology under -DSADP_SANITIZE=undefined
-#   6. Release build, full ctest
+#   6. Release build, full ctest; then exact DVI on ecc/efc/ctl/div with
+#      --validate, which checks the routing and every DVI insertion
 #   7. End-to-end benchmark smoke: bench_e2e/run_benchmark.py --smoke runs
 #      every workload at toy size with all checks and tracing; any failed
 #      check fails (including the standalone exact-DVI #DV match)
@@ -79,6 +80,9 @@ tools/service_smoke.sh --ubsan --skip-bench
 
 echo "== Release =="
 run_suite build-ci -DCMAKE_BUILD_TYPE=Release
+
+echo "== exact-DVI validation (routing and DVI checks, nonzero exit on any issue) =="
+./build-ci/apps/sadp_route --benchmark ecc,efc,ctl,div --dvi-method exact --validate
 
 echo "== end-to-end benchmark smoke (every workload at toy size, all checks) =="
 python3 bench_e2e/run_benchmark.py --smoke

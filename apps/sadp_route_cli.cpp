@@ -21,6 +21,21 @@
 //
 //   sadp_route --benchmark ecc_s --delta --base-solution base.sol
 //              --move-pin "3,1,10,12" --add-blockage "4,4,9,9" --validate
+//
+// Remote: --connect HOST:PORT sends the same request to a running
+// sadp_routed daemon or sadp_route_dispatch front instead of running it
+// here; rows stream back into the same table.  --control VERB sends one
+// control-plane line instead: ping, stats, metrics, drain, schemas, or
+// failpoints, which arms the server's fault sites from --failpoints (or
+// clears them when it is empty):
+//
+//   sadp_route --connect 127.0.0.1:7471 --benchmark all --keep-going
+//   sadp_route --connect 127.0.0.1:7471 --benchmark ecc_s --delta
+//              --base-solution base.sol --move-pin "3,1,10,12"
+//   sadp_route --connect 127.0.0.1:7470 --control stats
+//
+// Exit codes: 0 when every row is usable, 1 on a failed row or a transport
+// or server error, 2 on bad flags.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -28,6 +43,8 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "api/flow_api.hpp"
@@ -43,6 +60,7 @@
 #include "netlist/bench_gen.hpp"
 #include "netlist/io.hpp"
 #include "obs/trace.hpp"
+#include "server/route_client.hpp"
 #include "util/args.hpp"
 #include "util/failpoint.hpp"
 #include "util/fs.hpp"
@@ -62,22 +80,11 @@ struct CliOptions {
   std::string svg_path;
   std::string json_report_path;
   bool print_stats = false;
-  grid::SadpStyle style = grid::SadpStyle::kSim;
-  bool consider_dvi = true;
-  bool consider_tpl = true;
   bool validate = false;
   bool full_scale = false;
-  core::DviMethod method = core::DviMethod::kHeuristic;
-  double ilp_limit = 60.0;
-  int jobs = 0;
-  int partitions = 0;  ///< per-job partition-parallel regions (0 = serial)
-  double deadline = 0.0;        ///< per-job wall deadline (0 = none)
-  double batch_deadline = 0.0;  ///< whole-batch wall deadline (0 = none)
-  bool keep_going = false;      ///< batch: report every row, no fail-fast
-  bool degrade_dvi = false;     ///< ILP DVI timeout => heuristic fallback
-  std::string journal_path;
-  bool resume = false;
-  engine::JournalSync journal_sync = engine::JournalSync::kBatch;
+  /// The batch flags, and the per-job flags every named job copies.
+  api::FlowRequest request;
+  api::JobRequest job;
   std::string trace_path;  ///< Chrome trace-event JSON output (empty = off)
   // Incremental ECO mode (--delta): warm-start from a saved base solution.
   bool delta = false;
@@ -87,6 +94,13 @@ struct CliOptions {
   std::string remove_nets;  ///< base net ids, ';'-separated
   std::string add_nets;     ///< "name:x,y,x,y,..." specs, ';'-separated
   std::string blockages;    ///< "x0,y0,x1,y1" rects, ';'-separated
+  // Remote mode (--connect): send the request to a daemon or dispatcher.
+  std::optional<server::HostPort> remote;
+  std::string control;  ///< --control verb (needs --connect)
+  server::RetryOptions retry;
+  bool trace_context = false;
+  std::string failpoints_spec;  ///< armed here, or sent by --control
+  std::uint64_t failpoints_seed = 0;
 };
 
 // Fault site (util/failpoint.hpp): solution/report file writes.
@@ -128,37 +142,40 @@ std::optional<CliOptions> parse_cli(int argc, char** argv) {
                   "ECO mode: print the raw response wire lines (row, delta, "
                   "batch) instead of the human summary");
   parser.add_string("--style", &style, "SIM, SID, SAQP-SIM or SIM-TRIM", "STYLE");
-  parser.add_string("--dvi-method", &method, "heuristic, exact or ilp", "M");
-  parser.add_double("--ilp-limit", &options.ilp_limit,
+  parser.add_string("--dvi-method", &method, "heuristic, exact or ilp (ILP)",
+                    "M");
+  parser.add_double("--ilp-limit", &options.job.ilp_limit_seconds,
                     "DVI solver time limit in seconds", "S");
-  parser.add_int("--jobs", &options.jobs,
-                 "worker threads for batch runs (0 = all cores)", "N");
-  parser.add_int("--partitions", &options.partitions,
+  parser.add_int("--jobs", &options.request.workers,
+                 "worker threads for batch runs (0 = all cores; a server "
+                 "caps this to its pool)",
+                 "N");
+  parser.add_int("--partitions", &options.job.partitions,
                  "partition-parallel regions per job (0/1 = serial)", "K");
-  parser.add_double("--deadline", &options.deadline,
+  parser.add_double("--deadline", &options.job.deadline_seconds,
                     "per-job wall-clock deadline in seconds (0 = none)", "S");
-  parser.add_double("--batch-deadline", &options.batch_deadline,
+  parser.add_double("--batch-deadline", &options.request.batch_deadline_seconds,
                     "whole-batch wall-clock deadline in seconds (0 = none)",
                     "S");
-  parser.add_flag("--keep-going", &options.keep_going,
+  parser.add_flag("--keep-going", &options.request.keep_going,
                   "batch: keep running after a job fails (default fails fast)");
-  parser.add_flag("--degrade-dvi", &options.degrade_dvi,
+  parser.add_flag("--degrade-dvi", &options.job.degrade_dvi,
                   "fall back to heuristic DVI when the ILP solver times out");
-  parser.add_string("--journal", &options.journal_path,
-                    "append per-job records to a crash-safe JSONL journal",
+  parser.add_string("--journal", &options.request.journal_path,
+                    "append per-job records to a crash-safe JSONL journal "
+                    "(a server-side path with --connect)",
                     "FILE");
-  parser.add_flag("--resume", &options.resume,
+  parser.add_flag("--resume", &options.request.resume,
                   "skip jobs already recorded in the --journal file");
   std::string journal_sync = "batch";
   parser.add_string("--journal-sync", &journal_sync,
                     "journal fsync policy: none, batch or always", "POLICY");
-  std::string failpoints_spec;
-  std::uint64_t failpoints_seed = 0;
-  parser.add_string("--failpoints", &failpoints_spec,
-                    "arm deterministic fault sites "
+  parser.add_string("--failpoints", &options.failpoints_spec,
+                    "arm deterministic fault sites here, or in the server "
+                    "with --control failpoints "
                     "(e.g. journal.append=err@0.3;engine.job=delay(50ms))",
                     "SPEC");
-  parser.add_uint64("--failpoints-seed", &failpoints_seed,
+  parser.add_uint64("--failpoints-seed", &options.failpoints_seed,
                     "base seed for failpoint probability draws", "SEED");
   parser.add_string("--trace", &options.trace_path,
                     "write a Chrome trace-event JSON of the run "
@@ -177,37 +194,82 @@ std::optional<CliOptions> parse_cli(int argc, char** argv) {
                   "validate the routing and DVI solution(s)");
   parser.add_flag("--full", &options.full_scale,
                   "paper-scale benchmarks (default: scaled)");
+  std::string connect;
+  parser.add_string("--connect", &connect,
+                    "send the request to a running sadp_routed or "
+                    "sadp_route_dispatch instead of running it here",
+                    "HOST:PORT");
+  parser.add_string("--control", &options.control,
+                    "with --connect: send one control verb instead (ping, "
+                    "stats, metrics, drain, schemas or failpoints)",
+                    "VERB");
+  parser.add_int("--retries", &options.retry.retries,
+                 "retry a resource_exhausted rejection up to N times with "
+                 "jittered exponential backoff (default 0 = give up)",
+                 "N");
+  parser.add_int("--retry-max-ms", &options.retry.max_delay_ms,
+                 "backoff cap per retry in milliseconds", "MS");
+  parser.add_flag("--trace-context", &options.trace_context,
+                  "mint a trace_id + per-job span_ids on the request (for "
+                  "daemons reached directly; the dispatcher mints its own)");
   if (!parser.parse(argc, argv)) return std::nullopt;
 
-  options.consider_dvi = !no_dvi;
-  options.consider_tpl = !no_tpl;
+  options.job.consider_dvi = !no_dvi;
+  options.job.consider_tpl = !no_tpl;
 
-  if (style == "SIM") options.style = grid::SadpStyle::kSim;
-  else if (style == "SID") options.style = grid::SadpStyle::kSid;
-  else if (style == "SAQP-SIM") options.style = grid::SadpStyle::kSaqpSim;
-  else if (style == "SIM-TRIM") options.style = grid::SadpStyle::kSimTrim;
-  else {
+  const auto parsed_style = grid::parse_style(style);
+  if (!parsed_style) {
     std::fprintf(stderr, "unknown style: %s\n", style.c_str());
     return std::nullopt;
   }
-
-  if (method == "heuristic") options.method = core::DviMethod::kHeuristic;
-  else if (method == "exact") options.method = core::DviMethod::kExact;
-  else if (method == "ilp") options.method = core::DviMethod::kIlp;
-  else {
+  options.job.style = *parsed_style;
+  // "ilp" is the spelling the README uses; requests and journals say "ILP".
+  const auto parsed_method = method == "ilp"
+                                 ? std::optional(core::DviMethod::kIlp)
+                                 : core::parse_dvi_method(method);
+  if (!parsed_method) {
     std::fprintf(stderr, "unknown dvi method: %s\n", method.c_str());
+    return std::nullopt;
+  }
+  options.job.dvi_method = *parsed_method;
+
+  if (!connect.empty()) {
+    options.remote = server::parse_host_port(connect);
+    if (!options.remote) {
+      std::fprintf(stderr, "bad --connect address '%s' (want HOST:PORT)\n",
+                   connect.c_str());
+      return std::nullopt;
+    }
+    const std::pair<const char*, bool> local_only[] = {
+        {"--dvi-only", !options.dvi_only_path.empty()},
+        {"--save-solution", !options.save_solution_path.empty()},
+        {"--svg", !options.svg_path.empty()},
+        {"--validate", options.validate},
+        {"--stats", options.print_stats},
+        {"--json-report", !options.json_report_path.empty()},
+        {"--wire", options.wire},
+        {"--trace", !options.trace_path.empty()},
+    };
+    for (const auto& [flag, set] : local_only) {
+      if (set) {
+        std::fprintf(stderr, "%s needs a local run, not --connect\n", flag);
+        return std::nullopt;
+      }
+    }
+  } else if (!options.control.empty()) {
+    std::fprintf(stderr, "--control needs --connect HOST:PORT\n");
     return std::nullopt;
   }
 
   const int sources = (!options.netlist_path.empty()) +
                       (!options.benchmark.empty()) +
                       (!options.dvi_only_path.empty());
-  if (sources != 1) {
+  if (sources != 1 && options.control.empty()) {
     std::fprintf(stderr,
                  "exactly one of --netlist, --benchmark, --dvi-only required\n");
     return std::nullopt;
   }
-  if (options.resume && options.journal_path.empty()) {
+  if (options.request.resume && options.request.journal_path.empty()) {
     std::fprintf(stderr, "--resume requires --journal FILE\n");
     return std::nullopt;
   }
@@ -232,11 +294,12 @@ std::optional<CliOptions> parse_cli(int argc, char** argv) {
                  journal_sync.c_str());
     return std::nullopt;
   }
-  options.journal_sync = *sync;
-  if (!failpoints_spec.empty()) {
+  options.request.journal_sync = *sync;
+  // `--control failpoints` sends the spec to the server instead.
+  if (!options.failpoints_spec.empty() && options.control != "failpoints") {
     const util::Status armed =
         util::FailPointRegistry::instance().configure(
-            failpoints_spec, failpoints_seed);
+            options.failpoints_spec, options.failpoints_seed);
     if (!armed.is_ok()) {
       std::fprintf(stderr, "bad --failpoints: %s\n", armed.to_string().c_str());
       return std::nullopt;
@@ -275,66 +338,51 @@ int run_dvi_only(const CliOptions& options) {
               problem.total_candidates());
 
   core::DviResult result;
-  switch (options.method) {
+  switch (options.job.dvi_method) {
     case core::DviMethod::kHeuristic:
       result = core::run_dvi_heuristic(problem, vias, core::DviParams{}).result;
       break;
     case core::DviMethod::kExact: {
       core::DviExactParams params;
-      params.time_limit_seconds = options.ilp_limit;
+      params.time_limit_seconds = options.job.ilp_limit_seconds;
       result = core::solve_dvi_exact(problem, vias, params).result;
       break;
     }
     case core::DviMethod::kIlp: {
       core::DviIlpParams params;
-      params.bnb.time_limit_seconds = options.ilp_limit;
+      params.bnb.time_limit_seconds = options.job.ilp_limit_seconds;
       result = core::solve_dvi_ilp(problem, vias, params).result;
       break;
     }
   }
   std::printf("DVI (%s): dead vias %d / %d, uncolorable %d, %.2fs\n",
-              core::dvi_method_name(options.method), result.dead_vias,
+              core::dvi_method_name(options.job.dvi_method), result.dead_vias,
               problem.num_vias(), result.uncolorable, result.seconds);
   return 0;
 }
 
-std::vector<std::string> split_names(const std::string& csv) {
-  std::vector<std::string> names;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string token =
-        csv.substr(start, comma == std::string::npos ? comma : comma - start);
-    if (!token.empty()) names.push_back(token);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return names;
-}
-
-/// The per-job request fields every CLI run shares; a CLI invocation is an
-/// api::FlowRequest dispatched in-process (see src/api/flow_api.hpp).
-api::JobRequest job_request(const CliOptions& options) {
-  api::JobRequest job;
-  job.style = options.style;
-  job.consider_dvi = options.consider_dvi;
-  job.consider_tpl = options.consider_tpl;
-  job.dvi_method = options.method;
-  job.ilp_limit_seconds = options.ilp_limit;
-  job.degrade_dvi = options.degrade_dvi;
-  job.deadline_seconds = options.deadline;
-  job.partitions = options.partitions;
-  return job;
-}
-
+/// The request every run sends, in-process or over --connect: the batch
+/// flags plus one job per --benchmark name (`all` expands to the whole
+/// set), labelled as given, or one --netlist job.
 api::FlowRequest flow_request(const CliOptions& options) {
-  api::FlowRequest request;
-  request.workers = options.jobs;
-  request.batch_deadline_seconds = options.batch_deadline;
-  request.keep_going = options.keep_going;
-  request.journal_path = options.journal_path;
-  request.resume = options.resume;
-  request.journal_sync = options.journal_sync;
+  api::FlowRequest request = options.request;
+  std::vector<std::string> names = util::split_list(options.benchmark, ',');
+  if (options.benchmark == "all") {
+    names.clear();
+    for (const auto& row : options.full_scale ? netlist::paper_benchmarks()
+                                              : netlist::scaled_benchmarks()) {
+      names.push_back(row.name);
+    }
+  }
+  for (const std::string& name : names) {
+    api::JobRequest& job = request.jobs.emplace_back(options.job);
+    job.label = name;
+    job.benchmark = name;
+    job.scaled = !options.full_scale;
+  }
+  if (!options.netlist_path.empty()) {
+    request.jobs.emplace_back(options.job).netlist_path = options.netlist_path;
+  }
   return request;
 }
 
@@ -367,7 +415,7 @@ std::vector<core::ValidationIssue> validate_outcome(
     const std::vector<grid::NetId>* dvi_nets = nullptr) {
   const core::SadpRouter& router = *outcome.router;
   std::vector<core::ValidationIssue> issues =
-      core::validate_routing(router, instance, options.consider_tpl);
+      core::validate_routing(router, instance, options.job.consider_tpl);
   std::vector<core::RoutedNet> subset;
   if (dvi_nets != nullptr) {
     for (const grid::NetId id : *dvi_nets) {
@@ -379,7 +427,7 @@ std::vector<core::ValidationIssue> validate_outcome(
                               router.routing_grid(), router.turn_rules());
   const std::vector<core::ValidationIssue> dvi = core::check_dvi_solution(
       router, problem, outcome.result.dvi.inserted, outcome.dvi_inserted_at,
-      options.consider_tpl);
+      options.job.consider_tpl);
   issues.insert(issues.end(), dvi.begin(), dvi.end());
   return issues;
 }
@@ -410,8 +458,9 @@ int finish_single(const CliOptions& options, const netlist::PlacedNetlist& insta
   std::printf("via TPL: FVPs %zu, uncolorable %d\n", result.routing.remaining_fvps,
               result.routing.uncolorable_vias);
   std::printf("DVI (%s): dead vias %d / %d, uncolorable %d, %.2fs\n",
-              core::dvi_method_name(options.method), result.dvi.dead_vias,
-              result.single_vias, result.dvi.uncolorable, result.dvi.seconds);
+              core::dvi_method_name(options.job.dvi_method),
+              result.dvi.dead_vias, result.single_vias, result.dvi.uncolorable,
+              result.dvi.seconds);
 
   if (options.print_stats || !options.json_report_path.empty()) {
     const core::DesignStats stats = core::collect_design_stats(router);
@@ -443,7 +492,7 @@ int finish_single(const CliOptions& options, const netlist::PlacedNetlist& insta
     std::ostringstream out;
     core::write_solution(out, core::capture_solution(instance.name,
                                                      router.routing_grid(),
-                                                     options.style,
+                                                     options.job.style,
                                                      router.nets()));
     if (write_file_atomically(options.save_solution_path, out.str()) != 0) {
       exit_code = 1;
@@ -460,48 +509,215 @@ int finish_single(const CliOptions& options, const netlist::PlacedNetlist& insta
   return exit_code;
 }
 
-/// Incremental ECO mode (--delta): build a FlowDeltaRequest from the single
-/// job source plus the change-spec flags, dispatch it in-process, and either
-/// dump the raw wire lines (--wire, for byte-comparison against a daemon's
-/// stream in the smoke tests) or post-process like any single run.
-int run_delta(const CliOptions& options) {
-  api::FlowDeltaRequest eco;
-  eco.base = job_request(options);
-  eco.base_solution_path = options.base_solution_path;
+/// Materialize a job's instance here too: the banner, the exact parse
+/// diagnostics and --validate need it; dispatch re-derives it from the same
+/// deterministic source.
+int load_instance(const api::JobRequest& job,
+                  netlist::PlacedNetlist* instance) {
+  if (!job.benchmark.empty()) {
+    const auto spec = netlist::spec_for(job.benchmark, job.scaled);
+    if (!spec) {
+      std::fprintf(stderr, "unknown benchmark %s\n", job.benchmark.c_str());
+      return 1;
+    }
+    *instance = netlist::generate(*spec);
+    return 0;
+  }
+  std::ifstream in(job.netlist_path);
+  if (!in) {
+    std::fprintf(stderr, "cannot open %s\n", job.netlist_path.c_str());
+    return 1;
+  }
+  std::string error;
+  auto parsed = netlist::read_netlist(in, &error);
+  if (!parsed) {
+    std::fprintf(stderr, "parse error: %s\n", error.c_str());
+    return 1;
+  }
+  *instance = std::move(*parsed);
+  return 0;
+}
 
-  // Materialize the base instance here: the banner needs it, and --validate
-  // checks the re-route against the *edited* netlist derived from it.
+/// One stderr line per finished row, local or remote.
+void print_progress(const engine::JobOutcome& outcome, std::size_t done,
+                    std::size_t total) {
+  std::fprintf(stderr, "[%zu/%zu] %s: status=%s %.2fs%s\n", done, total,
+               outcome.label.c_str(), engine::job_status_name(outcome.status),
+               outcome.metrics.total_seconds,
+               outcome.from_journal ? " (resumed)" : "");
+}
+
+/// The result table of a batch, local or remote; a failed row's error goes
+/// to stderr.
+void print_table(const std::vector<engine::JobOutcome>& rows) {
+  util::TextTable table(
+      {"CKT", "status", "WL", "#Vias", "CPU(s)", "#DV", "#UV", "routed"});
+  for (const auto& outcome : rows) {
+    const core::ExperimentResult& r = outcome.result;
+    table.begin_row();
+    table.cell(outcome.label);
+    table.cell(engine::job_status_name(outcome.status));
+    table.cell(r.routing.wirelength);
+    table.cell(r.routing.via_count);
+    table.cell(r.routing.route_seconds, 1);
+    table.cell(r.dvi.dead_vias);
+    table.cell(r.dvi.uncolorable);
+    table.cell(!outcome.ok() ? "-" : (r.routing.routed_all ? "100%" : "NO"));
+    if (!outcome.ok()) {
+      std::fprintf(stderr, "job %s %s: %s\n", outcome.label.c_str(),
+                   engine::job_status_name(outcome.status),
+                   outcome.error.to_string().c_str());
+    }
+  }
+  table.print();
+}
+
+/// The line under every batch table.  `counts` is the local
+/// engine::BatchResult or a server::RemoteBatch; a remote one names the
+/// server's workers and its result-cache hits.
+template <typename Counts>
+void print_summary(const Counts& counts, std::size_t jobs, int workers,
+                   double wall_seconds) {
+  constexpr bool kRemote = std::is_same_v<Counts, server::RemoteBatch>;
+  std::printf(
+      "%zu jobs on %d %sworkers in %.2fs wall (%zu ok, %zu degraded, "
+      "%zu failed, %zu timeout, %zu cancelled, %zu resumed",
+      jobs, workers, kRemote ? "server " : "", wall_seconds, counts.ok,
+      counts.degraded, counts.failed, counts.timed_out, counts.cancelled,
+      counts.resumed);
+  if constexpr (kRemote) {
+    std::printf(", cache %zu/%zu", counts.cache_hits,
+                counts.cache_hits + counts.cache_misses);
+  }
+  std::printf(")\n");
+}
+
+/// What a --connect run prints: the rows that streamed back, the server's
+/// summary, and for an ECO its "delta" line.  Rows arrive in completion
+/// order; the table lists them in the order of `jobs`, as a local batch
+/// does, so equal runs print equal tables.
+int finish_remote(server::RemoteBatch batch,
+                  const std::vector<api::JobRequest>& jobs) {
+  if (!batch.status.is_ok()) {
+    std::fprintf(stderr, "server error%s: %s\n",
+                 batch.attempts > 1 ? " (after retries)" : "",
+                 batch.status.to_string().c_str());
+    return 1;
+  }
+  const auto rank = [&](const engine::JobOutcome& row) {
+    return std::find_if(jobs.begin(), jobs.end(),
+                        [&](const api::JobRequest& job) {
+                          return api::effective_label(job) == row.label;
+                        }) -
+           jobs.begin();
+  };
+  std::stable_sort(
+      batch.rows.begin(), batch.rows.end(),
+      [&](const auto& a, const auto& b) { return rank(a) < rank(b); });
+  print_table(batch.rows);
+  print_summary(batch, batch.jobs, batch.workers, batch.wall_seconds);
+  if (batch.delta_received) {
+    std::printf("delta: %d/%d net(s) ripped, %d untouched, base=%s\n",
+                batch.nets_ripped, batch.nets_total, batch.nets_untouched,
+                batch.base_fingerprint.c_str());
+  }
+  return batch.all_ok() ? 0 : 1;
+}
+
+/// --control VERB: one control-plane round trip, its reply printed.
+int run_control(const CliOptions& options) {
+  const std::string& host = options.remote->host;
+  const int port = options.remote->port;
+  const std::string& verb = options.control;
+  util::Status status;
+  if (verb == "ping") {
+    double uptime = 0.0;
+    status = server::ping_remote(host, port, &uptime);
+    if (status.is_ok()) std::printf("pong uptime=%.1fs\n", uptime);
+  } else if (verb == "stats") {
+    api::StatsReply stats;
+    status = server::query_stats(host, port, &stats);
+    if (status.is_ok()) {
+      std::printf(
+          "queue_depth=%zu active=%zu rejected=%zu cache_hits=%zu "
+          "cache_misses=%zu pool=%d uptime=%.1fs draining=%s "
+          "latency_p50_ms=%.3f latency_p99_ms=%.3f\n",
+          stats.queue_depth, stats.active, stats.rejected, stats.cache_hits,
+          stats.cache_misses, stats.pool_size, stats.uptime_seconds,
+          stats.draining ? "yes" : "no", stats.latency_p50_ms,
+          stats.latency_p99_ms);
+      for (const auto& peer : stats.peers) {
+        std::printf("peer %s: queue_depth=%d active=%d age=%.2fs alive=%s\n",
+                    peer.addr.c_str(), peer.queue_depth, peer.active,
+                    peer.age_seconds, peer.alive ? "yes" : "no");
+      }
+    }
+  } else if (verb == "metrics") {
+    std::string exposition;
+    status = server::query_metrics(host, port, &exposition);
+    if (status.is_ok()) std::fputs(exposition.c_str(), stdout);
+  } else if (verb == "drain") {
+    status = server::drain_remote(host, port);
+    if (status.is_ok()) std::printf("draining\n");
+  } else if (verb == "schemas") {
+    api::SchemasReply schemas;
+    status = server::query_schemas(host, port, &schemas);
+    if (status.is_ok()) {
+      std::printf("request:  %s\nresponse: %s\ncontrol:  %s\ndelta:    %s\n",
+                  schemas.request.c_str(), schemas.response.c_str(),
+                  schemas.control.c_str(),
+                  schemas.delta.empty() ? "(unsupported)"
+                                        : schemas.delta.c_str());
+    }
+  } else if (verb == "failpoints") {
+    std::size_t armed = 0;
+    status = server::configure_failpoints_remote(
+        host, port, options.failpoints_spec, options.failpoints_seed, &armed);
+    if (status.is_ok()) std::printf("failpoints armed=%zu\n", armed);
+  } else {
+    std::fprintf(stderr,
+                 "unknown --control verb '%s' (want ping, stats, metrics, "
+                 "drain, schemas or failpoints)\n",
+                 verb.c_str());
+    return 2;
+  }
+  if (!status.is_ok()) {
+    std::fprintf(stderr, "%s failed: %s\n", verb.c_str(),
+                 status.to_string().c_str());
+    return 1;
+  }
+  return 0;
+}
+
+/// Incremental ECO mode (--delta): a FlowDeltaRequest from the one base job
+/// plus the change-spec flags.  Remote, it goes over the wire with the base
+/// solution inlined.  In-process, it either dumps the raw wire lines
+/// (--wire, for byte-comparison against a daemon's stream in the smoke
+/// tests) or post-processes like any single run.
+int run_delta(const CliOptions& options, api::JobRequest base) {
+  api::FlowDeltaRequest eco;
+  eco.base = std::move(base);
   netlist::PlacedNetlist base_instance;
-  if (!options.benchmark.empty()) {
-    const std::vector<std::string> names = split_names(options.benchmark);
-    if (names.size() != 1 || options.benchmark == "all") {
-      std::fprintf(stderr, "--delta needs a single --benchmark name\n");
+  if (options.remote) {
+    // The server need not share this filesystem: send the text, not a path.
+    std::ifstream in(options.base_solution_path);
+    if (!in) {
+      std::fprintf(stderr, "cannot open %s\n",
+                   options.base_solution_path.c_str());
       return 2;
     }
-    const auto spec = netlist::spec_for(names[0], !options.full_scale);
-    if (!spec) {
-      std::fprintf(stderr, "unknown benchmark %s\n", names[0].c_str());
-      return 1;
-    }
-    base_instance = netlist::generate(*spec);
-    eco.base.benchmark = names[0];
-    eco.base.scaled = !options.full_scale;
+    std::ostringstream text;
+    text << in.rdbuf();
+    eco.base_solution = text.str();
   } else {
-    std::ifstream in(options.netlist_path);
-    if (!in) {
-      std::fprintf(stderr, "cannot open %s\n", options.netlist_path.c_str());
-      return 1;
+    // --validate checks the re-route against the *edited* netlist derived
+    // from the base instance.
+    if (const int code = load_instance(eco.base, &base_instance); code != 0) {
+      return code;
     }
-    std::string error;
-    const auto parsed = netlist::read_netlist(in, &error);
-    if (!parsed) {
-      std::fprintf(stderr, "parse error: %s\n", error.c_str());
-      return 1;
-    }
-    base_instance = *parsed;
-    eco.base.netlist_path = options.netlist_path;
+    eco.base.label = base_instance.name;
+    eco.base_solution_path = options.base_solution_path;
   }
-  eco.base.label = base_instance.name;
 
   if (const util::Status parsed = api::parse_change_specs(
           options.move_pins, options.remove_nets, options.add_nets,
@@ -509,6 +725,16 @@ int run_delta(const CliOptions& options) {
       !parsed.is_ok()) {
     std::fprintf(stderr, "%s\n", parsed.to_string().c_str());
     return 2;
+  }
+  if (options.remote) {
+    if (options.trace_context) {
+      api::ensure_delta_trace_context(&eco);
+      std::fprintf(stderr, "trace_id=%s\n", eco.trace_id.c_str());
+    }
+    return finish_remote(server::run_remote_delta(options.remote->host,
+                                                  options.remote->port, eco,
+                                                  print_progress),
+                         {eco.base});
   }
   if (!options.wire) {
     std::printf("eco %s: %zu change(s), base %s...\n",
@@ -557,38 +783,16 @@ int run_delta(const CliOptions& options) {
 }
 
 /// Batch mode: several benchmarks through the engine, summary table + metrics.
-int run_batch(const CliOptions& options, const std::vector<std::string>& names) {
-  api::FlowRequest request = flow_request(options);
-  for (const auto& name : names) {
-    api::JobRequest job = job_request(options);
-    job.label = name;
-    job.benchmark = name;
-    job.scaled = !options.full_scale;
-    request.jobs.push_back(std::move(job));
-  }
-
+int run_batch(const CliOptions& options, const api::FlowRequest& request) {
   api::DispatchOptions hooks;
   hooks.keep_router = options.validate;
-  hooks.on_job_done = [](const engine::JobOutcome& outcome, std::size_t done,
-                         std::size_t total) {
-    if (outcome.ok()) {
-      std::fprintf(stderr, "[%zu/%zu] %s: %.2fs\n", done, total,
-                   outcome.label.c_str(), outcome.metrics.total_seconds);
-    } else {
-      std::fprintf(stderr, "[%zu/%zu] %s: status=%s (%s)\n", done, total,
-                   outcome.label.c_str(),
-                   engine::job_status_name(outcome.status),
-                   outcome.error.to_string().c_str());
-    }
-  };
+  hooks.on_job_done = print_progress;
   const api::DispatchResult run = api::dispatch(request, hooks);
   if (!run.status.is_ok()) {
     std::fprintf(stderr, "%s\n", run.status.message().c_str());
     return 2;
   }
   const engine::BatchResult& batch = run.batch;
-  const double wall_seconds = run.wall_seconds;
-  const int workers = run.workers;
   if (batch.journal_skipped > 0) {
     std::fprintf(stderr,
                  "journal: skipped %zu torn/corrupt record(s) during resume\n",
@@ -599,27 +803,10 @@ int run_batch(const CliOptions& options, const std::vector<std::string>& names) 
                  batch.journal_error.to_string().c_str());
   }
 
-  util::TextTable table(
-      {"CKT", "status", "WL", "#Vias", "CPU(s)", "#DV", "#UV", "routed"});
   int exit_code = batch.exit_code();
   for (const auto& outcome : batch.outcomes) {
-    const core::ExperimentResult& r = outcome.result;
-    table.begin_row();
-    table.cell(outcome.label);
-    table.cell(engine::job_status_name(outcome.status));
-    table.cell(r.routing.wirelength);
-    table.cell(r.routing.via_count);
-    table.cell(r.routing.route_seconds, 1);
-    table.cell(r.dvi.dead_vias);
-    table.cell(r.dvi.uncolorable);
-    table.cell(!outcome.ok() ? "-" : (r.routing.routed_all ? "100%" : "NO"));
-    if (!outcome.ok()) {
-      std::fprintf(stderr, "job %s %s: %s\n", outcome.label.c_str(),
-                   engine::job_status_name(outcome.status),
-                   outcome.error.to_string().c_str());
-      continue;
-    }
-    if (!r.routing.routed_all) exit_code = 1;
+    if (!outcome.ok()) continue;
+    if (!outcome.result.routing.routed_all) exit_code = 1;
     if (options.validate && outcome.router != nullptr) {
       const netlist::PlacedNetlist instance = netlist::generate(
           *netlist::spec_for(outcome.label, !options.full_scale));
@@ -630,95 +817,31 @@ int run_batch(const CliOptions& options, const std::vector<std::string>& names) 
       }
     }
   }
-  table.print();
-  std::printf(
-      "%zu jobs on %d workers in %.2fs wall (%zu ok, %zu degraded, %zu failed, "
-      "%zu timeout, %zu cancelled, %zu resumed)\n",
-      batch.outcomes.size(), workers, wall_seconds, batch.ok, batch.degraded,
-      batch.failed, batch.timed_out, batch.cancelled, batch.resumed);
+  print_table(batch.outcomes);
+  print_summary(batch, batch.outcomes.size(), run.workers, run.wall_seconds);
 
   if (!options.json_report_path.empty() &&
-      write_file_atomically(
-          options.json_report_path,
-          engine::metrics_json(batch.outcomes, workers, wall_seconds) + "\n") !=
-          0) {
+      write_file_atomically(options.json_report_path,
+                            engine::metrics_json(batch.outcomes, run.workers,
+                                                 run.wall_seconds) +
+                                "\n") != 0) {
     return 1;
   }
   return exit_code;
 }
 
-int dispatch(CliOptions* options) {
-  if (!options->dvi_only_path.empty()) return run_dvi_only(*options);
-  if (options->delta) return run_delta(*options);
-
-  // Batch mode: several generated benchmarks through the engine.
-  if (!options->benchmark.empty()) {
-    std::vector<std::string> names = split_names(options->benchmark);
-    if (options->benchmark == "all") {
-      names.clear();
-      for (const auto& row : options->full_scale ? netlist::paper_benchmarks()
-                                                 : netlist::scaled_benchmarks()) {
-        names.push_back(row.name);
-      }
-    }
-    if (names.size() > 1) {
-      if (!options->save_solution_path.empty() || !options->svg_path.empty()) {
-        std::fprintf(stderr,
-                     "--save-solution/--svg apply to single-instance runs only\n");
-        return 2;
-      }
-      return run_batch(*options, names);
-    }
-    if (names.empty()) {
-      std::fprintf(stderr, "no benchmark names given\n");
-      return 2;
-    }
-    options->benchmark = names[0];
-  }
-
-  // Single-instance mode (one benchmark or a netlist file): a one-job
-  // request with the router retained for validation/rendering.  The
-  // instance is materialized here too (the banner and the exact parse
-  // diagnostics need it); the dispatch layer re-derives it from the same
-  // deterministic source.
+/// Single-instance mode (one benchmark or a netlist file): a one-job request
+/// with the router retained for validation/rendering; the row is labelled
+/// with the instance name.
+int run_single(const CliOptions& options, api::FlowRequest request) {
+  api::JobRequest& job = request.jobs.front();
   netlist::PlacedNetlist instance;
-  if (!options->benchmark.empty()) {
-    const auto spec = netlist::spec_for(options->benchmark, !options->full_scale);
-    if (!spec) {
-      std::fprintf(stderr, "unknown benchmark %s\n", options->benchmark.c_str());
-      return 1;
-    }
-    instance = netlist::generate(*spec);
-  } else {
-    std::ifstream in(options->netlist_path);
-    if (!in) {
-      std::fprintf(stderr, "cannot open %s\n", options->netlist_path.c_str());
-      return 1;
-    }
-    std::string error;
-    const auto parsed = netlist::read_netlist(in, &error);
-    if (!parsed) {
-      std::fprintf(stderr, "parse error: %s\n", error.c_str());
-      return 1;
-    }
-    instance = *parsed;
-  }
-
+  if (const int code = load_instance(job, &instance); code != 0) return code;
   std::printf("routing %s (%d nets, %dx%d, %s, dvi=%d tpl=%d)...\n",
               instance.name.c_str(), instance.num_nets(), instance.width,
-              instance.height, grid::style_name(options->style),
-              options->consider_dvi, options->consider_tpl);
-
-  api::FlowRequest request = flow_request(*options);
-  api::JobRequest job = job_request(*options);
+              instance.height, grid::style_name(options.job.style),
+              options.job.consider_dvi, options.job.consider_tpl);
   job.label = instance.name;
-  if (!options->benchmark.empty()) {
-    job.benchmark = options->benchmark;
-    job.scaled = !options->full_scale;
-  } else {
-    job.netlist_path = options->netlist_path;
-  }
-  request.jobs.push_back(std::move(job));
 
   api::DispatchOptions hooks;
   hooks.keep_router = true;
@@ -727,7 +850,42 @@ int dispatch(CliOptions* options) {
     std::fprintf(stderr, "%s\n", run.status.message().c_str());
     return 1;
   }
-  return finish_single(*options, instance, run.batch.outcomes[0]);
+  return finish_single(options, instance, run.batch.outcomes[0]);
+}
+
+int dispatch(const CliOptions& options) {
+  if (!options.control.empty()) return run_control(options);
+  if (!options.dvi_only_path.empty()) return run_dvi_only(options);
+
+  api::FlowRequest request = flow_request(options);
+  if (request.jobs.empty()) {
+    std::fprintf(stderr, "no benchmark names given\n");
+    return 2;
+  }
+  if (options.delta) {
+    if (request.jobs.size() != 1) {
+      std::fprintf(stderr, "--delta needs a single --benchmark name\n");
+      return 2;
+    }
+    return run_delta(options, std::move(request.jobs.front()));
+  }
+  if (options.remote) {
+    if (options.trace_context) {
+      api::ensure_trace_context(&request);
+      std::fprintf(stderr, "trace_id=%s\n", request.trace_id.c_str());
+    }
+    return finish_remote(
+        server::run_remote_retry(options.remote->host, options.remote->port,
+                                 request, options.retry, print_progress),
+        request.jobs);
+  }
+  if (request.jobs.size() == 1) return run_single(options, std::move(request));
+  if (!options.save_solution_path.empty() || !options.svg_path.empty()) {
+    std::fprintf(stderr,
+                 "--save-solution/--svg apply to single-instance runs only\n");
+    return 2;
+  }
+  return run_batch(options, request);
 }
 
 }  // namespace
@@ -738,11 +896,11 @@ int main(int argc, char** argv) {
   // Work outside the engine's isolation boundary (benchmark generation for
   // --validate, solution loading, ...) can still throw; exit cleanly.
   try {
-    if (options->trace_path.empty()) return dispatch(&*options);
+    if (options->trace_path.empty()) return dispatch(*options);
 
     obs::TraceSession session;
     session.install();
-    const int code = dispatch(&*options);
+    const int code = dispatch(*options);
     // All engine workers are joined by now; merge and write the trace.
     session.uninstall();
     const util::Status written = session.write_json(options->trace_path);

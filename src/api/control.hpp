@@ -31,8 +31,8 @@
 //   → {"type":"metrics"}
 //   ← {"schema":"sadp.control.v1","type":"metrics","body":"# HELP ..."}
 //     (the body is the process's Prometheus text exposition — see
-//     obs/metrics.hpp — JSON-escaped into a single line; `sadp_routed
-//     --metrics` / `sadp_route_dispatch --metrics` unescape and print it,
+//     obs/metrics.hpp — JSON-escaped into a single line; `sadp_route
+//     --connect HOST:PORT --control metrics` unescapes and prints it,
 //     which is what a scrape sidecar or the smoke tests consume)
 //
 // The dispatcher's health probes are plain "stats" round trips; a

@@ -169,24 +169,6 @@ constexpr JobField kJobFields[] = {
 
 }  // namespace
 
-std::optional<grid::SadpStyle> parse_style(const std::string& name) {
-  for (const grid::SadpStyle s :
-       {grid::SadpStyle::kSim, grid::SadpStyle::kSid, grid::SadpStyle::kSaqpSim,
-        grid::SadpStyle::kSimTrim}) {
-    if (name == grid::style_name(s)) return s;
-  }
-  return std::nullopt;
-}
-
-std::optional<core::DviMethod> parse_dvi_method(const std::string& name) {
-  for (const core::DviMethod m :
-       {core::DviMethod::kIlp, core::DviMethod::kHeuristic,
-        core::DviMethod::kExact}) {
-    if (name == core::dvi_method_name(m)) return m;
-  }
-  return std::nullopt;
-}
-
 std::string mint_trace_id() {
   static std::atomic<std::uint64_t> counter{0};
   std::uint64_t x = static_cast<std::uint64_t>(util::unix_now_us());
@@ -312,13 +294,13 @@ bool read_job_request(const util::JsonValue& doc, JobRequest* job,
         break;
     }
   }
-  const auto style = parse_style(style_name);
+  const auto style = grid::parse_style(style_name);
   if (!style) {
     *error = "unknown style '" + style_name + "'";
     return false;
   }
   job->style = *style;
-  const auto method = parse_dvi_method(method_name);
+  const auto method = core::parse_dvi_method(method_name);
   if (!method) {
     *error = "unknown dvi_method '" + method_name + "'";
     return false;

@@ -10,12 +10,13 @@
 //   FlowRequest request = ...;            // from CLI flags or a socket line
 //   DispatchResult run = api::dispatch(request, hooks);
 //
-// The CLI (sadp_route) builds a request from its flags and dispatches it
-// in-process; the daemon (sadp_routed) parses the identical JSON off a TCP
-// socket and dispatches it on its shared worker pool; the client tool
-// serializes the same struct onto the wire.  A CLI invocation therefore IS
-// a local request — there is exactly one place where requests are
-// validated, materialized into jobs, and turned into outcome rows.
+// The CLI (sadp_route) builds a request from its flags and either
+// dispatches it in-process or, with --connect, serializes the same struct
+// onto the wire; the daemon (sadp_routed) parses that JSON off a TCP
+// socket and dispatches it on its shared worker pool.  A CLI invocation
+// therefore IS a local request — there is exactly one place where
+// requests are validated, materialized into jobs, and turned into outcome
+// rows.
 //
 // Wire framing is newline-delimited JSON: the client sends one
 // flow_request.v1 line; the server streams back one flow_response.v1 line
@@ -42,13 +43,6 @@ namespace sadp::api {
 
 inline constexpr const char* kRequestSchema = "sadp.flow_request.v1";
 inline constexpr const char* kResponseSchema = "sadp.flow_response.v1";
-
-/// Parse a style/DVI-method name as it appears in requests, journals and
-/// CLI flags ("SIM", "SID", ... / "heuristic", "exact", "ILP").
-[[nodiscard]] std::optional<grid::SadpStyle> parse_style(
-    const std::string& name);
-[[nodiscard]] std::optional<core::DviMethod> parse_dvi_method(
-    const std::string& name);
 
 /// One job of a request.  Exactly one instance source must be set:
 /// `benchmark` (a Table I name, resolved with `scaled`), an inline

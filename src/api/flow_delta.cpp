@@ -1,7 +1,7 @@
 #include "api/flow_delta.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -10,6 +10,7 @@
 #include "netlist/bench_gen.hpp"
 #include "netlist/io.hpp"
 #include "obs/trace.hpp"
+#include "util/args.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -383,28 +384,17 @@ std::string response_delta_line(const core::EcoSummary& summary,
 
 namespace {
 
-std::vector<std::string> split_specs(const std::string& text, char sep) {
-  std::vector<std::string> tokens;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t at = text.find(sep, start);
-    const std::string token =
-        text.substr(start, at == std::string::npos ? at : at - start);
-    if (!token.empty()) tokens.push_back(token);
-    if (at == std::string::npos) break;
-    start = at + 1;
-  }
-  return tokens;
-}
-
-bool parse_spec_ints(const std::string& csv, std::size_t expect,
+/// Each ','-separated token must be a whole decimal int: "4294967306" and
+/// "10x" fail instead of wrapping or truncating.
+bool parse_spec_ints(std::string_view csv, std::size_t expect,
                      std::vector<int>* out) {
   out->clear();
-  for (const std::string& token : split_specs(csv, ',')) {
-    char* end = nullptr;
-    const long value = std::strtol(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0') return false;
-    out->push_back(static_cast<int>(value));
+  for (const std::string& token : util::split_list(csv, ',')) {
+    int value = 0;
+    const char* end = token.data() + token.size();
+    const auto [stop, ec] = std::from_chars(token.data(), end, value);
+    if (ec != std::errc() || stop != end) return false;
+    out->push_back(value);
   }
   return expect == 0 || out->size() == expect;
 }
@@ -417,7 +407,7 @@ util::Status parse_change_specs(const std::string& move_pins,
                                 const std::string& blockages,
                                 std::vector<core::EcoChange>* changes) {
   std::vector<int> values;
-  for (const std::string& spec : split_specs(move_pins, ';')) {
+  for (const std::string& spec : util::split_list(move_pins, ';')) {
     if (!parse_spec_ints(spec, 4, &values)) {
       return util::Status::invalid_input("bad move-pin spec '" + spec +
                                          "' (want net,pin,x,y)");
@@ -429,7 +419,7 @@ util::Status parse_change_specs(const std::string& move_pins,
     change.to = {values[2], values[3]};
     changes->push_back(std::move(change));
   }
-  for (const std::string& spec : split_specs(removes, ';')) {
+  for (const std::string& spec : util::split_list(removes, ';')) {
     if (!parse_spec_ints(spec, 1, &values)) {
       return util::Status::invalid_input("bad remove-net spec '" + spec +
                                          "' (want a net id)");
@@ -439,7 +429,7 @@ util::Status parse_change_specs(const std::string& move_pins,
     change.net = values[0];
     changes->push_back(std::move(change));
   }
-  for (const std::string& spec : split_specs(add_nets, ';')) {
+  for (const std::string& spec : util::split_list(add_nets, ';')) {
     // name:x,y,x,y,...  (flat coordinate list, >= 2 pins)
     const std::size_t colon = spec.find(':');
     core::EcoChange change;
@@ -457,7 +447,7 @@ util::Status parse_change_specs(const std::string& move_pins,
     }
     changes->push_back(std::move(change));
   }
-  for (const std::string& spec : split_specs(blockages, ';')) {
+  for (const std::string& spec : util::split_list(blockages, ';')) {
     if (!parse_spec_ints(spec, 4, &values)) {
       return util::Status::invalid_input("bad add-blockage spec '" + spec +
                                          "' (want x0,y0,x1,y1)");

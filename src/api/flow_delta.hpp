@@ -58,15 +58,15 @@ struct FlowDeltaRequest {
 /// present; deep validation against the base happens in apply_eco_changes).
 [[nodiscard]] util::Status validate_delta(const FlowDeltaRequest& request);
 
-/// Parse the command-line change-spec grammar shared by `sadp_route
-/// --delta` and `sadp_route_client --delta`.  Each argument holds zero or
-/// more ';'-separated entries:
+/// Parse the command-line change-spec grammar of `sadp_route --delta`, run
+/// in-process or sent with `--connect`.  Each argument holds zero or more
+/// ';'-separated entries:
 ///   move_pins  "net,pin,x,y"
 ///   removes    "net"
 ///   add_nets   "name:x,y,x,y,..."  (flat coords, >= 2 pins; name optional)
 ///   blockages  "x0,y0,x1,y1"
-/// Parsed changes append to `*changes`; kInvalidInput names the offending
-/// spec.  Purely lexical — id/bounds validation happens in validate_delta
+/// Every number must be a whole decimal int.  Parsed changes append to
+/// `*changes`; kInvalidInput names the offending spec.  Purely lexical — id/bounds validation happens in validate_delta
 /// and apply_eco_changes.
 [[nodiscard]] util::Status parse_change_specs(
     const std::string& move_pins, const std::string& removes,

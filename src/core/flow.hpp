@@ -3,7 +3,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/dvi_ilp.hpp"
@@ -23,6 +25,17 @@ enum class DviMethod { kIlp, kHeuristic, kExact };
     case DviMethod::kExact: return "exact";
   }
   return "?";
+}
+
+/// Inverse of dvi_method_name, exact case ("ILP", "heuristic", "exact"),
+/// as requests and journals spell a method.
+[[nodiscard]] constexpr std::optional<DviMethod> parse_dvi_method(
+    std::string_view name) noexcept {
+  for (const DviMethod m :
+       {DviMethod::kIlp, DviMethod::kHeuristic, DviMethod::kExact}) {
+    if (name == dvi_method_name(m)) return m;
+  }
+  return std::nullopt;
 }
 
 /// One table row: routing metrics plus post-routing DVI metrics.

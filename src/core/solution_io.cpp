@@ -10,18 +10,6 @@ namespace sadp::core {
 
 namespace {
 
-const char* style_token(grid::SadpStyle style) {
-  return grid::style_name(style);
-}
-
-std::optional<grid::SadpStyle> parse_style(std::string_view token) {
-  if (token == "SIM") return grid::SadpStyle::kSim;
-  if (token == "SID") return grid::SadpStyle::kSid;
-  if (token == "SAQP-SIM") return grid::SadpStyle::kSaqpSim;
-  if (token == "SIM-TRIM") return grid::SadpStyle::kSimTrim;
-  return std::nullopt;
-}
-
 /// Largest header width/height: metal keys hold 24-bit coordinates.
 constexpr int kMaxSide = 1 << 24;
 
@@ -127,7 +115,7 @@ std::string solution_to_text(const RoutedSolution& solution) {
     append_int(out, field);
   }
   out += ' ';
-  out += style_token(solution.style);
+  out += grid::style_name(solution.style);
   out += '\n';
 
   // Deterministic order for reproducible files (and stable fingerprints).
@@ -237,7 +225,7 @@ std::optional<RoutedSolution> parse_solution(std::string_view text,
           (style_text = tokens.word()).empty()) {
         return fail("malformed solution header" + at_line());
       }
-      const auto style = parse_style(style_text);
+      const auto style = grid::parse_style(style_text);
       if (!style) {
         return fail("unknown style '" + std::string(style_text) + "'");
       }

@@ -23,24 +23,6 @@ namespace sadp::engine {
 
 namespace {
 
-std::optional<grid::SadpStyle> parse_style(const std::string& name) {
-  for (const grid::SadpStyle s :
-       {grid::SadpStyle::kSim, grid::SadpStyle::kSid, grid::SadpStyle::kSaqpSim,
-        grid::SadpStyle::kSimTrim}) {
-    if (name == grid::style_name(s)) return s;
-  }
-  return std::nullopt;
-}
-
-std::optional<core::DviMethod> parse_dvi_method(const std::string& name) {
-  for (const core::DviMethod m :
-       {core::DviMethod::kIlp, core::DviMethod::kHeuristic,
-        core::DviMethod::kExact}) {
-    if (name == core::dvi_method_name(m)) return m;
-  }
-  return std::nullopt;
-}
-
 std::optional<ilp::SolveStatus> parse_solve_status(const std::string& name) {
   for (const ilp::SolveStatus s :
        {ilp::SolveStatus::kOptimal, ilp::SolveStatus::kFeasible,
@@ -214,8 +196,9 @@ std::optional<JobOutcome> parse_outcome_object(const util::JsonValue& doc,
   outcome.arm = get_string(doc, "arm", bad);
 
   const auto status = parse_job_status(get_string(doc, "status", bad));
-  const auto style = parse_style(get_string(doc, "style", bad));
-  const auto method = parse_dvi_method(get_string(doc, "dvi_method", bad));
+  const auto style = grid::parse_style(get_string(doc, "style", bad));
+  const auto method =
+      core::parse_dvi_method(get_string(doc, "dvi_method", bad));
   const auto ilp_status = parse_solve_status(get_string(doc, "ilp_status", bad));
   if (bad || !status || !style || !method || !ilp_status) {
     return fail("malformed journal record for label '" + outcome.label + "'");

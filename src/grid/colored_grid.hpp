@@ -19,6 +19,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "grid/geometry.hpp"
 
@@ -43,6 +45,18 @@ enum class SadpStyle : std::uint8_t {
     case SadpStyle::kSimTrim: return "SIM-TRIM";
   }
   return "?";
+}
+
+/// Inverse of style_name, exact case ("SIM", "SID", "SAQP-SIM",
+/// "SIM-TRIM"): requests, journals, solution files and CLI flags all spell
+/// a style this way.
+[[nodiscard]] constexpr std::optional<SadpStyle> parse_style(
+    std::string_view name) noexcept {
+  for (const SadpStyle s : {SadpStyle::kSim, SadpStyle::kSid,
+                            SadpStyle::kSaqpSim, SadpStyle::kSimTrim}) {
+    if (name == style_name(s)) return s;
+  }
+  return std::nullopt;
 }
 
 /// Panel color in the SIM pre-assignment.

@@ -15,6 +15,7 @@
 #include "api/flow_delta.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "server/route_client.hpp"
 #include "util/failpoint.hpp"
 
 namespace sadp::server {
@@ -43,18 +44,6 @@ DispatchMetrics& dispatch_metrics() {
           "Backend probes that failed (connect, send, or bad stats reply)."),
   };
   return m;
-}
-
-bool split_host_port(const std::string& addr, std::string* host, int* port) {
-  const std::size_t colon = addr.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= addr.size()) return false;
-  *host = addr.substr(0, colon);
-  try {
-    *port = std::stoi(addr.substr(colon + 1));
-  } catch (...) {
-    return false;
-  }
-  return *port > 0 && *port < 65536;
 }
 
 /// Connect to a backend.  timeout_ms > 0 arms SO_RCVTIMEO/SO_SNDTIMEO
@@ -125,11 +114,14 @@ util::Status RouteDispatcher::start() {
     return util::Status::invalid_input("dispatcher needs at least one backend");
   }
   for (const std::string& addr : options_.backends) {
-    Backend backend;
-    backend.addr = addr;
-    if (!split_host_port(addr, &backend.host, &backend.port)) {
+    const std::optional<HostPort> parsed = parse_host_port(addr);
+    if (!parsed) {
       return util::Status::invalid_input("bad backend address: " + addr);
     }
+    Backend backend;
+    backend.addr = addr;
+    backend.host = parsed->host;
+    backend.port = parsed->port;
     backend.relay_latency = &obs::metrics().histogram(
         "sadp_dispatch_relay_seconds",
         "Committed request relay latency per backend (connect to last byte).",

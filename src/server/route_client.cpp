@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -59,6 +60,20 @@ bool send_all(int fd, const std::string& data) {
 }
 
 }  // namespace
+
+std::optional<HostPort> parse_host_port(std::string_view addr) {
+  const std::size_t colon = addr.rfind(':');
+  if (colon == std::string_view::npos || colon == 0) return std::nullopt;
+  HostPort out;
+  out.host = std::string(addr.substr(0, colon));
+  const char* end = addr.data() + addr.size();
+  const auto [stop, ec] =
+      std::from_chars(addr.data() + colon + 1, end, out.port);
+  if (ec != std::errc() || stop != end || out.port < 1 || out.port > 65535) {
+    return std::nullopt;
+  }
+  return out;
+}
 
 namespace {
 

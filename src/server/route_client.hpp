@@ -5,7 +5,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/control.hpp"
@@ -15,6 +17,18 @@
 #include "util/status.hpp"
 
 namespace sadp::server {
+
+/// A daemon or dispatcher address, as `sadp_route --connect` and
+/// `sadp_route_dispatch --backends` spell it: "HOST:PORT".
+struct HostPort {
+  std::string host;
+  int port = 0;
+};
+
+/// Split "HOST:PORT" at its last ':'.  The host must be non-empty and the
+/// whole rest a decimal port in 1-65535, so "h:74x0", "h:", ":7470", "h:0"
+/// and "h:70000" are nullopt.
+[[nodiscard]] std::optional<HostPort> parse_host_port(std::string_view addr);
 
 /// Everything one remote batch produced, assembled from the response
 /// stream.  `rows` holds the outcomes in arrival order (completion order on

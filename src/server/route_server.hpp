@@ -180,7 +180,7 @@ class RouteServer {
     return cache_ ? cache_->misses() : 0;
   }
 
-  /// Snapshot for {"type":"stats"} replies and the --stats client mode.
+  /// Snapshot for {"type":"stats"} replies (`sadp_route --control stats`).
   [[nodiscard]] api::StatsReply stats() const;
 
  private:

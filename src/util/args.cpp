@@ -1,5 +1,6 @@
 #include "util/args.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <climits>
@@ -145,6 +146,16 @@ std::string ArgParser::usage(const std::string& argv0) const {
     out += left + option.help + "\n";
   }
   return out;
+}
+
+std::vector<std::string> split_list(std::string_view text, char sep) {
+  std::vector<std::string> tokens;
+  for (std::size_t start = 0; start <= text.size();) {
+    const std::size_t at = std::min(text.find(sep, start), text.size());
+    if (at > start) tokens.emplace_back(text.substr(start, at - start));
+    start = at + 1;
+  }
+  return tokens;
 }
 
 }  // namespace sadp::util

@@ -16,9 +16,15 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sadp::util {
+
+/// Split a list-valued flag ("ecc,efc", "3,1,10,12;5,0,2,2") at `sep`,
+/// dropping empty tokens: "a,,b," gives {"a", "b"}.
+[[nodiscard]] std::vector<std::string> split_list(std::string_view text,
+                                                  char sep);
 
 class ArgParser {
  public:

@@ -356,19 +356,19 @@ TEST(FlowApi, StyleAndMethodNamesParseBothWays) {
   for (const grid::SadpStyle s :
        {grid::SadpStyle::kSim, grid::SadpStyle::kSid, grid::SadpStyle::kSaqpSim,
         grid::SadpStyle::kSimTrim}) {
-    const auto parsed = api::parse_style(grid::style_name(s));
+    const auto parsed = grid::parse_style(grid::style_name(s));
     ASSERT_TRUE(parsed.has_value()) << grid::style_name(s);
     EXPECT_EQ(*parsed, s);
   }
-  EXPECT_FALSE(api::parse_style("EUV").has_value());
+  EXPECT_FALSE(grid::parse_style("EUV").has_value());
   for (const core::DviMethod m :
        {core::DviMethod::kIlp, core::DviMethod::kHeuristic,
         core::DviMethod::kExact}) {
-    const auto parsed = api::parse_dvi_method(core::dvi_method_name(m));
+    const auto parsed = core::parse_dvi_method(core::dvi_method_name(m));
     ASSERT_TRUE(parsed.has_value()) << core::dvi_method_name(m);
     EXPECT_EQ(*parsed, m);
   }
-  EXPECT_FALSE(api::parse_dvi_method("oracle").has_value());
+  EXPECT_FALSE(core::parse_dvi_method("oracle").has_value());
 }
 
 TEST(FlowApi, RowCacheMemberIsOptionalAndForwardCompatible) {

@@ -369,6 +369,62 @@ TEST(DeltaWire, ParserRejectsNonIntegralAndOutOfRangeNumbers) {
   EXPECT_EQ(edge->changes[0].to.x, -2147483647 - 1);
 }
 
+TEST(DeltaWire, ChangeSpecsParseWholeIntsOnly) {
+  // The good form of each op, in flag order.
+  std::vector<core::EcoChange> changes;
+  ASSERT_TRUE(api::parse_change_specs("3,1,10,12;4,0,-2,7", "5",
+                                      "eco_n:1,1,6,6", "4,4,9,9", &changes)
+                  .is_ok());
+  ASSERT_EQ(changes.size(), 5u);
+  EXPECT_EQ(changes[0].kind, core::EcoChange::Kind::kMovePin);
+  EXPECT_EQ(changes[0].net, 3);
+  EXPECT_EQ(changes[0].pin, 1);
+  EXPECT_EQ(changes[0].to, (grid::Point{10, 12}));
+  EXPECT_EQ(changes[1].to, (grid::Point{-2, 7}));
+  EXPECT_EQ(changes[2].kind, core::EcoChange::Kind::kRemoveNet);
+  EXPECT_EQ(changes[2].net, 5);
+  EXPECT_EQ(changes[3].kind, core::EcoChange::Kind::kAddNet);
+  EXPECT_EQ(changes[3].name, "eco_n");
+  EXPECT_EQ(changes[3].pins,
+            (std::vector<grid::Point>{{1, 1}, {6, 6}}));
+  EXPECT_EQ(changes[4].kind, core::EcoChange::Kind::kAddBlockage);
+  EXPECT_EQ(changes[4].rect_lo, (grid::Point{4, 4}));
+  EXPECT_EQ(changes[4].rect_hi, (grid::Point{9, 9}));
+
+  // Empty lists (and empty entries) add nothing.
+  changes.clear();
+  EXPECT_TRUE(api::parse_change_specs("", ";;", "", "", &changes).is_ok());
+  EXPECT_TRUE(changes.empty());
+
+  // An int that overflows, or a token with trailing junk, is rejected with
+  // the op's message; 3,1,4294967306,12 used to wrap to 3,1,10,12.
+  struct Bad {
+    const char* move_pins;
+    const char* removes;
+    const char* add_nets;
+    const char* blockages;
+    const char* message;
+  };
+  for (const Bad& bad : {
+           Bad{"3,1,4294967306,12", "", "", "",
+               "bad move-pin spec '3,1,4294967306,12'"},
+           Bad{"3,1,10x,12", "", "", "", "bad move-pin spec"},
+           Bad{"", "2147483648", "", "", "bad remove-net spec"},
+           Bad{"", "5 ", "", "", "bad remove-net spec"},
+           Bad{"", "", "n:1,1,6,99999999999", "", "bad add-net spec"},
+           Bad{"", "", "n:1,1,6,6z", "", "bad add-net spec"},
+           Bad{"", "", "", "4,4,9,-9999999999", "bad add-blockage spec"},
+           Bad{"", "", "", "4,4,9,9.5", "bad add-blockage spec"},
+       }) {
+    changes.clear();
+    const util::Status status = api::parse_change_specs(
+        bad.move_pins, bad.removes, bad.add_nets, bad.blockages, &changes);
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidInput) << bad.message;
+    EXPECT_NE(status.message().find(bad.message), std::string::npos)
+        << status.message();
+  }
+}
+
 TEST(DeltaWire, LooksLikeDeltaLineDiscriminatesDialects) {
   EXPECT_TRUE(api::looks_like_delta_line(
       R"({"schema":"sadp.flow_delta.v1","base":{}})"));

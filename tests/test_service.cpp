@@ -1,6 +1,7 @@
 // Fleet-service tests: result-cache byte-identity, control wire, epoll
 // event-loop behavior under idle/partial/malformed connections, client
-// retry, and dispatcher failover around a SIGKILLed backend.
+// retry, dispatcher failover around a SIGKILLed backend, and the request
+// bytes `sadp_route --connect` sends.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -8,11 +9,13 @@
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <future>
 #include <map>
 #include <string>
@@ -26,6 +29,7 @@
 #include "server/result_cache.hpp"
 #include "server/route_client.hpp"
 #include "server/route_server.hpp"
+#include "util/args.hpp"
 
 namespace {
 
@@ -797,5 +801,113 @@ TEST(ServiceDispatch, RoutesAroundSigkilledBackend) {
 }
 
 #endif  // SADP_ROUTED_BIN
+
+// ---------------------------------------------------------------------------
+// One front end: `sadp_route --connect` puts the bytes on the wire that the
+// remote client it replaced did (tests/fixtures/wire_requests.txt).
+
+TEST(ServiceAddress, HostPortParsesWholeTokensOnly) {
+  const auto good = server::parse_host_port("127.0.0.1:7470");
+  ASSERT_TRUE(good.has_value());
+  EXPECT_EQ(good->host, "127.0.0.1");
+  EXPECT_EQ(good->port, 7470);
+  EXPECT_EQ(server::parse_host_port("localhost:65535")->port, 65535);
+  for (const char* bad :
+       {"h:74x0", "h:", ":7470", "h:0", "h:70000", "h", "", "h:-1", "h:+80"}) {
+    EXPECT_FALSE(server::parse_host_port(bad).has_value()) << bad;
+  }
+
+  server::DispatcherOptions options;
+  options.backends = {"127.0.0.1:74x0"};
+  server::RouteDispatcher dispatcher(options);
+  const util::Status started = dispatcher.start();
+  EXPECT_EQ(started.code(), util::StatusCode::kInvalidInput);
+  EXPECT_NE(started.message().find("bad backend address"), std::string::npos);
+}
+
+#if defined(SADP_ROUTE_BIN) && defined(SADP_FIXTURES_DIR)
+
+/// Run the built sadp_route with `args` plus --connect to a listener that
+/// reads one line and hangs up; return that line.  The hang-up makes the
+/// run a transport error, so it must exit 1.
+std::string request_line_sent_by(const std::vector<std::string>& args) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  // Bounds accept() too, in case the child never connects.
+  timeval timeout{};
+  timeout.tv_sec = 30;
+  ::setsockopt(listener, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof addr;
+  if (::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
+      ::listen(listener, 1) != 0 ||
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    ADD_FAILURE() << "cannot listen: " << std::strerror(errno);
+    ::close(listener);
+    return {};
+  }
+  std::vector<std::string> words = {SADP_ROUTE_BIN};
+  words.insert(words.end(), args.begin(), args.end());
+  words.push_back("--connect");
+  words.push_back("127.0.0.1:" + std::to_string(ntohs(addr.sin_port)));
+  std::vector<char*> argv;
+  for (std::string& word : words) argv.push_back(word.data());
+  argv.push_back(nullptr);
+
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    ADD_FAILURE() << "fork: " << std::strerror(errno);
+    ::close(listener);
+    return {};
+  }
+  if (pid == 0) {
+    // Child: only async-signal-safe calls before exec.
+    const int devnull = ::open("/dev/null", O_WRONLY);
+    ::dup2(devnull, STDOUT_FILENO);
+    ::dup2(devnull, STDERR_FILENO);
+    ::execv(SADP_ROUTE_BIN, argv.data());
+    ::_exit(127);
+  }
+  std::string line;
+  if (const int conn = ::accept(listener, nullptr, nullptr); conn >= 0) {
+    char byte = 0;
+    while (::recv(conn, &byte, 1, 0) == 1 && byte != '\n') line.push_back(byte);
+    ::close(conn);
+  }
+  ::close(listener);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1)
+      << "raw wait status " << status;
+  return line;
+}
+
+TEST(FrontEnd, ConnectSendsRecordedRequestLines) {
+  std::ifstream in(SADP_FIXTURES_DIR "/wire_requests.txt");
+  ASSERT_TRUE(in.good());
+  const std::string token = "@FIXTURES@";
+  std::string args_line;
+  int cases = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#' || line.rfind("client: ", 0) == 0) {
+      continue;
+    }
+    if (line.rfind("args: ", 0) == 0) {
+      args_line = line.substr(6);
+      for (std::size_t at = args_line.find(token); at != std::string::npos;
+           at = args_line.find(token)) {
+        args_line.replace(at, token.size(), SADP_FIXTURES_DIR);
+      }
+      continue;
+    }
+    EXPECT_EQ(request_line_sent_by(util::split_list(args_line, ' ')), line)
+        << "sadp_route " << args_line;
+    ++cases;
+  }
+  EXPECT_EQ(cases, 14);
+}
+
+#endif  // SADP_ROUTE_BIN && SADP_FIXTURES_DIR
 
 }  // namespace

@@ -15,8 +15,9 @@
 # of them), each followed by a failpoint-free `--resume` that must exit 0
 # and reproduce the reference report.  Part 2 boots the dispatcher +
 # 2-daemon fleet, arms four row-preserving schedules over the control
-# plane (`--set-failpoints`), and checks every batch reports zero failed
-# rows and the same result table (CPU column aside) as the clean batch;
+# plane (`sadp_route --control failpoints`), and checks every batch reports
+# zero failed rows and the same result table (CPU column aside) as the
+# clean batch;
 # it closes by SIGKILLing one backend and proving the dispatcher routes
 # the next batch around the corpse.  Eleven seeded runs total.
 #
@@ -41,8 +42,7 @@ if [ ! -f "$BUILD/CMakeCache.txt" ]; then
   cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 fi
 cmake --build "$BUILD" -j "$(nproc)" \
-  --target sadp_route sadp_routed sadp_route_dispatch sadp_route_client \
-  >/dev/null
+  --target sadp_route sadp_routed sadp_route_dispatch >/dev/null
 
 CLI="./$BUILD/apps/sadp_route"
 BENCH="ecc,efc,ctl"
@@ -183,7 +183,7 @@ disown "$!"
 PORT_D="$(scrape_port "$workdir/d.log" "dispatching on")"
 
 run_fleet_batch() {  # run_fleet_batch <outfile>
-  "./$BUILD/tools/sadp_route_client" --port "$PORT_D" \
+  "$CLI" --connect "127.0.0.1:$PORT_D" \
     --benchmark ecc,efc --keep-going >"$1" 2>"$1.err"
   if ! grep -q " 0 failed," "$1"; then
     echo "chaos smoke: fleet batch reported failed rows" >&2
@@ -235,16 +235,15 @@ FLEET_SCHEDULES=(
 for i in 0 1 2 3; do
   seed=$((8 + i))
   for port in "$PORT_A" "$PORT_B"; do
-    "./$BUILD/apps/sadp_routed" --host 127.0.0.1 --port "$port" \
-      --set-failpoints "${FLEET_SCHEDULES[$i]}" --failpoints-seed "$seed" \
+    "$CLI" --connect "127.0.0.1:$port" --control failpoints \
+      --failpoints "${FLEET_SCHEDULES[$i]}" --failpoints-seed "$seed" \
       >/dev/null
   done
   run_fleet_batch "$workdir/fleet$seed.out"
   compare_tables "$workdir/fleet_ref.out" "$workdir/fleet$seed.out"
   echo "   seed $seed [${FLEET_SCHEDULES[$i]}]: 0 failed rows"
   for port in "$PORT_A" "$PORT_B"; do
-    "./$BUILD/apps/sadp_routed" --host 127.0.0.1 --port "$port" \
-      --clear-failpoints >/dev/null
+    "$CLI" --connect "127.0.0.1:$port" --control failpoints >/dev/null
   done
 done
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local CI gate:
 #   1. Debug build with ASan+UBSan, full ctest
-#   2. ASan server smoke: sadp_routed + sadp_route_client round trip
+#   2. ASan server smoke: sadp_routed + sadp_route --connect round trip
 #   3. ASan fleet smoke: dispatcher + 2 backends, cache hits, 0 failed rows
 #   4. ASan chaos smoke: 11 seeded failpoint/SIGKILL schedules, rows
 #      must survive bit-identical through --resume and the fleet
@@ -59,7 +59,7 @@ if [ -z "$port" ]; then
   kill "$server_pid" 2>/dev/null || true
   exit 1
 fi
-./build-asan/tools/sadp_route_client --port "$port" --benchmark ecc \
+./build-asan/apps/sadp_route --connect "127.0.0.1:$port" --benchmark ecc \
     --keep-going 2> >(tee "$client_log" >&2)
 if ! grep -q "status=ok" "$client_log"; then
   echo "server smoke: no finished row from the client" >&2

@@ -62,7 +62,7 @@ if [ ! -f "$BUILD/CMakeCache.txt" ]; then
   fi
 fi
 cmake --build "$BUILD" -j "$(nproc)" \
-  --target sadp_routed sadp_route_dispatch sadp_route_client bench_service \
+  --target sadp_routed sadp_route_dispatch bench_service \
   sadp_trace_merge sadp_route \
   >/dev/null
 
@@ -119,7 +119,7 @@ if [ "$SKIP_TOPOLOGY" -eq 0 ]; then
   # turn (the dispatcher alternates by forwarded count at equal queue
   # depth), run 3 must land on a warm one.
   for run in 1 2 3; do
-    "./$BUILD/tools/sadp_route_client" --port "$PORT_D" \
+    "./$BUILD/apps/sadp_route" --connect "127.0.0.1:$PORT_D" \
       --benchmark ecc,efc --keep-going \
       >"$workdir/run$run.out" 2>"$workdir/run$run.err"
   done
@@ -137,7 +137,7 @@ if [ "$SKIP_TOPOLOGY" -eq 0 ]; then
   fi
   echo "   3 batches, 0 failed rows, warm run fully cache-served"
 
-  "./$BUILD/apps/sadp_routed" --host 127.0.0.1 --port "$PORT_D" --stats \
+  "./$BUILD/apps/sadp_route" --connect "127.0.0.1:$PORT_D" --control stats \
     >"$workdir/stats.out"
   if ! grep -q "peer " "$workdir/stats.out"; then
     echo "service smoke: dispatcher stats listed no backends" >&2
@@ -147,11 +147,11 @@ if [ "$SKIP_TOPOLOGY" -eq 0 ]; then
   echo "   dispatcher stats aggregate $(grep -c '^peer ' "$workdir/stats.out") backends"
 
   echo "== service smoke: metrics scrape on every process"
-  "./$BUILD/apps/sadp_routed" --host 127.0.0.1 --port "$PORT_A" --metrics \
+  "./$BUILD/apps/sadp_route" --connect "127.0.0.1:$PORT_A" --control metrics \
     >"$workdir/metrics_a.txt"
-  "./$BUILD/apps/sadp_routed" --host 127.0.0.1 --port "$PORT_B" --metrics \
+  "./$BUILD/apps/sadp_route" --connect "127.0.0.1:$PORT_B" --control metrics \
     >"$workdir/metrics_b.txt"
-  "./$BUILD/apps/sadp_route_dispatch" --metrics --port "$PORT_D" \
+  "./$BUILD/apps/sadp_route" --connect "127.0.0.1:$PORT_D" --control metrics \
     >"$workdir/metrics_d.txt"
   for d in a b; do
     for family in \

@@ -573,12 +573,12 @@ void print_table(const std::vector<engine::JobOutcome>& rows) {
 }
 
 /// The line under every batch table.  `counts` is the local
-/// engine::BatchResult or a server::RemoteBatch; a remote one names the
-/// server's workers and its result-cache hits.
+/// engine::BatchResult or a remote batch's api::ResponseSummary; a remote
+/// one names the server's workers and its result-cache hits.
 template <typename Counts>
 void print_summary(const Counts& counts, std::size_t jobs, int workers,
                    double wall_seconds) {
-  constexpr bool kRemote = std::is_same_v<Counts, server::RemoteBatch>;
+  constexpr bool kRemote = std::is_same_v<Counts, api::ResponseSummary>;
   std::printf(
       "%zu jobs on %d %sworkers in %.2fs wall (%zu ok, %zu degraded, "
       "%zu failed, %zu timeout, %zu cancelled, %zu resumed",
@@ -615,11 +615,13 @@ int finish_remote(server::RemoteBatch batch,
       batch.rows.begin(), batch.rows.end(),
       [&](const auto& a, const auto& b) { return rank(a) < rank(b); });
   print_table(batch.rows);
-  print_summary(batch, batch.jobs, batch.workers, batch.wall_seconds);
+  const api::ResponseSummary& summary = batch.summary;
+  print_summary(summary, summary.jobs, summary.workers, summary.wall_seconds);
   if (batch.delta_received) {
     std::printf("delta: %d/%d net(s) ripped, %d untouched, base=%s\n",
-                batch.nets_ripped, batch.nets_total, batch.nets_untouched,
-                batch.base_fingerprint.c_str());
+                batch.delta.nets_ripped, batch.delta.nets_total,
+                batch.delta.nets_untouched,
+                batch.delta.base_fingerprint.c_str());
   }
   return batch.all_ok() ? 0 : 1;
 }
@@ -731,10 +733,10 @@ int run_delta(const CliOptions& options, api::JobRequest base) {
       api::ensure_delta_trace_context(&eco);
       std::fprintf(stderr, "trace_id=%s\n", eco.trace_id.c_str());
     }
-    return finish_remote(server::run_remote_delta(options.remote->host,
-                                                  options.remote->port, eco,
-                                                  print_progress),
-                         {eco.base});
+    return finish_remote(
+        server::run_remote_retry(options.remote->host, options.remote->port,
+                                 eco, options.retry, print_progress),
+        {eco.base});
   }
   if (!options.wire) {
     std::printf("eco %s: %zu change(s), base %s...\n",

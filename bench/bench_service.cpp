@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
                    batch.status.to_string().c_str());
       return 1;
     }
-    if (batch.cache_hits != 1) {
+    if (batch.summary.cache_hits != 1) {
       std::fprintf(stderr, "hit-path request %d was not served from cache\n",
                    i);
       return 1;

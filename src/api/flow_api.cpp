@@ -17,49 +17,9 @@ namespace sadp::api {
 
 namespace {
 
-/// Field accessors with "absent = default, mistyped = error" semantics:
-/// requests written by newer clients may carry members we do not know, but
-/// a member we do know must have the right type.
-const util::JsonValue* find_member(const util::JsonValue& doc,
-                                   const char* key) {
-  return doc.is_object() ? doc.find(key) : nullptr;
-}
-
-bool read_string(const util::JsonValue& doc, const char* key,
-                 std::string* out, std::string* error) {
-  const util::JsonValue* v = find_member(doc, key);
-  if (v == nullptr) return true;
-  if (!v->is_string()) {
-    *error = std::string("field '") + key + "' must be a string";
-    return false;
-  }
-  *out = v->string_value;
-  return true;
-}
-
-bool read_number(const util::JsonValue& doc, const char* key, double* out,
-                 std::string* error) {
-  const util::JsonValue* v = find_member(doc, key);
-  if (v == nullptr) return true;
-  if (!v->is_number()) {
-    *error = std::string("field '") + key + "' must be a number";
-    return false;
-  }
-  *out = v->number_value;
-  return true;
-}
-
-bool read_bool(const util::JsonValue& doc, const char* key, bool* out,
-               std::string* error) {
-  const util::JsonValue* v = find_member(doc, key);
-  if (v == nullptr) return true;
-  if (!v->is_bool()) {
-    *error = std::string("field '") + key + "' must be a bool";
-    return false;
-  }
-  *out = v->bool_value;
-  return true;
-}
+using util::read_bool;
+using util::read_number;
+using util::read_string;
 
 void write_spec(util::JsonWriter& json, const netlist::BenchSpec& spec) {
   json.begin_object();
@@ -459,49 +419,57 @@ std::optional<FlowRequest> parse_request(std::string_view line,
   return request;
 }
 
+util::Status to_flow_job(const JobRequest& source, const std::string& trace_id,
+                         engine::FlowJob* job) {
+  job->label = effective_label(source);
+  job->arm = source.arm;
+  job->trace_id = trace_id;
+  job->span_id = source.span_id;
+  if (!source.benchmark.empty()) {
+    const auto spec = netlist::spec_for(source.benchmark, source.scaled);
+    if (!spec) {
+      return util::Status::invalid_input("unknown benchmark " +
+                                         source.benchmark);
+    }
+    job->spec = *spec;
+  } else if (source.spec.has_value()) {
+    job->spec = *source.spec;
+  } else {
+    std::ifstream in(source.netlist_path);
+    if (!in) {
+      return util::Status::invalid_input("cannot open " + source.netlist_path);
+    }
+    std::string parse_error;
+    auto parsed = netlist::read_netlist(in, &parse_error);
+    if (!parsed) {
+      return util::Status::invalid_input("parse error in " +
+                                         source.netlist_path + ": " +
+                                         parse_error);
+    }
+    job->netlist = std::move(*parsed);
+  }
+  core::FlowConfig& config = job->config;
+  config.options.style = source.style;
+  config.options.consider_dvi = source.consider_dvi;
+  config.options.consider_tpl = source.consider_tpl;
+  config.dvi_method = source.dvi_method;
+  config.ilp_time_limit_seconds = source.ilp_limit_seconds;
+  config.degrade_dvi_on_timeout = source.degrade_dvi;
+  if (source.partitions > 0) config.options.partitions = source.partitions;
+  job->deadline_seconds = source.deadline_seconds;
+  return util::Status::ok();
+}
+
 util::Status to_flow_jobs(const FlowRequest& request,
                           std::vector<engine::FlowJob>* jobs) {
   jobs->clear();
   jobs->reserve(request.jobs.size());
   for (const JobRequest& source : request.jobs) {
-    engine::FlowJob job;
-    job.label = source.label;
-    job.arm = source.arm;
-    job.trace_id = request.trace_id;
-    job.span_id = source.span_id;
-    if (!source.benchmark.empty()) {
-      const auto spec = netlist::spec_for(source.benchmark, source.scaled);
-      if (!spec) {
-        return util::Status::invalid_input("unknown benchmark " +
-                                           source.benchmark);
-      }
-      job.spec = *spec;
-    } else if (source.spec.has_value()) {
-      job.spec = *source.spec;
-    } else {
-      std::ifstream in(source.netlist_path);
-      if (!in) {
-        return util::Status::invalid_input("cannot open " +
-                                           source.netlist_path);
-      }
-      std::string parse_error;
-      const auto parsed = netlist::read_netlist(in, &parse_error);
-      if (!parsed) {
-        return util::Status::invalid_input("parse error in " +
-                                           source.netlist_path + ": " +
-                                           parse_error);
-      }
-      job.netlist = *parsed;
+    if (util::Status status =
+            to_flow_job(source, request.trace_id, &jobs->emplace_back());
+        !status.is_ok()) {
+      return status;
     }
-    job.config.options.style = source.style;
-    job.config.options.consider_dvi = source.consider_dvi;
-    job.config.options.consider_tpl = source.consider_tpl;
-    job.config.dvi_method = source.dvi_method;
-    job.config.ilp_time_limit_seconds = source.ilp_limit_seconds;
-    job.config.degrade_dvi_on_timeout = source.degrade_dvi;
-    if (source.partitions > 0) job.config.options.partitions = source.partitions;
-    job.deadline_seconds = source.deadline_seconds;
-    jobs->push_back(std::move(job));
   }
   return util::Status::ok();
 }
@@ -653,26 +621,23 @@ std::optional<ResponseEvent> parse_response_line(std::string_view line,
     // the result cache existed must keep parsing.  Trace context is optional
     // the same way: untraced and pre-telemetry summaries parse with
     // empty/zero context.
-    if (!util::read_json_int(*doc, "cache_hits", &event.cache_hits,
+    ResponseSummary& s = event.summary;
+    if (!util::read_json_int(*doc, "cache_hits", &s.cache_hits, &field_error) ||
+        !util::read_json_int(*doc, "cache_misses", &s.cache_misses,
                              &field_error) ||
-        !util::read_json_int(*doc, "cache_misses", &event.cache_misses,
+        !util::read_json_int(*doc, "jobs", &s.jobs, &field_error) ||
+        !util::read_json_int(*doc, "ok", &s.ok, &field_error) ||
+        !util::read_json_int(*doc, "degraded", &s.degraded, &field_error) ||
+        !util::read_json_int(*doc, "failed", &s.failed, &field_error) ||
+        !util::read_json_int(*doc, "timed_out", &s.timed_out, &field_error) ||
+        !util::read_json_int(*doc, "cancelled", &s.cancelled, &field_error) ||
+        !util::read_json_int(*doc, "resumed", &s.resumed, &field_error) ||
+        !util::read_json_int(*doc, "workers", &s.workers, &field_error) ||
+        !read_number(*doc, "wall_seconds", &s.wall_seconds, &field_error) ||
+        !read_string(*doc, "trace_id", &s.trace_id, &field_error) ||
+        !util::read_json_int(*doc, "recv_unix_us", &s.recv_unix_us,
                              &field_error) ||
-        !util::read_json_int(*doc, "jobs", &event.jobs, &field_error) ||
-        !util::read_json_int(*doc, "ok", &event.ok, &field_error) ||
-        !util::read_json_int(*doc, "degraded", &event.degraded, &field_error) ||
-        !util::read_json_int(*doc, "failed", &event.failed, &field_error) ||
-        !util::read_json_int(*doc, "timed_out", &event.timed_out,
-                             &field_error) ||
-        !util::read_json_int(*doc, "cancelled", &event.cancelled,
-                             &field_error) ||
-        !util::read_json_int(*doc, "resumed", &event.resumed, &field_error) ||
-        !util::read_json_int(*doc, "workers", &event.workers, &field_error) ||
-        !read_number(*doc, "wall_seconds", &event.wall_seconds,
-                     &field_error) ||
-        !read_string(*doc, "trace_id", &event.trace_id, &field_error) ||
-        !util::read_json_int(*doc, "recv_unix_us", &event.recv_unix_us,
-                             &field_error) ||
-        !util::read_json_int(*doc, "sent_unix_us", &event.sent_unix_us,
+        !util::read_json_int(*doc, "sent_unix_us", &s.sent_unix_us,
                              &field_error)) {
       return fail(field_error);
     }
@@ -680,15 +645,15 @@ std::optional<ResponseEvent> parse_response_line(std::string_view line,
   }
   if (type->string_value == "delta") {
     event.kind = ResponseEvent::Kind::kDelta;
-    if (!util::read_json_int(*doc, "nets_ripped", &event.nets_ripped,
+    core::EcoSummary& d = event.delta;
+    if (!util::read_json_int(*doc, "nets_ripped", &d.nets_ripped,
                              &field_error) ||
-        !util::read_json_int(*doc, "nets_untouched", &event.nets_untouched,
+        !util::read_json_int(*doc, "nets_untouched", &d.nets_untouched,
                              &field_error) ||
-        !util::read_json_int(*doc, "nets_total", &event.nets_total,
-                             &field_error) ||
-        !util::read_json_int(*doc, "changes", &event.changes, &field_error) ||
-        !read_number(*doc, "load_seconds", &event.load_seconds, &field_error) ||
-        !read_string(*doc, "base_fingerprint", &event.base_fingerprint,
+        !util::read_json_int(*doc, "nets_total", &d.nets_total, &field_error) ||
+        !util::read_json_int(*doc, "changes", &d.changes, &field_error) ||
+        !read_number(*doc, "load_seconds", &d.load_seconds, &field_error) ||
+        !read_string(*doc, "base_fingerprint", &d.base_fingerprint,
                      &field_error) ||
         !read_string(*doc, "trace_id", &event.trace_id, &field_error)) {
       return fail(field_error);
@@ -696,11 +661,11 @@ std::optional<ResponseEvent> parse_response_line(std::string_view line,
     if (const util::JsonValue* ids = doc->find("ripped_ids")) {
       if (!ids->is_array()) return fail("field 'ripped_ids' must be an array");
       for (const util::JsonValue& id : ids->array) {
-        int net = 0;
+        grid::NetId net = 0;
         if (!util::json_int(id, "ripped_ids", &net, &field_error)) {
           return fail(field_error);
         }
-        event.ripped_ids.push_back(net);
+        d.ripped_ids.push_back(net);
       }
     }
     return event;

@@ -33,6 +33,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/eco.hpp"
 #include "engine/flow_engine.hpp"
 #include "netlist/bench_gen.hpp"
 #include "util/cancel.hpp"
@@ -50,8 +51,11 @@ inline constexpr const char* kResponseSchema = "sadp.flow_response.v1";
 /// is dispatched — the daemon is a local trusted service, so paths resolve
 /// on the server host).
 struct JobRequest {
-  std::string label;  ///< row/journal key; defaults to the instance name
-  std::string arm;    ///< display-only grouping tag
+  /// Row, journal and cache-map key.  When empty the row is labelled by
+  /// effective_label: the benchmark name as given ("ecc", not the resolved
+  /// "ecc_s"), the spec's name, or the netlist path.
+  std::string label;
+  std::string arm;  ///< display-only grouping tag
   /// Trace context: this job's span id within the request's trace (see
   /// FlowRequest::trace_id).  Minted by the dispatcher (or the client when
   /// talking to a daemon directly); omitted from the wire when empty, so
@@ -101,7 +105,8 @@ struct FlowRequest {
 };
 
 /// The label a job's row will carry: JobRequest::label when set, otherwise
-/// the instance source (benchmark / spec name / netlist path).
+/// the instance source (benchmark / spec name / netlist path).  to_flow_job
+/// stamps it on the FlowJob, so the engine never falls back to its own rule.
 [[nodiscard]] std::string effective_label(const JobRequest& job);
 
 /// Mint a fleet-unique trace/span id: 16 lowercase hex characters, hashed
@@ -149,10 +154,17 @@ void write_job_request(util::JsonWriter& json, const JobRequest& job);
 [[nodiscard]] std::optional<FlowRequest> parse_request(
     std::string_view line, std::string* error = nullptr);
 
-/// Materialize the request's jobs (resolve benchmark names, read netlist
-/// files).  kInvalidInput on unknown benchmarks or unreadable/malformed
-/// netlist files; on success `jobs` holds one FlowJob per JobRequest, in
-/// order.
+/// Materialize one job: resolve its benchmark name or read its netlist
+/// file, copy its flow knobs, and label it effective_label(source).  This
+/// is the one place a JobRequest becomes an engine::FlowJob; flow batches
+/// and ECO deltas both come through here.  kInvalidInput on an unknown
+/// benchmark or an unreadable/malformed netlist file.
+[[nodiscard]] util::Status to_flow_job(const JobRequest& source,
+                                       const std::string& trace_id,
+                                       engine::FlowJob* job);
+
+/// to_flow_job over every job of the request, under its trace_id; on
+/// success `jobs` holds one FlowJob per JobRequest, in order.
 [[nodiscard]] util::Status to_flow_jobs(const FlowRequest& request,
                                         std::vector<engine::FlowJob>* jobs);
 
@@ -245,33 +257,15 @@ struct ResponseEvent {
   /// empty when the row carried no cache member (older daemons, CLI rows,
   /// journaled batches).
   std::string cache;
-  /// Trace context (rows: trace_id + span_id; batch: trace_id + hop
-  /// timestamps).  Empty/0 when the stream is untraced.
+  /// Trace context of a row (trace_id + span_id) or a delta line
+  /// (trace_id).  Empty when the stream is untraced.
   std::string trace_id;
   std::string span_id;
-  std::int64_t recv_unix_us = 0;
-  std::int64_t sent_unix_us = 0;
-  // kBatch: the summary counts of the whole batch.  The cache counters are
-  // optional on the wire (absent = 0) so pre-cache summaries still parse.
-  std::size_t jobs = 0;
-  std::size_t ok = 0;
-  std::size_t degraded = 0;
-  std::size_t failed = 0;
-  std::size_t timed_out = 0;
-  std::size_t cancelled = 0;
-  std::size_t resumed = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  int workers = 0;
-  double wall_seconds = 0.0;
-  // kDelta: the ECO summary (see core::EcoSummary for the semantics).
-  int nets_ripped = 0;
-  int nets_untouched = 0;
-  int nets_total = 0;
-  int changes = 0;
-  std::vector<int> ripped_ids;
-  double load_seconds = 0.0;
-  std::string base_fingerprint;
+  /// kBatch: the summary line, trace context included.  The cache counters
+  /// are optional on the wire (absent = 0) so pre-cache summaries parse.
+  ResponseSummary summary;
+  /// kDelta: the ECO summary line.
+  core::EcoSummary delta;
   // kError: the structured server-side error.
   util::Status error;
 };

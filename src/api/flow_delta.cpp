@@ -7,12 +7,8 @@
 #include <utility>
 
 #include "engine/flow_engine.hpp"
-#include "netlist/bench_gen.hpp"
-#include "netlist/io.hpp"
-#include "obs/trace.hpp"
 #include "util/args.hpp"
 #include "util/json.hpp"
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -20,19 +16,7 @@ namespace sadp::api {
 
 namespace {
 
-// "absent = default, mistyped = error" readers, same semantics as the
-// flow-request parser's.
-bool read_string(const util::JsonValue& doc, const char* key, std::string* out,
-                 std::string* error) {
-  const util::JsonValue* v = doc.find(key);
-  if (v == nullptr) return true;
-  if (!v->is_string()) {
-    *error = std::string("field '") + key + "' must be a string";
-    return false;
-  }
-  *out = v->string_value;
-  return true;
-}
+using util::read_string;
 
 /// A point as the wire's two-element [x,y] array.
 bool read_point(const util::JsonValue& value, grid::Point* out,
@@ -479,136 +463,33 @@ DeltaDispatchResult dispatch_delta(const FlowDeltaRequest& request,
     return out;
   }
 
-  engine::JobOutcome& outcome = out.outcome;
-  outcome.label = effective_label(request.base);
-  outcome.arm = request.base.arm;
-  outcome.style = request.base.style;
-  outcome.dvi_method = request.base.dvi_method;
-
-  // Same observability envelope as an engine job: tagged logs plus one
-  // enclosing span carrying the propagated trace context.
-  const util::ScopedLogTag log_tag(outcome.label);
-  obs::Span job_span(
-      obs::tracing_enabled() ? "eco:" + outcome.label : std::string());
-  if (!request.trace_id.empty()) job_span.set_str("trace_id", request.trace_id);
-  if (!request.base.span_id.empty()) {
-    job_span.set_str("span_id", request.base.span_id);
-  }
-
-  const util::CancelToken token =
-      request.base.deadline_seconds > 0.0
-          ? options.cancel.child_with_deadline(request.base.deadline_seconds)
-          : options.cancel;
-
-  core::FlowConfig config;
-  config.options.style = request.base.style;
-  config.options.consider_dvi = request.base.consider_dvi;
-  config.options.consider_tpl = request.base.consider_tpl;
-  config.dvi_method = request.base.dvi_method;
-  config.ilp_time_limit_seconds = request.base.ilp_limit_seconds;
-  config.degrade_dvi_on_timeout = request.base.degrade_dvi;
-  config.options.cancel = token;
-
-  util::Timer total;
-  try {
-    util::Timer generate;
-    netlist::PlacedNetlist local;
-    const netlist::PlacedNetlist* base = nullptr;
-    if (!request.base.benchmark.empty()) {
-      const auto spec =
-          netlist::spec_for(request.base.benchmark, request.base.scaled);
-      if (!spec) {
-        out.status = util::Status::invalid_input("unknown benchmark " +
-                                                 request.base.benchmark);
-        return out;
-      }
-      obs::Span span("generate");
-      local = netlist::generate(*spec);  // throws FlowError on bad specs
-      base = &local;
-    } else if (request.base.spec.has_value()) {
-      obs::Span span("generate");
-      local = netlist::generate(*request.base.spec);
-      base = &local;
-    } else {
-      std::ifstream in(request.base.netlist_path);
-      if (!in) {
-        out.status = util::Status::invalid_input("cannot open " +
-                                                 request.base.netlist_path);
-        return out;
-      }
-      const auto parsed = netlist::read_netlist(in, &parse_error);
-      if (!parsed) {
-        out.status = util::Status::invalid_input(
-            "parse error in " + request.base.netlist_path + ": " + parse_error);
-        return out;
-      }
-      local = *parsed;
-      base = &local;
-    }
-    outcome.metrics.generate_seconds = generate.seconds();
-
+  std::vector<engine::FlowJob> jobs(1);
+  engine::FlowJob& job = jobs.front();
+  out.status = to_flow_job(request.base, request.trace_id, &job);
+  if (!out.status.is_ok()) return out;
+  job.keep_router = options.keep_router;
+  // A base or change list that run_eco_flow rejects is a request-shaped
+  // error: record it and throw, so the engine's failed row is dropped below
+  // and the caller gets an error with no row, like a validation failure.
+  job.flow = [&](const netlist::PlacedNetlist& base,
+                 const core::FlowConfig& config) {
     core::EcoRun eco;
     const util::Status run =
-        core::run_eco_flow(*base, *solution, request.changes, config, &eco);
+        core::run_eco_flow(base, *solution, request.changes, config, &eco);
     if (!run.is_ok()) {
-      // Base/changes inconsistent with each other: a request-shaped error,
-      // surfaced like validation (error line, no row).
       out.status = run;
-      return out;
+      throw FlowError(run);
     }
     out.summary = std::move(eco.summary);
-    outcome.result = std::move(eco.flow.result);
-    if (options.keep_router) {
-      outcome.router = std::move(eco.flow.router);
-      outcome.dvi_inserted_at = std::move(eco.flow.dvi_inserted_at);
-    }
-    outcome.error = eco.flow.status;
-    if (!eco.flow.status.is_ok()) {
-      outcome.status = engine::JobStatus::kFailed;  // reclassified below
-    } else if (eco.flow.dvi_degraded) {
-      outcome.status = engine::JobStatus::kDegraded;
-    }
+    return std::move(eco.flow);
+  };
 
-    const core::RoutingReport& routing = outcome.result.routing;
-    outcome.metrics.route_seconds = routing.route_seconds;
-    outcome.metrics.initial_routing_seconds = routing.initial_routing_seconds;
-    outcome.metrics.congestion_rr_seconds = routing.congestion_rr_seconds;
-    outcome.metrics.tpl_rr_seconds = routing.tpl_rr_seconds;
-    outcome.metrics.coloring_seconds = routing.coloring_seconds;
-    outcome.metrics.dvi_seconds = outcome.result.dvi.seconds;
-    outcome.metrics.rr_iterations = routing.rr_iterations;
-    outcome.metrics.queue_peak = routing.queue_peak;
-    outcome.metrics.maze_pops = routing.maze_pops;
-    outcome.metrics.maze_relaxations = routing.maze_relaxations;
-    outcome.metrics.maze_searches = routing.maze_searches;
-    outcome.metrics.heap_reuse = routing.heap_reuse;
-    outcome.metrics.fvp_cache_hits = routing.fvp_cache_hits;
-    outcome.metrics.maze_pops_p50 = routing.maze_pops_p50;
-    outcome.metrics.maze_pops_p95 = routing.maze_pops_p95;
-    outcome.metrics.maze_pops_max = routing.maze_pops_max;
-  } catch (const FlowError& e) {
-    outcome.status = engine::JobStatus::kFailed;
-    outcome.error = e.status();
-  } catch (const std::exception& e) {
-    outcome.status = engine::JobStatus::kFailed;
-    outcome.error = util::Status::internal(e.what());
-  } catch (...) {
-    outcome.status = engine::JobStatus::kFailed;
-    outcome.error = util::Status::internal("unknown exception");
-  }
-
-  if (outcome.status != engine::JobStatus::kOk &&
-      outcome.status != engine::JobStatus::kDegraded) {
-    if (token.stop_requested()) {
-      outcome.status = token.reason() == util::StopReason::kDeadline
-                           ? engine::JobStatus::kTimeout
-                           : engine::JobStatus::kCancelled;
-      if (outcome.error.is_ok()) outcome.error = token.status("eco");
-    } else if (outcome.error.code() == util::StatusCode::kCancelled) {
-      outcome.status = engine::JobStatus::kCancelled;
-    }
-  }
-  outcome.metrics.total_seconds = total.seconds();
+  engine::EngineOptions engine_opts;
+  engine_opts.num_workers = 1;  // the calling thread runs the one job
+  engine_opts.cancel = options.cancel;
+  engine::BatchResult batch =
+      engine::FlowEngine(engine_opts).run(std::move(jobs));
+  if (out.status.is_ok()) out.outcome = std::move(batch.outcomes.front());
   out.wall_seconds = wall.seconds();
   return out;
 }

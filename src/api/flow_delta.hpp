@@ -139,7 +139,7 @@ struct DeltaDispatchOptions {
 
 struct DeltaDispatchResult {
   /// kInvalidInput when the request, base solution or change list is
-  /// malformed; nothing was executed and `outcome` is empty.
+  /// malformed; there is no row and `outcome` is empty.
   util::Status status;
   /// The single job's outcome (row payload), mirroring engine jobs: label,
   /// status (ok/degraded/cancelled/timeout/failed), result, metrics.
@@ -148,9 +148,14 @@ struct DeltaDispatchResult {
   double wall_seconds = 0.0;
 };
 
-/// validate + load base + run_eco_flow, with engine-grade fault isolation
-/// (exceptions become a failed outcome, cancellation reclassifies).  The
-/// CLI and the daemon share this exactly as they share api::dispatch.
+/// Run a delta as one engine job: validate, parse the base, to_flow_job,
+/// then a one-job FlowEngine run on the calling thread (no journal) whose
+/// flow is core::run_eco_flow, so the delta gets the engine's fault site,
+/// isolation, deadline, `job:<label>` span and counters.  Request-shaped
+/// errors come back in `status` with no row: validation, an unreadable or
+/// malformed base, an unknown benchmark or netlist, and every kInvalidInput
+/// of run_eco_flow.  The CLI and the daemon share this as they share
+/// api::dispatch.
 [[nodiscard]] DeltaDispatchResult dispatch_delta(
     const FlowDeltaRequest& request, const DeltaDispatchOptions& options = {});
 

@@ -85,9 +85,8 @@ JobOutcome execute_job(FlowJob job, const util::CancelToken& batch_token) {
     }
     outcome.metrics.generate_seconds = generate.seconds();
 
-    core::FlowRun run = job.flow_override
-                            ? job.flow_override(*instance, job.config)
-                            : core::run_flow(*instance, job.config);
+    core::FlowRun run = job.flow ? job.flow(*instance, job.config)
+                                 : core::run_flow(*instance, job.config);
     outcome.result = std::move(run.result);
     if (job.keep_router) {
       outcome.router = std::move(run.router);

@@ -117,12 +117,13 @@ struct FlowJob {
   /// cooperatively: the engine arms a CancelToken child and the flow stops
   /// at its next cancellation point, yielding JobStatus::kTimeout.
   double deadline_seconds = 0.0;
-  /// Test-only fault-injection hook: when set, replaces core::run_flow for
-  /// this job.  Exceptions it throws exercise the worker's isolation path;
-  /// the job's cancel token is visible as `config.options.cancel`.
+  /// The flow this job runs on its instance; empty means core::run_flow.
+  /// An ECO delta sets it to a warm-started core::run_eco_flow, and tests
+  /// set it to inject faults.  Whatever it throws becomes a failed outcome,
+  /// and the job's cancel token is visible as `config.options.cancel`.
   std::function<core::FlowRun(const netlist::PlacedNetlist&,
                               const core::FlowConfig&)>
-      flow_override;
+      flow;
 };
 
 /// Terminal state of one job.

@@ -81,8 +81,7 @@ namespace {
 /// request line, consume the response stream until the server closes.
 RemoteBatch run_stream(
     const std::string& host, int port, const std::string& request_line,
-    const std::function<void(const engine::JobOutcome&, std::size_t done,
-                             std::size_t total)>& on_row) {
+    const RowCallback& on_row) {
   RemoteBatch batch;
   std::string error;
   const int fd = connect_to(host, port, &error);
@@ -118,26 +117,12 @@ RemoteBatch run_stream(
         batch.row_cache.push_back(std::move(event->cache));
         break;
       case api::ResponseEvent::Kind::kBatch:
-        batch.jobs = event->jobs;
-        batch.ok = event->ok;
-        batch.degraded = event->degraded;
-        batch.failed = event->failed;
-        batch.timed_out = event->timed_out;
-        batch.cancelled = event->cancelled;
-        batch.resumed = event->resumed;
-        batch.cache_hits = event->cache_hits;
-        batch.cache_misses = event->cache_misses;
-        batch.workers = event->workers;
-        batch.wall_seconds = event->wall_seconds;
+        batch.summary = std::move(event->summary);
         batch.summary_received = true;
         break;
       case api::ResponseEvent::Kind::kDelta:
+        batch.delta = std::move(event->delta);
         batch.delta_received = true;
-        batch.nets_ripped = event->nets_ripped;
-        batch.nets_untouched = event->nets_untouched;
-        batch.nets_total = event->nets_total;
-        batch.ripped_ids = std::move(event->ripped_ids);
-        batch.base_fingerprint = std::move(event->base_fingerprint);
         break;
       case api::ResponseEvent::Kind::kError:
         batch.status = event->error;
@@ -170,31 +155,15 @@ RemoteBatch run_stream(
   return batch;
 }
 
-}  // namespace
-
-RemoteBatch run_remote(
-    const std::string& host, int port, const api::FlowRequest& request,
-    const std::function<void(const engine::JobOutcome&, std::size_t done,
-                             std::size_t total)>& on_row) {
-  return run_stream(host, port, api::serialize_request(request), on_row);
-}
-
-RemoteBatch run_remote_delta(
-    const std::string& host, int port, const api::FlowDeltaRequest& request,
-    const std::function<void(const engine::JobOutcome&, std::size_t done,
-                             std::size_t total)>& on_row) {
-  return run_stream(host, port, api::serialize_delta_request(request), on_row);
-}
-
-RemoteBatch run_remote_retry(
-    const std::string& host, int port, const api::FlowRequest& request,
-    const RetryOptions& retry,
-    const std::function<void(const engine::JobOutcome&, std::size_t done,
-                             std::size_t total)>& on_row) {
+/// run_stream under the RetryOptions policy: the one backoff loop behind
+/// both run_remote_retry overloads.
+RemoteBatch run_stream_retry(
+    const std::string& host, int port, const std::string& request_line,
+    const RetryOptions& retry, const RowCallback& on_row) {
   util::Xoshiro256StarStar jitter(retry.seed != 0 ? retry.seed : 0x5adbull);
   RemoteBatch batch;
   for (int attempt = 0;; ++attempt) {
-    batch = run_remote(host, port, request, on_row);
+    batch = run_stream(host, port, request_line, on_row);
     batch.attempts = attempt + 1;
     if (batch.status.code() != util::StatusCode::kResourceExhausted ||
         attempt >= retry.retries) {
@@ -212,6 +181,34 @@ RemoteBatch run_remote_retry(
     std::this_thread::sleep_for(
         std::chrono::microseconds(static_cast<long>(delay_ms * 1000.0) + 1));
   }
+}
+
+}  // namespace
+
+RemoteBatch run_remote(
+    const std::string& host, int port, const api::FlowRequest& request,
+    const RowCallback& on_row) {
+  return run_stream(host, port, api::serialize_request(request), on_row);
+}
+
+RemoteBatch run_remote_delta(
+    const std::string& host, int port, const api::FlowDeltaRequest& request,
+    const RowCallback& on_row) {
+  return run_stream(host, port, api::serialize_delta_request(request), on_row);
+}
+
+RemoteBatch run_remote_retry(
+    const std::string& host, int port, const api::FlowRequest& request,
+    const RetryOptions& retry, const RowCallback& on_row) {
+  return run_stream_retry(host, port, api::serialize_request(request), retry,
+                          on_row);
+}
+
+RemoteBatch run_remote_retry(
+    const std::string& host, int port, const api::FlowDeltaRequest& request,
+    const RetryOptions& retry, const RowCallback& on_row) {
+  return run_stream_retry(host, port, api::serialize_delta_request(request),
+                          retry, on_row);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@
 
 namespace sadp::server {
 
+/// Fires per received row, with the stream's progress (done of total).
+using RowCallback = std::function<void(const engine::JobOutcome&,
+                                       std::size_t done, std::size_t total)>;
+
 /// A daemon or dispatcher address, as `sadp_route --connect` and
 /// `sadp_route_dispatch --backends` spell it: "HOST:PORT".
 struct HostPort {
@@ -41,34 +45,20 @@ struct RemoteBatch {
   /// Per-row cache marker, aligned with `rows`: "hit" / "miss" when the
   /// serving daemon consulted its result cache, "" otherwise.
   std::vector<std::string> row_cache;
-  // Counts of the final "batch" summary line.
-  std::size_t jobs = 0;
-  std::size_t ok = 0;
-  std::size_t degraded = 0;
-  std::size_t failed = 0;
-  std::size_t timed_out = 0;
-  std::size_t cancelled = 0;
-  std::size_t resumed = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  int workers = 0;
-  double wall_seconds = 0.0;
+  /// The final "batch" summary line.
+  api::ResponseSummary summary;
   bool summary_received = false;
   /// How many send attempts run_remote_retry used (1 = first try worked).
   int attempts = 1;
-  // The "delta" summary line of an ECO (sadp.flow_delta.v1) stream;
-  // delta_received stays false on plain flow batches.
+  /// The "delta" summary line of an ECO (sadp.flow_delta.v1) stream;
+  /// delta_received stays false on plain flow batches.
+  core::EcoSummary delta;
   bool delta_received = false;
-  int nets_ripped = 0;
-  int nets_untouched = 0;
-  int nets_total = 0;
-  std::vector<int> ripped_ids;
-  std::string base_fingerprint;
 
   /// Usable end-to-end: transport ok, summary seen, every row ok/degraded.
   [[nodiscard]] bool all_ok() const noexcept {
-    return status.is_ok() && summary_received && failed == 0 &&
-           timed_out == 0 && cancelled == 0;
+    return status.is_ok() && summary_received && summary.failed == 0 &&
+           summary.timed_out == 0 && summary.cancelled == 0;
   }
 };
 
@@ -78,8 +68,7 @@ struct RemoteBatch {
 /// stream that ends before the batch summary all surface in `status`.
 [[nodiscard]] RemoteBatch run_remote(
     const std::string& host, int port, const api::FlowRequest& request,
-    const std::function<void(const engine::JobOutcome&, std::size_t done,
-                             std::size_t total)>& on_row = {});
+    const RowCallback& on_row = {});
 
 /// Bounded retry with jittered exponential backoff for transient rejection.
 /// Off by default (`retries` = 0) so callers — and tests — only opt into
@@ -99,17 +88,20 @@ struct RetryOptions {
 /// many tries it took.
 [[nodiscard]] RemoteBatch run_remote_retry(
     const std::string& host, int port, const api::FlowRequest& request,
-    const RetryOptions& retry,
-    const std::function<void(const engine::JobOutcome&, std::size_t done,
-                             std::size_t total)>& on_row = {});
+    const RetryOptions& retry, const RowCallback& on_row = {});
 
 /// Run one ECO (sadp.flow_delta.v1) request against a daemon or dispatcher.
 /// Same stream contract as run_remote plus the "delta" summary line, which
-/// lands in the batch's delta fields (delta_received, nets_ripped, ...).
+/// lands in `batch.delta` (and sets delta_received).
 [[nodiscard]] RemoteBatch run_remote_delta(
     const std::string& host, int port, const api::FlowDeltaRequest& request,
-    const std::function<void(const engine::JobOutcome&, std::size_t done,
-                             std::size_t total)>& on_row = {});
+    const RowCallback& on_row = {});
+
+/// run_remote_delta under the same retry policy, over the same backoff
+/// loop as a flow request.
+[[nodiscard]] RemoteBatch run_remote_retry(
+    const std::string& host, int port, const api::FlowDeltaRequest& request,
+    const RetryOptions& retry, const RowCallback& on_row = {});
 
 // ---------------------------------------------------------------------------
 // Control-plane round trips (sadp.control.v1): one line out, one line back.

@@ -25,6 +25,45 @@ bool json_integer(const JsonValue& value, std::string_view field,
   return true;
 }
 
+namespace {
+
+/// The read_string / read_number / read_bool failure for a mistyped member.
+bool mistyped(std::string_view key, const char* type, std::string* error) {
+  if (error != nullptr) {
+    *error = "field '" + std::string(key) + "' must be a " + type;
+  }
+  return false;
+}
+
+}  // namespace
+
+bool read_string(const JsonValue& doc, std::string_view key, std::string* out,
+                 std::string* error) {
+  const JsonValue* v = doc.find(key);
+  if (v == nullptr) return true;
+  if (!v->is_string()) return mistyped(key, "string", error);
+  *out = v->string_value;
+  return true;
+}
+
+bool read_number(const JsonValue& doc, std::string_view key, double* out,
+                 std::string* error) {
+  const JsonValue* v = doc.find(key);
+  if (v == nullptr) return true;
+  if (!v->is_number()) return mistyped(key, "number", error);
+  *out = v->number_value;
+  return true;
+}
+
+bool read_bool(const JsonValue& doc, std::string_view key, bool* out,
+               std::string* error) {
+  const JsonValue* v = doc.find(key);
+  if (v == nullptr) return true;
+  if (!v->is_bool()) return mistyped(key, "bool", error);
+  *out = v->bool_value;
+  return true;
+}
+
 std::string JsonWriter::escape(const std::string& text) {
   std::string out;
   out.reserve(text.size() + 2);

@@ -125,6 +125,18 @@ template <typename Int>
   return v == nullptr || json_int(*v, key, out, error);
 }
 
+/// String, number and bool members of `doc`, with read_json_int's contract:
+/// absent succeeds and leaves *out untouched; a member of another type fails
+/// with "field '<key>' must be a string" (a number, a bool) in *error.  A
+/// newer writer may add members an older reader ignores, but a member the
+/// reader knows must have its type.
+[[nodiscard]] bool read_string(const JsonValue& doc, std::string_view key,
+                               std::string* out, std::string* error);
+[[nodiscard]] bool read_number(const JsonValue& doc, std::string_view key,
+                               double* out, std::string* error);
+[[nodiscard]] bool read_bool(const JsonValue& doc, std::string_view key,
+                             bool* out, std::string* error);
+
 /// Parse a complete JSON document.  Trailing non-whitespace, malformed
 /// escapes, etc. are errors; on failure returns nullopt and, when `error`
 /// is non-null, stores a one-line description with the byte offset.

@@ -335,14 +335,14 @@ TEST(FlowApi, SummaryAndErrorLinesRoundTrip) {
       api::response_summary_line(batch), &error);
   ASSERT_TRUE(summary.has_value()) << error;
   EXPECT_EQ(summary->kind, api::ResponseEvent::Kind::kBatch);
-  EXPECT_EQ(summary->jobs, 5u);
-  EXPECT_EQ(summary->ok, 2u);
-  EXPECT_EQ(summary->degraded, 1u);
-  EXPECT_EQ(summary->failed, 1u);
-  EXPECT_EQ(summary->cancelled, 1u);
-  EXPECT_EQ(summary->resumed, 2u);
-  EXPECT_EQ(summary->workers, 4);
-  EXPECT_DOUBLE_EQ(summary->wall_seconds, 2.25);
+  EXPECT_EQ(summary->summary.jobs, 5u);
+  EXPECT_EQ(summary->summary.ok, 2u);
+  EXPECT_EQ(summary->summary.degraded, 1u);
+  EXPECT_EQ(summary->summary.failed, 1u);
+  EXPECT_EQ(summary->summary.cancelled, 1u);
+  EXPECT_EQ(summary->summary.resumed, 2u);
+  EXPECT_EQ(summary->summary.workers, 4);
+  EXPECT_DOUBLE_EQ(summary->summary.wall_seconds, 2.25);
 
   const auto overload = api::parse_response_line(api::response_error_line(
       util::Status::resource_exhausted("server at capacity")));
@@ -413,8 +413,8 @@ TEST(FlowApi, SummaryCacheCountersAreOptionalOnParse) {
   const std::string line = api::response_summary_line(summary);
   const auto event = api::parse_response_line(line);
   ASSERT_TRUE(event.has_value());
-  EXPECT_EQ(event->cache_hits, 2u);
-  EXPECT_EQ(event->cache_misses, 1u);
+  EXPECT_EQ(event->summary.cache_hits, 2u);
+  EXPECT_EQ(event->summary.cache_misses, 1u);
 
   // A pre-cache summary (no counters on the wire) still parses, counters 0.
   std::string old_line = line;
@@ -426,9 +426,9 @@ TEST(FlowApi, SummaryCacheCountersAreOptionalOnParse) {
   const auto old_event = api::parse_response_line(old_line);
   ASSERT_TRUE(old_event.has_value());
   EXPECT_EQ(old_event->kind, api::ResponseEvent::Kind::kBatch);
-  EXPECT_EQ(old_event->jobs, 3u);
-  EXPECT_EQ(old_event->cache_hits, 0u);
-  EXPECT_EQ(old_event->cache_misses, 0u);
+  EXPECT_EQ(old_event->summary.jobs, 3u);
+  EXPECT_EQ(old_event->summary.cache_hits, 0u);
+  EXPECT_EQ(old_event->summary.cache_misses, 0u);
 }
 
 TEST(FlowApi, TraceContextIsOptionalAndRoundTrips) {
@@ -515,9 +515,9 @@ TEST(FlowApi, SummaryTraceContextRoundTripsAndIsOptional) {
   EXPECT_EQ(untraced_line.find("trace_id"), std::string::npos);
   const auto untraced = api::parse_response_line(untraced_line);
   ASSERT_TRUE(untraced.has_value());
-  EXPECT_TRUE(untraced->trace_id.empty());
-  EXPECT_EQ(untraced->recv_unix_us, 0);
-  EXPECT_EQ(untraced->sent_unix_us, 0);
+  EXPECT_TRUE(untraced->summary.trace_id.empty());
+  EXPECT_EQ(untraced->summary.recv_unix_us, 0);
+  EXPECT_EQ(untraced->summary.sent_unix_us, 0);
 
   summary.trace_id = "0123456789abcdef";
   summary.recv_unix_us = 1'700'000'000'000'000;
@@ -526,9 +526,9 @@ TEST(FlowApi, SummaryTraceContextRoundTripsAndIsOptional) {
       api::parse_response_line(api::response_summary_line(summary));
   ASSERT_TRUE(traced.has_value());
   EXPECT_EQ(traced->kind, api::ResponseEvent::Kind::kBatch);
-  EXPECT_EQ(traced->trace_id, "0123456789abcdef");
-  EXPECT_EQ(traced->recv_unix_us, 1'700'000'000'000'000);
-  EXPECT_EQ(traced->sent_unix_us, 1'700'000'000'250'000);
+  EXPECT_EQ(traced->summary.trace_id, "0123456789abcdef");
+  EXPECT_EQ(traced->summary.recv_unix_us, 1'700'000'000'000'000);
+  EXPECT_EQ(traced->summary.sent_unix_us, 1'700'000'000'250'000);
 }
 
 TEST(ControlApi, MetricsReplyRoundTripsAndRejectsTruncation) {

@@ -20,6 +20,7 @@
 #include "netlist/bench_gen.hpp"
 #include "server/route_client.hpp"
 #include "server/route_server.hpp"
+#include "util/failpoint.hpp"
 
 namespace {
 
@@ -531,6 +532,50 @@ TEST(DeltaDispatch, SurfacesBadInputsAsInvalidInput) {
             util::StatusCode::kInvalidInput);
 }
 
+/// Arms a failpoint spec for one scope; clears the registry on the way out
+/// so a failed expectation cannot leak armed points into later tests.
+struct ScopedFailPoints {
+  explicit ScopedFailPoints(const std::string& spec) {
+    EXPECT_TRUE(util::FailPointRegistry::instance().configure(spec, 0).is_ok());
+  }
+  ~ScopedFailPoints() { util::FailPointRegistry::instance().clear(); }
+};
+
+TEST(DeltaDispatch, RunsAsAFaultIsolatedEngineJob) {
+  const EcoFixture fx("eco_isolated", 32, 8);
+  api::FlowDeltaRequest request;
+  request.base.label = fx.base.name;
+  request.base.spec = tiny_spec("eco_isolated", 32, 8);
+  request.base.dvi_method = core::DviMethod::kHeuristic;
+  request.base_solution = core::solution_to_text(fx.solution);
+  request.changes = {fx.move_pin(2)};
+
+  // The engine.job fault site: an injected error is a failed row, not a
+  // request error, and an injected cancellation a cancelled row.
+  {
+    const ScopedFailPoints armed("engine.job=err*1");
+    const api::DeltaDispatchResult run = api::dispatch_delta(request);
+    ASSERT_TRUE(run.status.is_ok()) << run.status.to_string();
+    EXPECT_EQ(run.outcome.label, fx.base.name);
+    EXPECT_EQ(run.outcome.status, engine::JobStatus::kFailed);
+    EXPECT_NE(run.outcome.error.message().find("failpoint(engine.job)"),
+              std::string::npos)
+        << run.outcome.error.to_string();
+  }
+  {
+    const ScopedFailPoints armed("engine.job=cancel*1");
+    const api::DeltaDispatchResult run = api::dispatch_delta(request);
+    ASSERT_TRUE(run.status.is_ok()) << run.status.to_string();
+    EXPECT_EQ(run.outcome.status, engine::JobStatus::kCancelled);
+  }
+
+  // The base job's deadline bounds the delta like any job's.
+  request.base.deadline_seconds = 1e-9;
+  const api::DeltaDispatchResult late = api::dispatch_delta(request);
+  ASSERT_TRUE(late.status.is_ok()) << late.status.to_string();
+  EXPECT_EQ(late.outcome.status, engine::JobStatus::kTimeout);
+}
+
 // ---------------------------------------------------------------------------
 // Service round trip.
 
@@ -565,15 +610,15 @@ TEST(RouteServerDelta, RoundTripMatchesInProcessAndSecondRunHitsCache) {
   ASSERT_EQ(first.rows.size(), 1u);
   EXPECT_EQ(first.rows[0].status, engine::JobStatus::kOk);
   EXPECT_EQ(first.row_cache[0], "miss");
-  EXPECT_EQ(first.nets_ripped, local.summary.nets_ripped);
-  EXPECT_EQ(first.nets_untouched, local.summary.nets_untouched);
-  EXPECT_EQ(first.nets_total, local.summary.nets_total);
-  EXPECT_EQ(first.base_fingerprint, local.summary.base_fingerprint);
+  EXPECT_EQ(first.delta.nets_ripped, local.summary.nets_ripped);
+  EXPECT_EQ(first.delta.nets_untouched, local.summary.nets_untouched);
+  EXPECT_EQ(first.delta.nets_total, local.summary.nets_total);
+  EXPECT_EQ(first.delta.base_fingerprint, local.summary.base_fingerprint);
   EXPECT_EQ(first.rows[0].result.routing.wirelength,
             local.outcome.result.routing.wirelength);
-  EXPECT_EQ(first.jobs, 1u);
-  EXPECT_EQ(first.ok, 1u);
-  EXPECT_EQ(first.cache_misses, 1u);
+  EXPECT_EQ(first.summary.jobs, 1u);
+  EXPECT_EQ(first.summary.ok, 1u);
+  EXPECT_EQ(first.summary.cache_misses, 1u);
 
   // Same request again: served from the result cache, same payloads.
   const server::RemoteBatch second =
@@ -581,10 +626,10 @@ TEST(RouteServerDelta, RoundTripMatchesInProcessAndSecondRunHitsCache) {
   ASSERT_TRUE(second.status.is_ok()) << second.status.to_string();
   ASSERT_EQ(second.rows.size(), 1u);
   EXPECT_EQ(second.row_cache[0], "hit");
-  EXPECT_EQ(second.cache_hits, 1u);
-  EXPECT_EQ(second.nets_ripped, first.nets_ripped);
-  EXPECT_EQ(second.ripped_ids, first.ripped_ids);
-  EXPECT_EQ(second.base_fingerprint, first.base_fingerprint);
+  EXPECT_EQ(second.summary.cache_hits, 1u);
+  EXPECT_EQ(second.delta.nets_ripped, first.delta.nets_ripped);
+  EXPECT_EQ(second.delta.ripped_ids, first.delta.ripped_ids);
+  EXPECT_EQ(second.delta.base_fingerprint, first.delta.base_fingerprint);
   EXPECT_EQ(second.rows[0].result.routing.wirelength,
             first.rows[0].result.routing.wirelength);
 

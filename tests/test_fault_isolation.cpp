@@ -86,8 +86,8 @@ TEST(FaultIsolation, PoisonedBatchKeepsTheGoodRows) {
     jobs.push_back(cheap_job("iso_" + std::to_string(i), 36 + 2 * (i % 4),
                              10 + i % 5));
   }
-  jobs[5].flow_override = throwing_flow;
-  jobs[10].flow_override = blocking_flow;
+  jobs[5].flow = throwing_flow;
+  jobs[10].flow = blocking_flow;
   jobs[10].deadline_seconds = 0.05;
 
   // Reference: the 14 good jobs, serially, no faults.
@@ -167,7 +167,7 @@ TEST(FaultIsolation, FailFastCancelsTheRemainingJobs) {
   for (int i = 0; i < 4; ++i) {
     jobs.push_back(cheap_job("ff_" + std::to_string(i), 36, 10));
   }
-  jobs[0].flow_override = throwing_flow;
+  jobs[0].flow = throwing_flow;
   engine::EngineOptions options;
   options.num_workers = 1;  // deterministic claim order
   options.fail_fast = true;
@@ -185,7 +185,7 @@ TEST(FaultIsolation, BatchDeadlineTimesOutRunnersAndCancelsTheQueue) {
   std::vector<engine::FlowJob> jobs;
   for (int i = 0; i < 2; ++i) {
     auto job = cheap_job("bd_" + std::to_string(i), 36, 10);
-    job.flow_override = blocking_flow;
+    job.flow = blocking_flow;
     jobs.push_back(std::move(job));
   }
   engine::EngineOptions options;
@@ -203,7 +203,7 @@ TEST(FaultIsolation, BatchDeadlineTimesOutRunnersAndCancelsTheQueue) {
 TEST(FaultIsolation, PerJobDeadlineDoesNotLeakIntoOtherJobs) {
   std::vector<engine::FlowJob> jobs;
   auto blocked = cheap_job("leak_blocked", 36, 10);
-  blocked.flow_override = blocking_flow;
+  blocked.flow = blocking_flow;
   blocked.deadline_seconds = 0.05;
   jobs.push_back(std::move(blocked));
   jobs.push_back(cheap_job("leak_clean", 36, 10));

@@ -119,9 +119,9 @@ TEST(RouteServer, LoopbackRowsMatchInProcessDispatch) {
   for (const server::RemoteBatch* batch : {&mine, &theirs}) {
     ASSERT_TRUE(batch->status.is_ok()) << batch->status.to_string();
     ASSERT_TRUE(batch->summary_received);
-    EXPECT_EQ(batch->jobs, 4u);
-    EXPECT_EQ(batch->ok, 3u);
-    EXPECT_EQ(batch->failed, 1u);
+    EXPECT_EQ(batch->summary.jobs, 4u);
+    EXPECT_EQ(batch->summary.ok, 3u);
+    EXPECT_EQ(batch->summary.failed, 1u);
     ASSERT_EQ(batch->rows.size(), 4u);
     for (const engine::JobOutcome& row : batch->rows) {
       ASSERT_TRUE(expected.count(row.label)) << row.label;
@@ -353,8 +353,8 @@ TEST(RouteServer, DrainMidBatchThenJournalResumeCompletesTheRemainder) {
   ASSERT_TRUE(interrupted.status.is_ok()) << interrupted.status.to_string();
   ASSERT_TRUE(interrupted.summary_received);
   ASSERT_EQ(interrupted.rows.size(), 4u);
-  EXPECT_EQ(interrupted.ok + interrupted.cancelled, 4u);
-  EXPECT_GE(interrupted.ok, 1u);  // the row that triggered the drain
+  EXPECT_EQ(interrupted.summary.ok + interrupted.summary.cancelled, 4u);
+  EXPECT_GE(interrupted.summary.ok, 1u);  // the row that triggered the drain
   for (const engine::JobOutcome& row : interrupted.rows) {
     if (row.status == engine::JobStatus::kOk) {
       EXPECT_EQ(result_fingerprint(row.result), expected[row.label])
@@ -377,8 +377,8 @@ TEST(RouteServer, DrainMidBatchThenJournalResumeCompletesTheRemainder) {
   ASSERT_TRUE(completed.status.is_ok()) << completed.status.to_string();
   ASSERT_TRUE(completed.summary_received);
   ASSERT_EQ(completed.rows.size(), 4u);
-  EXPECT_EQ(completed.ok, 4u);
-  EXPECT_EQ(completed.resumed, interrupted.ok);
+  EXPECT_EQ(completed.summary.ok, 4u);
+  EXPECT_EQ(completed.summary.resumed, interrupted.summary.ok);
   std::size_t restored = 0;
   for (const engine::JobOutcome& row : completed.rows) {
     EXPECT_EQ(row.status, engine::JobStatus::kOk) << row.label;
@@ -386,7 +386,7 @@ TEST(RouteServer, DrainMidBatchThenJournalResumeCompletesTheRemainder) {
         << row.label;
     restored += row.from_journal;
   }
-  EXPECT_EQ(restored, interrupted.ok);
+  EXPECT_EQ(restored, interrupted.summary.ok);
   second_server.stop();
   std::remove(journal.c_str());
 }

@@ -24,6 +24,8 @@
 
 #include "api/control.hpp"
 #include "api/flow_api.hpp"
+#include "api/flow_delta.hpp"
+#include "core/solution_io.hpp"
 #include "engine/journal.hpp"
 #include "server/dispatch.hpp"
 #include "server/result_cache.hpp"
@@ -222,6 +224,11 @@ TEST(ServiceCache, RepeatedRequestIsServedFromCacheByteIdentically) {
   api::FlowRequest request;
   request.jobs.push_back(spec_job("cache_a", 36, 12));
   request.jobs.push_back(spec_job("cache_b", 38, 13));
+  // Unlabelled: its row, cache entry and span all key on the label the
+  // request layer gives it, the benchmark name as sent.
+  api::JobRequest unlabelled;
+  unlabelled.benchmark = "ecc";
+  request.jobs.push_back(unlabelled);
   const std::string line = api::serialize_request(request);
 
   const std::vector<std::string> first = raw_exchange(server.port(), line);
@@ -234,7 +241,7 @@ TEST(ServiceCache, RepeatedRequestIsServedFromCacheByteIdentically) {
     EXPECT_NE(row.find("\"cache\":\"miss\""), std::string::npos) << row;
     ++miss_rows;
   }
-  EXPECT_EQ(miss_rows, 2u);
+  EXPECT_EQ(miss_rows, 3u);
 
   // Second run: every row replayed and marked "hit".
   std::size_t hit_rows = 0;
@@ -243,13 +250,15 @@ TEST(ServiceCache, RepeatedRequestIsServedFromCacheByteIdentically) {
     EXPECT_NE(row.find("\"cache\":\"hit\""), std::string::npos) << row;
     ++hit_rows;
   }
-  EXPECT_EQ(hit_rows, 2u);
+  EXPECT_EQ(hit_rows, 3u);
 
   // The embedded journal objects must be byte-identical across runs.
   const auto first_rows = rows_by_label(first);
   const auto second_rows = rows_by_label(second);
-  ASSERT_EQ(first_rows.size(), 2u);
-  ASSERT_EQ(second_rows.size(), 2u);
+  ASSERT_EQ(first_rows.size(), 3u);
+  ASSERT_EQ(second_rows.size(), 3u);
+  EXPECT_TRUE(first_rows.count("ecc"));
+  EXPECT_TRUE(second_rows.count("ecc"));
   for (const auto& [label, bytes] : first_rows) {
     ASSERT_TRUE(second_rows.count(label)) << label;
     EXPECT_EQ(second_rows.at(label), bytes)
@@ -260,11 +269,11 @@ TEST(ServiceCache, RepeatedRequestIsServedFromCacheByteIdentically) {
   const auto summary = api::parse_response_line(second.back());
   ASSERT_TRUE(summary.has_value());
   ASSERT_EQ(summary->kind, api::ResponseEvent::Kind::kBatch);
-  EXPECT_EQ(summary->cache_hits, 2u);
-  EXPECT_EQ(summary->cache_misses, 0u);
-  EXPECT_EQ(summary->ok, 2u);
-  EXPECT_EQ(server.cache_hits(), 2u);
-  EXPECT_EQ(server.cache_misses(), 2u);
+  EXPECT_EQ(summary->summary.cache_hits, 3u);
+  EXPECT_EQ(summary->summary.cache_misses, 0u);
+  EXPECT_EQ(summary->summary.ok, 3u);
+  EXPECT_EQ(server.cache_hits(), 3u);
+  EXPECT_EQ(server.cache_misses(), 3u);
   server.stop();
 }
 
@@ -288,7 +297,7 @@ TEST(ServiceCache, JournaledBatchesBypassTheCache) {
     }
     const auto summary = api::parse_response_line(lines.back());
     ASSERT_TRUE(summary.has_value());
-    EXPECT_EQ(summary->cache_hits, 0u);
+    EXPECT_EQ(summary->summary.cache_hits, 0u);
     std::remove(journal.c_str());
   }
   EXPECT_EQ(server.cache_hits(), 0u);
@@ -312,10 +321,10 @@ TEST(ServiceCache, MixedBatchServesHitsAndExecutesTheRest) {
   const server::RemoteBatch batch =
       server::run_remote("127.0.0.1", server.port(), mixed);
   ASSERT_TRUE(batch.all_ok()) << batch.status.to_string();
-  EXPECT_EQ(batch.jobs, 2u);
-  EXPECT_EQ(batch.ok, 2u);
-  EXPECT_EQ(batch.cache_hits, 1u);
-  EXPECT_EQ(batch.cache_misses, 1u);
+  EXPECT_EQ(batch.summary.jobs, 2u);
+  EXPECT_EQ(batch.summary.ok, 2u);
+  EXPECT_EQ(batch.summary.cache_hits, 1u);
+  EXPECT_EQ(batch.summary.cache_misses, 1u);
   ASSERT_EQ(batch.rows.size(), 2u);
   ASSERT_EQ(batch.row_cache.size(), 2u);
   std::map<std::string, std::string> marks;
@@ -451,9 +460,10 @@ TEST(ServiceTelemetry, DispatcherMintsTraceContextAndServesFleetMetrics) {
       EXPECT_FALSE(event->span_id.empty()) << reply;
       trace_id = event->trace_id;
     } else if (event->kind == api::ResponseEvent::Kind::kBatch) {
-      EXPECT_EQ(event->trace_id, trace_id) << "summary outside the trace";
-      EXPECT_GT(event->recv_unix_us, 0);
-      EXPECT_GE(event->sent_unix_us, event->recv_unix_us);
+      EXPECT_EQ(event->summary.trace_id, trace_id)
+          << "summary outside the trace";
+      EXPECT_GT(event->summary.recv_unix_us, 0);
+      EXPECT_GE(event->summary.sent_unix_us, event->summary.recv_unix_us);
     }
   }
   EXPECT_EQ(trace_id.size(), 16u);
@@ -561,8 +571,8 @@ TEST(ServiceEventLoop, InterleavedPartialReadsAssembleBothRequests) {
   ASSERT_TRUE(summary_b.has_value());
   EXPECT_EQ(summary_a->kind, api::ResponseEvent::Kind::kBatch);
   EXPECT_EQ(summary_b->kind, api::ResponseEvent::Kind::kBatch);
-  EXPECT_EQ(summary_a->ok, 1u);
-  EXPECT_EQ(summary_b->ok, 1u);
+  EXPECT_EQ(summary_a->summary.ok, 1u);
+  EXPECT_EQ(summary_b->summary.ok, 1u);
   const auto rows_a = rows_by_label(lines_a);
   EXPECT_TRUE(rows_a.count("partial_a"));
   EXPECT_FALSE(rows_a.count("partial_b")) << "streams crossed connections";
@@ -635,6 +645,25 @@ TEST(ServiceWire, OversizedRequestLineIsRejectedAtTheCap) {
 // ---------------------------------------------------------------------------
 // Client retry.
 
+/// A delta against the routed instance of `job` (a spec job) that removes
+/// its net 0.
+api::FlowDeltaRequest remove_net_delta(const api::JobRequest& job) {
+  const netlist::PlacedNetlist base = netlist::generate(*job.spec);
+  core::FlowConfig config;
+  config.dvi_method = job.dvi_method;
+  const core::FlowRun run = core::run_flow(base, config);
+  api::FlowDeltaRequest delta;
+  delta.base = job;
+  delta.base_solution = core::solution_to_text(
+      core::capture_solution(base.name, run.router->routing_grid(),
+                             config.options.style, run.router->nets()));
+  core::EcoChange change;
+  change.kind = core::EcoChange::Kind::kRemoveNet;
+  change.net = 0;
+  delta.changes = {change};
+  return delta;
+}
+
 TEST(ServiceRetry, RetriesThroughResourceExhaustion) {
   std::promise<void> admitted;
   std::promise<void> release;
@@ -655,23 +684,34 @@ TEST(ServiceRetry, RetriesThroughResourceExhaustion) {
 
   api::FlowRequest request;
   request.jobs.push_back(spec_job("retry_hold", 36, 12));
+  const api::FlowDeltaRequest delta =
+      remove_net_delta(spec_job("retry_delta", 36, 12));
 
   auto held = std::async(std::launch::async, [&] {
     return server::run_remote("127.0.0.1", server.port(), request);
   });
   admitted.get_future().wait();
 
-  // No retries: immediate rejection (the old behavior, still the default).
+  // No retries: immediate rejection (the old behavior, still the default),
+  // for a flow request and a delta alike.
   const server::RemoteBatch rejected =
       server::run_remote("127.0.0.1", server.port(), request);
   EXPECT_EQ(rejected.status.code(), util::StatusCode::kResourceExhausted);
+  const server::RemoteBatch rejected_delta =
+      server::run_remote_delta("127.0.0.1", server.port(), delta);
+  EXPECT_EQ(rejected_delta.status.code(),
+            util::StatusCode::kResourceExhausted);
 
-  // With retries: release the slot shortly after the first rejection; the
-  // retrying client must eventually get through.
+  // With retries: release the slot shortly after the first rejections; both
+  // retrying clients, sent while the slot is still held, must eventually
+  // get through.
   server::RetryOptions retry;
-  retry.retries = 20;
+  retry.retries = 50;
   retry.base_delay_ms = 10;
   retry.max_delay_ms = 100;
+  auto retried_delta = std::async(std::launch::async, [&] {
+    return server::run_remote_retry("127.0.0.1", server.port(), delta, retry);
+  });
   auto releaser = std::async(std::launch::async, [&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     release.set_value();
@@ -681,6 +721,10 @@ TEST(ServiceRetry, RetriesThroughResourceExhaustion) {
   releaser.get();
   EXPECT_TRUE(retried.all_ok()) << retried.status.to_string();
   EXPECT_GT(retried.attempts, 1);
+  const server::RemoteBatch delta_batch = retried_delta.get();
+  EXPECT_TRUE(delta_batch.all_ok()) << delta_batch.status.to_string();
+  EXPECT_TRUE(delta_batch.delta_received);
+  EXPECT_GT(delta_batch.attempts, 1);
   EXPECT_TRUE(held.get().all_ok());
   server.stop();
 }
@@ -779,7 +823,7 @@ TEST(ServiceDispatch, RoutesAroundSigkilledBackend) {
     const server::RemoteBatch batch =
         server::run_remote("127.0.0.1", dispatcher.port(), next);
     EXPECT_TRUE(batch.all_ok()) << batch.status.to_string();
-    EXPECT_EQ(batch.failed, 0u);
+    EXPECT_EQ(batch.summary.failed, 0u);
   }
 
   // The probe loop marks the corpse dead; the fleet stats reflect it.

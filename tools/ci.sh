@@ -7,7 +7,9 @@
 #      must survive bit-identical through --resume and the fleet
 #   5. UBSan fleet smoke: same topology under -DSADP_SANITIZE=undefined
 #   6. Release build, full ctest; then exact DVI on ecc/efc/ctl/div with
-#      --validate, which checks the routing and every DVI insertion
+#      --validate, which checks the routing and every DVI insertion; then
+#      one ECO delta per edit kind against a saved ecc_s solution, each
+#      with --validate
 #   7. End-to-end benchmark smoke: bench_e2e/run_benchmark.py --smoke runs
 #      every workload at toy size with all checks and tracing; any failed
 #      check fails (including the standalone exact-DVI #DV match)
@@ -83,6 +85,15 @@ run_suite build-ci -DCMAKE_BUILD_TYPE=Release
 
 echo "== exact-DVI validation (routing and DVI checks, nonzero exit on any issue) =="
 ./build-ci/apps/sadp_route --benchmark ecc,efc,ctl,div --dvi-method exact --validate
+
+echo "== ECO validation (one --delta --validate per edit kind on ecc_s) =="
+./build-ci/apps/sadp_route --benchmark ecc_s --save-solution build-ci/eco_base.sol
+for edit in "--move-pin 3,1,10,12" "--remove-net 5" \
+            "--add-blockage 20,20,24,24" "--add-net n:2,2,30,9"; do
+  # $edit is a flag and its value, left unquoted to split in two
+  ./build-ci/apps/sadp_route --benchmark ecc_s --delta \
+      --base-solution build-ci/eco_base.sol $edit --validate
+done
 
 echo "== end-to-end benchmark smoke (every workload at toy size, all checks) =="
 python3 bench_e2e/run_benchmark.py --smoke

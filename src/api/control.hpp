@@ -35,8 +35,10 @@
 //     --connect HOST:PORT --control metrics` unescapes and prints it,
 //     which is what a scrape sidecar or the smoke tests consume)
 //
-// The dispatcher's health probes are plain "stats" round trips; a
-// backend whose reply goes stale is routed around.
+// Daemon and dispatcher both answer through answer_control, so only their
+// "stats" and "drain" differ; clients check every reply's envelope in
+// parse_control_reply.  The dispatcher's health probes are plain "stats"
+// round trips; a backend whose reply goes stale is routed around.
 //
 // A control line is recognized by leading with its "type" member (all
 // producers in this repo emit {"type":... first); anything carrying the
@@ -45,10 +47,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/json.hpp"
 
 namespace sadp::api {
 
@@ -121,11 +126,15 @@ struct StatsReply {
   std::vector<PeerStatus> peers;
 };
 
-[[nodiscard]] std::string pong_line(double uptime_seconds);
-[[nodiscard]] std::string draining_line();
 /// Reply to a "failpoint" request: how many points are armed afterwards.
 [[nodiscard]] std::string failpoints_line(std::size_t armed);
 [[nodiscard]] std::string stats_reply_line(const StatsReply& stats);
+
+/// A reply line's envelope: a JSON object with the control schema and
+/// "type" `type` ("pong", "stats", ...).  Returns the object to read the
+/// members from; nullopt (and `error`) otherwise, e.g. for an error line.
+[[nodiscard]] std::optional<util::JsonValue> parse_control_reply(
+    std::string_view line, std::string_view type, std::string* error = nullptr);
 
 /// Reply to a "metrics" request: the Prometheus text exposition carried as
 /// a JSON-escaped single-line body.
@@ -135,9 +144,10 @@ struct StatsReply {
 [[nodiscard]] std::optional<std::string> parse_metrics_reply(
     std::string_view line, std::string* error = nullptr);
 
-/// Parse a stats reply line.  Counter members are optional (absent = 0) so
-/// newer clients keep parsing older daemons; a wrong schema or type is an
-/// error.
+/// Parse a stats reply line.  Members are optional (absent = 0, false, or
+/// true for a peer's `alive`) so newer clients keep parsing older daemons;
+/// a wrong schema or type, or a member of the wrong type, is an error.  A
+/// malformed peer entry is skipped.
 [[nodiscard]] std::optional<StatsReply> parse_stats_reply(
     std::string_view line, std::string* error = nullptr);
 
@@ -152,16 +162,23 @@ struct SchemasReply {
   std::string delta;     ///< sadp.flow_delta.v1
 };
 
-/// Reply to a "schemas" request:
-///   {"schema":"sadp.control.v1","type":"schemas","request":...,
-///    "response":...,"control":...[,"delta":...]}
-/// (`delta` omitted when empty, mirroring how optional members keep older
-/// daemons' replies byte-stable).
-[[nodiscard]] std::string schemas_reply_line(const SchemasReply& schemas);
-
 /// Parse a schemas reply.  `delta` is optional (absent = daemon without ECO
 /// support); a wrong schema or type is an error.
 [[nodiscard]] std::optional<SchemasReply> parse_schemas_reply(
     std::string_view line, std::string* error = nullptr);
+
+/// What differs between servers' control replies; ping, metrics,
+/// failpoint and schemas are answered the same way by every server.
+struct ControlHost {
+  double uptime_seconds = 0.0;
+  std::function<StatsReply()> stats;  ///< own counters, or the fleet view
+  std::function<void()> drain;        ///< run before "draining" is sent
+};
+
+/// One control line's reply line (no newline): a structured invalid_input
+/// line for a malformed or unknown line, the registry's error for a bad
+/// failpoint spec (applied to this process, util/failpoint.hpp).
+[[nodiscard]] std::string answer_control(std::string_view line,
+                                         const ControlHost& host);
 
 }  // namespace sadp::api

@@ -1,21 +1,17 @@
 #include "server/dispatch.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "api/flow_api.hpp"
 #include "api/flow_delta.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "server/route_client.hpp"
+#include "server/socket.hpp"
 #include "util/failpoint.hpp"
 
 namespace sadp::server {
@@ -46,62 +42,6 @@ DispatchMetrics& dispatch_metrics() {
   return m;
 }
 
-/// Connect to a backend.  timeout_ms > 0 arms SO_RCVTIMEO/SO_SNDTIMEO
-/// before connecting (on Linux SO_SNDTIMEO also bounds connect()), so a
-/// wedged peer turns into a timed-out syscall instead of an infinite block.
-int connect_backend(const std::string& host, int port, int timeout_ms = 0) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  if (timeout_ms > 0) {
-    timeval tv{};
-    tv.tv_sec = timeout_ms / 1000;
-    tv.tv_usec = (timeout_ms % 1000) * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-          0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-bool send_all(int fd, const char* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool send_line(int fd, const std::string& line) {
-  const std::string framed = line + "\n";
-  return send_all(fd, framed.data(), framed.size());
-}
-
-/// Blocking read of one '\n'-terminated line (cap enforced by the caller's
-/// loop); returns false on EOF/error before the newline.
-bool read_line(int fd, std::size_t max_bytes, std::string* line) {
-  line->clear();
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n <= 0) return false;
-    for (ssize_t i = 0; i < n; ++i) {
-      if (chunk[i] == '\n') return true;
-      line->push_back(chunk[i]);
-    }
-    if (line->size() > max_bytes) return false;
-  }
-}
-
 }  // namespace
 
 RouteDispatcher::RouteDispatcher(DispatcherOptions options)
@@ -130,28 +70,11 @@ util::Status RouteDispatcher::start() {
   }
   uptime_.reset();
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return util::Status::internal(std::string("socket: ") +
-                                  std::strerror(errno));
+  if (const util::Status listening =
+          listen_loopback(options_.port, &listen_fd_, &port_);
+      !listening.is_ok()) {
+    return listening;
   }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) != 0 ||
-      ::listen(listen_fd_, 128) != 0) {
-    return util::Status::internal(std::string("bind/listen: ") +
-                                  std::strerror(errno));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = ntohs(bound.sin_port);
-
   probe_thread_ = std::thread([this] { probe_loop(); });
   accept_thread_ = std::thread([this] { accept_loop(); });
   return util::Status::ok();
@@ -172,8 +95,11 @@ void RouteDispatcher::stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
+  // A handler still reading its request wakes with EOF and drops it; a
+  // relay already in flight only writes to its client, so it finishes.
   std::unique_lock<std::mutex> lock(handlers_mutex_);
-  handlers_cv_.wait(lock, [this] { return handler_count_ == 0; });
+  for (const int fd : client_fds_) ::shutdown(fd, SHUT_RD);
+  handlers_cv_.wait(lock, [this] { return client_fds_.empty(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -189,30 +115,16 @@ void RouteDispatcher::probe_loop() {
         host = backends_[i].host;
         port = backends_[i].port;
       }
-      const int fd = connect_backend(host, port, options_.probe_timeout_ms);
-      if (fd < 0) {
-        dispatch_metrics().stale_probes.inc();
-        continue;
-      }
-      api::ControlRequest probe;
-      probe.type = api::ControlRequest::Type::kStats;
-      std::string reply;
-      bool good = send_line(fd, api::serialize_control_request(probe)) &&
-                  read_line(fd, 1u << 20, &reply);
-      ::close(fd);
-      if (!good) {
-        dispatch_metrics().stale_probes.inc();
-        continue;
-      }
-      const auto stats = api::parse_stats_reply(reply);
-      if (!stats) {
+      api::StatsReply stats;
+      if (!query_stats(host, port, &stats, options_.probe_timeout_ms)
+               .is_ok()) {
         dispatch_metrics().stale_probes.inc();
         continue;
       }
       const std::lock_guard<std::mutex> lock(backends_mutex_);
       backends_[i].last_good_probe = uptime_.seconds();
-      backends_[i].queue_depth = static_cast<int>(stats->queue_depth);
-      backends_[i].draining = stats->draining;
+      backends_[i].queue_depth = static_cast<int>(stats.queue_depth);
+      backends_[i].draining = stats.draining;
     }
     std::unique_lock<std::mutex> lock(probe_cv_mutex_);
     probe_cv_.wait_for(lock,
@@ -257,23 +169,6 @@ std::vector<std::size_t> RouteDispatcher::pick_order() const {
   alive.insert(alive.end(), unknown.begin(), unknown.end());
   alive.insert(alive.end(), draining.begin(), draining.end());
   return alive;
-}
-
-std::vector<BackendSnapshot> RouteDispatcher::backends() const {
-  const std::lock_guard<std::mutex> lock(backends_mutex_);
-  std::vector<BackendSnapshot> out;
-  for (const Backend& backend : backends_) {
-    BackendSnapshot snap;
-    snap.addr = backend.addr;
-    snap.alive = backend_alive(backend);
-    snap.queue_depth = backend.queue_depth;
-    snap.probe_age_seconds = backend.last_good_probe < 0.0
-                                 ? -1.0
-                                 : uptime_.seconds() - backend.last_good_probe;
-    snap.forwarded = backend.forwarded;
-    out.push_back(std::move(snap));
-  }
-  return out;
 }
 
 api::StatsReply RouteDispatcher::fleet_stats() const {
@@ -321,15 +216,16 @@ void RouteDispatcher::accept_loop() {
     }
     {
       const std::lock_guard<std::mutex> lock(handlers_mutex_);
-      ++handler_count_;
+      client_fds_.insert(fd);
     }
     std::thread([this, fd] {
       handle_client(fd);
-      ::close(fd);
-      // Decrement + notify under the mutex so stop()'s wait cannot miss
-      // the last handler; nothing of *this is touched afterwards.
+      // Erase, close and notify under the mutex: stop() can then never shut
+      // down a reused fd or miss the last handler, and nothing of *this is
+      // touched afterwards.
       const std::lock_guard<std::mutex> lock(handlers_mutex_);
-      --handler_count_;
+      client_fds_.erase(fd);
+      ::close(fd);
       handlers_cv_.notify_all();
     }).detach();
   }
@@ -337,10 +233,28 @@ void RouteDispatcher::accept_loop() {
 
 void RouteDispatcher::handle_client(int fd) {
   std::string line;
-  if (!read_line(fd, options_.max_request_bytes, &line)) return;
+  if (!read_line(fd, options_.max_request_bytes, &line)) {
+    if (line.size() <= options_.max_request_bytes) return;  // EOF or error
+    // The daemon's answer to an over-long line.  Half-close, then drain
+    // the rest of the request so the close does not reset the connection
+    // before the client read the line (stop() ends the drain early).
+    const util::Status too_long = util::Status::invalid_input(
+        "request exceeds " + std::to_string(options_.max_request_bytes) +
+        " bytes");
+    (void)send_all(fd, api::response_error_line(too_long) + "\n");
+    ::shutdown(fd, SHUT_WR);
+    char sink[4096];
+    while (::recv(fd, sink, sizeof sink, 0) > 0) {
+    }
+    return;
+  }
 
   if (api::looks_like_control_line(line)) {
-    handle_control(fd, line);
+    const std::string reply = api::answer_control(
+        line, {.uptime_seconds = uptime_.seconds(),
+               .stats = [this] { return fleet_stats(); },
+               .drain = [this] { drain_fleet(); }});
+    (void)send_all(fd, reply + "\n");
     return;
   }
 
@@ -375,76 +289,25 @@ void RouteDispatcher::handle_client(int fd) {
       break;
     }
   }
-  if (committed && tried > 1) {
-    failovers_.fetch_add(1, std::memory_order_relaxed);
-    dispatch_metrics().failovers.inc();
-  }
+  if (committed && tried > 1) dispatch_metrics().failovers.inc();
   if (!committed) {
-    (void)send_line(fd, api::response_error_line(util::Status::resource_exhausted(
-                            "no live backend answered")));
+    const util::Status none =
+        util::Status::resource_exhausted("no live backend answered");
+    (void)send_all(fd, api::response_error_line(none) + "\n");
   }
 }
 
-void RouteDispatcher::handle_control(int fd, const std::string& line) {
-  const auto control = api::parse_control_request(line);
-  if (!control) {
-    (void)send_line(fd, api::response_error_line(util::Status::invalid_input(
-                            "bad control line")));
-    return;
+void RouteDispatcher::drain_fleet() {
+  // Copy the targets first: no blocking connect runs under the mutex.
+  std::vector<HostPort> targets;
+  {
+    const std::lock_guard<std::mutex> lock(backends_mutex_);
+    for (const Backend& backend : backends_) {
+      targets.push_back({backend.host, backend.port});
+    }
   }
-  switch (control->type) {
-    case api::ControlRequest::Type::kPing:
-      (void)send_line(fd, api::pong_line(uptime_.seconds()));
-      return;
-    case api::ControlRequest::Type::kStats:
-      (void)send_line(fd, api::stats_reply_line(fleet_stats()));
-      return;
-    case api::ControlRequest::Type::kMetrics:
-      (void)send_line(fd, api::metrics_reply_line(obs::metrics().render()));
-      return;
-    case api::ControlRequest::Type::kDrain: {
-      api::ControlRequest drain;
-      drain.type = api::ControlRequest::Type::kDrain;
-      const std::string drain_line = api::serialize_control_request(drain);
-      const std::lock_guard<std::mutex> lock(backends_mutex_);
-      for (const Backend& backend : backends_) {
-        const int bfd = connect_backend(backend.host, backend.port,
-                                        options_.probe_timeout_ms);
-        if (bfd < 0) continue;
-        (void)send_line(bfd, drain_line);
-        std::string ack;
-        (void)read_line(bfd, 1u << 16, &ack);
-        ::close(bfd);
-      }
-      (void)send_line(fd, api::draining_line());
-      return;
-    }
-    case api::ControlRequest::Type::kFailpoint: {
-      // Applied to the dispatcher's own registry; chaos drivers arm each
-      // backend directly through its own control port.
-      util::FailPointRegistry& registry = util::FailPointRegistry::instance();
-      if (control->spec.empty()) {
-        registry.clear();
-      } else if (const util::Status applied =
-                     registry.configure(control->spec, control->seed);
-                 !applied.is_ok()) {
-        (void)send_line(fd, api::response_error_line(applied));
-        return;
-      }
-      (void)send_line(fd, api::failpoints_line(registry.armed_count()));
-      return;
-    }
-    case api::ControlRequest::Type::kSchemas: {
-      // The dispatcher relays both flow verbs, so it advertises the full
-      // set regardless of what any one backend speaks.
-      api::SchemasReply schemas;
-      schemas.request = api::kRequestSchema;
-      schemas.response = api::kResponseSchema;
-      schemas.control = api::kControlSchema;
-      schemas.delta = api::kDeltaRequestSchema;
-      (void)send_line(fd, api::schemas_reply_line(schemas));
-      return;
-    }
+  for (const HostPort& target : targets) {
+    (void)drain_remote(target.host, target.port, options_.probe_timeout_ms);
   }
 }
 
@@ -465,14 +328,16 @@ bool RouteDispatcher::forward_to(std::size_t backend_index,
   const std::int64_t relay_start_us = util::process_uptime_us();
   const bool inject_connect_failure =
       g_fp_dispatch_connect.evaluate().kind == util::FailKind::kError;
+  std::string error;
   const int backend_fd =
-      inject_connect_failure ? -1 : connect_backend(host, port);
+      inject_connect_failure ? -1
+                             : connect_to(host, port, /*timeout_ms=*/0, &error);
   if (backend_fd < 0) {
     const std::lock_guard<std::mutex> lock(backends_mutex_);
     backends_[backend_index].last_good_probe = -1.0;  // mark dead immediately
     return false;
   }
-  if (!send_line(backend_fd, line)) {
+  if (!send_all(backend_fd, line + "\n")) {
     ::close(backend_fd);
     const std::lock_guard<std::mutex> lock(backends_mutex_);
     backends_[backend_index].last_good_probe = -1.0;
@@ -492,7 +357,8 @@ bool RouteDispatcher::forward_to(std::size_t backend_index,
     }
     const ssize_t n = ::recv(backend_fd, chunk, sizeof chunk, 0);
     if (n <= 0) break;
-    if (!send_all(client_fd, chunk, static_cast<std::size_t>(n))) {
+    if (!send_all(client_fd,
+                  std::string_view(chunk, static_cast<std::size_t>(n)))) {
       // Client vanished; drop the backend stream too.
       ::close(backend_fd);
       return true;  // committed from the dispatcher's point of view

@@ -19,17 +19,22 @@
 // not yet started answering, and requests it was mid-stream on surface as
 // a truncated stream to that one client.
 //
-// Control lines are answered by the dispatcher itself: "ping" with its
-// own uptime, "stats" with fleet-aggregated depth plus one peer row per
-// backend (alive flag from probe age), "drain" by forwarding the drain to
-// every backend.  The front is intentionally tiny — one thread per client
-// connection is fine here because connections only live for one request.
+// Control lines get a daemon's api::answer_control, with "stats" as the
+// fleet view (one peer row per backend, alive from probe age) and "drain"
+// fanned out to every backend; error lines, including the one for an
+// over-long request, read as a daemon's.  Probes and the drain are client
+// calls (route_client.hpp) bounded by `probe_timeout_ms`, so backends may
+// be host names.  The front is intentionally tiny — one thread per client
+// connection is fine here because connections only live for one request;
+// stop() shuts the read side of each, so an idle client is dropped while
+// a relay in flight finishes.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,27 +49,19 @@ namespace sadp::server {
 struct DispatcherOptions {
   /// TCP port on 127.0.0.1; 0 = ephemeral.
   int port = 0;
-  /// Backend daemons ("host:port").  At least one is required.
+  /// Backend daemons ("HOST:PORT", HOST a name or a literal).  At least
+  /// one is required.
   std::vector<std::string> backends;
   int probe_interval_ms = 200;
   /// A backend whose last successful probe is older than this is dead.
   int stale_after_ms = 1000;
-  /// Send/receive timeout on probe and drain fan-out sockets.  A wedged
+  /// Send/receive timeout on probe and drain fan-out round trips.  A wedged
   /// (e.g. SIGSTOPped) backend then shows up as a timed-out probe — stale,
   /// routed around — instead of stalling the probe loop forever.  Never
   /// applied to the forward relay, where a slow batch is legitimate.
   int probe_timeout_ms = 500;
   std::size_t max_request_bytes = 16u << 20;
   bool quiet = false;
-};
-
-/// One backend's state as seen by the dispatcher (for stats and tests).
-struct BackendSnapshot {
-  std::string addr;
-  bool alive = false;
-  int queue_depth = 0;
-  double probe_age_seconds = 0.0;
-  std::size_t forwarded = 0;
 };
 
 class RouteDispatcher {
@@ -78,12 +75,6 @@ class RouteDispatcher {
   [[nodiscard]] util::Status start();
   [[nodiscard]] int port() const noexcept { return port_; }
   void stop();
-
-  /// Requests that were retried on another backend after a dead first pick.
-  [[nodiscard]] std::size_t failovers() const noexcept {
-    return failovers_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::vector<BackendSnapshot> backends() const;
 
  private:
   struct Backend {
@@ -106,7 +97,8 @@ class RouteDispatcher {
   void probe_loop();
   void accept_loop();
   void handle_client(int fd);
-  void handle_control(int fd, const std::string& line);
+  /// The "drain" verb: drain_remote to every backend.
+  void drain_fleet();
   /// Forward one request line; returns true once >=1 byte reached the
   /// client (committed), false when the backend produced nothing.
   /// `trace_id` (empty = untraced) only annotates the relay span.
@@ -125,7 +117,6 @@ class RouteDispatcher {
   std::thread accept_thread_;
   std::thread probe_thread_;
   std::atomic<bool> stopping_{false};
-  std::atomic<std::size_t> failovers_{0};
 
   mutable std::mutex backends_mutex_;
   std::vector<Backend> backends_;
@@ -133,11 +124,11 @@ class RouteDispatcher {
   std::mutex probe_cv_mutex_;
   std::condition_variable probe_cv_;
 
-  /// Detached handler threads, tracked as a waitgroup so stop() can block
-  /// until the last one finished.
+  /// Client sockets of the detached handler threads: stop() shuts their
+  /// read side and blocks until the last handler erased its fd.
   std::mutex handlers_mutex_;
   std::condition_variable handlers_cv_;
-  int handler_count_ = 0;
+  std::set<int> client_fds_;
 
   bool stopped_ = false;
 };

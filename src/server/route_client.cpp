@@ -1,15 +1,15 @@
 #include "server/route_client.hpp"
 
-#include <netdb.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
+#include "server/socket.hpp"
 #include "util/failpoint.hpp"
 #include "util/rng.hpp"
 
@@ -20,44 +20,6 @@ namespace {
 // Fault site (util/failpoint.hpp): drop the client's receive stream
 // mid-batch, as if the server vanished.
 util::FailPoint g_fp_client_recv("client.recv");
-
-int connect_to(const std::string& host, int port, std::string* error) {
-  addrinfo hints{};
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* found = nullptr;
-  const int rc =
-      ::getaddrinfo(host.c_str(), std::to_string(port).c_str(), &hints, &found);
-  if (rc != 0) {
-    *error = "cannot resolve " + host + ": " + ::gai_strerror(rc);
-    return -1;
-  }
-  int fd = -1;
-  for (const addrinfo* ai = found; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd < 0) continue;
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(found);
-  if (fd < 0) {
-    *error = "cannot connect to " + host + ":" + std::to_string(port) + ": " +
-             std::strerror(errno);
-  }
-  return fd;
-}
-
-bool send_all(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -84,7 +46,7 @@ RemoteBatch run_stream(
     const RowCallback& on_row) {
   RemoteBatch batch;
   std::string error;
-  const int fd = connect_to(host, port, &error);
+  const int fd = connect_to(host, port, /*timeout_ms=*/0, &error);
   if (fd < 0) {
     batch.status = util::Status::internal(error);
     return batch;
@@ -214,32 +176,62 @@ RemoteBatch run_remote_retry(
 // ---------------------------------------------------------------------------
 // Control round trips
 
+namespace {
+
+/// A control reply is one line; a fresh daemon's metrics reply is ~5 KB.
+constexpr std::size_t kMaxControlReplyBytes = 1u << 20;
+
+/// Round trip of a verb that carries no payload.
+util::Status round_trip(const std::string& host, int port,
+                        api::ControlRequest::Type type, std::string* line,
+                        int timeout_ms = 0) {
+  api::ControlRequest request;
+  request.type = type;
+  return control_round_trip(host, port,
+                            api::serialize_control_request(request), line,
+                            timeout_ms);
+}
+
+/// A verb with a typed reply parser (parse_stats_reply, ...): round trip,
+/// parse, and "bad <verb> reply: ..." when the reply does not parse.
+template <typename Reply, typename Parse>
+util::Status query(const std::string& host, int port,
+                   api::ControlRequest::Type type, Parse parse, Reply* out,
+                   int timeout_ms = 0) {
+  std::string line;
+  const util::Status sent = round_trip(host, port, type, &line, timeout_ms);
+  if (!sent.is_ok()) return sent;
+  std::string error;
+  auto parsed = parse(line, &error);
+  if (!parsed) {
+    return util::Status::internal(std::string("bad ") +
+                                  api::control_type_name(type) +
+                                  " reply: " + error);
+  }
+  *out = std::move(*parsed);
+  return util::Status::ok();
+}
+
+}  // namespace
+
 util::Status control_round_trip(const std::string& host, int port,
                                 const std::string& request_line,
-                                std::string* reply_line) {
+                                std::string* reply_line, int timeout_ms) {
   std::string error;
-  const int fd = connect_to(host, port, &error);
+  const int fd = connect_to(host, port, timeout_ms, &error);
   if (fd < 0) return util::Status::internal(error);
   if (!send_all(fd, request_line + "\n")) {
+    error = std::strerror(errno);
     ::close(fd);
-    return util::Status::internal("send failed: " +
-                                  std::string(std::strerror(errno)));
+    return util::Status::internal("send failed: " + error);
   }
-  reply_line->clear();
-  char chunk[4096];
-  bool complete = false;
-  while (!complete) {
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n <= 0) break;
-    for (ssize_t i = 0; i < n; ++i) {
-      if (chunk[i] == '\n') {
-        complete = true;
-        break;
-      }
-      reply_line->push_back(chunk[i]);
-    }
-  }
+  const bool complete = read_line(fd, kMaxControlReplyBytes, reply_line);
   ::close(fd);
+  if (reply_line->size() > kMaxControlReplyBytes) {
+    return util::Status::internal("control reply exceeds " +
+                                  std::to_string(kMaxControlReplyBytes) +
+                                  " bytes");
+  }
   if (!complete) {
     return util::Status::internal("connection closed before a control reply");
   }
@@ -247,81 +239,47 @@ util::Status control_round_trip(const std::string& host, int port,
 }
 
 util::Status query_stats(const std::string& host, int port,
-                         api::StatsReply* reply) {
-  api::ControlRequest request;
-  request.type = api::ControlRequest::Type::kStats;
-  std::string line;
-  const util::Status sent = control_round_trip(
-      host, port, api::serialize_control_request(request), &line);
-  if (!sent.is_ok()) return sent;
-  std::string error;
-  const auto stats = api::parse_stats_reply(line, &error);
-  if (!stats) return util::Status::internal("bad stats reply: " + error);
-  *reply = *stats;
-  return util::Status::ok();
+                         api::StatsReply* reply, int timeout_ms) {
+  return query(host, port, api::ControlRequest::Type::kStats,
+               api::parse_stats_reply, reply, timeout_ms);
 }
 
 util::Status query_schemas(const std::string& host, int port,
                            api::SchemasReply* reply) {
-  api::ControlRequest request;
-  request.type = api::ControlRequest::Type::kSchemas;
-  std::string line;
-  const util::Status sent = control_round_trip(
-      host, port, api::serialize_control_request(request), &line);
-  if (!sent.is_ok()) return sent;
-  std::string error;
-  const auto schemas = api::parse_schemas_reply(line, &error);
-  if (!schemas) return util::Status::internal("bad schemas reply: " + error);
-  *reply = *schemas;
-  return util::Status::ok();
+  return query(host, port, api::ControlRequest::Type::kSchemas,
+               api::parse_schemas_reply, reply);
 }
 
 util::Status query_metrics(const std::string& host, int port,
                            std::string* exposition) {
-  api::ControlRequest request;
-  request.type = api::ControlRequest::Type::kMetrics;
-  std::string line;
-  const util::Status sent = control_round_trip(
-      host, port, api::serialize_control_request(request), &line);
-  if (!sent.is_ok()) return sent;
-  std::string error;
-  const auto body = api::parse_metrics_reply(line, &error);
-  if (!body) return util::Status::internal("bad metrics reply: " + error);
-  *exposition = *body;
-  return util::Status::ok();
+  return query(host, port, api::ControlRequest::Type::kMetrics,
+               api::parse_metrics_reply, exposition);
 }
 
 util::Status ping_remote(const std::string& host, int port,
                          double* uptime_seconds) {
-  api::ControlRequest request;
-  request.type = api::ControlRequest::Type::kPing;
   std::string line;
-  const util::Status sent = control_round_trip(
-      host, port, api::serialize_control_request(request), &line);
+  const util::Status sent =
+      round_trip(host, port, api::ControlRequest::Type::kPing, &line);
   if (!sent.is_ok()) return sent;
-  if (line.find("\"type\":\"pong\"") == std::string::npos) {
-    return util::Status::internal("unexpected ping reply: " + line);
+  std::string error;
+  double uptime = 0.0;
+  const auto reply = api::parse_control_reply(line, "pong", &error);
+  if (!reply || !util::read_number(*reply, "uptime_seconds", &uptime, &error)) {
+    return util::Status::internal("bad ping reply: " + error);
   }
-  if (uptime_seconds != nullptr) {
-    const std::size_t at = line.find("\"uptime_seconds\":");
-    *uptime_seconds =
-        at == std::string::npos
-            ? 0.0
-            : std::strtod(line.c_str() + at + sizeof("\"uptime_seconds\":") - 1,
-                          nullptr);
-  }
+  if (uptime_seconds != nullptr) *uptime_seconds = uptime;
   return util::Status::ok();
 }
 
-util::Status drain_remote(const std::string& host, int port) {
-  api::ControlRequest request;
-  request.type = api::ControlRequest::Type::kDrain;
+util::Status drain_remote(const std::string& host, int port, int timeout_ms) {
   std::string line;
-  const util::Status sent = control_round_trip(
-      host, port, api::serialize_control_request(request), &line);
+  const util::Status sent = round_trip(
+      host, port, api::ControlRequest::Type::kDrain, &line, timeout_ms);
   if (!sent.is_ok()) return sent;
-  if (line.find("\"type\":\"draining\"") == std::string::npos) {
-    return util::Status::internal("unexpected drain reply: " + line);
+  std::string error;
+  if (!api::parse_control_reply(line, "draining", &error)) {
+    return util::Status::internal("bad drain reply: " + error);
   }
   return util::Status::ok();
 }
@@ -338,18 +296,17 @@ util::Status configure_failpoints_remote(const std::string& host, int port,
   const util::Status sent = control_round_trip(
       host, port, api::serialize_control_request(request), &line);
   if (!sent.is_ok()) return sent;
-  if (line.find("\"type\":\"failpoints\"") == std::string::npos) {
+  std::size_t count = 0;
+  std::string error;
+  const auto reply = api::parse_control_reply(line, "failpoints", &error);
+  if (!reply) {
     // The server replies with a structured error line on a malformed spec.
     return util::Status::invalid_input("failpoint request rejected: " + line);
   }
-  if (armed != nullptr) {
-    const std::size_t at = line.find("\"armed\":");
-    *armed = at == std::string::npos
-                 ? 0u
-                 : static_cast<std::size_t>(std::strtoull(
-                       line.c_str() + at + sizeof("\"armed\":") - 1, nullptr,
-                       10));
+  if (!util::read_json_int(*reply, "armed", &count, &error)) {
+    return util::Status::internal("bad failpoints reply: " + error);
   }
+  if (armed != nullptr) *armed = count;
   return util::Status::ok();
 }
 

@@ -1,6 +1,8 @@
 // Client side of the sadp_routed wire protocol: connect, send one
 // sadp.flow_request.v1 line, collect the streamed sadp.flow_response.v1
-// lines until the server closes the connection.
+// lines until the server closes the connection; and the control round
+// trips, which the dispatcher's probes and drain use too.  HOST may be a
+// name or a literal (server/socket.hpp).
 #pragma once
 
 #include <cstdint>
@@ -105,16 +107,19 @@ struct RetryOptions {
 
 // ---------------------------------------------------------------------------
 // Control-plane round trips (sadp.control.v1): one line out, one line back.
+// `timeout_ms` > 0 bounds each send and receive; 0 (default) blocks.
 
-/// Send one control line and read one reply line.
+/// Send one control line and read one reply line (at most 1 MiB).
 [[nodiscard]] util::Status control_round_trip(const std::string& host,
                                               int port,
                                               const std::string& request_line,
-                                              std::string* reply_line);
+                                              std::string* reply_line,
+                                              int timeout_ms = 0);
 
 /// {"type":"stats"} → parsed StatsReply.
 [[nodiscard]] util::Status query_stats(const std::string& host, int port,
-                                       api::StatsReply* reply);
+                                       api::StatsReply* reply,
+                                       int timeout_ms = 0);
 
 /// {"type":"metrics"} → the server's Prometheus text exposition (the
 /// decoded `body` of the metrics reply).  Works against a daemon or a
@@ -134,7 +139,8 @@ struct RetryOptions {
 
 /// {"type":"drain"} → ask the daemon (or a whole fleet, via the
 /// dispatcher) to begin graceful drain.
-[[nodiscard]] util::Status drain_remote(const std::string& host, int port);
+[[nodiscard]] util::Status drain_remote(const std::string& host, int port,
+                                        int timeout_ms = 0);
 
 /// {"type":"failpoint","spec":...,"seed":...} → arm (or, with an empty
 /// spec, clear) deterministic failpoints in a running daemon/dispatcher.

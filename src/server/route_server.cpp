@@ -1,8 +1,6 @@
 #include "server/route_server.hpp"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -16,6 +14,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "server/socket.hpp"
 #include "util/failpoint.hpp"
 
 namespace sadp::server {
@@ -178,29 +177,12 @@ util::Status RouteServer::start() {
   cache_ = std::make_unique<ResultCache>(options_.cache_entries);
   uptime_.reset();
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return errno_status("socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) != 0) {
-    return errno_status("bind 127.0.0.1:" + std::to_string(options_.port));
+  if (const util::Status listening =
+          listen_loopback(options_.port, &listen_fd_, &port_);
+      !listening.is_ok()) {
+    return listening;
   }
-  if (::listen(listen_fd_, 128) != 0) return errno_status("listen");
   if (!set_nonblocking(listen_fd_)) return errno_status("fcntl listener");
-
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) !=
-      0) {
-    return errno_status("getsockname");
-  }
-  port_ = ntohs(bound.sin_port);
 
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) return errno_status("epoll_create1");
@@ -388,7 +370,14 @@ void RouteServer::handle_line(const std::shared_ptr<Connection>& conn,
   conn->line_complete_us = util::process_uptime_us();
   conn->state = ConnState::kFlushing;  // unless a runner is admitted below
   if (api::looks_like_control_line(line)) {
-    handle_control_line(conn, line);
+    // Answered right here on the event loop, outside admission, so probes
+    // and scrapes work while the server is saturated or draining.
+    enqueue_line(conn,
+                 api::answer_control(
+                     line, {.uptime_seconds = uptime_.seconds(),
+                            .stats = [this] { return stats(); },
+                            .drain = [this] { begin_drain(); }}),
+                 /*finish_after=*/true);
     return;
   }
   const auto reject = [&](const util::Status& status) {
@@ -444,69 +433,6 @@ void RouteServer::handle_line(const std::shared_ptr<Connection>& conn,
     conn->runner_done.store(true, std::memory_order_release);
     wake();
   });
-}
-
-void RouteServer::handle_control_line(const std::shared_ptr<Connection>& conn,
-                                      const std::string& line) {
-  std::string parse_error;
-  const auto control = api::parse_control_request(line, &parse_error);
-  if (!control) {
-    enqueue_line(conn,
-                 api::response_error_line(
-                     util::Status::invalid_input(parse_error)),
-                 /*finish_after=*/true);
-    return;
-  }
-  switch (control->type) {
-    case api::ControlRequest::Type::kPing:
-      enqueue_line(conn, api::pong_line(uptime_.seconds()),
-                   /*finish_after=*/true);
-      return;
-    case api::ControlRequest::Type::kStats:
-      enqueue_line(conn, api::stats_reply_line(stats()),
-                   /*finish_after=*/true);
-      return;
-    case api::ControlRequest::Type::kMetrics:
-      // Rendering takes the registry mutex briefly; like every control
-      // verb it runs on the event loop and works while the server is
-      // saturated or draining.
-      enqueue_line(conn, api::metrics_reply_line(obs::metrics().render()),
-                   /*finish_after=*/true);
-      return;
-    case api::ControlRequest::Type::kDrain:
-      begin_drain();
-      enqueue_line(conn, api::draining_line(), /*finish_after=*/true);
-      return;
-    case api::ControlRequest::Type::kFailpoint: {
-      util::FailPointRegistry& registry = util::FailPointRegistry::instance();
-      if (control->spec.empty()) {
-        registry.clear();
-      } else if (const util::Status applied =
-                     registry.configure(control->spec, control->seed);
-                 !applied.is_ok()) {
-        enqueue_line(conn, api::response_error_line(applied),
-                     /*finish_after=*/true);
-        return;
-      }
-      if (!options_.quiet) {
-        std::fprintf(stderr, "[sadp_routed] failpoints: spec='%s' armed=%zu\n",
-                     control->spec.c_str(), registry.armed_count());
-      }
-      enqueue_line(conn, api::failpoints_line(registry.armed_count()),
-                   /*finish_after=*/true);
-      return;
-    }
-    case api::ControlRequest::Type::kSchemas: {
-      api::SchemasReply schemas;
-      schemas.request = api::kRequestSchema;
-      schemas.response = api::kResponseSchema;
-      schemas.control = api::kControlSchema;
-      schemas.delta = api::kDeltaRequestSchema;
-      enqueue_line(conn, api::schemas_reply_line(schemas),
-                   /*finish_after=*/true);
-      return;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -216,8 +216,6 @@ class RouteServer {
   void accept_ready();
   void read_ready(const std::shared_ptr<Connection>& conn);
   void handle_line(const std::shared_ptr<Connection>& conn, std::string line);
-  void handle_control_line(const std::shared_ptr<Connection>& conn,
-                           const std::string& line);
 
   /// One parsed flow-verb request, ready for the runner frame.
   struct Runner {

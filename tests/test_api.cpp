@@ -590,7 +590,10 @@ TEST(ControlApi, IntegerMembersAreCheckedNotCast) {
   for (const char* bad :
        {R"({"schema":"sadp.control.v1","type":"stats","queue_depth":-1})",
         R"({"schema":"sadp.control.v1","type":"stats","pool_size":1e30})",
-        R"({"schema":"sadp.control.v1","type":"stats","rejected":"many"})"}) {
+        R"({"schema":"sadp.control.v1","type":"stats","rejected":"many"})",
+        R"({"schema":"sadp.control.v1","type":"stats","draining":"yes"})",
+        R"({"schema":"sadp.control.v1","type":"stats","uptime_seconds":"1s"})",
+        R"({"schema":"sadp.control.v1","type":"stats","latency_p99_ms":true})"}) {
     EXPECT_FALSE(api::parse_stats_reply(bad, &error).has_value()) << bad;
     EXPECT_NE(error.find("malformed stats reply"), std::string::npos) << error;
   }

@@ -1,6 +1,7 @@
 // Fleet-service tests: result-cache byte-identity, control wire, epoll
 // event-loop behavior under idle/partial/malformed connections, client
-// retry, dispatcher failover around a SIGKILLed backend, and the request
+// retry, dispatcher failover around a SIGKILLed backend, backends named by
+// host name, bounded probes, stop() with an idle client, and the request
 // bytes `sadp_route --connect` sends.
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <map>
 #include <string>
@@ -31,6 +33,7 @@
 #include "server/result_cache.hpp"
 #include "server/route_client.hpp"
 #include "server/route_server.hpp"
+#include "server/socket.hpp"
 #include "util/args.hpp"
 
 namespace {
@@ -58,6 +61,15 @@ server::ServerOptions quiet_options() {
   server::ServerOptions options;
   options.port = 0;
   options.pool_workers = 2;
+  options.quiet = true;
+  return options;
+}
+
+server::DispatcherOptions dispatcher_options(
+    std::vector<std::string> backends) {
+  server::DispatcherOptions options;
+  options.backends = std::move(backends);
+  options.probe_interval_ms = 50;
   options.quiet = true;
   return options;
 }
@@ -594,25 +606,20 @@ TEST(ServiceWire, MalformedLinesGetStructuredErrors) {
       beacon,
       "{}",
   };
-  const auto expect_invalid_input = [](int port, const std::string& line) {
-    const std::vector<std::string> reply = raw_exchange(port, line);
+  // The dispatcher answers control lines through the daemon's answerer and
+  // relays the rest, so every reply must be the daemon's, byte for byte.
+  server::RouteDispatcher dispatcher(
+      dispatcher_options({"127.0.0.1:" + std::to_string(server.port())}));
+  ASSERT_TRUE(dispatcher.start().is_ok());
+  for (const std::string& line : garbage) {
+    const std::vector<std::string> reply = raw_exchange(server.port(), line);
     ASSERT_EQ(reply.size(), 1u) << line;
     const auto event = api::parse_response_line(reply[0]);
     ASSERT_TRUE(event.has_value()) << reply[0];
     EXPECT_EQ(event->kind, api::ResponseEvent::Kind::kError) << line;
     EXPECT_EQ(event->error.code(), util::StatusCode::kInvalidInput) << line;
-  };
-  for (const std::string& line : garbage) {
-    expect_invalid_input(server.port(), line);
+    EXPECT_EQ(raw_exchange(dispatcher.port(), line), reply) << line;
   }
-  // The dispatcher answers control lines itself, with the same rejection.
-  server::DispatcherOptions dispatch_options;
-  dispatch_options.port = 0;
-  dispatch_options.backends = {"127.0.0.1:" + std::to_string(server.port())};
-  dispatch_options.quiet = true;
-  server::RouteDispatcher dispatcher(dispatch_options);
-  ASSERT_TRUE(dispatcher.start().is_ok());
-  expect_invalid_input(dispatcher.port(), beacon);
   dispatcher.stop();
   // The server survives all of it.
   api::FlowRequest request;
@@ -626,19 +633,36 @@ TEST(ServiceWire, OversizedRequestLineIsRejectedAtTheCap) {
   options.max_request_bytes = 1024;
   server::RouteServer server(options);
   ASSERT_TRUE(server.start().is_ok());
+  // A dispatcher with the same cap must answer exactly as the daemon does.
+  server::DispatcherOptions dispatch_options =
+      dispatcher_options({"127.0.0.1:" + std::to_string(server.port())});
+  dispatch_options.max_request_bytes = 1024;
+  server::RouteDispatcher dispatcher(dispatch_options);
+  ASSERT_TRUE(dispatcher.start().is_ok());
 
-  const int fd = connect_loopback(server.port());
-  // 4 KiB of an unterminated line: the server must cut it off at the cap
-  // instead of buffering forever.
-  send_bytes(fd, std::string(4096, 'x'));
-  const std::vector<std::string> reply = recv_lines(fd);
+  for (const int port : {server.port(), dispatcher.port()}) {
+    const int fd = connect_loopback(port);
+    // 4 KiB of an unterminated line: the server must cut it off at the cap
+    // instead of buffering forever.
+    send_bytes(fd, std::string(4096, 'x'));
+    const std::vector<std::string> reply = recv_lines(fd);
+    ::close(fd);
+    ASSERT_EQ(reply.size(), 1u) << "port " << port;
+    const auto event = api::parse_response_line(reply[0]);
+    ASSERT_TRUE(event.has_value());
+    EXPECT_EQ(event->kind, api::ResponseEvent::Kind::kError);
+    EXPECT_EQ(event->error.code(), util::StatusCode::kInvalidInput);
+    EXPECT_NE(event->error.message().find("1024"), std::string::npos);
+  }
+  // A client that sends its whole request before reading still gets the
+  // dispatcher's line: the dispatcher drains the rest instead of resetting
+  // the connection.  32 MiB is more than loopback socket buffers hold, so
+  // a reset would fail the send.
+  const int fd = connect_loopback(dispatcher.port());
+  send_bytes(fd, std::string(32u << 20, 'x'));
+  EXPECT_EQ(recv_lines(fd).size(), 1u);
   ::close(fd);
-  ASSERT_EQ(reply.size(), 1u);
-  const auto event = api::parse_response_line(reply[0]);
-  ASSERT_TRUE(event.has_value());
-  EXPECT_EQ(event->kind, api::ResponseEvent::Kind::kError);
-  EXPECT_EQ(event->error.code(), util::StatusCode::kInvalidInput);
-  EXPECT_NE(event->error.message().find("1024"), std::string::npos);
+  dispatcher.stop();
   server.stop();
 }
 
@@ -730,8 +754,97 @@ TEST(ServiceRetry, RetriesThroughResourceExhaustion) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatcher: spawn two REAL sadp_routed backends, SIGKILL one, and check
-// the dispatcher routes around the corpse with no failed rows.
+// Dispatcher: backends named by host name, probes bounded by the probe
+// timeout, stop() with an idle client; then two REAL sadp_routed backends,
+// one SIGKILLed, and the dispatcher routes around the corpse with no failed
+// rows.
+
+/// Poll the dispatcher's stats for up to 3 s until `done` holds on its
+/// peer rows.
+bool peers_within_3s(
+    int port, const std::function<bool(const std::vector<api::PeerStatus>&)>&
+                  done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (std::chrono::steady_clock::now() < deadline) {
+    api::StatsReply stats;
+    if (server::query_stats("127.0.0.1", port, &stats).is_ok() &&
+        done(stats.peers)) {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return false;
+}
+
+TEST(ServiceDispatch, ReachesBackendsByHostName) {
+  server::RouteServer backend(quiet_options());
+  ASSERT_TRUE(backend.start().is_ok());
+  server::RouteDispatcher dispatcher(
+      dispatcher_options({"localhost:" + std::to_string(backend.port())}));
+  ASSERT_TRUE(dispatcher.start().is_ok());
+
+  EXPECT_TRUE(peers_within_3s(dispatcher.port(), [](const auto& peers) {
+    return peers.size() == 1 && peers[0].alive;
+  })) << "no probe reached the backend named localhost";
+  api::FlowRequest request;
+  request.jobs.push_back(spec_job("by_host_name", 36, 12));
+  const server::RemoteBatch batch =
+      server::run_remote("127.0.0.1", dispatcher.port(), request);
+  EXPECT_TRUE(batch.all_ok()) << batch.status.to_string();
+
+  dispatcher.stop();
+  backend.stop();
+}
+
+TEST(ServiceDispatch, WedgedBackendDoesNotStallProbes) {
+  // A listener that never accepts: the kernel completes each probe's
+  // handshake into its backlog, and no reply ever comes.
+  int wedged = -1;
+  int wedged_port = 0;
+  ASSERT_TRUE(server::listen_loopback(0, &wedged, &wedged_port).is_ok());
+  server::RouteServer live(quiet_options());
+  ASSERT_TRUE(live.start().is_ok());
+  server::DispatcherOptions options =
+      dispatcher_options({"127.0.0.1:" + std::to_string(wedged_port),
+                          "127.0.0.1:" + std::to_string(live.port())});
+  options.probe_timeout_ms = 100;
+  server::RouteDispatcher dispatcher(options);
+  ASSERT_TRUE(dispatcher.start().is_ok());
+
+  // Stats only: the relay has no timeout by design, so a forwarded request
+  // could block on the wedged backend.
+  EXPECT_TRUE(peers_within_3s(dispatcher.port(), [](const auto& peers) {
+    return peers.size() == 2 && !peers[0].alive && peers[1].alive;
+  })) << "the wedged backend stalled the probe loop";
+
+  // Closing the listener resets a probe stuck on it, so stop() cannot hang
+  // even when the probe timeout is broken.
+  ::close(wedged);
+  dispatcher.stop();
+  live.stop();
+}
+
+TEST(ServiceDispatch, StopReturnsWhileAClientIsIdle) {
+  server::RouteServer backend(quiet_options());
+  ASSERT_TRUE(backend.start().is_ok());
+  server::RouteDispatcher dispatcher(
+      dispatcher_options({"127.0.0.1:" + std::to_string(backend.port())}));
+  ASSERT_TRUE(dispatcher.start().is_ok());
+
+  // A client that connects and never sends.  The ping behind it proves the
+  // dispatcher accepted it: one accept loop takes connections in order.
+  const int idle = connect_loopback(dispatcher.port());
+  ASSERT_TRUE(server::ping_remote("127.0.0.1", dispatcher.port()).is_ok());
+  auto stopped =
+      std::async(std::launch::async, [&dispatcher] { dispatcher.stop(); });
+  const bool returned = stopped.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  ::close(idle);  // lets a hung stop() finish, so the test ends either way
+  stopped.wait();
+  EXPECT_TRUE(returned) << "stop() waited for an idle client";
+  backend.stop();
+}
 
 #ifdef SADP_ROUTED_BIN
 
@@ -827,18 +940,13 @@ TEST(ServiceDispatch, RoutesAroundSigkilledBackend) {
   }
 
   // The probe loop marks the corpse dead; the fleet stats reflect it.
-  bool corpse_seen = false;
-  for (int i = 0; i < 100 && !corpse_seen; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    for (const auto& backend : dispatcher.backends()) {
-      if (backend.addr.find(std::to_string(backend_a.port)) !=
-              std::string::npos &&
-          !backend.alive) {
-        corpse_seen = true;
-      }
+  const std::string corpse = options.backends[0];
+  EXPECT_TRUE(peers_within_3s(dispatcher.port(), [&corpse](const auto& peers) {
+    for (const api::PeerStatus& peer : peers) {
+      if (peer.addr == corpse && !peer.alive) return true;
     }
-  }
-  EXPECT_TRUE(corpse_seen);
+    return false;
+  }));
 
   dispatcher.stop();
   backend_b.terminate();

@@ -7,7 +7,8 @@
 #   * nonzero cache hits once every backend has seen the batch (the
 #     dispatcher alternates backends by forwarded count, so run 3 lands
 #     on a warm cache wherever it goes);
-#   * control-plane stats through the dispatcher aggregate both backends;
+#   * control-plane stats through the dispatcher aggregate both backends,
+#     both alive (backend B is given by host name, localhost:PORT);
 #   * every process answers a {"type":"metrics"} scrape with Prometheus
 #     text exposition (expected families asserted per role);
 #   * a sadp.flow_delta.v1 ECO request through the dispatcher returns the
@@ -109,7 +110,7 @@ if [ "$SKIP_TOPOLOGY" -eq 0 ]; then
   PORT_B="$(scrape_port "$workdir/b.log" "listening on")"
 
   "./$BUILD/apps/sadp_route_dispatch" --port 0 \
-    --backends "127.0.0.1:$PORT_A,127.0.0.1:$PORT_B" \
+    --backends "127.0.0.1:$PORT_A,localhost:$PORT_B" \
     --probe-interval-ms 100 \
     --trace "$workdir/trace_d.json" >"$workdir/d.log" 2>&1 &
   pids+=($!)
@@ -141,6 +142,11 @@ if [ "$SKIP_TOPOLOGY" -eq 0 ]; then
     >"$workdir/stats.out"
   if ! grep -q "peer " "$workdir/stats.out"; then
     echo "service smoke: dispatcher stats listed no backends" >&2
+    cat "$workdir/stats.out" >&2
+    exit 1
+  fi
+  if grep -q "^peer .*alive=no" "$workdir/stats.out"; then
+    echo "service smoke: dispatcher sees a dead backend" >&2
     cat "$workdir/stats.out" >&2
     exit 1
   fi

@@ -364,6 +364,21 @@ void BM_RouterConstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_RouterConstruct)->Unit(benchmark::kMillisecond);
 
+void BM_AdoptBase(benchmark::State& state) {
+  // Construct, adopt every net of the routed base, destroy: the warm
+  // seeding (occupancy, cost records, FVP windows) an ECO request pays
+  // before any search runs.
+  const EcoBaseFixture& f = eco_base();
+  for (auto _ : state) {
+    core::SadpRouter router(f.instance, f.options);
+    for (std::size_t i = 0; i < f.solution.nets.size(); ++i) {
+      router.adopt_base_net(static_cast<grid::NetId>(i), f.solution.nets[i]);
+    }
+    benchmark::DoNotOptimize(&router);
+  }
+}
+BENCHMARK(BM_AdoptBase)->Unit(benchmark::kMillisecond);
+
 void BM_SimplexRandom(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   util::Xoshiro256StarStar rng(3);

@@ -1,6 +1,10 @@
 #include "core/cost_maps.hpp"
 
+#include <bit>
 #include <cassert>
+#include <string>
+
+#include "util/status.hpp"
 
 namespace sadp::core {
 
@@ -16,57 +20,48 @@ CostMaps::CostMaps(const grid::RoutingGrid& grid, const grid::TurnRules& rules,
   const std::size_t via_cells = static_cast<std::size_t>(num_via_layers_) * num_points_;
   const std::size_t metal_cells =
       static_cast<std::size_t>(grid.num_metal_layers()) * num_points_;
-  bdc_via_.assign(via_cells, 0.0);
-  amc_via_.assign(via_cells, 0.0);
-  cdc_via_.assign(via_cells, 0.0);
-  tplc_via_.assign(via_cells, 0.0);
-  hist_via_.assign(via_cells, 0.0);
-  bdc_metal_.assign(metal_cells, 0.0);
-  hist_metal_.assign(metal_cells, 0.0);
+  via_.assign(via_cells, ViaCosts{});
+  metal_.assign(metal_cells, MetalCosts{});
   fused_metal_.assign(metal_cells, 0.0);
   fused_via_.assign(via_cells, 0.0);
 }
 
-std::vector<double>& CostMaps::array_for(Map map) {
-  switch (map) {
-    case Map::kBdcVia: return bdc_via_;
-    case Map::kBdcMetal: return bdc_metal_;
-    case Map::kAmcVia: return amc_via_;
-    case Map::kCdcVia: return cdc_via_;
-    case Map::kTplcVia: return tplc_via_;
-  }
-  return bdc_via_;
-}
-
-void CostMaps::deposit(Map map, std::size_t index, double amount,
-                       std::vector<Entry>& record) {
-  array_for(map)[index] += amount;
-  refresh_fused(map, index);
-  record.push_back(Entry{map, static_cast<std::uint32_t>(index), amount});
-}
-
-void CostMaps::add_net_costs(const RoutedNet& net) {
-  assert(!records_.contains(net.id()));
-  std::vector<Entry> record;
+void CostMaps::apply_deposits(const RoutedNet& net, const Record& record,
+                              double sign) {
+  const auto deposit_via = [&](double ViaCosts::*component, int via_layer,
+                               grid::Point p, double amount) {
+    const std::size_t i = via_slot(via_layer, p);
+    via_[i].*component += sign * amount;
+    refresh_fused_via(i);
+  };
+  const auto deposit_metal_bdc = [&](int layer, grid::Point p, double amount) {
+    const std::size_t i = metal_slot(layer, p);
+    metal_[i].bdc += sign * amount;
+    refresh_fused_metal(i);
+  };
 
   if (options_.consider_dvi) {
-    // BDC and CDC around each via of the net (Fig. 9(b)(d)).
-    for (const auto& via : net.vias()) {
-      const auto dvics =
-          feasible_dvics(grid_, rules_, net, via.via_layer, via.at);
-      if (dvics.empty()) continue;
-      const double bdc = options_.cost.alpha / static_cast<double>(dvics.size());
-      const double cdc = options_.cost.beta / static_cast<double>(dvics.size());
-      for (const auto& d : dvics) {
-        deposit(Map::kBdcVia, via_slot(via.via_layer, d), bdc, record);
-        deposit(Map::kBdcMetal, metal_slot(via.via_layer, d), bdc, record);
-        deposit(Map::kBdcMetal, metal_slot(via.via_layer + 1, d), bdc, record);
+    // BDC and CDC around each via of the net (Fig. 9(b)(d)), on the DVICs
+    // that were feasible when the costs were added.
+    for (std::size_t v = 0; v < net.vias().size(); ++v) {
+      const NetVia& via = net.vias()[v];
+      const grid::ArmMask mask = record.dvic_masks[v];
+      if (mask == 0) continue;
+      const auto feasible = static_cast<double>(std::popcount(mask));
+      const double bdc = options_.cost.alpha / feasible;
+      const double cdc = options_.cost.beta / feasible;
+      for (grid::Dir dir : grid::kPlanarDirs) {
+        if (!grid::has_arm(mask, dir)) continue;
+        const grid::Point d = via.at + grid::step(dir);
+        deposit_via(&ViaCosts::bdc, via.via_layer, d, bdc);
+        deposit_metal_bdc(via.via_layer, d, bdc);
+        deposit_metal_bdc(via.via_layer + 1, d, bdc);
         // Conflict-DVIC via locations: vias adjacent to d (other than via_u
         // itself) would contend for the same DVIC location.
-        for (grid::Dir dir : grid::kPlanarDirs) {
-          const grid::Point q = d + grid::step(dir);
+        for (grid::Dir around : grid::kPlanarDirs) {
+          const grid::Point q = d + grid::step(around);
           if (!grid_.in_bounds(q) || q == via.at) continue;
-          deposit(Map::kCdcVia, via_slot(via.via_layer, q), cdc, record);
+          deposit_via(&ViaCosts::cdc, via.via_layer, q, cdc);
         }
       }
     }
@@ -81,7 +76,7 @@ void CostMaps::add_net_costs(const RoutedNet& net) {
         if (!grid_.in_bounds(q)) continue;
         for (int v : {layer - 1, layer}) {
           if (v < 1 || v > num_via_layers_) continue;
-          deposit(Map::kAmcVia, via_slot(v, q), options_.cost.amc, record);
+          deposit_via(&ViaCosts::amc, v, q, options_.cost.amc);
         }
       }
     }
@@ -95,23 +90,63 @@ void CostMaps::add_net_costs(const RoutedNet& net) {
         for (int dx = -2; dx <= 2; ++dx) {
           const grid::Point q{via.at.x + dx, via.at.y + dy};
           if (!grid_.in_bounds(q) || !via::vias_conflict(via.at, q)) continue;
-          deposit(Map::kTplcVia, via_slot(via.via_layer, q), options_.cost.gamma,
-                  record);
+          deposit_via(&ViaCosts::tplc, via.via_layer, q, options_.cost.gamma);
         }
       }
     }
   }
+}
 
+void CostMaps::add_net_costs(const RoutedNet& net) {
+  assert(!records_.contains(net.id()));
+  Record record;
+  record.vias = net.vias().size();
+  record.metal_points = net.metal().size();
+  if (options_.consider_dvi) {
+    record.dvic_masks.reserve(record.vias);
+    for (const auto& via : net.vias()) {
+      grid::ArmMask mask = 0;
+      for (grid::Dir dir : grid::kPlanarDirs) {
+        if (dvic_feasible(grid_, rules_, net, via.via_layer, via.at, dir)) {
+          mask |= grid::arm_bit(dir);
+        }
+      }
+      record.dvic_masks.push_back(mask);
+    }
+  }
+  apply_deposits(net, record, 1.0);
   records_.emplace(net.id(), std::move(record));
+}
+
+void CostMaps::remove_net_costs(const RoutedNet& net) {
+  const auto it = records_.find(net.id());
+  if (it == records_.end()) return;
+  const Record& record = it->second;
+  // Regenerating the deposits from changed geometry would subtract amounts
+  // that were never added; that is a router bug, so fail loudly in every
+  // build type instead of corrupting the cost maps.
+  if (net.vias().size() != record.vias ||
+      net.metal().size() != record.metal_points) {
+    throw FlowError(util::StatusCode::kInternal,
+                    "CostMaps::remove_net_costs: net " +
+                        std::to_string(net.id()) + " has " +
+                        std::to_string(net.vias().size()) + " vias and " +
+                        std::to_string(net.metal().size()) +
+                        " metal points, but its cost record was built for " +
+                        std::to_string(record.vias) + " and " +
+                        std::to_string(record.metal_points));
+  }
+  apply_deposits(net, record, -1.0);
+  records_.erase(it);
 }
 
 void CostMaps::merge_history_from(const CostMaps& other, grid::Point offset) {
   const int metal_layers =
-      static_cast<int>(other.hist_metal_.size() / other.num_points_);
+      static_cast<int>(other.metal_.size() / other.num_points_);
   for (int layer = 1; layer <= metal_layers; ++layer) {
     for (int y = 0; y < other.height_; ++y) {
       for (int x = 0; x < other.width_; ++x) {
-        const double h = other.hist_metal_[other.metal_slot(layer, {x, y})];
+        const double h = other.metal_history(layer, {x, y});
         if (h == 0.0) continue;
         bump_metal_history(layer, {x + offset.x, y + offset.y}, h);
       }
@@ -120,22 +155,12 @@ void CostMaps::merge_history_from(const CostMaps& other, grid::Point offset) {
   for (int layer = 1; layer <= other.num_via_layers_; ++layer) {
     for (int y = 0; y < other.height_; ++y) {
       for (int x = 0; x < other.width_; ++x) {
-        const double h = other.hist_via_[other.via_slot(layer, {x, y})];
+        const double h = other.via_history(layer, {x, y});
         if (h == 0.0) continue;
         bump_via_history(layer, {x + offset.x, y + offset.y}, h);
       }
     }
   }
-}
-
-void CostMaps::remove_net_costs(grid::NetId net) {
-  const auto it = records_.find(net);
-  if (it == records_.end()) return;
-  for (const Entry& entry : it->second) {
-    array_for(entry.map)[entry.index] -= entry.amount;
-    refresh_fused(entry.map, entry.index);
-  }
-  records_.erase(it);
 }
 
 }  // namespace sadp::core

@@ -16,9 +16,12 @@
 //  * TPLC (TPL cost) = gamma per existing via within same-color pitch, on
 //    every different-color via location around each via of the net.
 //
-// Because BDC/CDC depend on DVI feasibility *at assignment time* (which
-// drifts as other nets route), every contribution is recorded per net so
-// rip-up subtracts exactly what routing added.
+// BDC/CDC depend on DVI feasibility *at assignment time*, which drifts as
+// other nets route; AMC and TPLC depend only on the net's own geometry.  So
+// each net's record keeps one feasible-DVIC direction mask per via (1 byte),
+// and rip-up regenerates the deposit sequence from the unchanged geometry
+// and those masks — the same slots, amounts and order — and subtracts it,
+// which removes exactly what routing added.
 #pragma once
 
 #include <unordered_map>
@@ -41,8 +44,12 @@ class CostMaps {
   /// the flow options).  The net must currently be applied to the grid.
   void add_net_costs(const RoutedNet& net);
 
-  /// Exact inverse of add_net_costs for the same net.
-  void remove_net_costs(grid::NetId net);
+  /// Exact inverse of add_net_costs for the same net geometry: the deposits
+  /// are regenerated from `net` and its record and subtracted in the order
+  /// they were added.  A no-op when `net` has no record; throws
+  /// FlowError(kInternal) when its via or metal-point count differs from
+  /// the geometry the record was built from.
+  void remove_net_costs(const RoutedNet& net);
 
   /// Fold the negotiation-history arrays of a region-world cost map into
   /// this one, translating every slot by `offset` (partition merge: the
@@ -71,34 +78,54 @@ class CostMaps {
     return fused_metal_[metal_slot(layer, p)];
   }
 
+  /// The cost components of one via location and one metal point, stored
+  /// interleaved so a deposit touches one record, not one array per map.
+  struct ViaCosts {
+    double bdc = 0.0;
+    double amc = 0.0;
+    double cdc = 0.0;
+    double tplc = 0.0;
+    double hist = 0.0;
+  };
+  struct MetalCosts {
+    double bdc = 0.0;
+    double hist = 0.0;
+  };
+  [[nodiscard]] const ViaCosts& via_costs(int via_layer, grid::Point p) const {
+    return via_[via_slot(via_layer, p)];
+  }
+  [[nodiscard]] const MetalCosts& metal_costs(int layer, grid::Point p) const {
+    return metal_[metal_slot(layer, p)];
+  }
+
   /// DVI/TPL penalty of placing a via at (via_layer, p).
   [[nodiscard]] double via_penalty(int via_layer, grid::Point p) const {
-    const std::size_t i = via_slot(via_layer, p);
-    return bdc_via_[i] + amc_via_[i] + cdc_via_[i] + tplc_via_[i];
+    const ViaCosts& c = via_costs(via_layer, p);
+    return c.bdc + c.amc + c.cdc + c.tplc;
   }
 
   /// DVI penalty of routing metal through (layer, p).
   [[nodiscard]] double metal_penalty(int layer, grid::Point p) const {
-    return bdc_metal_[metal_slot(layer, p)];
+    return metal_costs(layer, p).bdc;
   }
 
   // --- Negotiation history costs -------------------------------------------
 
   [[nodiscard]] double metal_history(int layer, grid::Point p) const {
-    return hist_metal_[metal_slot(layer, p)];
+    return metal_costs(layer, p).hist;
   }
   [[nodiscard]] double via_history(int via_layer, grid::Point p) const {
-    return hist_via_[via_slot(via_layer, p)];
+    return via_costs(via_layer, p).hist;
   }
   void bump_metal_history(int layer, grid::Point p, double amount) {
     const std::size_t i = metal_slot(layer, p);
-    hist_metal_[i] += amount;
+    metal_[i].hist += amount;
     hist_sum_ += amount;
     refresh_fused_metal(i);
   }
   void bump_via_history(int via_layer, grid::Point p, double amount) {
     const std::size_t i = via_slot(via_layer, p);
-    hist_via_[i] += amount;
+    via_[i].hist += amount;
     hist_sum_ += amount;
     refresh_fused_via(i);
   }
@@ -112,22 +139,22 @@ class CostMaps {
   [[nodiscard]] const FlowOptions& options() const noexcept { return options_; }
 
  private:
-  enum class Map : std::uint8_t {
-    kBdcVia,
-    kBdcMetal,
-    kAmcVia,
-    kCdcVia,
-    kTplcVia,
-  };
-  struct Entry {
-    Map map;
-    std::uint32_t index;
-    double amount;
+  /// What regenerating a net's deposits needs beyond its geometry: the
+  /// feasible-DVIC direction mask (arm bits) of each via at add time — empty
+  /// unless DVI is considered — and the via and metal-point counts it was
+  /// built from, checked on removal.
+  struct Record {
+    std::vector<grid::ArmMask> dvic_masks;
+    std::size_t vias = 0;
+    std::size_t metal_points = 0;
   };
 
-  void deposit(Map map, std::size_t index, double amount,
-               std::vector<Entry>& record);
-  [[nodiscard]] std::vector<double>& array_for(Map map);
+  /// Walk Algorithm 1's deposit sequence for `net` (BDC/CDC per via, AMC
+  /// along the metal, TPLC per via), adding `sign` times each amount and
+  /// refreshing the touched fused slots.  With sign = -1 it performs exactly
+  /// the subtractions a replay of recorded {slot, amount} entries would:
+  /// x + (-a) is x - a in IEEE arithmetic, and the order is the same.
+  void apply_deposits(const RoutedNet& net, const Record& record, double sign);
 
   // Recompute a fused slot from its components in a fixed association
   // order.  Keeping the order fixed (history + penalty sum) makes the fused
@@ -135,18 +162,11 @@ class CostMaps {
   // update history — the bit-exactness invariant the differential tests
   // check.
   void refresh_fused_metal(std::size_t i) {
-    fused_metal_[i] = hist_metal_[i] + bdc_metal_[i];
+    fused_metal_[i] = metal_[i].hist + metal_[i].bdc;
   }
   void refresh_fused_via(std::size_t i) {
-    fused_via_[i] =
-        hist_via_[i] + (bdc_via_[i] + amc_via_[i] + cdc_via_[i] + tplc_via_[i]);
-  }
-  void refresh_fused(Map map, std::size_t i) {
-    if (map == Map::kBdcMetal) {
-      refresh_fused_metal(i);
-    } else {
-      refresh_fused_via(i);
-    }
+    const ViaCosts& c = via_[i];
+    fused_via_[i] = c.hist + (c.bdc + c.amc + c.cdc + c.tplc);
   }
 
   [[nodiscard]] std::size_t metal_slot(int layer, grid::Point p) const {
@@ -166,20 +186,15 @@ class CostMaps {
   std::size_t num_points_;
   int num_via_layers_;
 
-  std::vector<double> bdc_via_;
-  std::vector<double> bdc_metal_;
-  std::vector<double> amc_via_;
-  std::vector<double> cdc_via_;
-  std::vector<double> tplc_via_;
-  std::vector<double> hist_metal_;
-  std::vector<double> hist_via_;
+  std::vector<ViaCosts> via_;
+  std::vector<MetalCosts> metal_;
   double hist_sum_ = 0.0;
   // Fused per-slot totals (history + penalties), the single loads of the
   // maze router's vertex-cost queries.
   std::vector<double> fused_metal_;
   std::vector<double> fused_via_;
 
-  std::unordered_map<grid::NetId, std::vector<Entry>> records_;
+  std::unordered_map<grid::NetId, Record> records_;
 };
 
 }  // namespace sadp::core

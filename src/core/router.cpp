@@ -61,7 +61,7 @@ void SadpRouter::add_obstacle(const RoutedNet& net) {
 
 void SadpRouter::rip_net(grid::NetId id) {
   RoutedNet& net = nets_[static_cast<std::size_t>(id)];
-  costs_->remove_net_costs(id);
+  costs_->remove_net_costs(net);
   net.remove_from(*grid_, *vias_);
   net.clear_routing();
 }
@@ -698,27 +698,9 @@ bool SadpRouter::run_partitioned_body(RoutingReport& report) {
       if (!work.router) continue;
       const SadpRouter& sub = *work.router;
       for (std::size_t li = 0; li < work.global_ids.size(); ++li) {
-        const grid::NetId g = work.global_ids[li];
         const RoutedNet& routed = sub.nets_[li];
-        RoutedNet& master = nets_[static_cast<std::size_t>(g)];
-        master.remove_from(*grid_, *vias_);  // pin stubs only at this point
-        RoutedNet rebuilt(g);
-        for (const auto& [key, arms] : routed.metal()) {
-          const grid::Point p = key_point(key);
-          rebuilt.add_metal(key_layer(key),
-                            {p.x + work.offset.x, p.y + work.offset.y}, arms);
-        }
-        for (const auto& via : routed.vias()) {
-          rebuilt.add_via(via.via_layer,
-                          {via.at.x + work.offset.x, via.at.y + work.offset.y},
-                          via.is_pin_via);
-        }
-        rebuilt.set_routed(routed.routed());
-        for (int i = 0; i < routed.rip_count(); ++i) rebuilt.note_ripped();
-        master = std::move(rebuilt);
-        master.apply_to(*grid_, *vias_);
-        costs_->add_net_costs(master);
-        if (!master.routed()) unrouted_.push_back(g);
+        install_net(work.global_ids[li], routed, work.offset,
+                    routed.rip_count());
       }
       costs_->merge_history_from(*sub.costs_, work.offset);
       maze_->absorb_stats(*sub.maze_);
@@ -776,16 +758,27 @@ RoutingReport SadpRouter::run() {
 }
 
 void SadpRouter::adopt_base_net(grid::NetId id, const RoutedNet& base_net) {
+  install_net(id, base_net, {0, 0}, /*rip_count=*/0);
+}
+
+void SadpRouter::install_net(grid::NetId id, const RoutedNet& source,
+                             grid::Point offset, int rip_count) {
   RoutedNet& net = nets_[static_cast<std::size_t>(id)];
   net.remove_from(*grid_, *vias_);  // pin stubs only at this point
+  // Key by key in the source's iteration order: that insertion order fixes
+  // the rebuilt net's metal() order, which the AMC walk and
+  // push_net_violations follow.
   RoutedNet rebuilt(id);
-  for (const auto& [key, arms] : base_net.metal()) {
-    rebuilt.add_metal(key_layer(key), key_point(key), arms);
+  for (const auto& [key, arms] : source.metal()) {
+    const grid::Point p = key_point(key);
+    rebuilt.add_metal(key_layer(key), {p.x + offset.x, p.y + offset.y}, arms);
   }
-  for (const auto& via : base_net.vias()) {
-    rebuilt.add_via(via.via_layer, via.at, via.is_pin_via);
+  for (const auto& via : source.vias()) {
+    rebuilt.add_via(via.via_layer, {via.at.x + offset.x, via.at.y + offset.y},
+                    via.is_pin_via);
   }
-  rebuilt.set_routed(base_net.routed());
+  rebuilt.set_routed(source.routed());
+  for (int i = 0; i < rip_count; ++i) rebuilt.note_ripped();
   net = std::move(rebuilt);
   net.apply_to(*grid_, *vias_);
   costs_->add_net_costs(net);

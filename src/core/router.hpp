@@ -172,6 +172,12 @@ class SadpRouter {
 
   void coloring_fix_loop(RoutingReport& report);
 
+  /// Replace net `id`'s pin stubs with `source`'s geometry shifted by
+  /// `offset`, rebuilt under `id` with `rip_count` rips, then apply it and
+  /// add its costs (ECO adoption and the partition merge).
+  void install_net(grid::NetId id, const RoutedNet& source, grid::Point offset,
+                   int rip_count);
+
   void rip_net(grid::NetId id);
   /// Route all pin connections of the net and re-apply it; returns false
   /// when some connection could not be routed (net left unrouted).

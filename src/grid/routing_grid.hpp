@@ -7,8 +7,14 @@
 // negotiated-congestion rip-up-and-reroute several nets may temporarily
 // occupy the same point, which is what the congestion machinery resolves.
 //
-// Occupancy is tracked per (layer, point) as a small list of
-// {net, arm-mask} entries.  The arm mask records in which directions the
+// Occupancy is tracked per (layer, point).  At unit capacity a point holds
+// at most one net once negotiation settles, so every slot stores that one
+// occupant inline — {net, arm-mask} for metal, the net id for vias — next
+// to a dense distinct-net count.  A point shared by two or more nets keeps
+// all of its occupants, first added first, in a side table keyed by slot;
+// the inline occupant is meaningful only while the count is 1.  Memory thus
+// scales with the grid by a few bytes per slot and with the congestion, not
+// with a container per slot.  The arm mask records in which directions the
 // net's metal leaves the point; it feeds the turn legality checks (branching
 // off an existing wire must not create a forbidden turn) and the DVI
 // feasibility analysis.
@@ -17,6 +23,7 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "grid/geometry.hpp"
@@ -71,16 +78,15 @@ class RoutingGrid {
   /// arm directions `arms` (may be 0 for a bare landing pad / pin).
   void add_metal(int layer, Point p, NetId net, ArmMask arms);
 
-  /// Remove arm bits for `net` at the point; when `erase_point` the
-  /// occupant entry is dropped entirely (used by rip-up).
+  /// Drop `net`'s occupant entry at the point (no-op when absent).
   void remove_metal(int layer, Point p, NetId net);
 
-  /// All occupants of a metal point.
+  /// All occupants of a metal point, first added first.  Valid until the
+  /// next add/remove at the point.
   [[nodiscard]] std::span<const MetalOcc> metal_occupants(int layer, Point p) const;
 
   /// Occupant entry for a specific net, or nullptr.
   [[nodiscard]] const MetalOcc* metal_occupant(int layer, Point p, NetId net) const;
-  [[nodiscard]] MetalOcc* metal_occupant_mut(int layer, Point p, NetId net);
 
   /// Number of *distinct* nets at the point.  One load from the
   /// incrementally-maintained count array (the maze router's hot path).
@@ -104,6 +110,8 @@ class RoutingGrid {
 
   void add_via(int via_layer, Point p, NetId net);
   void remove_via(int via_layer, Point p, NetId net);
+  /// Nets with a via at the location, first added first.  Valid until the
+  /// next add/remove at the location.
   [[nodiscard]] std::span<const NetId> via_occupants(int via_layer, Point p) const;
   /// Number of distinct nets with a via at the location (one load).
   [[nodiscard]] int via_net_count(int via_layer, Point p) const {
@@ -118,7 +126,9 @@ class RoutingGrid {
 
   // --- Global queries ------------------------------------------------------
 
-  /// Collect all currently congested vertices; used to seed the R&R queues.
+  /// Collect all currently congested vertices — routable metal layers in
+  /// order, then via layers, row-major within a layer; used to seed the R&R
+  /// queues.  Sorts the shared slots instead of scanning the grid.
   struct CongestedVertex {
     bool is_via = false;
     int layer = 0;  ///< metal layer or via layer
@@ -148,15 +158,20 @@ class RoutingGrid {
   int width_;
   int height_;
   int num_metal_;
-  // Indexed by metal_slot(); most points are empty, so the inner vectors
-  // start with no allocation.
-  std::vector<std::vector<MetalOcc>> metal_;
-  std::vector<std::vector<NetId>> vias_;
+  // The occupant of each slot whose count is 1 (indexed by metal_slot() /
+  // via_slot()); stale otherwise.
+  std::vector<MetalOcc> metal_;
+  std::vector<NetId> vias_;
   // Dense distinct-net counts per slot, kept in sync by add_*/remove_*;
   // the router's congestion ("others") term reads these instead of walking
   // the occupant spans.
   std::vector<std::uint16_t> metal_count_;
   std::vector<std::uint16_t> via_count_;
+  // Every occupant of each slot whose count is 2 or more, first added first
+  // (the order rip-up candidate selection walks).  Metal-1 pads may share a
+  // slot too; they are kept here but never counted as congestion.
+  std::unordered_map<std::size_t, std::vector<MetalOcc>> metal_shared_;
+  std::unordered_map<std::size_t, std::vector<NetId>> via_shared_;
   // Congested vertices (count > 1) over routable metal + via slots; kept in
   // lockstep with the count arrays so congestion_count() is a member read.
   std::size_t congested_ = 0;

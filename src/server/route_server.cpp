@@ -331,13 +331,13 @@ void RouteServer::read_ready(const std::shared_ptr<Connection>& conn) {
     if (n < 0) return;  // EAGAIN: request still arriving
     if (n == 0) {
       // EOF.  Before a request: the client vanished — drop the connection.
-      // After: the peer is done sending; treat a full close as gone.
-      if (conn->state == ConnState::kReading && conn->in.empty() &&
-          !conn->finish) {
-        close_connection(conn);
-      } else if (conn->state == ConnState::kReading) {
+      // After an over-long request's reply and half-close: the drain is
+      // done.  After a request: the peer is done sending; treat a full
+      // close as gone.
+      if (conn->state == ConnState::kReading || conn->write_shut) {
         close_connection(conn);
       } else {
+        conn->drain_input = false;  // nothing left to drain; close once out
         update_interest(*conn, conn->events & ~(EPOLLIN | EPOLLRDHUP));
       }
       return;
@@ -360,6 +360,7 @@ void RouteServer::read_ready(const std::shared_ptr<Connection>& conn) {
                        std::to_string(options_.max_request_bytes) + " bytes")),
                    /*finish_after=*/true);
       conn->state = ConnState::kFlushing;
+      conn->drain_input = true;
       return;
     }
   }
@@ -839,10 +840,16 @@ void RouteServer::sweep_connections() {
       drained = conn->out_pos == conn->out.size();
       finish = conn->finish;
     }
-    if ((finish && drained) ||
-        conn->client_gone.load(std::memory_order_acquire)) {
-      closable.push_back(conn);
+    const bool gone = conn->client_gone.load(std::memory_order_acquire);
+    if (finish && drained && conn->drain_input && !gone) {
+      // read_ready closes the connection at the client's EOF.
+      if (!conn->write_shut) {
+        ::shutdown(conn->fd, SHUT_WR);
+        conn->write_shut = true;
+      }
+      continue;
     }
+    if ((finish && drained) || gone) closable.push_back(conn);
   }
   for (const auto& conn : closable) close_connection(conn);
 }

@@ -205,6 +205,11 @@ class RouteServer {
     std::string out;
     std::size_t out_pos = 0;
     bool finish = false;  ///< close once out is drained
+    /// Over-long request: once its error line is out, shut the write side
+    /// and read and drop input until the client's EOF, so a client still
+    /// sending reads the line instead of a reset.  Event loop only.
+    bool drain_input = false;
+    bool write_shut = false;
     std::atomic<bool> client_gone{false};
     std::atomic<bool> runner_done{false};
     bool runner_started = false;

@@ -5,6 +5,7 @@
 #include "core/cost_maps.hpp"
 #include "core/routed_net.hpp"
 #include "grid/routing_grid.hpp"
+#include "util/status.hpp"
 #include "via/via_db.hpp"
 
 namespace sadp::core {
@@ -110,7 +111,7 @@ TEST_F(CostMapsFixture, AddThenRemoveIsIdentity) {
   costs_.add_net_costs(net);
   EXPECT_TRUE(costs_.has_costs_for(0));
 
-  costs_.remove_net_costs(0);
+  costs_.remove_net_costs(net);
   EXPECT_FALSE(costs_.has_costs_for(0));
   for (int y = 0; y < 16; ++y) {
     for (int x = 0; x < 16; ++x) {
@@ -122,6 +123,34 @@ TEST_F(CostMapsFixture, AddThenRemoveIsIdentity) {
       }
     }
   }
+}
+
+TEST_F(CostMapsFixture, RemoveRejectsANetChangedSinceAdd) {
+  via::ViaDb vias(16, 16, 2);
+  RoutedNet net = make_net();
+  net.apply_to(routing_, vias);
+  costs_.add_net_costs(net);
+
+  // Removal regenerates the deposits from the geometry, so a net that
+  // gained a via or a metal point since its costs were added must be
+  // refused in every build type, not half-subtracted.
+  RoutedNet extra_via = net;
+  extra_via.add_via(1, {6, 6});
+  RoutedNet extra_metal = net;
+  extra_metal.add_metal(2, {9, 9}, 0);
+  for (const RoutedNet* changed : {&extra_via, &extra_metal}) {
+    try {
+      costs_.remove_net_costs(*changed);
+      ADD_FAILURE() << "costs of a changed net were removed";
+    } catch (const FlowError& e) {
+      EXPECT_EQ(e.code(), util::StatusCode::kInternal);
+      EXPECT_NE(std::string(e.what()).find("cost record"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(costs_.has_costs_for(0));
+  }
+  costs_.remove_net_costs(net);
+  EXPECT_FALSE(costs_.has_costs_for(0));
 }
 
 TEST_F(CostMapsFixture, TplcAppearsAroundVias) {
@@ -159,7 +188,7 @@ TEST_F(CostMapsFixture, HistoryIsIndependentOfNetCosts) {
   costs_.bump_via_history(1, {3, 3}, 1.5);
   EXPECT_DOUBLE_EQ(costs_.metal_history(2, {3, 3}), 2.5);
   EXPECT_DOUBLE_EQ(costs_.via_history(1, {3, 3}), 1.5);
-  costs_.remove_net_costs(0);  // no-op
+  costs_.remove_net_costs(make_net());  // no record: no-op
   EXPECT_DOUBLE_EQ(costs_.metal_history(2, {3, 3}), 2.5);
 }
 

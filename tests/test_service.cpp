@@ -655,13 +655,15 @@ TEST(ServiceWire, OversizedRequestLineIsRejectedAtTheCap) {
     EXPECT_NE(event->error.message().find("1024"), std::string::npos);
   }
   // A client that sends its whole request before reading still gets the
-  // dispatcher's line: the dispatcher drains the rest instead of resetting
+  // line: the daemon and the dispatcher drain the rest instead of resetting
   // the connection.  32 MiB is more than loopback socket buffers hold, so
   // a reset would fail the send.
-  const int fd = connect_loopback(dispatcher.port());
-  send_bytes(fd, std::string(32u << 20, 'x'));
-  EXPECT_EQ(recv_lines(fd).size(), 1u);
-  ::close(fd);
+  for (const int port : {server.port(), dispatcher.port()}) {
+    const int fd = connect_loopback(port);
+    send_bytes(fd, std::string(32u << 20, 'x'));
+    EXPECT_EQ(recv_lines(fd).size(), 1u) << "port " << port;
+    ::close(fd);
+  }
   dispatcher.stop();
   server.stop();
 }

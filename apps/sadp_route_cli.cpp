@@ -49,9 +49,7 @@
 
 #include "api/flow_api.hpp"
 #include "api/flow_delta.hpp"
-#include "core/dvi_exact.hpp"
-#include "core/dvi_heuristic.hpp"
-#include "core/dvi_ilp.hpp"
+#include "core/dvic.hpp"
 #include "core/flow.hpp"
 #include "core/report.hpp"
 #include "core/solution_io.hpp"
@@ -260,6 +258,23 @@ std::optional<CliOptions> parse_cli(int argc, char** argv) {
     std::fprintf(stderr, "--control needs --connect HOST:PORT\n");
     return std::nullopt;
   }
+  if (!options.dvi_only_path.empty()) {
+    // --dvi-only prints the one DVI line; it neither routes nor keeps a
+    // router, so there is nothing to validate, save, render or report.
+    const std::pair<const char*, bool> routed_only[] = {
+        {"--validate", options.validate},
+        {"--save-solution", !options.save_solution_path.empty()},
+        {"--svg", !options.svg_path.empty()},
+        {"--stats", options.print_stats},
+        {"--json-report", !options.json_report_path.empty()},
+    };
+    for (const auto& [flag, set] : routed_only) {
+      if (set) {
+        std::fprintf(stderr, "%s needs a routed run, not --dvi-only\n", flag);
+        return std::nullopt;
+      }
+    }
+  }
 
   const int sources = (!options.netlist_path.empty()) +
                       (!options.benchmark.empty()) +
@@ -337,27 +352,21 @@ int run_dvi_only(const CliOptions& options) {
               solution->name.c_str(), solution->nets.size(), problem.num_vias(),
               problem.total_candidates());
 
-  core::DviResult result;
-  switch (options.job.dvi_method) {
-    case core::DviMethod::kHeuristic:
-      result = core::run_dvi_heuristic(problem, vias, core::DviParams{}).result;
-      break;
-    case core::DviMethod::kExact: {
-      core::DviExactParams params;
-      params.time_limit_seconds = options.job.ilp_limit_seconds;
-      result = core::solve_dvi_exact(problem, vias, params).result;
-      break;
-    }
-    case core::DviMethod::kIlp: {
-      core::DviIlpParams params;
-      params.bnb.time_limit_seconds = options.job.ilp_limit_seconds;
-      result = core::solve_dvi_ilp(problem, vias, params).result;
-      break;
-    }
+  core::FlowConfig config;
+  config.dvi_method = options.job.dvi_method;
+  config.ilp_time_limit_seconds = options.job.ilp_limit_seconds;
+  config.degrade_dvi_on_timeout = options.job.degrade_dvi;
+  const core::DviStageOutput dvi =
+      core::run_post_routing_dvi(vias, config, problem);
+  if (dvi.degraded) {
+    std::fprintf(stderr,
+                 "note: ILP DVI hit its limit; results use the heuristic "
+                 "fallback (--degrade-dvi)\n");
   }
   std::printf("DVI (%s): dead vias %d / %d, uncolorable %d, %.2fs\n",
-              core::dvi_method_name(options.job.dvi_method), result.dead_vias,
-              problem.num_vias(), result.uncolorable, result.seconds);
+              core::dvi_method_name(options.job.dvi_method),
+              dvi.result.dead_vias, problem.num_vias(), dvi.result.uncolorable,
+              dvi.result.seconds);
   return 0;
 }
 
@@ -407,8 +416,8 @@ int write_file_atomically(const std::string& path, const std::string& content) {
 
 /// Every --validate check of a finished run that kept its router: the
 /// routing, then the DVI solution against its problem rebuilt from that
-/// router.  The problem spans every net, or only `dvi_nets` when given (an
-/// ECO re-route solves just the nets it ripped).
+/// router over every net, or over only `dvi_nets` when given (an ECO
+/// re-route solves just the nets it ripped).
 std::vector<core::ValidationIssue> validate_outcome(
     const CliOptions& options, const netlist::PlacedNetlist& instance,
     const engine::JobOutcome& outcome,
@@ -416,17 +425,9 @@ std::vector<core::ValidationIssue> validate_outcome(
   const core::SadpRouter& router = *outcome.router;
   std::vector<core::ValidationIssue> issues =
       core::validate_routing(router, instance, options.job.consider_tpl);
-  std::vector<core::RoutedNet> subset;
-  if (dvi_nets != nullptr) {
-    for (const grid::NetId id : *dvi_nets) {
-      subset.push_back(router.nets()[static_cast<std::size_t>(id)]);
-    }
-  }
-  const core::DviProblem problem =
-      core::build_dvi_problem(dvi_nets != nullptr ? subset : router.nets(),
-                              router.routing_grid(), router.turn_rules());
   const std::vector<core::ValidationIssue> dvi = core::check_dvi_solution(
-      router, problem, outcome.result.dvi.inserted, outcome.dvi_inserted_at,
+      router, core::build_dvi_problem(router, dvi_nets),
+      outcome.result.dvi.inserted, outcome.dvi_inserted_at,
       options.job.consider_tpl);
   issues.insert(issues.end(), dvi.begin(), dvi.end());
   return issues;

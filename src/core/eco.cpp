@@ -326,28 +326,8 @@ util::Status run_eco_flow(const netlist::PlacedNetlist& base,
   // Incremental DVI: the problem is built from the re-routed subset only
   // (untouched nets kept their base DVI opportunities), so the solve cost
   // scales with the delta.  Feasibility still checks the full grid.
-  obs::Span build_span("build_dvi_problem");
-  std::vector<RoutedNet> subset;
-  subset.reserve(out->summary.ripped_ids.size());
-  for (const grid::NetId id : out->summary.ripped_ids) {
-    subset.push_back(router.nets()[static_cast<std::size_t>(id)]);
-  }
-  const DviProblem problem =
-      build_dvi_problem(subset, router.routing_grid(), router.turn_rules());
-  build_span.end();
-  out->flow.result.single_vias = problem.num_vias();
-  out->flow.result.dvi_candidates = problem.total_candidates();
-
-  obs::Span dvi_span("dvi");
-  DviStageOutput dvi = run_post_routing_dvi(router, config, problem);
-  dvi_span.end();
-  out->flow.result.dvi = std::move(dvi.result);
-  out->flow.result.ilp_status = dvi.status;
-  out->flow.dvi_inserted_at = std::move(dvi.inserted_at);
-  out->flow.dvi_degraded = dvi.degraded;
-  if (cancel.stop_requested()) {
-    out->flow.status = cancel.status("ECO post-routing DVI");
-  }
+  run_dvi_tail(out->flow, config, &out->summary.ripped_ids,
+               "ECO post-routing DVI");
   return util::Status::ok();
 }
 

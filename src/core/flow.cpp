@@ -9,10 +9,10 @@ namespace sadp::core {
 namespace {
 
 DviStageOutput run_dvi_heuristic_stage(const DviProblem& problem,
-                                       const SadpRouter& router,
+                                       const via::ViaDb& vias,
                                        const FlowConfig& config) {
   DviHeuristicOutput heuristic =
-      run_dvi_heuristic(problem, router.via_db(), config.options.dvi);
+      run_dvi_heuristic(problem, vias, config.options.dvi);
   DviStageOutput out;
   out.result = std::move(heuristic.result);
   out.inserted_at = std::move(heuristic.inserted_at);
@@ -22,14 +22,14 @@ DviStageOutput run_dvi_heuristic_stage(const DviProblem& problem,
 
 }  // namespace
 
-DviStageOutput run_post_routing_dvi(const SadpRouter& router,
+DviStageOutput run_post_routing_dvi(const via::ViaDb& vias,
                                     const FlowConfig& config,
                                     const DviProblem& problem) {
   DviStageOutput out;
   switch (config.dvi_method) {
     case DviMethod::kHeuristic: {
       obs::Span span("dvi:heuristic");
-      out = run_dvi_heuristic_stage(problem, router, config);
+      out = run_dvi_heuristic_stage(problem, vias, config);
       break;
     }
     case DviMethod::kExact: {
@@ -37,7 +37,7 @@ DviStageOutput run_post_routing_dvi(const SadpRouter& router,
       DviExactParams params;
       params.time_limit_seconds = config.ilp_time_limit_seconds;
       params.cancel = config.options.cancel;
-      DviExactOutput exact = solve_dvi_exact(problem, router.via_db(), params);
+      DviExactOutput exact = solve_dvi_exact(problem, vias, params);
       out.result = std::move(exact.result);
       out.inserted_at = std::move(exact.inserted_at);
       out.status = exact.proven_optimal ? ilp::SolveStatus::kOptimal
@@ -54,7 +54,7 @@ DviStageOutput run_post_routing_dvi(const SadpRouter& router,
       // heuristic, keeping the batch row usable at the cost of optimality.
       bool solver_failed = false;
       try {
-        DviIlpOutput ilp = solve_dvi_ilp(problem, router.via_db(), params);
+        DviIlpOutput ilp = solve_dvi_ilp(problem, vias, params);
         out.result = std::move(ilp.result);
         out.inserted_at = std::move(ilp.inserted_at);
         out.status = ilp.status;
@@ -67,7 +67,7 @@ DviStageOutput run_post_routing_dvi(const SadpRouter& router,
           !config.options.cancel.stop_requested()) {
         obs::Span degrade_span("dvi:heuristic_fallback");
         const ilp::SolveStatus ilp_status = out.status;
-        out = run_dvi_heuristic_stage(problem, router, config);
+        out = run_dvi_heuristic_stage(problem, vias, config);
         out.status = solver_failed ? ilp::SolveStatus::kUnknown : ilp_status;
         out.degraded = true;
       }
@@ -75,6 +75,39 @@ DviStageOutput run_post_routing_dvi(const SadpRouter& router,
     }
   }
   return out;
+}
+
+DviProblem build_dvi_problem(const SadpRouter& router,
+                             const std::vector<grid::NetId>* subset) {
+  std::vector<RoutedNet> subset_nets;
+  if (subset != nullptr) {
+    subset_nets.reserve(subset->size());
+    for (const grid::NetId id : *subset) {
+      subset_nets.push_back(router.nets()[static_cast<std::size_t>(id)]);
+    }
+  }
+  return build_dvi_problem(subset != nullptr ? subset_nets : router.nets(),
+                           router.routing_grid(), router.turn_rules());
+}
+
+void run_dvi_tail(FlowRun& run, const FlowConfig& config,
+                  const std::vector<grid::NetId>* subset, const char* stage) {
+  const SadpRouter& router = *run.router;
+  obs::Span build_span("build_dvi_problem");
+  const DviProblem problem = build_dvi_problem(router, subset);
+  build_span.end();
+  run.result.single_vias = problem.num_vias();
+  run.result.dvi_candidates = problem.total_candidates();
+
+  obs::Span dvi_span("dvi");
+  DviStageOutput dvi = run_post_routing_dvi(router.via_db(), config, problem);
+  dvi_span.end();
+  run.result.dvi = std::move(dvi.result);
+  run.result.ilp_status = dvi.status;
+  run.dvi_inserted_at = std::move(dvi.inserted_at);
+  run.dvi_degraded = dvi.degraded;
+  const util::CancelToken& cancel = config.options.cancel;
+  if (cancel.stop_requested()) run.status = cancel.status(stage);
 }
 
 FlowRun run_flow(const netlist::PlacedNetlist& netlist, const FlowConfig& config) {
@@ -94,21 +127,7 @@ FlowRun run_flow(const netlist::PlacedNetlist& netlist, const FlowConfig& config
     return run;
   }
 
-  obs::Span build_span("build_dvi_problem");
-  const DviProblem problem = build_dvi_problem(
-      run.router->nets(), run.router->routing_grid(), run.router->turn_rules());
-  build_span.end();
-  run.result.single_vias = problem.num_vias();
-  run.result.dvi_candidates = problem.total_candidates();
-
-  obs::Span dvi_span("dvi");
-  DviStageOutput dvi = run_post_routing_dvi(*run.router, config, problem);
-  dvi_span.end();
-  run.result.dvi = std::move(dvi.result);
-  run.result.ilp_status = dvi.status;
-  run.dvi_inserted_at = std::move(dvi.inserted_at);
-  run.dvi_degraded = dvi.degraded;
-  if (cancel.stop_requested()) run.status = cancel.status("post-routing DVI");
+  run_dvi_tail(run, config, nullptr, "post-routing DVI");
   return run;
 }
 

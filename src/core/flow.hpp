@@ -1,5 +1,11 @@
 // End-to-end experiment flow: SADP-aware detailed routing followed by
 // post-routing TPL-aware DVI, producing one row of the paper's tables.
+//
+// Every flow ends in the same DVI stage: run_flow (a full route) and
+// run_eco_flow (an ECO re-route, core/eco.hpp) both finish through
+// run_dvi_tail, and `sadp_route --dvi-only` solves a saved solution's
+// problem through run_post_routing_dvi, so one solver switch and one
+// degradation policy serve all three.
 #pragma once
 
 #include <memory>
@@ -90,12 +96,24 @@ struct FlowRun {
 [[nodiscard]] FlowRun run_flow(const netlist::PlacedNetlist& netlist,
                                const FlowConfig& config);
 
-/// Run only the post-routing DVI stage on an already-routed design, over a
-/// caller-built problem.  run_flow builds it from every net; an ECO re-route
-/// builds it from only the re-routed subset of nets so the solve cost scales
-/// with the delta, not the design (DESIGN.md §16).
-[[nodiscard]] DviStageOutput run_post_routing_dvi(const SadpRouter& router,
+/// Solve a caller-built DVI problem with config's method against the
+/// routed design's via occupancy `vias`, degrading an ILP solve that cannot
+/// prove optimality to the heuristic when config asks for it.
+[[nodiscard]] DviStageOutput run_post_routing_dvi(const via::ViaDb& vias,
                                                   const FlowConfig& config,
                                                   const DviProblem& problem);
+
+/// The DVI problem of a routed design: over every net of `router`, or over
+/// only the nets in `subset` when it is given (an ECO re-route solves just
+/// the nets it ripped, so the solve cost scales with the delta, not the
+/// design — DESIGN.md §16).
+[[nodiscard]] DviProblem build_dvi_problem(
+    const SadpRouter& router, const std::vector<grid::NetId>* subset);
+
+/// The post-routing DVI stage of a routed run: build run.router's problem
+/// over `subset` (as above), solve it, and fill run's DVI fields.  A cancel
+/// token fired by the end sets run.status, naming `stage`.
+void run_dvi_tail(FlowRun& run, const FlowConfig& config,
+                  const std::vector<grid::NetId>* subset, const char* stage);
 
 }  // namespace sadp::core

@@ -17,6 +17,31 @@
 
 namespace sadp::core {
 
+namespace {
+
+// The schedule's escalated present factors, each multiplied left to right
+// from the initial factor (the order fixes the bits every row reads).
+
+/// initial x growth^2: prices the partition boundary pass and starts region
+/// congestion negotiation.
+double regional_factor(const NegotiationParams& n) {
+  return n.present_factor_initial * n.present_factor_growth *
+         n.present_factor_growth;
+}
+
+/// initial x growth^4: resumes negotiation on a merged or adopted state
+/// (partition reconcile, ECO).  A merged grid carries each region's
+/// already-negotiated pressure, and its few remaining cross-cut conflicts
+/// resolve in roughly half the iterations at this level than at growth^2
+/// (measured; quality is unchanged because history costs, not the present
+/// factor, carry the placement memory).
+double resumed_factor(const NegotiationParams& n) {
+  const double growth = n.present_factor_growth;
+  return n.present_factor_initial * growth * growth * growth * growth;
+}
+
+}  // namespace
+
 SadpRouter::SadpRouter(const netlist::PlacedNetlist& netlist, FlowOptions options)
     : netlist_(netlist),
       options_(options),
@@ -171,12 +196,17 @@ std::vector<std::pair<int, grid::Point>> SadpRouter::forbidden_turn_corners(
   return corners;
 }
 
-void SadpRouter::initial_routing() {
+std::vector<grid::NetId> SadpRouter::all_net_ids() const {
+  std::vector<grid::NetId> ids;
+  ids.reserve(netlist_.nets.size());
+  for (const auto& net : netlist_.nets) ids.push_back(net.id);
+  return ids;
+}
+
+void SadpRouter::route_shortest_first(std::vector<grid::NetId> ids,
+                                      double present_factor) {
   // Short nets first: they have the least flexibility and lock in the least
-  // routing resource.
-  std::vector<grid::NetId> order;
-  order.reserve(nets_.size());
-  for (const auto& net : netlist_.nets) order.push_back(net.id);
+  // routing resource.  Ties keep the caller's order.
   auto net_span = [&](grid::NetId id) {
     const auto& pins = netlist_.nets[static_cast<std::size_t>(id)].pins;
     int lo_x = pins[0].at.x, hi_x = lo_x, lo_y = pins[0].at.y, hi_y = lo_y;
@@ -188,12 +218,13 @@ void SadpRouter::initial_routing() {
     }
     return (hi_x - lo_x) + (hi_y - lo_y);
   };
-  std::stable_sort(order.begin(), order.end(), [&](grid::NetId a, grid::NetId b) {
+  std::stable_sort(ids.begin(), ids.end(), [&](grid::NetId a, grid::NetId b) {
     return net_span(a) < net_span(b);
   });
 
-  maze_->set_present_factor(options_.negotiation.present_factor_initial);
-  for (grid::NetId id : order) {
+  maze_->set_fvp_blocking(false);
+  maze_->set_present_factor(present_factor);
+  for (const grid::NetId id : ids) {
     if (options_.cancel.stop_requested()) return;
     rip_net(id);
     route_net(id);
@@ -320,11 +351,6 @@ void SadpRouter::push_net_violations(grid::NetId id, bool consider_fvps) {
       }
     }
   }
-}
-
-std::size_t SadpRouter::ripup_reroute_loop(bool consider_fvps) {
-  return ripup_reroute_loop(consider_fvps,
-                            options_.negotiation.present_factor_initial);
 }
 
 std::size_t SadpRouter::ripup_reroute_loop(bool consider_fvps,
@@ -459,32 +485,39 @@ void SadpRouter::coloring_fix_loop(RoutingReport& report) {
     }
     report.rr_iterations += owners.size();
     // A reroute can create congestion or FVPs; clean them up.
-    ripup_reroute_loop(options_.consider_tpl);
+    ripup_reroute_loop(options_.consider_tpl,
+                       options_.negotiation.present_factor_initial);
   }
 }
 
-void SadpRouter::run_serial_body(RoutingReport& report) {
+void SadpRouter::negotiate(RoutingReport& report, double start_factor) {
   util::Timer phase;
   {
-    obs::Span span("initial_routing");
-    initial_routing();
-  }
-  report.initial_routing_seconds = phase.seconds();
-
-  phase.reset();
-  {
     obs::Span span("congestion_rr");
-    report.rr_iterations += ripup_reroute_loop(/*consider_fvps=*/false);
+    report.rr_iterations +=
+        ripup_reroute_loop(/*consider_fvps=*/false, start_factor);
   }
   report.congestion_rr_seconds = phase.seconds();
 
   if (options_.consider_tpl) {
     phase.reset();
     obs::Span span("tpl_rr");
-    report.rr_iterations += ripup_reroute_loop(/*consider_fvps=*/true);
+    report.rr_iterations +=
+        ripup_reroute_loop(/*consider_fvps=*/true, start_factor);
     span.end();
     report.tpl_rr_seconds = phase.seconds();
   }
+}
+
+void SadpRouter::run_serial_body(RoutingReport& report) {
+  const double initial = options_.negotiation.present_factor_initial;
+  util::Timer phase;
+  {
+    obs::Span span("initial_routing");
+    route_shortest_first(all_net_ids(), initial);
+  }
+  report.initial_routing_seconds = phase.seconds();
+  negotiate(report, initial);
 }
 
 bool SadpRouter::run_partitioned_body(RoutingReport& report) {
@@ -506,36 +539,12 @@ bool SadpRouter::run_partitioned_body(RoutingReport& report) {
   // so the regions route *around* the spanning nets they cannot see past
   // their cut otherwise.
   {
+    // The grid holds only pin stubs here, so the regional (escalated)
+    // present factor costs nothing in search effort but keeps boundary
+    // routes off the pin pads of yet-unrouted nets — overlaps the region
+    // sub-worlds could never resolve (both sides immovable there).
     obs::Span span("partition.boundary");
-    auto net_span = [&](grid::NetId id) {
-      const auto& pins = netlist_.nets[static_cast<std::size_t>(id)].pins;
-      int lo_x = pins[0].at.x, hi_x = lo_x, lo_y = pins[0].at.y, hi_y = lo_y;
-      for (const auto& pin : pins) {
-        lo_x = std::min(lo_x, pin.at.x);
-        hi_x = std::max(hi_x, pin.at.x);
-        lo_y = std::min(lo_y, pin.at.y);
-        hi_y = std::max(hi_y, pin.at.y);
-      }
-      return (hi_x - lo_x) + (hi_y - lo_y);
-    };
-    std::vector<grid::NetId> order = plan.boundary;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](grid::NetId a, grid::NetId b) {
-                       return net_span(a) < net_span(b);
-                     });
-    maze_->set_fvp_blocking(false);
-    // The grid holds only pin stubs here, so an escalated present factor
-    // costs nothing in search effort but keeps boundary routes off the pin
-    // pads of yet-unrouted nets — overlaps the region sub-worlds could
-    // never resolve (both sides immovable there).
-    maze_->set_present_factor(options_.negotiation.present_factor_initial *
-                              options_.negotiation.present_factor_growth *
-                              options_.negotiation.present_factor_growth);
-    for (const grid::NetId id : order) {
-      if (options_.cancel.stop_requested()) break;
-      rip_net(id);
-      route_net(id);
-    }
+    route_shortest_first(plan.boundary, regional_factor(options_.negotiation));
   }
   report.boundary_seconds = sub_phase.seconds();
   // Build the region sub-worlds serially: each is a complete netlist over
@@ -654,20 +663,19 @@ bool SadpRouter::run_partitioned_body(RoutingReport& report) {
           for (const RoutedNet& obstacle : work.obstacles) {
             sub.add_obstacle(obstacle);
           }
-          sub.initial_routing();
-          // Region negotiation starts pre-escalated: sub-worlds are small
-          // and their conflicts dense, so the slow pressure ramp tuned for
-          // full-grid negotiation only burns iterations here (measured
-          // ~30% fewer region R&R iterations at equal quality).
-          const double region_start =
-              region_options.negotiation.present_factor_initial *
-              region_options.negotiation.present_factor_growth *
-              region_options.negotiation.present_factor_growth;
-          work.rr_iterations +=
-              sub.ripup_reroute_loop(/*consider_fvps=*/false, region_start);
+          const NegotiationParams& negotiation = region_options.negotiation;
+          sub.route_shortest_first(sub.all_net_ids(),
+                                   negotiation.present_factor_initial);
+          // Region congestion negotiation starts pre-escalated: sub-worlds
+          // are small and their conflicts dense, so the slow pressure ramp
+          // tuned for full-grid negotiation only burns iterations here
+          // (measured ~30% fewer region R&R iterations at equal quality).
+          // The TPL loop keeps the initial factor.
+          work.rr_iterations += sub.ripup_reroute_loop(
+              /*consider_fvps=*/false, regional_factor(negotiation));
           if (region_options.consider_tpl) {
-            work.rr_iterations +=
-                sub.ripup_reroute_loop(/*consider_fvps=*/true);
+            work.rr_iterations += sub.ripup_reroute_loop(
+                /*consider_fvps=*/true, negotiation.present_factor_initial);
           }
         } catch (...) {
           work.error = std::current_exception();
@@ -716,29 +724,13 @@ bool SadpRouter::run_partitioned_body(RoutingReport& report) {
 
   // Serial reconcile on the merged state: the boundary nets are already in
   // place from the pre-region pass, so reconcile is purely the negotiation
-  // loops at an escalated present factor — resolving the overlaps and FVPs
+  // loops at the resumed present factor — resolving the overlaps and FVPs
   // the regions could not see across their cuts (boundary nets are rippable
   // here like any other) without restarting the pressure schedule.
   phase.reset();
   {
     obs::Span span("partition.reconcile");
-    // growth^4 over the initial factor: the merged grid carries each
-    // region's already-negotiated pressure, and the few remaining cross-cut
-    // conflicts resolve in roughly half the iterations at this level than
-    // at the regions' growth^2 (measured; quality is unchanged because
-    // history costs, not the present factor, carry the placement memory).
-    const double growth = options_.negotiation.present_factor_growth;
-    const double escalated = options_.negotiation.present_factor_initial *
-                             growth * growth * growth * growth;
-
-    util::Timer loop_timer;
-    report.rr_iterations += ripup_reroute_loop(/*consider_fvps=*/false, escalated);
-    report.congestion_rr_seconds = loop_timer.seconds();
-    if (options_.consider_tpl) {
-      loop_timer.reset();
-      report.rr_iterations += ripup_reroute_loop(/*consider_fvps=*/true, escalated);
-      report.tpl_rr_seconds = loop_timer.seconds();
-    }
+    negotiate(report, resumed_factor(options_.negotiation));
   }
   report.reconcile_seconds = phase.seconds();
   return true;
@@ -794,55 +786,22 @@ RoutingReport SadpRouter::run_eco(const std::vector<grid::NetId>& dirty) {
   report.partitions = 1;
 
   // The base solution already carries a fully negotiated placement, so the
-  // dirty subset reroutes at the reconcile-level escalated present factor:
+  // dirty subset reroutes at the reconcile's resumed present factor:
   // restarting the schedule would let the fresh nets trample the adopted
   // state that history costs are there to defend.
-  const double growth = options_.negotiation.present_factor_growth;
-  const double escalated = options_.negotiation.present_factor_initial *
-                           growth * growth * growth * growth;
+  const double resumed = resumed_factor(options_.negotiation);
 
   util::Timer phase;
   {
     obs::Span span("eco.ripup");
     span.set_str("dirty_nets", std::to_string(dirty.size()));
-    // Short nets first, as in initial_routing: least flexibility routes
-    // first while the warm state still has the most slack.
-    std::vector<grid::NetId> order = dirty;
-    auto net_span = [&](grid::NetId id) {
-      const auto& pins = netlist_.nets[static_cast<std::size_t>(id)].pins;
-      int lo_x = pins[0].at.x, hi_x = lo_x, lo_y = pins[0].at.y, hi_y = lo_y;
-      for (const auto& pin : pins) {
-        lo_x = std::min(lo_x, pin.at.x);
-        hi_x = std::max(hi_x, pin.at.x);
-        lo_y = std::min(lo_y, pin.at.y);
-        hi_y = std::max(hi_y, pin.at.y);
-      }
-      return (hi_x - lo_x) + (hi_y - lo_y);
-    };
-    std::stable_sort(order.begin(), order.end(),
-                     [&](grid::NetId a, grid::NetId b) {
-                       return net_span(a) < net_span(b);
-                     });
-    maze_->set_fvp_blocking(false);
-    maze_->set_present_factor(escalated);
-    for (grid::NetId id : order) {
-      if (options_.cancel.stop_requested()) break;
-      rip_net(id);
-      route_net(id);
-    }
+    route_shortest_first(dirty, resumed);
   }
   report.initial_routing_seconds = phase.seconds();
 
   {
     obs::Span span("eco.reroute");
-    util::Timer loop_timer;
-    report.rr_iterations += ripup_reroute_loop(/*consider_fvps=*/false, escalated);
-    report.congestion_rr_seconds = loop_timer.seconds();
-    if (options_.consider_tpl) {
-      loop_timer.reset();
-      report.rr_iterations += ripup_reroute_loop(/*consider_fvps=*/true, escalated);
-      report.tpl_rr_seconds = loop_timer.seconds();
-    }
+    negotiate(report, resumed);
   }
 
   finish_run(report, timer);
@@ -860,7 +819,8 @@ void SadpRouter::finish_run(RoutingReport& report, util::Timer& timer) {
       route_net(id);
     }
     if (!unrouted_.empty()) {
-      report.rr_iterations += ripup_reroute_loop(options_.consider_tpl);
+      report.rr_iterations += ripup_reroute_loop(
+          options_.consider_tpl, options_.negotiation.present_factor_initial);
     }
   }
 

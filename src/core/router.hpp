@@ -12,9 +12,20 @@
 //   5. decomposition-graph construction and the greedy Welsh-Powell
 //      3-colorability check, with R&R fixes for any residual conflicts.
 //
+// Every entry point runs this one schedule: step 2 is route_shortest_first,
+// steps 3-4 are negotiate, and finish_run retries unrouted nets and runs
+// step 5.  Only the nets and the starting present factor differ:
+//   - run(), serial: every net, then negotiation, both at the initial factor;
+//   - run(), partitioned (DESIGN.md section 14): the boundary nets at
+//     initial x growth^2, each region's nets in its own sub-world router
+//     (congestion negotiation from growth^2), then negotiation of the
+//     merged state at initial x growth^4;
+//   - run_eco() (DESIGN.md section 16): the dirty nets, then negotiation,
+//     both at initial x growth^4 over the adopted base state.
+//
 // The router owns the shared databases (grid, via DB, cost maps) and the
-// per-net routed geometry; the post-routing DVI stages read them through
-// the accessors.
+// per-net routed geometry; the post-routing DVI stage (core/flow.hpp)
+// reads them through the accessors.
 #pragma once
 
 #include <memory>
@@ -76,9 +87,9 @@ struct RoutingReport {
   /// when the run was serial — K = 1 or the grid too small to shard).
   int partitions = 1;
   int partition_regions = 0;
-  int boundary_nets = 0;            ///< nets routed by the reconcile pass
+  int boundary_nets = 0;            ///< nets routed by the boundary pass
   double partition_seconds = 0.0;   ///< concurrent region phase (incl. merge)
-  double reconcile_seconds = 0.0;   ///< serial boundary + halo-conflict pass
+  double reconcile_seconds = 0.0;   ///< serial negotiation of the merged state
 
   /// Finer partitioned-run breakdown (all 0 on serial runs).
   /// partition_seconds = boundary + concurrent regions + merge;
@@ -96,7 +107,7 @@ class SadpRouter {
   SadpRouter(const netlist::PlacedNetlist& netlist, FlowOptions options);
 
   /// Run the complete flow of Fig. 8 (through the 3-colorability check;
-  /// post-routing DVI is a separate stage, see dvi_heuristic/dvi_ilp).
+  /// post-routing DVI is a separate stage, see run_dvi_tail in flow.hpp).
   RoutingReport run();
 
   // --- Incremental ECO re-route (DESIGN.md section 16) ---------------------
@@ -118,10 +129,10 @@ class SadpRouter {
   void add_obstacle(const RoutedNet& net);
 
   /// Warm-state flow: rip + reroute exactly the `dirty` nets against the
-  /// adopted base state (negotiation resumes at the reconcile-level
-  /// escalated present factor instead of restarting the schedule), then run
-  /// the standard tail — retry, TPL coloring fix, report assembly.  Nets
-  /// outside `dirty` are touched only if negotiation itself rips them.
+  /// adopted base state through the serial schedule's passes, resumed at
+  /// the reconcile's present factor instead of restarting the schedule,
+  /// then run the standard tail — retry, TPL coloring fix, report assembly.
+  /// Nets outside `dirty` are touched only if negotiation itself rips them.
   RoutingReport run_eco(const std::vector<grid::NetId>& dirty);
 
   // --- Accessors for the DVI stages and for validation ---------------------
@@ -151,7 +162,19 @@ class SadpRouter {
   };
 
   void build_pin_stubs();
-  void initial_routing();
+  /// Every net's id, in netlist order.
+  [[nodiscard]] std::vector<grid::NetId> all_net_ids() const;
+
+  /// Phase 2 over `ids`: stable-sort them by pin bounding-box half
+  /// perimeter, then rip and route each at `present_factor` with FVP
+  /// blocking off (initial routing, the partition boundary pass, the ECO
+  /// rip-up).  Stops at a fired cancel token.
+  void route_shortest_first(std::vector<grid::NetId> ids, double present_factor);
+
+  /// Phases 3-4: the congestion loop, then the FVP loop when TPL is on,
+  /// both starting at `start_factor`, under the `congestion_rr`/`tpl_rr`
+  /// spans; adds their iterations and wall time to `report`.
+  void negotiate(RoutingReport& report, double start_factor);
 
   /// Phases 2-4 of the flow, single-world (K = 1 path).
   void run_serial_body(RoutingReport& report);
@@ -164,10 +187,8 @@ class SadpRouter {
   bool run_partitioned_body(RoutingReport& report);
 
   /// The unified R&R loop: congestion-only (phase 3) or congestion + FVP
-  /// (phase 4 / Algorithm 2).  Returns iterations executed.  The two-arg
-  /// form starts the negotiation at an escalated present factor (the
-  /// reconcile pass resumes pressure instead of restarting from scratch).
-  std::size_t ripup_reroute_loop(bool consider_fvps);
+  /// (phase 4 / Algorithm 2), starting at `start_present_factor` (capped at
+  /// the maximum).  Returns iterations executed.
   std::size_t ripup_reroute_loop(bool consider_fvps, double start_present_factor);
 
   void coloring_fix_loop(RoutingReport& report);

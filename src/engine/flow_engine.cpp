@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "engine/journal.hpp"
 #include "grid/colored_grid.hpp"
@@ -156,17 +157,20 @@ JobOutcome execute_job(FlowJob job, const util::CancelToken& batch_token) {
   return outcome;
 }
 
-/// A placeholder outcome for a job that was never started (batch cancelled
-/// or its deadline fired before a worker picked it up).
-JobOutcome skipped_outcome(const FlowJob& job, const util::CancelToken& token) {
+/// The outcome of a job that never ran: the job's header (label, arm,
+/// style, DVI method, benchmark) with `status` and `error`.  A rejected
+/// batch fails every job this way; a cancelled or drained one skips the
+/// jobs no worker picked up.
+JobOutcome unrun_outcome(const FlowJob& job, JobStatus status,
+                         util::Status error) {
   JobOutcome outcome;
   outcome.label = effective_label(job);
   outcome.arm = job.arm;
   outcome.style = job.config.options.style;
   outcome.dvi_method = job.config.dvi_method;
   outcome.result.benchmark = outcome.label;
-  outcome.status = JobStatus::kCancelled;
-  outcome.error = token.status("batch scheduling");
+  outcome.status = status;
+  outcome.error = std::move(error);
   return outcome;
 }
 
@@ -192,6 +196,12 @@ BatchResult FlowEngine::run(std::vector<FlowJob> jobs) const {
   BatchResult batch;
   batch.outcomes.resize(jobs.size());
   if (jobs.empty()) return batch;
+  const auto reject_batch = [&](const util::Status& error) {
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      batch.outcomes[i] = unrun_outcome(jobs[i], JobStatus::kFailed, error);
+    }
+    batch.failed = jobs.size();
+  };
 
   // A journaled batch is keyed by label; a duplicate would re-execute under
   // the same key and alias rows on resume.  Reject the whole batch loudly.
@@ -205,21 +215,10 @@ BatchResult FlowEngine::run(std::vector<FlowJob> jobs) const {
       }
     }
     if (!duplicate.empty()) {
-      const util::Status error = util::Status::invalid_input(
+      reject_batch(util::Status::invalid_input(
           "duplicate job label '" + duplicate +
           "' in a journaled batch (labels key the resume journal and must "
-          "be unique)");
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        JobOutcome& outcome = batch.outcomes[i];
-        outcome.label = effective_label(jobs[i]);
-        outcome.arm = jobs[i].arm;
-        outcome.style = jobs[i].config.options.style;
-        outcome.dvi_method = jobs[i].config.dvi_method;
-        outcome.result.benchmark = outcome.label;
-        outcome.status = JobStatus::kFailed;
-        outcome.error = error;
-      }
-      batch.failed = jobs.size();
+          "be unique)"));
       return batch;
     }
   }
@@ -232,17 +231,7 @@ BatchResult FlowEngine::run(std::vector<FlowJob> jobs) const {
     const util::Status opened =
         journal.open(options_.journal_path, options_.journal_sync);
     if (!opened.is_ok()) {
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        JobOutcome& outcome = batch.outcomes[i];
-        outcome.label = effective_label(jobs[i]);
-        outcome.arm = jobs[i].arm;
-        outcome.style = jobs[i].config.options.style;
-        outcome.dvi_method = jobs[i].config.dvi_method;
-        outcome.result.benchmark = outcome.label;
-        outcome.status = JobStatus::kFailed;
-        outcome.error = opened;
-      }
-      batch.failed = jobs.size();
+      reject_batch(opened);
       batch.journal_error = opened;
       return batch;
     }
@@ -299,9 +288,11 @@ BatchResult FlowEngine::run(std::vector<FlowJob> jobs) const {
       // only keeps new jobs from starting (graceful server shutdown).
       JobOutcome outcome =
           batch_token.stop_requested()
-              ? skipped_outcome(jobs[i], batch_token)
+              ? unrun_outcome(jobs[i], JobStatus::kCancelled,
+                              batch_token.status("batch scheduling"))
           : options_.drain.stop_requested()
-              ? skipped_outcome(jobs[i], options_.drain)
+              ? unrun_outcome(jobs[i], JobStatus::kCancelled,
+                              options_.drain.status("batch scheduling"))
               : execute_job(std::move(jobs[i]), batch_token);
       const bool journal_it =
           !options_.journal_path.empty() &&

@@ -65,6 +65,28 @@ std::string canonical_net(const core::RoutedNet& net) {
   return out;
 }
 
+/// The deterministic payload of an ECO run (no timings): the routing
+/// report, search counters included, and the incremental DVI problem.
+std::string eco_fingerprint(const core::EcoRun& eco) {
+  const core::RoutingReport& r = eco.flow.result.routing;
+  std::string out;
+  out += std::to_string(r.routed_all) + '|';
+  out += std::to_string(r.unrouted_nets) + '|';
+  out += std::to_string(r.wirelength) + '|';
+  out += std::to_string(r.via_count) + '|';
+  out += std::to_string(r.rr_iterations) + '|';
+  out += std::to_string(r.queue_peak) + '|';
+  out += std::to_string(r.remaining_congestion) + '|';
+  out += std::to_string(r.remaining_fvps) + '|';
+  out += std::to_string(r.maze_pops) + '|';
+  out += std::to_string(r.maze_relaxations) + '|';
+  out += std::to_string(r.maze_searches) + '|';
+  out += std::to_string(eco.flow.result.single_vias) + '|';
+  out += std::to_string(eco.flow.result.dvi_candidates) + '|';
+  out += std::to_string(eco.flow.result.dvi.dead_vias) + '|';
+  return out;
+}
+
 /// An empty cell rect of the given size no pin touches (for blockages).
 std::pair<grid::Point, grid::Point> free_rect(
     const netlist::PlacedNetlist& instance, int size) {
@@ -183,6 +205,11 @@ TEST(EcoFlow, RipsExactlyDirtyNetsKeepsRestBitIdenticalAndValidates) {
   }
   EXPECT_EQ(eco.summary.nets_ripped + eco.summary.nets_untouched,
             eco.summary.nets_total);
+
+  // The warm schedule pinned: the shortest-first rip-up, the escalated
+  // negotiation and the DVI subset all feed these counters.
+  EXPECT_EQ(eco_fingerprint(eco), "1|0|358|115|0|0|0|0|243|758|3|11|34|0|");
+  EXPECT_EQ(eco.summary.ripped_ids, (std::vector<grid::NetId>{3, 11}));
   EXPECT_TRUE(std::is_sorted(eco.summary.ripped_ids.begin(),
                              eco.summary.ripped_ids.end()));
 
@@ -208,6 +235,36 @@ TEST(EcoFlow, RipsExactlyDirtyNetsKeepsRestBitIdenticalAndValidates) {
             eco.flow.result.routing.routed_all);
   EXPECT_EQ(core::validate_routing(*full.router, edit.edited, true).empty(),
             eco_issues.empty());
+}
+
+TEST(EcoFlow, WarmScheduleOnScaledEccIsPinned) {
+  // The pin move of the CI's first delta, on the routed scaled ecc with DVI
+  // and TPL on: dense enough that the rip-up's present factor moves the
+  // search counters, which the sparse fixture above never shows.
+  const auto spec = netlist::spec_for("ecc_s", /*scaled=*/true);
+  ASSERT_TRUE(spec.has_value());
+  const netlist::PlacedNetlist base = netlist::generate(*spec);
+  core::FlowConfig config = heuristic_config();
+  config.options.consider_dvi = true;
+  config.options.consider_tpl = true;
+  const core::FlowRun run = core::run_flow(base, config);
+  ASSERT_TRUE(run.status.is_ok());
+  const core::RoutedSolution solution = core::capture_solution(
+      base.name, run.router->routing_grid(), config.options.style,
+      run.router->nets());
+
+  core::EcoChange move;
+  move.kind = core::EcoChange::Kind::kMovePin;
+  move.net = 3;
+  move.pin = 1;
+  move.to = {10, 12};
+  core::EcoRun eco;
+  ASSERT_TRUE(
+      core::run_eco_flow(base, solution, {move}, config, &eco).is_ok());
+  ASSERT_TRUE(eco.flow.status.is_ok());
+  EXPECT_EQ(eco_fingerprint(eco),
+            "1|0|7652|2161|0|0|0|0|12571|26652|1|8|26|0|");
+  EXPECT_EQ(eco.summary.ripped_ids, (std::vector<grid::NetId>{3}));
 }
 
 TEST(EcoFlow, RemoveNetFreesGeometryWithoutRippingSurvivors) {

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -203,6 +205,40 @@ TEST(FlowEngine, JournaledBatchRejectsDuplicateLabelsUpFront) {
   unjournaled.resize(2);
   unjournaled[1].label = unjournaled[0].label;
   EXPECT_EQ(engine::FlowEngine().run(std::move(unjournaled)).failed, 0u);
+}
+
+TEST(FlowEngine, UnopenableJournalFailsEveryJobUpFront) {
+  // The journal's parent is a regular file, so opening it fails with
+  // ENOTDIR (which, unlike a permission error, holds for root too).  The
+  // batch fails loudly instead of running without crash safety.
+  const std::string parent = testing::TempDir() + "engine_journal_parent";
+  std::ofstream(parent) << "not a directory\n";
+  std::atomic<int> executed{0};
+  engine::EngineOptions options;
+  options.journal_path = parent + "/journal.jsonl";
+  options.on_job_done = [&](const engine::JobOutcome&, std::size_t,
+                            std::size_t) { ++executed; };
+  auto jobs = small_job_list();
+  std::vector<std::string> labels;
+  for (const auto& job : jobs) labels.push_back(job.label);
+
+  const auto batch = engine::FlowEngine(options).run(std::move(jobs));
+  EXPECT_FALSE(batch.journal_error.is_ok());
+  EXPECT_NE(batch.journal_error.message().find("Not a directory"),
+            std::string::npos)
+      << batch.journal_error.message();
+  EXPECT_EQ(batch.failed, batch.outcomes.size());
+  ASSERT_EQ(batch.outcomes.size(), labels.size());
+  for (std::size_t i = 0; i < batch.outcomes.size(); ++i) {
+    const engine::JobOutcome& outcome = batch.outcomes[i];
+    EXPECT_EQ(outcome.label, labels[i]);
+    EXPECT_EQ(outcome.result.benchmark, labels[i]);
+    EXPECT_EQ(outcome.status, engine::JobStatus::kFailed);
+    EXPECT_EQ(outcome.error.message(), batch.journal_error.message());
+    EXPECT_EQ(outcome.result.routing.wirelength, 0);
+  }
+  EXPECT_EQ(executed.load(), 0);
+  std::remove(parent.c_str());
 }
 
 TEST(FlowEngine, FiredDrainTokenSkipsJobsAsCancelled) {

@@ -141,7 +141,10 @@ std::string report_fingerprint(const RoutingReport& r) {
   out += std::to_string(r.fvp_cache_hits) + '|';
   out += std::to_string(r.partitions) + '|';
   out += std::to_string(r.partition_regions) + '|';
-  out += std::to_string(r.boundary_nets);
+  out += std::to_string(r.boundary_nets) + '|';
+  out += std::to_string(r.maze_pops) + '|';
+  out += std::to_string(r.maze_relaxations) + '|';
+  out += std::to_string(r.queue_peak);
   return out;
 }
 
@@ -166,6 +169,13 @@ TEST(PartitionParallel, MatchesSerialQualityWithinBound) {
                        static_cast<double>(serial.wirelength);
   EXPECT_GT(ratio, 0.9) << sharded.wirelength << " vs " << serial.wirelength;
   EXPECT_LT(ratio, 1.1) << sharded.wirelength << " vs " << serial.wirelength;
+
+  // The schedule pinned: one reordered present-factor multiplication or
+  // rip moves a search counter even when WL and #vias happen to hold.
+  EXPECT_EQ(report_fingerprint(serial),
+            "1|0|6466|1911|265|0|0|1|0|0|275887|507101|240");
+  EXPECT_EQ(report_fingerprint(sharded),
+            "1|0|6443|1906|176|0|958|4|4|58|167713|338598|37");
 }
 
 TEST(PartitionParallel, ExplicitKOneIsBitIdenticalToDefault) {

@@ -8,8 +8,9 @@
 #   5. UBSan fleet smoke: same topology under -DSADP_SANITIZE=undefined
 #   6. Release build, full ctest; then exact DVI on ecc/efc/ctl/div with
 #      --validate, which checks the routing and every DVI insertion; then
-#      one ECO delta per edit kind against a saved ecc_s solution, each
-#      with --validate
+#      ecc/efc partitioned into 4 regions with --validate; then one ECO
+#      delta per edit kind against a saved ecc_s solution, each with
+#      --validate (serial, partitioned and ECO runs all produce solutions)
 #   7. End-to-end benchmark smoke: bench_e2e/run_benchmark.py --smoke runs
 #      every workload at toy size with all checks and tracing; any failed
 #      check fails (including the standalone exact-DVI #DV match)
@@ -85,6 +86,9 @@ run_suite build-ci -DCMAKE_BUILD_TYPE=Release
 
 echo "== exact-DVI validation (routing and DVI checks, nonzero exit on any issue) =="
 ./build-ci/apps/sadp_route --benchmark ecc,efc,ctl,div --dvi-method exact --validate
+
+echo "== partitioned validation (K = 4 regions, routing and DVI checks) =="
+./build-ci/apps/sadp_route --benchmark ecc,efc --partitions 4 --validate
 
 echo "== ECO validation (one --delta --validate per edit kind on ecc_s) =="
 ./build-ci/apps/sadp_route --benchmark ecc_s --save-solution build-ci/eco_base.sol

@@ -23,8 +23,8 @@
 //              --move-pin "3,1,10,12" --add-blockage "4,4,9,9" --validate
 //
 // Remote: --connect HOST:PORT sends the same request to a running
-// sadp_routed daemon or sadp_route_dispatch front instead of running it
-// here; rows stream back into the same table.  --control VERB sends one
+// sadp_routed daemon or `sadp_routed --backends` front instead of running
+// it here; rows stream back into the same table.  --control VERB sends one
 // control-plane line instead: ping, stats, metrics, drain, schemas, or
 // failpoints, which arms the server's fault sites from --failpoints (or
 // clears them when it is empty):
@@ -194,8 +194,8 @@ std::optional<CliOptions> parse_cli(int argc, char** argv) {
                   "paper-scale benchmarks (default: scaled)");
   std::string connect;
   parser.add_string("--connect", &connect,
-                    "send the request to a running sadp_routed or "
-                    "sadp_route_dispatch instead of running it here",
+                    "send the request to a running sadp_routed daemon or "
+                    "front instead of running it here",
                     "HOST:PORT");
   parser.add_string("--control", &options.control,
                     "with --connect: send one control verb instead (ping, "
@@ -245,7 +245,6 @@ std::optional<CliOptions> parse_cli(int argc, char** argv) {
         {"--validate", options.validate},
         {"--stats", options.print_stats},
         {"--json-report", !options.json_report_path.empty()},
-        {"--wire", options.wire},
         {"--trace", !options.trace_path.empty()},
     };
     for (const auto& [flag, set] : local_only) {
@@ -259,14 +258,24 @@ std::optional<CliOptions> parse_cli(int argc, char** argv) {
     return std::nullopt;
   }
   if (!options.dvi_only_path.empty()) {
-    // --dvi-only prints the one DVI line; it neither routes nor keeps a
-    // router, so there is nothing to validate, save, render or report.
+    // --dvi-only prints the one DVI line of one solve; it neither routes
+    // nor keeps a router, so there is nothing to validate, save, render or
+    // report, no batch to journal, bound or spread, and no routing to tune.
     const std::pair<const char*, bool> routed_only[] = {
         {"--validate", options.validate},
         {"--save-solution", !options.save_solution_path.empty()},
         {"--svg", !options.svg_path.empty()},
         {"--stats", options.print_stats},
         {"--json-report", !options.json_report_path.empty()},
+        {"--journal", !options.request.journal_path.empty()},
+        {"--resume", options.request.resume},
+        {"--deadline", options.job.deadline_seconds != 0.0},
+        {"--batch-deadline", options.request.batch_deadline_seconds != 0.0},
+        {"--partitions", options.job.partitions != 0},
+        {"--jobs", options.request.workers != 0},
+        {"--keep-going", options.request.keep_going},
+        {"--no-tpl", no_tpl},
+        {"--no-dvi", no_dvi},
     };
     for (const auto& [flag, set] : routed_only) {
       if (set) {
@@ -415,16 +424,16 @@ int write_file_atomically(const std::string& path, const std::string& content) {
 }
 
 /// Every --validate check of a finished run that kept its router: the
-/// routing, then the DVI solution against its problem rebuilt from that
-/// router over every net, or over only `dvi_nets` when given (an ECO
-/// re-route solves just the nets it ripped).
+/// routing against the netlist the router routed, then the DVI solution
+/// against its problem rebuilt from that router over every net, or over
+/// only `dvi_nets` when given (an ECO re-route solves just the nets it
+/// ripped).
 std::vector<core::ValidationIssue> validate_outcome(
-    const CliOptions& options, const netlist::PlacedNetlist& instance,
-    const engine::JobOutcome& outcome,
+    const CliOptions& options, const engine::JobOutcome& outcome,
     const std::vector<grid::NetId>* dvi_nets = nullptr) {
   const core::SadpRouter& router = *outcome.router;
-  std::vector<core::ValidationIssue> issues =
-      core::validate_routing(router, instance, options.job.consider_tpl);
+  std::vector<core::ValidationIssue> issues = core::validate_routing(
+      router, router.netlist(), options.job.consider_tpl);
   const std::vector<core::ValidationIssue> dvi = core::check_dvi_solution(
       router, core::build_dvi_problem(router, dvi_nets),
       outcome.result.dvi.inserted, outcome.dvi_inserted_at,
@@ -435,8 +444,7 @@ std::vector<core::ValidationIssue> validate_outcome(
 
 /// Post-process one finished run: print, report, validate, save, render.
 /// `dvi_nets` is as in validate_outcome.
-int finish_single(const CliOptions& options, const netlist::PlacedNetlist& instance,
-                  const engine::JobOutcome& outcome,
+int finish_single(const CliOptions& options, const engine::JobOutcome& outcome,
                   const std::vector<grid::NetId>* dvi_nets = nullptr) {
   if (!outcome.ok() || outcome.router == nullptr) {
     std::fprintf(stderr, "flow %s: %s\n",
@@ -478,7 +486,7 @@ int finish_single(const CliOptions& options, const netlist::PlacedNetlist& insta
 
   int exit_code = result.routing.routed_all ? 0 : 1;
   if (options.validate) {
-    const auto issues = validate_outcome(options, instance, outcome, dvi_nets);
+    const auto issues = validate_outcome(options, outcome, dvi_nets);
     if (issues.empty()) {
       std::printf("validation: all checks passed\n");
     } else {
@@ -491,7 +499,7 @@ int finish_single(const CliOptions& options, const netlist::PlacedNetlist& insta
 
   if (!options.save_solution_path.empty()) {
     std::ostringstream out;
-    core::write_solution(out, core::capture_solution(instance.name,
+    core::write_solution(out, core::capture_solution(router.netlist().name,
                                                      router.routing_grid(),
                                                      options.job.style,
                                                      router.nets()));
@@ -594,16 +602,24 @@ void print_summary(const Counts& counts, std::size_t jobs, int workers,
 }
 
 /// What a --connect run prints: the rows that streamed back, the server's
-/// summary, and for an ECO its "delta" line.  Rows arrive in completion
+/// summary, and for an ECO its "delta" line; or, given `wire_lines`, those
+/// response lines as the server sent them.  Rows arrive in completion
 /// order; the table lists them in the order of `jobs`, as a local batch
 /// does, so equal runs print equal tables.
 int finish_remote(server::RemoteBatch batch,
-                  const std::vector<api::JobRequest>& jobs) {
+                  const std::vector<api::JobRequest>& jobs,
+                  const std::vector<std::string>* wire_lines = nullptr) {
   if (!batch.status.is_ok()) {
     std::fprintf(stderr, "server error%s: %s\n",
                  batch.attempts > 1 ? " (after retries)" : "",
                  batch.status.to_string().c_str());
     return 1;
+  }
+  if (wire_lines != nullptr) {
+    for (const std::string& line : *wire_lines) {
+      std::printf("%s\n", line.c_str());
+    }
+    return batch.all_ok() ? 0 : 1;
   }
   const auto rank = [&](const engine::JobOutcome& row) {
     return std::find_if(jobs.begin(), jobs.end(),
@@ -694,9 +710,9 @@ int run_control(const CliOptions& options) {
 
 /// Incremental ECO mode (--delta): a FlowDeltaRequest from the one base job
 /// plus the change-spec flags.  Remote, it goes over the wire with the base
-/// solution inlined.  In-process, it either dumps the raw wire lines
-/// (--wire, for byte-comparison against a daemon's stream in the smoke
-/// tests) or post-processes like any single run.
+/// solution inlined.  Either way it dumps the raw wire lines (--wire, for
+/// byte-comparison of the two streams in the smoke tests) or prints like
+/// any other run of its kind.
 int run_delta(const CliOptions& options, api::JobRequest base) {
   api::FlowDeltaRequest eco;
   eco.base = std::move(base);
@@ -713,8 +729,7 @@ int run_delta(const CliOptions& options, api::JobRequest base) {
     text << in.rdbuf();
     eco.base_solution = text.str();
   } else {
-    // --validate checks the re-route against the *edited* netlist derived
-    // from the base instance.
+    // The banner and the row label name the base instance.
     if (const int code = load_instance(eco.base, &base_instance); code != 0) {
       return code;
     }
@@ -734,10 +749,12 @@ int run_delta(const CliOptions& options, api::JobRequest base) {
       api::ensure_delta_trace_context(&eco);
       std::fprintf(stderr, "trace_id=%s\n", eco.trace_id.c_str());
     }
+    std::vector<std::string> wire_lines;
+    std::vector<std::string>* wire = options.wire ? &wire_lines : nullptr;
     return finish_remote(
         server::run_remote_retry(options.remote->host, options.remote->port,
-                                 eco, options.retry, print_progress),
-        {eco.base});
+                                 eco, options.retry, print_progress, wire),
+        {eco.base}, wire);
   }
   if (!options.wire) {
     std::printf("eco %s: %zu change(s), base %s...\n",
@@ -772,17 +789,7 @@ int run_delta(const CliOptions& options, api::JobRequest base) {
               run.summary.nets_ripped, run.summary.nets_total,
               run.summary.nets_untouched, run.summary.base_fingerprint.c_str(),
               run.summary.load_seconds);
-
-  // --validate and the solution/SVG writers need the edited netlist; the
-  // change list already applied cleanly inside dispatch_delta.
-  core::EcoEditOutcome edit;
-  if (const util::Status edited =
-          core::apply_eco_changes(base_instance, eco.changes, &edit);
-      !edited.is_ok()) {
-    std::fprintf(stderr, "%s\n", edited.to_string().c_str());
-    return 1;
-  }
-  return finish_single(options, edit.edited, run.outcome, &run.summary.ripped_ids);
+  return finish_single(options, run.outcome, &run.summary.ripped_ids);
 }
 
 /// Batch mode: several benchmarks through the engine, summary table + metrics.
@@ -807,19 +814,22 @@ int run_batch(const CliOptions& options, const api::FlowRequest& request) {
   }
 
   int exit_code = batch.exit_code();
+  // As in a single run, "all checks passed" needs every row validated.
+  bool validated_clean = options.validate;
   for (const auto& outcome : batch.outcomes) {
+    if (outcome.router == nullptr) validated_clean = false;
     if (!outcome.ok()) continue;
     if (!outcome.result.routing.routed_all) exit_code = 1;
     if (options.validate && outcome.router != nullptr) {
-      const netlist::PlacedNetlist instance = netlist::generate(
-          *netlist::spec_for(outcome.label, !options.full_scale));
-      for (const auto& issue : validate_outcome(options, instance, outcome)) {
+      for (const auto& issue : validate_outcome(options, outcome)) {
         std::printf("validation issue (%s): %s\n", outcome.label.c_str(),
                     issue.what.c_str());
         exit_code = 1;
+        validated_clean = false;
       }
     }
   }
+  if (validated_clean) std::printf("validation: all checks passed\n");
   print_table(batch.outcomes);
   print_summary(batch, batch.outcomes.size(), run.workers, run.wall_seconds);
 
@@ -853,7 +863,7 @@ int run_single(const CliOptions& options, api::FlowRequest request) {
     std::fprintf(stderr, "%s\n", run.status.message().c_str());
     return 1;
   }
-  return finish_single(options, instance, run.batch.outcomes[0]);
+  return finish_single(options, run.batch.outcomes[0]);
 }
 
 int dispatch(const CliOptions& options) {

@@ -1,8 +1,8 @@
 // Control plane of the routing service (schema sadp.control.v1).
 //
 // Alongside sadp.flow_request.v1 batch lines, a daemon (and the
-// sadp_route_dispatch front) accepts tiny newline-delimited control lines
-// that are answered on the event loop itself — they never enter the
+// `sadp_routed --backends` front) accepts tiny newline-delimited control
+// lines that are answered on the event loop itself — they never enter the
 // admission gate or touch the worker pool, so health probes keep working
 // while the server is saturated:
 //

@@ -136,6 +136,10 @@ class SadpRouter {
   RoutingReport run_eco(const std::vector<grid::NetId>& dirty);
 
   // --- Accessors for the DVI stages and for validation ---------------------
+  /// The netlist this router routes (for an ECO, the edited one).
+  [[nodiscard]] const netlist::PlacedNetlist& netlist() const noexcept {
+    return netlist_;
+  }
   [[nodiscard]] const grid::RoutingGrid& routing_grid() const noexcept {
     return *grid_;
   }

@@ -132,8 +132,9 @@ class TraceSession {
 
   /// Name this process in the trace view (the process_name metadata event
   /// and the top-level `process` member).  Defaults to "sadp_flow"; fleet
-  /// daemons set "sadp_routed :port" and the dispatcher "sadp_route_dispatch"
-  /// so merged timelines label their swimlanes.
+  /// daemons set "sadp_routed :port" and the front
+  /// "sadp_routed --backends :port" so merged timelines label their
+  /// swimlanes.
   void set_process_name(std::string name);
 
   /// Merge all thread buffers into one Chrome trace-event JSON document.

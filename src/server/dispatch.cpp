@@ -391,7 +391,7 @@ bool RouteDispatcher::forward_to(std::size_t backend_index,
     }
   }
   if (!options_.quiet) {
-    std::fprintf(stderr, "[sadp_route_dispatch] %s served %zu byte(s)\n",
+    std::fprintf(stderr, "[sadp_routed] %s served %zu byte(s)\n",
                  host.c_str(), relayed);
   }
   return true;

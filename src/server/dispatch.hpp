@@ -1,6 +1,6 @@
-// Multi-daemon front: sadp_route_dispatch accepts the same wire dialects
-// as sadp_routed and forwards each flow request to the least-loaded live
-// backend.
+// Multi-daemon front: `sadp_routed --backends` accepts the same wire
+// dialects as a daemon and forwards each flow request to the least-loaded
+// live backend.
 //
 // The dispatcher holds no routing state of its own.  A probe thread sends
 // {"type":"stats"} to every configured backend on a fixed cadence and

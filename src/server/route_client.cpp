@@ -41,10 +41,12 @@ namespace {
 
 /// Shared body of run_remote / run_remote_delta: send one pre-serialized
 /// request line, consume the response stream until the server closes.
+/// `wire_lines` (optional) collects every response line as received.
 RemoteBatch run_stream(
     const std::string& host, int port, const std::string& request_line,
-    const RowCallback& on_row) {
+    const RowCallback& on_row, std::vector<std::string>* wire_lines = nullptr) {
   RemoteBatch batch;
+  if (wire_lines != nullptr) wire_lines->clear();
   std::string error;
   const int fd = connect_to(host, port, /*timeout_ms=*/0, &error);
   if (fd < 0) {
@@ -63,6 +65,7 @@ RemoteBatch run_stream(
   char chunk[4096];
   auto consume_line = [&](std::string_view line) {
     if (line.empty()) return;
+    if (wire_lines != nullptr) wire_lines->emplace_back(line);
     std::string parse_error;
     auto event = api::parse_response_line(line, &parse_error);
     if (!event) {
@@ -121,11 +124,12 @@ RemoteBatch run_stream(
 /// both run_remote_retry overloads.
 RemoteBatch run_stream_retry(
     const std::string& host, int port, const std::string& request_line,
-    const RetryOptions& retry, const RowCallback& on_row) {
+    const RetryOptions& retry, const RowCallback& on_row,
+    std::vector<std::string>* wire_lines = nullptr) {
   util::Xoshiro256StarStar jitter(retry.seed != 0 ? retry.seed : 0x5adbull);
   RemoteBatch batch;
   for (int attempt = 0;; ++attempt) {
-    batch = run_stream(host, port, request_line, on_row);
+    batch = run_stream(host, port, request_line, on_row, wire_lines);
     batch.attempts = attempt + 1;
     if (batch.status.code() != util::StatusCode::kResourceExhausted ||
         attempt >= retry.retries) {
@@ -168,9 +172,10 @@ RemoteBatch run_remote_retry(
 
 RemoteBatch run_remote_retry(
     const std::string& host, int port, const api::FlowDeltaRequest& request,
-    const RetryOptions& retry, const RowCallback& on_row) {
+    const RetryOptions& retry, const RowCallback& on_row,
+    std::vector<std::string>* wire_lines) {
   return run_stream_retry(host, port, api::serialize_delta_request(request),
-                          retry, on_row);
+                          retry, on_row, wire_lines);
 }
 
 // ---------------------------------------------------------------------------

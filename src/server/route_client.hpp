@@ -25,7 +25,7 @@ using RowCallback = std::function<void(const engine::JobOutcome&,
                                        std::size_t done, std::size_t total)>;
 
 /// A daemon or dispatcher address, as `sadp_route --connect` and
-/// `sadp_route_dispatch --backends` spell it: "HOST:PORT".
+/// `sadp_routed --backends` spell it: "HOST:PORT".
 struct HostPort {
   std::string host;
   int port = 0;
@@ -100,10 +100,12 @@ struct RetryOptions {
     const RowCallback& on_row = {});
 
 /// run_remote_delta under the same retry policy, over the same backoff
-/// loop as a flow request.
+/// loop as a flow request.  `wire_lines` (optional) receives the response
+/// lines of the last attempt as the server sent them.
 [[nodiscard]] RemoteBatch run_remote_retry(
     const std::string& host, int port, const api::FlowDeltaRequest& request,
-    const RetryOptions& retry, const RowCallback& on_row = {});
+    const RetryOptions& retry, const RowCallback& on_row = {},
+    std::vector<std::string>* wire_lines = nullptr);
 
 // ---------------------------------------------------------------------------
 // Control-plane round trips (sadp.control.v1): one line out, one line back.

@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -208,9 +207,8 @@ util::Status RouteServer::start() {
 
 void RouteServer::begin_drain() noexcept {
   draining_.store(true, std::memory_order_release);
-  drain_token_.request_cancel();  // atomic store; signal-handler safe
-  // No wake here: this must stay async-signal-safe, and the event loop
-  // polls the flag within its timeout.
+  drain_token_.request_cancel();
+  // No wake here: the event loop polls the flag within its timeout.
 }
 
 void RouteServer::wake() noexcept {
@@ -895,33 +893,6 @@ void RouteServer::stop() {
     ::close(wake_fd_);
     wake_fd_ = -1;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Signal plumbing
-
-namespace {
-
-std::atomic<RouteServer*> g_drain_target{nullptr};
-
-extern "C" void sadp_drain_signal_handler(int) {
-  RouteServer* server = g_drain_target.load(std::memory_order_acquire);
-  if (server != nullptr) server->begin_drain();
-}
-
-}  // namespace
-
-void install_sigterm_drain(RouteServer* server) {
-  g_drain_target.store(server, std::memory_order_release);
-  struct sigaction action{};
-  if (server != nullptr) {
-    action.sa_handler = sadp_drain_signal_handler;
-    sigemptyset(&action.sa_mask);
-  } else {
-    action.sa_handler = SIG_DFL;
-  }
-  ::sigaction(SIGTERM, &action, nullptr);
-  ::sigaction(SIGINT, &action, nullptr);
 }
 
 }  // namespace sadp::server

@@ -149,9 +149,8 @@ class RouteServer {
   [[nodiscard]] int port() const noexcept { return port_; }
 
   /// Begin graceful drain: stop accepting, let running jobs finish, skip
-  /// unstarted ones (kCancelled).  Async-signal-safe (atomic stores only;
-  /// the event loop notices within its poll timeout) — this is the SIGTERM
-  /// handler's entry point.  Idempotent.
+  /// unstarted ones (kCancelled).  Atomic stores only; the event loop
+  /// notices within its poll timeout.  Idempotent.
   void begin_drain() noexcept;
 
   [[nodiscard]] bool draining() const noexcept {
@@ -280,9 +279,5 @@ class RouteServer {
   bool listener_registered_ = false;
   bool stopped_ = false;
 };
-
-/// Route SIGTERM and SIGINT to server->begin_drain() (one server per
-/// process).  Pass nullptr to restore the default disposition.
-void install_sigterm_drain(RouteServer* server);
 
 }  // namespace sadp::server

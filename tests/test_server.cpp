@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <functional>
 #include <future>
@@ -391,17 +390,11 @@ TEST(RouteServer, DrainMidBatchThenJournalResumeCompletesTheRemainder) {
   std::remove(journal.c_str());
 }
 
-TEST(RouteServer, SigtermTriggersDrainViaInstalledHandler) {
+TEST(RouteServer, StopClosesTheListener) {
   server::RouteServer server(quiet_options());
   ASSERT_TRUE(server.start().is_ok());
-  server::install_sigterm_drain(&server);
-  std::raise(SIGTERM);
-  for (int i = 0; i < 200 && !server.draining(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_TRUE(server.draining());
   server.stop();
-  server::install_sigterm_drain(nullptr);
+  EXPECT_TRUE(server.draining());
 
   // The listener is gone: a new request cannot reach the server.
   api::FlowRequest request;

@@ -1,8 +1,9 @@
 // Fleet-service tests: result-cache byte-identity, control wire, epoll
 // event-loop behavior under idle/partial/malformed connections, client
-// retry, dispatcher failover around a SIGKILLed backend, backends named by
-// host name, bounded probes, stop() with an idle client, and the request
-// bytes `sadp_route --connect` sends.
+// retry, dispatcher failover around a SIGKILLed backend, a spawned
+// `sadp_routed --backends` fleet that SIGTERM stops cleanly, backends
+// named by host name, bounded probes, stop() with an idle client, and the
+// request bytes `sadp_route --connect` sends.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -759,7 +760,8 @@ TEST(ServiceRetry, RetriesThroughResourceExhaustion) {
 // Dispatcher: backends named by host name, probes bounded by the probe
 // timeout, stop() with an idle client; then two REAL sadp_routed backends,
 // one SIGKILLed, and the dispatcher routes around the corpse with no failed
-// rows.
+// rows; then a REAL `sadp_routed --backends` front over two of them, and
+// SIGTERM stops all three with exit 0.
 
 /// Poll the dispatcher's stats for up to 3 s until `done` holds on its
 /// peer rows.
@@ -850,13 +852,20 @@ TEST(ServiceDispatch, StopReturnsWhileAClientIsIdle) {
 
 #ifdef SADP_ROUTED_BIN
 
-/// A sadp_routed child process started with --port 0; the chosen port is
-/// read from its stdout pipe.
+/// A sadp_routed child process started with --port 0 --quiet and `args`
+/// (by default a 2-worker daemon); the chosen port is read from its stdout
+/// pipe.
 struct SpawnedDaemon {
   pid_t pid = -1;
   int port = 0;
 
-  bool start() {
+  bool start(std::vector<std::string> args = {"--workers", "2"}) {
+    std::vector<std::string> words = {SADP_ROUTED_BIN, "--port", "0",
+                                      "--quiet"};
+    words.insert(words.end(), args.begin(), args.end());
+    std::vector<char*> argv;
+    for (std::string& word : words) argv.push_back(word.data());
+    argv.push_back(nullptr);
     int out[2];
     if (::pipe(out) != 0) return false;
     pid = ::fork();
@@ -866,8 +875,7 @@ struct SpawnedDaemon {
       ::dup2(out[1], STDOUT_FILENO);
       ::close(out[0]);
       ::close(out[1]);
-      ::execl(SADP_ROUTED_BIN, SADP_ROUTED_BIN, "--port", "0", "--workers",
-              "2", "--quiet", static_cast<char*>(nullptr));
+      ::execv(SADP_ROUTED_BIN, argv.data());
       ::_exit(127);
     }
     ::close(out[1]);
@@ -893,12 +901,15 @@ struct SpawnedDaemon {
     }
   }
 
-  void terminate() {
-    if (pid > 0) {
-      ::kill(pid, SIGTERM);
-      ::waitpid(pid, nullptr, 0);
-      pid = -1;
-    }
+  /// SIGTERM the child and reap it: its exit code, or -1 when it did not
+  /// exit normally.
+  int terminate() {
+    if (pid <= 0) return -1;
+    ::kill(pid, SIGTERM);
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    pid = -1;
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   }
 
   ~SpawnedDaemon() { kill_hard(); }
@@ -951,7 +962,32 @@ TEST(ServiceDispatch, RoutesAroundSigkilledBackend) {
   }));
 
   dispatcher.stop();
-  backend_b.terminate();
+  EXPECT_EQ(backend_b.terminate(), 0);
+}
+
+TEST(ServiceDispatch, SigtermStopsTheFrontAndItsDaemons) {
+  SpawnedDaemon backend_a;
+  SpawnedDaemon backend_b;
+  ASSERT_TRUE(backend_a.start());
+  ASSERT_TRUE(backend_b.start());
+  SpawnedDaemon front;
+  ASSERT_TRUE(front.start({"--backends",
+                           "127.0.0.1:" + std::to_string(backend_a.port) +
+                               ",127.0.0.1:" + std::to_string(backend_b.port),
+                           "--probe-interval-ms", "50"}));
+
+  api::FlowRequest request;
+  request.jobs.push_back(spec_job("front_a", 36, 12));
+  request.jobs.push_back(spec_job("front_b", 38, 13));
+  const server::RemoteBatch batch =
+      server::run_remote("127.0.0.1", front.port, request);
+  EXPECT_TRUE(batch.all_ok()) << batch.status.to_string();
+  EXPECT_EQ(batch.rows.size(), 2u);
+
+  // One signal path for both modes: SIGTERM stops each process cleanly.
+  EXPECT_EQ(front.terminate(), 0);
+  EXPECT_EQ(backend_a.terminate(), 0);
+  EXPECT_EQ(backend_b.terminate(), 0);
 }
 
 #endif  // SADP_ROUTED_BIN

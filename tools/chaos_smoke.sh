@@ -13,13 +13,13 @@
 # Part 1 runs seven seeded journal-chaos schedules against sadp_route
 # (injected EIO / short writes / sync failures / delays, SIGKILL on four
 # of them), each followed by a failpoint-free `--resume` that must exit 0
-# and reproduce the reference report.  Part 2 boots the dispatcher +
-# 2-daemon fleet, arms four row-preserving schedules over the control
-# plane (`sadp_route --control failpoints`), and checks every batch reports
-# zero failed rows and the same result table (CPU column aside) as the
-# clean batch;
-# it closes by SIGKILLing one backend and proving the dispatcher routes
-# the next batch around the corpse.  Eleven seeded runs total.
+# and reproduce the reference report.  Part 2 boots a 2-daemon fleet
+# behind a `sadp_routed --backends` front (the dispatcher), arms four
+# row-preserving schedules over the control plane (`sadp_route --control
+# failpoints`), and checks every batch reports zero failed rows and the
+# same result table (CPU column aside) as the clean batch; it closes by
+# SIGKILLing one backend and proving the dispatcher routes the next batch
+# around the corpse.  Eleven seeded runs total.
 #
 # Schedules are deterministic: seed N always draws the same faults at the
 # same sites (the failpoint RNG is keyed on seed and site name), so a
@@ -42,7 +42,7 @@ if [ ! -f "$BUILD/CMakeCache.txt" ]; then
   cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 fi
 cmake --build "$BUILD" -j "$(nproc)" \
-  --target sadp_route sadp_routed sadp_route_dispatch >/dev/null
+  --target sadp_route sadp_routed >/dev/null
 
 CLI="./$BUILD/apps/sadp_route"
 BENCH="ecc,efc,ctl"
@@ -60,15 +60,15 @@ cleanup() {
 }
 trap cleanup EXIT
 
-scrape_port() {  # scrape_port <logfile> <banner-prefix>
-  local log="$1" prefix="$2" port="" i
+scrape_port() {  # scrape_port <logfile>
+  local log="$1" port="" i
   for i in $(seq 1 100); do
-    port="$(sed -n "s/^${prefix} 127\.0\.0\.1:\([0-9]*\)$/\1/p" "$log")"
+    port="$(sed -n 's/^listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$log")"
     [ -n "$port" ] && break
     sleep 0.1
   done
   if [ -z "$port" ]; then
-    echo "chaos smoke: no '$prefix' banner in $log" >&2
+    echo "chaos smoke: no 'listening on' banner in $log" >&2
     cat "$log" >&2
     exit 1
   fi
@@ -166,21 +166,21 @@ echo "== chaos smoke part 2: fleet chaos through the dispatcher"
 pids+=($!)
 PID_A=$!
 disown "$PID_A"  # keep bash's async job-death notices off the log
-PORT_A="$(scrape_port "$workdir/a.log" "listening on")"
+PORT_A="$(scrape_port "$workdir/a.log")"
 
 "./$BUILD/apps/sadp_routed" --port 0 --workers 2 >"$workdir/b.log" 2>&1 &
 pids+=($!)
 PID_B=$!
 disown "$PID_B"
-PORT_B="$(scrape_port "$workdir/b.log" "listening on")"
+PORT_B="$(scrape_port "$workdir/b.log")"
 
-"./$BUILD/apps/sadp_route_dispatch" --port 0 \
+"./$BUILD/apps/sadp_routed" --port 0 \
   --backends "127.0.0.1:$PORT_A,127.0.0.1:$PORT_B" \
   --probe-interval-ms 100 --stale-after-ms 500 \
   >"$workdir/d.log" 2>&1 &
 pids+=($!)
 disown "$!"
-PORT_D="$(scrape_port "$workdir/d.log" "dispatching on")"
+PORT_D="$(scrape_port "$workdir/d.log")"
 
 run_fleet_batch() {  # run_fleet_batch <outfile>
   "$CLI" --connect "127.0.0.1:$PORT_D" \

@@ -2,7 +2,8 @@
 # Full local CI gate:
 #   1. Debug build with ASan+UBSan, full ctest
 #   2. ASan server smoke: sadp_routed + sadp_route --connect round trip
-#   3. ASan fleet smoke: dispatcher + 2 backends, cache hits, 0 failed rows
+#   3. ASan fleet smoke: sadp_routed --backends front + 2 daemons, cache
+#      hits, 0 failed rows
 #   4. ASan chaos smoke: 11 seeded failpoint/SIGKILL schedules, rows
 #      must survive bit-identical through --resume and the fleet
 #   5. UBSan fleet smoke: same topology under -DSADP_SANITIZE=undefined
@@ -72,13 +73,13 @@ fi
 kill -TERM "$server_pid"
 wait "$server_pid"   # set -e: a non-zero daemon exit fails the gate
 
-echo "== ASan fleet smoke (dispatcher + 2 backends) =="
+echo "== ASan fleet smoke (sadp_routed --backends + 2 daemons) =="
 tools/service_smoke.sh build-asan --skip-bench
 
 echo "== ASan chaos smoke (seeded failpoints + SIGKILL) =="
 tools/chaos_smoke.sh build-asan
 
-echo "== UBSan fleet smoke (dispatcher + 2 backends) =="
+echo "== UBSan fleet smoke (sadp_routed --backends + 2 daemons) =="
 tools/service_smoke.sh --ubsan --skip-bench
 
 echo "== Release =="

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Service fleet smoke: boot a dispatcher + two backends,
-# drive real batches through the front door, and assert the fleet
-# behaviors the tests can't see from inside one process:
+# Service fleet smoke: boot two daemons and a `sadp_routed --backends`
+# front (the dispatcher), drive real batches through the front door, and
+# assert the fleet behaviors the tests can't see from inside one process:
 #
 #   * zero failed rows across repeated batches through the dispatcher;
 #   * nonzero cache hits once every backend has seen the batch (the
@@ -12,7 +12,7 @@
 #   * every process answers a {"type":"metrics"} scrape with Prometheus
 #     text exposition (expected families asserted per role);
 #   * a sadp.flow_delta.v1 ECO request through the dispatcher returns the
-#     same payload (modulo framing/timings) as the in-process CLI, and a
+#     same wire lines (modulo framing/timings) as the in-process CLI, and a
 #     repeat of the same delta is served from the result cache;
 #   * with --trace on every process, graceful shutdown writes per-process
 #     trace files that sadp_trace_merge combines into one fleet timeline
@@ -63,8 +63,7 @@ if [ ! -f "$BUILD/CMakeCache.txt" ]; then
   fi
 fi
 cmake --build "$BUILD" -j "$(nproc)" \
-  --target sadp_routed sadp_route_dispatch bench_service \
-  sadp_trace_merge sadp_route \
+  --target sadp_routed bench_service sadp_trace_merge sadp_route \
   >/dev/null
 
 workdir="$(mktemp -d)"
@@ -80,15 +79,15 @@ cleanup() {
 }
 trap cleanup EXIT
 
-scrape_port() {  # scrape_port <logfile> <banner-prefix>
-  local log="$1" prefix="$2" port="" i
+scrape_port() {  # scrape_port <logfile>
+  local log="$1" port="" i
   for i in $(seq 1 100); do
-    port="$(sed -n "s/^${prefix} 127\.0\.0\.1:\([0-9]*\)$/\1/p" "$log")"
+    port="$(sed -n 's/^listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' "$log")"
     [ -n "$port" ] && break
     sleep 0.1
   done
   if [ -z "$port" ]; then
-    echo "service smoke: no '$prefix' banner in $log" >&2
+    echo "service smoke: no 'listening on' banner in $log" >&2
     cat "$log" >&2
     exit 1
   fi
@@ -102,19 +101,19 @@ if [ "$SKIP_TOPOLOGY" -eq 0 ]; then
   "./$BUILD/apps/sadp_routed" --port 0 --workers 2 \
     --trace "$workdir/trace_a.json" >"$workdir/a.log" 2>&1 &
   pids+=($!)
-  PORT_A="$(scrape_port "$workdir/a.log" "listening on")"
+  PORT_A="$(scrape_port "$workdir/a.log")"
 
   "./$BUILD/apps/sadp_routed" --port 0 --workers 2 \
     --trace "$workdir/trace_b.json" >"$workdir/b.log" 2>&1 &
   pids+=($!)
-  PORT_B="$(scrape_port "$workdir/b.log" "listening on")"
+  PORT_B="$(scrape_port "$workdir/b.log")"
 
-  "./$BUILD/apps/sadp_route_dispatch" --port 0 \
+  "./$BUILD/apps/sadp_routed" --port 0 \
     --backends "127.0.0.1:$PORT_A,localhost:$PORT_B" \
     --probe-interval-ms 100 \
     --trace "$workdir/trace_d.json" >"$workdir/d.log" 2>&1 &
   pids+=($!)
-  PORT_D="$(scrape_port "$workdir/d.log" "dispatching on")"
+  PORT_D="$(scrape_port "$workdir/d.log")"
 
   # Three identical batches: runs 1 and 2 warm each backend's cache in
   # turn (the dispatcher alternates by forwarded count at equal queue
@@ -181,10 +180,11 @@ if [ "$SKIP_TOPOLOGY" -eq 0 ]; then
   echo "   all 3 processes serve Prometheus exposition over the control plane"
 
   # ECO delta round trip: the same sadp.flow_delta.v1 request served two
-  # ways -- the in-process CLI (--delta --wire dumps the raw wire lines)
-  # and the fleet through the dispatcher -- must agree byte for byte once
-  # transport framing and timings are stripped.  Three fleet runs: 1 and 2
-  # warm each backend's cache in turn, run 3 must be cache-served.
+  # ways -- in process and by the fleet through the dispatcher, each
+  # printed as raw wire lines by --delta --wire -- must agree byte for
+  # byte once transport framing and timings are stripped.  Three fleet
+  # runs: 1 and 2 warm each backend's cache in turn, run 3 must be
+  # cache-served.
   echo "== service smoke: ECO delta round trip through the dispatcher"
   "./$BUILD/apps/sadp_route" --benchmark ecc_s \
     --save-solution "$workdir/base.sol" >/dev/null
@@ -192,26 +192,9 @@ if [ "$SKIP_TOPOLOGY" -eq 0 ]; then
     --base-solution "$workdir/base.sol" --move-pin "3,1,10,12" --wire \
     >"$workdir/eco_inproc.txt"
   for run in 1 2 3; do
-    BASE="$workdir/base.sol" PORT="$PORT_D" \
-      OUT="$workdir/eco_fleet$run.txt" python3 - <<'EOF'
-import json, os, socket
-
-with open(os.environ["BASE"]) as f:
-    base_text = f.read()
-request = {
-    "schema": "sadp.flow_delta.v1",
-    "base": {"label": "ecc_s", "benchmark": "ecc_s", "scaled": True},
-    "base_solution": base_text,
-    "changes": [{"op": "move_pin", "net": 3, "pin": 1, "to": [10, 12]}],
-}
-with socket.create_connection(("127.0.0.1", int(os.environ["PORT"]))) as sock:
-    sock.sendall((json.dumps(request) + "\n").encode())
-    data = b""
-    while chunk := sock.recv(65536):
-        data += chunk
-with open(os.environ["OUT"], "wb") as f:
-    f.write(data)
-EOF
+    "./$BUILD/apps/sadp_route" --connect "127.0.0.1:$PORT_D" \
+      --benchmark ecc_s --delta --base-solution "$workdir/base.sol" \
+      --move-pin "3,1,10,12" --wire >"$workdir/eco_fleet$run.txt"
   done
   for run in 1 2 3; do
     INPROC="$workdir/eco_inproc.txt" FLEET="$workdir/eco_fleet$run.txt" \

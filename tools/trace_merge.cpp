@@ -1,8 +1,8 @@
 // sadp_trace_merge — combine per-process Chrome traces into one fleet
 // timeline.
 //
-// Each sadp process (--trace on sadp_routed, sadp_route_dispatch,
-// sadp_route, the bench binaries, ...) writes its own
+// Each sadp process (--trace on sadp_routed in either mode, sadp_route,
+// the bench binaries, ...) writes its own
 // sadp.flow_trace.v1 file with timestamps on its private process clock.
 // This tool merges N such files into a single sadp.fleet_trace.v1 Chrome
 // trace: every input becomes one pid row (named after its embedded process

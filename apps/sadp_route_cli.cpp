@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -231,57 +232,44 @@ std::optional<CliOptions> parse_cli(int argc, char** argv) {
   }
   options.job.dvi_method = *parsed_method;
 
-  if (!connect.empty()) {
+  // The first of `flags` given on the command line, or nullptr.
+  const auto first_given =
+      [&parser](std::initializer_list<const char*> flags) -> const char* {
+    for (const char* flag : flags) {
+      if (parser.given(flag)) return flag;
+    }
+    return nullptr;
+  };
+  if (parser.given("--connect")) {
     options.remote = server::parse_host_port(connect);
     if (!options.remote) {
       std::fprintf(stderr, "bad --connect address '%s' (want HOST:PORT)\n",
                    connect.c_str());
       return std::nullopt;
     }
-    const std::pair<const char*, bool> local_only[] = {
-        {"--dvi-only", !options.dvi_only_path.empty()},
-        {"--save-solution", !options.save_solution_path.empty()},
-        {"--svg", !options.svg_path.empty()},
-        {"--validate", options.validate},
-        {"--stats", options.print_stats},
-        {"--json-report", !options.json_report_path.empty()},
-        {"--trace", !options.trace_path.empty()},
-    };
-    for (const auto& [flag, set] : local_only) {
-      if (set) {
-        std::fprintf(stderr, "%s needs a local run, not --connect\n", flag);
-        return std::nullopt;
-      }
+    if (const char* flag = first_given({"--dvi-only", "--save-solution",
+                                        "--svg", "--validate", "--stats",
+                                        "--json-report", "--trace"})) {
+      std::fprintf(stderr, "%s needs a local run, not --connect\n", flag);
+      return std::nullopt;
     }
-  } else if (!options.control.empty()) {
-    std::fprintf(stderr, "--control needs --connect HOST:PORT\n");
+  } else if (const char* flag = first_given(
+                 {"--control", "--retries", "--retry-max-ms",
+                  "--trace-context"})) {
+    std::fprintf(stderr, "%s needs --connect HOST:PORT\n", flag);
     return std::nullopt;
   }
-  if (!options.dvi_only_path.empty()) {
-    // --dvi-only prints the one DVI line of one solve; it neither routes
-    // nor keeps a router, so there is nothing to validate, save, render or
-    // report, no batch to journal, bound or spread, and no routing to tune.
-    const std::pair<const char*, bool> routed_only[] = {
-        {"--validate", options.validate},
-        {"--save-solution", !options.save_solution_path.empty()},
-        {"--svg", !options.svg_path.empty()},
-        {"--stats", options.print_stats},
-        {"--json-report", !options.json_report_path.empty()},
-        {"--journal", !options.request.journal_path.empty()},
-        {"--resume", options.request.resume},
-        {"--deadline", options.job.deadline_seconds != 0.0},
-        {"--batch-deadline", options.request.batch_deadline_seconds != 0.0},
-        {"--partitions", options.job.partitions != 0},
-        {"--jobs", options.request.workers != 0},
-        {"--keep-going", options.request.keep_going},
-        {"--no-tpl", no_tpl},
-        {"--no-dvi", no_dvi},
-    };
-    for (const auto& [flag, set] : routed_only) {
-      if (set) {
-        std::fprintf(stderr, "%s needs a routed run, not --dvi-only\n", flag);
-        return std::nullopt;
-      }
+  // --dvi-only prints the one DVI line of one solve; it neither routes nor
+  // keeps a router, so there is nothing to validate, save, render or
+  // report, no batch to journal, bound or spread, and no routing to tune.
+  if (parser.given("--dvi-only")) {
+    if (const char* flag = first_given(
+            {"--validate", "--save-solution", "--svg", "--stats",
+             "--json-report", "--journal", "--resume", "--deadline",
+             "--batch-deadline", "--partitions", "--jobs", "--keep-going",
+             "--no-tpl", "--no-dvi"})) {
+      std::fprintf(stderr, "%s needs a routed run, not --dvi-only\n", flag);
+      return std::nullopt;
     }
   }
 
@@ -306,9 +294,8 @@ std::optional<CliOptions> parse_cli(int argc, char** argv) {
       std::fprintf(stderr, "--delta needs --netlist or --benchmark\n");
       return std::nullopt;
     }
-  } else if (!options.base_solution_path.empty() || options.wire ||
-             !options.move_pins.empty() || !options.remove_nets.empty() ||
-             !options.add_nets.empty() || !options.blockages.empty()) {
+  } else if (first_given({"--base-solution", "--wire", "--move-pin",
+                          "--remove-net", "--add-net", "--add-blockage"})) {
     std::fprintf(stderr, "ECO flags need --delta\n");
     return std::nullopt;
   }
@@ -719,15 +706,11 @@ int run_delta(const CliOptions& options, api::JobRequest base) {
   netlist::PlacedNetlist base_instance;
   if (options.remote) {
     // The server need not share this filesystem: send the text, not a path.
-    std::ifstream in(options.base_solution_path);
-    if (!in) {
+    if (!util::read_file(options.base_solution_path, &eco.base_solution)) {
       std::fprintf(stderr, "cannot open %s\n",
                    options.base_solution_path.c_str());
       return 2;
     }
-    std::ostringstream text;
-    text << in.rdbuf();
-    eco.base_solution = text.str();
   } else {
     // The banner and the row label name the base instance.
     if (const int code = load_instance(eco.base, &base_instance); code != 0) {

@@ -44,7 +44,6 @@
 #include <string>
 #include <thread>
 #include <type_traits>
-#include <utility>
 
 #include "obs/trace.hpp"
 #include "server/dispatch.hpp"
@@ -163,29 +162,15 @@ int main(int argc, char** argv) {
   if (!parser.parse(argc, argv)) return 2;
 
   // A flag of the other mode would be silently ignored: reject it.
-  const bool fronting = !backends.empty();
-  const server::ServerOptions daemon_defaults;
-  const server::DispatcherOptions front_defaults;
-  const std::pair<const char*, bool> daemon_only[] = {
-      {"--workers", daemon.pool_workers != daemon_defaults.pool_workers},
-      {"--max-requests", daemon.max_requests != daemon_defaults.max_requests},
-      {"--cache-entries",
-       cache_entries != static_cast<int>(daemon_defaults.cache_entries)},
-  };
-  const std::pair<const char*, bool> front_only[] = {
-      {"--probe-interval-ms",
-       front.probe_interval_ms != front_defaults.probe_interval_ms},
-      {"--stale-after-ms",
-       front.stale_after_ms != front_defaults.stale_after_ms},
-  };
-  for (const auto& [flag, set] : daemon_only) {
-    if (set && fronting) {
+  const bool fronting = parser.given("--backends");
+  for (const char* flag : {"--workers", "--max-requests", "--cache-entries"}) {
+    if (fronting && parser.given(flag)) {
       std::fprintf(stderr, "%s needs a daemon, not --backends\n", flag);
       return 2;
     }
   }
-  for (const auto& [flag, set] : front_only) {
-    if (set && !fronting) {
+  for (const char* flag : {"--probe-interval-ms", "--stale-after-ms"}) {
+    if (!fronting && parser.given(flag)) {
       std::fprintf(stderr, "%s needs --backends\n", flag);
       return 2;
     }

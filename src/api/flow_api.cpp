@@ -485,43 +485,26 @@ engine::EngineOptions engine_options(const FlowRequest& request) {
   return options;
 }
 
-std::string response_row_line_raw(std::string_view outcome_json,
-                                  std::size_t done, std::size_t total,
-                                  const char* cache,
-                                  const std::string& trace_id,
-                                  const std::string& span_id) {
-  std::string line = std::string("{\"schema\":\"") + kResponseSchema +
-                     "\",\"type\":\"row\",\"done\":" + std::to_string(done) +
-                     ",\"total\":" + std::to_string(total);
-  // Trace context lives in the framing only; the outcome bytes below are
-  // spliced verbatim, so a traced row's journal payload is byte-identical
-  // to an untraced one's.
-  if (!trace_id.empty()) {
-    line += ",\"trace_id\":\"" + util::JsonWriter::escape(trace_id) + '"';
-  }
-  if (!span_id.empty()) {
-    line += ",\"span_id\":\"" + util::JsonWriter::escape(span_id) + '"';
-  }
-  if (cache != nullptr) {
-    line += ",\"cache\":\"";
-    line += cache;
-    line += '"';
-  }
-  line += ",\"outcome\":";
-  line += outcome_json;
-  line += '}';
-  return line;
-}
-
 std::string response_row_line(const engine::JobOutcome& outcome,
                               std::size_t done, std::size_t total,
                               const char* cache, const std::string& trace_id,
                               const std::string& span_id) {
-  // The outcome payload is the journal record verbatim; splicing the
-  // pre-serialized object keeps the two schemas byte-identical by
-  // construction.
-  return response_row_line_raw(engine::journal_line(outcome), done, total,
-                               cache, trace_id, span_id);
+  util::JsonWriter json;
+  json.begin_object();
+  json.key("schema").value(kResponseSchema);
+  json.key("type").value("row");
+  json.key("done").value(done);
+  json.key("total").value(total);
+  // Trace context lives in the framing only, so a traced row's outcome
+  // object is byte-identical to an untraced one's.
+  if (!trace_id.empty()) json.key("trace_id").value(trace_id);
+  if (!span_id.empty()) json.key("span_id").value(span_id);
+  if (cache != nullptr) json.key("cache").value(cache);
+  // The outcome payload is the journal record itself.
+  json.key("outcome");
+  engine::write_outcome_object(json, outcome);
+  json.end_object();
+  return json.str();
 }
 
 std::string response_summary_line(const ResponseSummary& summary) {

@@ -193,17 +193,6 @@ void write_job_request(util::JsonWriter& json, const JobRequest& job);
                                             const std::string& trace_id = {},
                                             const std::string& span_id = {});
 
-/// A cache hit replays the stored journal-object bytes verbatim;
-/// `response_row_line_raw` wraps such a pre-serialized object in the row
-/// framing without re-encoding (this is what keeps hit rows byte-identical
-/// to the miss rows they were recorded from).
-[[nodiscard]] std::string response_row_line_raw(std::string_view outcome_json,
-                                                std::size_t done,
-                                                std::size_t total,
-                                                const char* cache,
-                                                const std::string& trace_id = {},
-                                                const std::string& span_id = {});
-
 /// Counts of the final "batch" summary line.  `jobs` can exceed
 /// `ok+degraded+...` contributions of one engine run because cache-served
 /// rows never enter the engine.

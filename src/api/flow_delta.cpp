@@ -1,15 +1,12 @@
 #include "api/flow_delta.hpp"
 
 #include <charconv>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "engine/flow_engine.hpp"
 #include "util/args.hpp"
+#include "util/fs.hpp"
 #include "util/json.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace sadp::api {
@@ -178,6 +175,13 @@ util::Status validate_delta(const FlowDeltaRequest& request) {
   return util::Status::ok();
 }
 
+void write_changes(util::JsonWriter& json,
+                   const std::vector<core::EcoChange>& changes) {
+  json.begin_array();
+  for (const core::EcoChange& change : changes) write_change(json, change);
+  json.end_array();
+}
+
 std::string serialize_delta_request(const FlowDeltaRequest& request) {
   util::JsonWriter json;
   json.begin_object();
@@ -195,11 +199,8 @@ std::string serialize_delta_request(const FlowDeltaRequest& request) {
   if (!request.base_solution_path.empty()) {
     json.key("base_solution_path").value(request.base_solution_path);
   }
-  json.key("changes").begin_array();
-  for (const core::EcoChange& change : request.changes) {
-    write_change(json, change);
-  }
-  json.end_array();
+  json.key("changes");
+  write_changes(json, request.changes);
   json.end_object();
   return json.str();
 }
@@ -295,40 +296,20 @@ util::Status load_base_solution(const FlowDeltaRequest& request,
     *text = request.base_solution;
     return util::Status::ok();
   }
-  std::ifstream in(request.base_solution_path);
-  if (!in) {
+  if (!util::read_file(request.base_solution_path, text)) {
     return util::Status::invalid_input("cannot open base solution " +
                                        request.base_solution_path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *text = buffer.str();
   return util::Status::ok();
 }
 
-std::optional<std::string> delta_cache_key(const FlowDeltaRequest& request,
-                                           const std::string& base_text) {
-  // Same uncacheable classes as flow requests: a netlist file can change
-  // under the same path, and deadline-bearing runs are time-dependent.
-  if (!request.base.netlist_path.empty()) return std::nullopt;
-  if (request.base.deadline_seconds > 0.0) return std::nullopt;
-  FlowDeltaRequest canonical = request;
-  canonical.trace_id.clear();
-  canonical.sent_unix_us = 0;
-  canonical.base.span_id.clear();
-  // Content-address the base: the raw solution bytes collapse to one hash,
-  // so inline and path transport of the same file hit the same entry.
-  char digest[24];
-  std::snprintf(digest, sizeof digest, "fnv1a:%016llx",
-                static_cast<unsigned long long>(util::fnv1a(base_text)));
-  canonical.base_solution = digest;
-  canonical.base_solution_path.clear();
-  return serialize_delta_request(canonical);
-}
-
-std::string delta_payload_suffix(const core::EcoSummary& summary) {
+std::string response_delta_line(const core::EcoSummary& summary,
+                                const std::string& trace_id) {
   util::JsonWriter json;
   json.begin_object();
+  json.key("schema").value(kResponseSchema);
+  json.key("type").value("delta");
+  if (!trace_id.empty()) json.key("trace_id").value(trace_id);
   json.key("nets_ripped").value(summary.nets_ripped);
   json.key("nets_untouched").value(summary.nets_untouched);
   json.key("nets_total").value(summary.nets_total);
@@ -341,29 +322,7 @@ std::string delta_payload_suffix(const core::EcoSummary& summary) {
   json.key("load_seconds").value(summary.load_seconds);
   json.key("base_fingerprint").value(summary.base_fingerprint);
   json.end_object();
-  // Strip the braces: the suffix is spliced after the framing members.
-  const std::string object = json.str();
-  return object.substr(1, object.size() - 2);
-}
-
-std::string response_delta_line_raw(std::string_view payload_suffix,
-                                    const std::string& trace_id) {
-  std::string line = std::string("{\"schema\":\"") + kResponseSchema +
-                     "\",\"type\":\"delta\"";
-  // Trace framing precedes the payload so a cache hit replays the stored
-  // payload bytes verbatim (same contract as row lines).
-  if (!trace_id.empty()) {
-    line += ",\"trace_id\":\"" + util::JsonWriter::escape(trace_id) + '"';
-  }
-  line += ',';
-  line += payload_suffix;
-  line += '}';
-  return line;
-}
-
-std::string response_delta_line(const core::EcoSummary& summary,
-                                const std::string& trace_id) {
-  return response_delta_line_raw(delta_payload_suffix(summary), trace_id);
+  return json.str();
 }
 
 namespace {

@@ -73,6 +73,11 @@ struct FlowDeltaRequest {
     const std::string& add_nets, const std::string& blockages,
     std::vector<core::EcoChange>* changes);
 
+/// Serialize a change list (the `changes` array of a delta request).
+/// The result cache keys deltas with it.
+void write_changes(util::JsonWriter& json,
+                   const std::vector<core::EcoChange>& changes);
+
 /// One line of JSON (no trailing newline), "schema" member first.
 [[nodiscard]] std::string serialize_delta_request(
     const FlowDeltaRequest& request);
@@ -98,34 +103,14 @@ void ensure_delta_trace_context(FlowDeltaRequest* request);
 [[nodiscard]] util::Status load_base_solution(const FlowDeltaRequest& request,
                                               std::string* text);
 
-/// Result-cache key for a delta request, or nullopt when the request is
-/// uncacheable (base job reads a netlist file or carries a deadline — same
-/// rules as flow-request caching).  The key is the canonical delta JSON
-/// with the trace context stripped and the base-solution text replaced by
-/// its fnv1a-64 hash, so it is content-addressed in the base solution and
-/// insensitive to how the base was transported (inline vs path).
-[[nodiscard]] std::optional<std::string> delta_cache_key(
-    const FlowDeltaRequest& request, const std::string& base_text);
-
 // ---------------------------------------------------------------------------
 // The "delta" response line.
 
 /// {"schema":"sadp.flow_response.v1","type":"delta"[,"trace_id":...],
 ///  "nets_ripped":N,"nets_untouched":N,"nets_total":N,"changes":N,
 ///  "ripped_ids":[...],"load_seconds":S,"base_fingerprint":"hex"}
-/// Like rows, the trace context lives before the payload so a cache hit can
-/// replay the stored payload bytes verbatim under fresh framing.
 [[nodiscard]] std::string response_delta_line(const core::EcoSummary& summary,
                                               const std::string& trace_id = {});
-
-/// Wrap a stored delta payload (the bytes from `"nets_ripped"` onward, as
-/// produced by delta_payload_suffix) in fresh framing — the cache-replay
-/// path, mirroring response_row_line_raw.
-[[nodiscard]] std::string response_delta_line_raw(
-    std::string_view payload_suffix, const std::string& trace_id = {});
-
-/// The framing-independent payload suffix of a delta line (for caching).
-[[nodiscard]] std::string delta_payload_suffix(const core::EcoSummary& summary);
 
 // ---------------------------------------------------------------------------
 // Dispatch: the in-process ECO entry point (CLI --delta, daemon verb).

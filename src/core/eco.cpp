@@ -301,7 +301,6 @@ util::Status run_eco_flow(const netlist::PlacedNetlist& base,
   load_span.end();
   out->summary.load_seconds = load_timer.seconds();
   out->summary.nets_total = static_cast<int>(total);
-  out->edited = edit.edited;
 
   const util::CancelToken& cancel = config.options.cancel;
   out->flow.result.routing = router.run_eco(dirty_ids);

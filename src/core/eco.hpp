@@ -87,12 +87,12 @@ struct EcoSummary {
 };
 
 /// A finished ECO flow: the warm re-route's FlowRun (router, table row,
-/// status) plus the delta summary and the edited netlist it ran against.
-/// flow.result.dvi covers only the re-routed subset (incremental DVI).
+/// status) plus the delta summary.  The edited netlist it ran against is
+/// flow.router->netlist().  flow.result.dvi covers only the re-routed
+/// subset (incremental DVI).
 struct EcoRun {
   FlowRun flow;
   EcoSummary summary;
-  netlist::PlacedNetlist edited;
 };
 
 /// Fingerprint of a base solution: fnv1a-64 of its canonical text, as a

@@ -9,7 +9,6 @@
 #include "core/partition.hpp"
 #include "obs/trace.hpp"
 #include "util/executor.hpp"
-#include "util/logging.hpp"
 #include "util/status.hpp"
 #include "util/timer.hpp"
 #include "via/coloring.hpp"

@@ -1,6 +1,7 @@
 #include "engine/flow_engine.hpp"
 
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -15,7 +16,6 @@
 #include "util/failpoint.hpp"
 #include "util/fs.hpp"
 #include "util/json.hpp"
-#include "util/logging.hpp"
 #include "util/timer.hpp"
 
 namespace sadp::engine {
@@ -44,9 +44,8 @@ JobOutcome execute_job(FlowJob job, const util::CancelToken& batch_token) {
   outcome.style = job.config.options.style;
   outcome.dvi_method = job.config.dvi_method;
 
-  // Every log line of this job carries its label, and the trace gets one
-  // enclosing span per job (dynamic name — allocates only when tracing on).
-  const util::ScopedLogTag log_tag(outcome.label);
+  // The trace gets one enclosing span per job (dynamic name — allocates
+  // only when tracing on).
   obs::Span job_span(
       obs::tracing_enabled() ? "job:" + outcome.label : std::string());
   // Stamp propagated trace context on the job span; sadp_trace_merge joins
@@ -247,9 +246,10 @@ BatchResult FlowEngine::run(std::vector<FlowJob> jobs) const {
       journaled = load_journal(options_.journal_path, &stats);
       batch.journal_skipped = stats.skipped();
       if (stats.skipped() > 0) {
-        SADP_LOG_WARN(
+        std::fprintf(
+            stderr,
             "journal %s: skipped %zu record(s) (%zu torn, %zu corrupt); "
-            "their jobs re-execute",
+            "their jobs re-execute\n",
             options_.journal_path.c_str(), stats.skipped(),
             stats.skipped_torn, stats.skipped_corrupt);
       }
@@ -311,8 +311,8 @@ BatchResult FlowEngine::run(std::vector<FlowJob> jobs) const {
           // losing crash safety is how torn journals became invisible.
           const util::Status appended = journal.append(outcome);
           if (!appended.is_ok()) {
-            SADP_LOG_ERROR("journal append failed: %s",
-                           appended.message().c_str());
+            std::fprintf(stderr, "journal append failed: %s\n",
+                         appended.message().c_str());
             if (batch.journal_error.is_ok()) batch.journal_error = appended;
           }
         }
@@ -352,7 +352,8 @@ BatchResult FlowEngine::run(std::vector<FlowJob> jobs) const {
   if (journal.is_open()) {
     const util::Status finished = journal.finish();
     if (!finished.is_ok()) {
-      SADP_LOG_ERROR("journal sync failed: %s", finished.message().c_str());
+      std::fprintf(stderr, "journal sync failed: %s\n",
+                   finished.message().c_str());
       if (batch.journal_error.is_ok()) batch.journal_error = finished;
     }
   }

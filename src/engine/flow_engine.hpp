@@ -186,8 +186,9 @@ struct JobOutcome {
   bool from_journal = false;
   core::ExperimentResult result;
   StageMetrics metrics;
-  /// Populated only when FlowJob::keep_router was set.
-  std::unique_ptr<core::SadpRouter> router;
+  /// Populated only when FlowJob::keep_router was set.  Shared, so an
+  /// outcome copies: the result cache keeps copies of router-less rows.
+  std::shared_ptr<core::SadpRouter> router;
   /// DVI insertion locations (parallel to result.dvi.inserted); populated
   /// only when FlowJob::keep_router was set.
   std::vector<grid::Point> dvi_inserted_at;

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "engine/journal.hpp"
-#include "grid/colored_grid.hpp"
 #include "util/failpoint.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -17,93 +15,36 @@ util::FailPoint g_fp_cache_lookup("cache.lookup");
 util::FailPoint g_fp_cache_insert("cache.insert");
 }  // namespace
 
-std::string canonical_job_json(const api::JobRequest& job) {
-  // Members in sorted order, every default materialized.  Serializing
-  // through JsonWriter keeps number/string formatting identical to the
-  // wire schema, so this form is stable as long as the writer is.
-  util::JsonWriter json;
-  json.begin_object();
-  json.key("benchmark").value(job.benchmark);
-  json.key("consider_dvi").value(job.consider_dvi);
-  json.key("consider_tpl").value(job.consider_tpl);
-  json.key("degrade_dvi").value(job.degrade_dvi);
-  json.key("dvi_method").value(core::dvi_method_name(job.dvi_method));
-  json.key("ilp_limit").value(job.ilp_limit_seconds);
-  json.key("netlist_path").value(job.netlist_path);
-  json.key("partitions").value(job.partitions);
-  json.key("scaled").value(job.scaled);
-  if (job.spec.has_value()) {
-    const netlist::BenchSpec& spec = *job.spec;
-    json.key("spec").begin_object();
-    json.key("global_net_fraction").value(spec.global_net_fraction);
-    json.key("height").value(spec.height);
-    json.key("local_radius").value(spec.local_radius);
-    json.key("min_pin_spacing").value(spec.min_pin_spacing);
-    json.key("name").value(spec.name);
-    json.key("num_metal_layers").value(spec.num_metal_layers);
-    json.key("num_nets").value(spec.num_nets);
-    json.key("row_pitch").value(spec.row_pitch);
-    json.key("row_structured").value(spec.row_structured);
-    json.key("scale").value(spec.scale);
-    json.key("seed").value(static_cast<long long>(spec.seed));
-    json.key("width").value(spec.width);
-    json.end_object();
-  } else {
-    json.key("spec").value("");
+std::optional<std::string> job_cache_key(const api::JobRequest& job) {
+  // File-backed jobs name the path, not the content — an edit on disk
+  // would silently serve stale rows, so they are never cached.  Jobs with
+  // a wall deadline can time out depending on machine load.
+  if (!job.netlist_path.empty() || job.deadline_seconds > 0.0) {
+    return std::nullopt;
   }
-  json.key("style").value(grid::style_name(job.style));
-  json.end_object();
+  api::JobRequest keyed = job;
+  keyed.label.clear();
+  keyed.arm.clear();
+  keyed.span_id.clear();
+  util::JsonWriter json;
+  api::write_job_request(json, keyed);
   return json.str();
 }
 
-std::optional<std::string> job_cache_key(const api::JobRequest& job) {
-  // File-backed jobs hash the path, not the content — an edit on disk
-  // would silently serve stale rows, so they are never cached.  Jobs with
-  // a wall deadline can time out depending on machine load, which breaks
-  // the bit-identical-replay contract.
-  if (!job.netlist_path.empty()) return std::nullopt;
-  if (job.deadline_seconds > 0.0) return std::nullopt;
-  return canonical_job_json(job);
-}
-
-std::string cache_key_id(const std::string& canonical_key) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof buffer, "%016llx",
-                static_cast<unsigned long long>(util::fnv1a(canonical_key)));
-  return buffer;
-}
-
-std::string journal_object_prefix(const std::string& label,
-                                  const std::string& arm) {
-  std::string prefix = "{\"schema\":\"";
-  prefix += engine::kJournalSchema;
-  prefix += "\",\"from_journal\":false,\"label\":\"";
-  prefix += util::JsonWriter::escape(label);
-  prefix += "\",\"arm\":\"";
-  prefix += util::JsonWriter::escape(arm);
-  prefix += "\",";
-  return prefix;
-}
-
-std::optional<CachedRow> make_cached_row(const engine::JobOutcome& outcome) {
-  if (!outcome.ok() || outcome.from_journal) return std::nullopt;
-  const std::string line = engine::journal_line(outcome);
-  const std::string prefix =
-      journal_object_prefix(outcome.label, outcome.arm);
-  if (line.compare(0, prefix.size(), prefix) != 0) {
-    // Journal format drift: better an eternal miss than a wrong replay.
-    return std::nullopt;
-  }
-  CachedRow row;
-  row.suffix = line.substr(prefix.size());
-  row.degraded = outcome.status == engine::JobStatus::kDegraded;
-  return row;
-}
-
-std::string replay_journal_object(const CachedRow& row,
-                                  const std::string& label,
-                                  const std::string& arm) {
-  return journal_object_prefix(label, arm) + row.suffix;
+std::optional<std::string> delta_cache_key(const api::FlowDeltaRequest& request,
+                                           const std::string& base_text) {
+  std::optional<std::string> key = job_cache_key(request.base);
+  if (!key) return std::nullopt;
+  // A job key is one line of JSON, so the newlines keep flow and delta keys
+  // apart.
+  char digest[32];
+  std::snprintf(digest, sizeof digest, "\nfnv1a:%016llx\n",
+                static_cast<unsigned long long>(util::fnv1a(base_text)));
+  util::JsonWriter changes;
+  api::write_changes(changes, request.changes);
+  *key += digest;
+  *key += changes.str();
+  return key;
 }
 
 std::optional<CachedRow> ResultCache::lookup(const std::string& key) {
@@ -124,11 +65,14 @@ std::optional<CachedRow> ResultCache::lookup(const std::string& key) {
   return it->second->second;
 }
 
-void ResultCache::insert(const std::string& key, CachedRow row) {
-  if (capacity_ == 0) return;
+void ResultCache::insert(const std::string& key,
+                         const engine::JobOutcome& outcome,
+                         std::optional<core::EcoSummary> delta) {
+  if (capacity_ == 0 || !outcome.ok() || outcome.from_journal) return;
   if (g_fp_cache_insert.evaluate().kind == util::FailKind::kError) {
     return;  // injected dropped insert: future lookups simply miss
   }
+  CachedRow row{outcome, std::move(delta)};
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(key);
   if (it != index_.end()) {

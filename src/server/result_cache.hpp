@@ -1,37 +1,33 @@
 // Content-addressed result cache of the routing service.
 //
 // Rows are deterministic: a job described by a benchmark name or an inline
-// generator spec produces bit-identical sadp.flow_journal.v1 records on
-// every run (the generator PRNG is seeded from the spec and solver
-// deadlines are charged against per-thread CPU time).  That makes repeated
-// requests byte-replayable — the cache stores the serialized journal
-// object of a finished job, keyed by a canonical hash of the job itself,
-// and a hit replays those bytes without touching the worker pool.
+// generator spec produces the same sadp.flow_journal.v1 record on every run
+// (the generator PRNG is seeded from the spec and solver deadlines are
+// charged against per-thread CPU time).  So the daemon keeps each finished
+// row under a key built from the job that produced it, and answers a
+// repeated job from here without touching the worker pool.
 //
-// Key normalization (canonical_job_json): the job is re-serialized with
-// the members in sorted order and every default materialized, so two
-// requests that differ only in member order, omitted defaults, or
-// display/execution fields address the same entry.  Excluded from the key:
-//   * label / arm          — display and journal keys; they never change
-//                            the routed result (the stored record's
-//                            label/arm are rewritten on replay);
-//   * workers / journal / resume / keep_going / batch_deadline — batch
-//                            execution policy; rows are proven
-//                            bit-identical at any worker count, and only
-//                            ok/degraded rows are cached so fail-fast and
-//                            batch-deadline statuses cannot leak in.
-// Uncacheable jobs (job_cache_key returns nullopt):
+// Keys: job_cache_key is the job as the one job codec writes it
+// (api::write_job_request) with label, arm and span_id cleared, because
+// they name and trace a row but never change it.  Every other job member
+// is in the key because the codec writes it, so a flow field cannot be
+// added to the wire and left out of the key.  delta_cache_key is the base
+// job's key plus the fnv1a-64 of the base solution text and the change
+// list, so a delta hits under any label and whether its base came inline
+// or by path.  Batch policy (workers, journal, keep_going, batch_deadline)
+// is not part of a job and so not part of a key: rows are bit-identical at
+// any worker count, and only ok/degraded rows are kept, so fail-fast and
+// batch-deadline statuses cannot leak in.  Uncacheable jobs (nullopt):
 //   * netlist_path sources — the file's content is not part of the key, so
 //                            an edit on disk would serve stale rows;
-//   * deadline_seconds > 0 — wall-deadline rows are inherently
-//                            non-deterministic (kTimeout depends on load).
+//   * deadline_seconds > 0 — a wall deadline makes the row depend on load.
 //
-// Replay byte-identity: the stored value is the journal object MINUS its
-// fixed prefix ({"schema":...,"from_journal":false,"label":...,"arm":...,)
-// which is re-synthesized with the requesting job's label/arm.  For the
-// same request the rebuilt line is byte-identical to the line a fresh
-// execution would stream (including the recorded timing fields — a hit
-// reports the original run's timings, which is what "replay" means).
+// Values: a CachedRow is the finished engine::JobOutcome, plus the
+// core::EcoSummary of a delta.  A hit relabels a copy with the requesting
+// job's label and arm and writes it with api::response_row_line (and
+// api::response_delta_line), the writers a miss uses, so a hit's lines
+// equal the miss's apart from the "cache" member.  That includes the
+// recorded timing fields: a hit reports the original run's timings.
 #pragma once
 
 #include <atomic>
@@ -41,58 +37,33 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "api/flow_api.hpp"
+#include "api/flow_delta.hpp"
 #include "engine/flow_engine.hpp"
 
 namespace sadp::server {
 
-/// The canonical (sorted-keys, defaults-materialized) serialization of the
-/// flow-affecting fields of one job.  This string IS the cache address —
-/// keying by the full canonical form instead of its hash makes collisions
-/// impossible; the 64-bit FNV-1a of it (cache_key_id) is only a compact
-/// identifier for logs and traces.
-[[nodiscard]] std::string canonical_job_json(const api::JobRequest& job);
-
-/// The cache key of a job, or nullopt when the job must not be cached
+/// The cache key of a flow job, or nullopt when the job must not be cached
 /// (netlist_path source, nonzero wall deadline).
 [[nodiscard]] std::optional<std::string> job_cache_key(
     const api::JobRequest& job);
 
-/// Compact hex id of a canonical key, for logging.
-[[nodiscard]] std::string cache_key_id(const std::string& canonical_key);
+/// The cache key of a delta request whose base solution reads `base_text`,
+/// or nullopt when its base job is uncacheable.
+[[nodiscard]] std::optional<std::string> delta_cache_key(
+    const api::FlowDeltaRequest& request, const std::string& base_text);
 
-/// One cached row: the journal object with the label/arm prefix stripped,
-/// plus the bits of bookkeeping a replay needs to update the batch summary.
+/// One cached row: the finished outcome, and for a delta entry the summary
+/// its "delta" line reports.
 struct CachedRow {
-  std::string suffix;      ///< journal-object bytes from "status" onward
-  bool degraded = false;   ///< kDegraded (vs kOk) — for summary counts
-  /// ECO entries only: the delta-line payload (bytes from "nets_ripped"
-  /// onward, see api::delta_payload_suffix), replayed as the "delta" line
-  /// that follows the row.  Empty for flow rows.
-  std::string delta_json;
+  engine::JobOutcome outcome;
+  std::optional<core::EcoSummary> delta;
 };
 
-/// Build the journal-object prefix for a label/arm pair; a stored suffix
-/// appended to it reconstructs a full sadp.flow_journal.v1 object.
-[[nodiscard]] std::string journal_object_prefix(const std::string& label,
-                                                const std::string& arm);
-
-/// Split a freshly serialized journal line into prefix + suffix; nullopt
-/// when the line does not start with the expected prefix (format drift —
-/// the caller must then skip caching rather than ever replay wrong bytes).
-[[nodiscard]] std::optional<CachedRow> make_cached_row(
-    const engine::JobOutcome& outcome);
-
-/// Reconstruct the full journal object of a cached row under the
-/// requesting job's label/arm.
-[[nodiscard]] std::string replay_journal_object(const CachedRow& row,
-                                                const std::string& label,
-                                                const std::string& arm);
-
-/// Bounded, thread-safe LRU map from canonical job key to cached row.
-/// lookup() counts a hit or a miss; insert() of an existing key refreshes
-/// recency.  Only ok/degraded rows should ever be inserted.
+/// Bounded, thread-safe LRU map from cache key to cached row.  lookup()
+/// counts a hit or a miss; insert() of an existing key refreshes recency.
 class ResultCache {
  public:
   /// `capacity` = max entries; 0 disables the cache (lookup always misses
@@ -104,10 +75,15 @@ class ResultCache {
 
   [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
 
-  /// Returns the cached row and counts a hit; nullopt counts a miss.
+  /// Returns a copy of the cached row and counts a hit; nullopt counts a
+  /// miss.
   [[nodiscard]] std::optional<CachedRow> lookup(const std::string& key);
 
-  void insert(const std::string& key, CachedRow row);
+  /// Keep a copy of `outcome` (and a delta's summary) under `key`.  Only a
+  /// row a rerun reproduces is kept: ok or degraded, and executed in this
+  /// run rather than restored from a journal.  Any other row is dropped.
+  void insert(const std::string& key, const engine::JobOutcome& outcome,
+              std::optional<core::EcoSummary> delta = std::nullopt);
 
   [[nodiscard]] std::size_t hits() const noexcept {
     return hits_.load(std::memory_order_relaxed);

@@ -520,7 +520,7 @@ util::Status RouteServer::run_flow(const std::shared_ptr<Connection>& conn,
                          !request.resume;
 
   std::vector<std::pair<std::size_t, CachedRow>> hits;  // job index -> row
-  std::map<std::string, std::string> miss_keys;  // label -> canonical key
+  std::map<std::string, std::string> miss_keys;  // label -> cache key
   api::FlowRequest misses = request;
   if (use_cache) {
     misses.jobs.clear();
@@ -569,16 +569,9 @@ util::Status RouteServer::run_flow(const std::shared_ptr<Connection>& conn,
   summary->jobs = total;
   summary->cache_hits = hits.size();
   summary->cache_misses = use_cache ? total - hits.size() : 0;
-  for (const auto& [index, row] : hits) {
-    const api::JobRequest& job = request.jobs[index];
-    summary->tally(row.degraded ? engine::JobStatus::kDegraded
-                                : engine::JobStatus::kOk);
-    enqueue_line(conn,
-                 api::response_row_line_raw(
-                     replay_journal_object(row, api::effective_label(job),
-                                           job.arm),
-                     ++streamed, total, "hit", request.trace_id, job.span_id),
-                 false);
+  for (auto& [index, row] : hits) {
+    replay_hit(conn, std::move(row), request.jobs[index], ++streamed, total,
+               request.trace_id, summary);
   }
   if (misses.jobs.empty()) {
     summary->workers = capped_workers(request.workers);
@@ -595,13 +588,9 @@ util::Status RouteServer::run_flow(const std::shared_ptr<Connection>& conn,
   // the runner itself is blocked inside dispatch() meanwhile.
   hooks.on_job_done = [&](const engine::JobOutcome& outcome, std::size_t,
                           std::size_t) {
-    if (use_cache) {
-      const auto key = miss_keys.find(outcome.label);
-      if (key != miss_keys.end()) {
-        if (auto row = make_cached_row(outcome)) {
-          cache_->insert(key->second, std::move(*row));
-        }
-      }
+    if (const auto key = miss_keys.find(outcome.label);
+        key != miss_keys.end()) {
+      cache_->insert(key->second, outcome);
     }
     if (conn->client_gone.load(std::memory_order_relaxed)) return;
     enqueue_line(conn,
@@ -647,7 +636,6 @@ util::Status RouteServer::run_delta(const std::shared_ptr<Connection>& conn,
     return valid;
   }
   ServerMetrics& metrics = server_metrics();
-  const std::string label = api::effective_label(request.base);
 
   // The cache key needs the base text (it is content-addressed in the
   // solution bytes), so resolve it up front; a miss re-parses inside
@@ -659,24 +647,16 @@ util::Status RouteServer::run_delta(const std::shared_ptr<Connection>& conn,
   }
   const bool use_cache = cache_->enabled();
   const std::optional<std::string> key =
-      use_cache ? api::delta_cache_key(request, base_text) : std::nullopt;
+      use_cache ? delta_cache_key(request, base_text) : std::nullopt;
 
   summary->jobs = 1;
   summary->workers = 1;  // ECO re-routes run serially on the runner thread
   if (key.has_value()) {
     if (auto row = cache_->lookup(*key)) {
       metrics.cache_hits.inc();
-      summary->tally(row->degraded ? engine::JobStatus::kDegraded
-                                   : engine::JobStatus::kOk);
       summary->cache_hits = 1;
-      enqueue_line(conn,
-                   api::response_row_line_raw(
-                       replay_journal_object(*row, label, request.base.arm),
-                       1, 1, "hit", request.trace_id, request.base.span_id),
-                   false);
-      enqueue_line(
-          conn, api::response_delta_line_raw(row->delta_json, request.trace_id),
-          false);
+      replay_hit(conn, std::move(*row), request.base, 1, 1, request.trace_id,
+                 summary);
       return util::Status::ok();
     }
   }
@@ -690,12 +670,7 @@ util::Status RouteServer::run_delta(const std::shared_ptr<Connection>& conn,
   const api::DeltaDispatchResult run = api::dispatch_delta(request, hooks);
   if (!run.status.is_ok()) return run.status;
 
-  if (key.has_value() && run.outcome.ok()) {
-    if (auto row = make_cached_row(run.outcome)) {
-      row->delta_json = api::delta_payload_suffix(run.summary);
-      cache_->insert(*key, std::move(*row));
-    }
-  }
+  if (key.has_value()) cache_->insert(*key, run.outcome, run.summary);
   summary->tally(run.outcome.status);
   if (!conn->client_gone.load(std::memory_order_relaxed)) {
     enqueue_line(conn,
@@ -714,6 +689,23 @@ util::Status RouteServer::run_delta(const std::shared_ptr<Connection>& conn,
                  run.summary.changes, run.wall_seconds);
   }
   return util::Status::ok();
+}
+
+void RouteServer::replay_hit(const std::shared_ptr<Connection>& conn,
+                             CachedRow row, const api::JobRequest& job,
+                             std::size_t done, std::size_t total,
+                             const std::string& trace_id,
+                             api::ResponseSummary* summary) {
+  row.outcome.label = api::effective_label(job);
+  row.outcome.arm = job.arm;
+  summary->tally(row.outcome.status);
+  enqueue_line(conn,
+               api::response_row_line(row.outcome, done, total, "hit",
+                                      trace_id, job.span_id),
+               false);
+  if (row.delta) {
+    enqueue_line(conn, api::response_delta_line(*row.delta, trace_id), false);
+  }
 }
 
 int RouteServer::capped_workers(int requested) const noexcept {

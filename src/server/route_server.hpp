@@ -35,10 +35,10 @@
 // fires the request's cancel token, so abandoned batches stop routing.
 //
 // Result cache: requests without a journal consult a server-wide
-// content-addressed ResultCache keyed by the canonical hash of each job
-// (see result_cache.hpp).  A hit replays the stored journal object
-// byte-identically (label/arm rewritten) with "cache":"hit" in the row
-// framing and never touches the pool; misses execute and are inserted.
+// content-addressed ResultCache keyed by each job as the job codec writes
+// it (see result_cache.hpp).  A hit relabels the stored row and writes it
+// with the same row writer a miss uses, "cache":"hit" in the framing, and
+// never touches the pool; misses execute and are inserted.
 // Journaled batches bypass the cache entirely: the journal is the
 // authority for --resume, and cache-served rows are not journaled, so
 // mixing them would leave resume holes.
@@ -247,6 +247,13 @@ class RouteServer {
   [[nodiscard]] util::Status run_delta(
       const std::shared_ptr<Connection>& conn,
       const api::FlowDeltaRequest& request, api::ResponseSummary* summary);
+  /// Stream one cache hit for `job`: the stored row relabelled with the
+  /// job's label and arm, written by the same row (and delta) line writer
+  /// a miss uses, with "cache":"hit"; tallies it in `summary`.
+  void replay_hit(const std::shared_ptr<Connection>& conn, CachedRow row,
+                  const api::JobRequest& job, std::size_t done,
+                  std::size_t total, const std::string& trace_id,
+                  api::ResponseSummary* summary);
   /// Append `line` + '\n' to the connection's output (any thread).
   void enqueue_line(const std::shared_ptr<Connection>& conn,
                     const std::string& line, bool finish_after);

@@ -73,6 +73,7 @@ bool ArgParser::parse(int argc, char** argv) {
       }
       return fail(argv0, "unknown argument: " + arg);
     }
+    given_.insert(option->name);
     if (option->kind == Kind::kFlag) {
       *static_cast<bool*>(option->target) = true;
       continue;
@@ -129,6 +130,17 @@ bool ArgParser::parse(int argc, char** argv) {
   return true;
 }
 
+bool ArgParser::given(const std::string& name) const {
+  // A misspelt name would switch its mode check off without a word, and
+  // release builds drop assert(), so this check stays in every build.
+  if (find(name) == nullptr) {
+    std::fprintf(stderr, "ArgParser::given: %s is not a registered flag\n",
+                 name.c_str());
+    std::abort();
+  }
+  return given_.count(name) > 0;
+}
+
 std::string ArgParser::usage(const std::string& argv0) const {
   std::string out = "usage: " + argv0;
   for (const auto& option : options_) {
@@ -142,7 +154,8 @@ std::string ArgParser::usage(const std::string& argv0) const {
   for (const auto& option : options_) {
     std::string left = "  " + option.name;
     if (option.kind != Kind::kFlag) left += " " + option.metavar;
-    while (left.size() < 24) left += ' ';
+    // A 24-column flag field, and at least two spaces before the help.
+    left.resize(std::max<std::size_t>(24, left.size() + 2), ' ');
     out += left + option.help + "\n";
   }
   return out;

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -61,6 +62,12 @@ class ArgParser {
   /// `--help` / `-h` print the usage text to stdout and exit(0).
   [[nodiscard]] bool parse(int argc, char** argv);
 
+  /// Was the flag `name` on the command line, whatever its value?  Mode
+  /// checks ask this rather than compare a value with its default, so a
+  /// flag given at its default value is still seen.  Asking about a name
+  /// that was never registered is a programming error and aborts.
+  [[nodiscard]] bool given(const std::string& name) const;
+
   /// The rendered usage text (also printed on parse errors).
   [[nodiscard]] std::string usage(const std::string& argv0) const;
 
@@ -82,6 +89,7 @@ class ArgParser {
   std::vector<Option> options_;
   std::string positional_metavar_;
   std::vector<std::string> positional_;
+  std::set<std::string> given_;
 };
 
 }  // namespace sadp::util

@@ -6,6 +6,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 namespace sadp::util {
 
@@ -53,6 +55,15 @@ Status atomic_write_file(const std::string& path, std::string_view content) {
     return status;
   }
   return Status::ok();
+}
+
+bool read_file(const std::string& path, std::string* text) {
+  std::ifstream in(path);
+  if (!in) return false;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  *text = buffer.str();
+  return true;
 }
 
 }  // namespace sadp::util

@@ -1,4 +1,5 @@
-// Filesystem helpers shared by everything that persists flow outputs.
+// Filesystem helpers: whole-file reads, and the atomic write everything that
+// persists flow outputs uses.
 #pragma once
 
 #include <string>
@@ -14,5 +15,9 @@ namespace sadp::util {
 /// the complete old content or the complete new content.
 [[nodiscard]] Status atomic_write_file(const std::string& path,
                                        std::string_view content);
+
+/// Read the whole file at `path` into `*text`; false when it cannot be
+/// opened.  Callers word their own error.
+[[nodiscard]] bool read_file(const std::string& path, std::string* text);
 
 }  // namespace sadp::util

@@ -18,6 +18,7 @@
 #include "core/solution_io.hpp"
 #include "core/validate.hpp"
 #include "netlist/bench_gen.hpp"
+#include "server/result_cache.hpp"
 #include "server/route_client.hpp"
 #include "server/route_server.hpp"
 #include "util/failpoint.hpp"
@@ -225,8 +226,8 @@ TEST(EcoFlow, RipsExactlyDirtyNetsKeepsRestBitIdenticalAndValidates) {
 
   // The ECO result passes the same validators as a full route, and a full
   // re-route of the edited netlist agrees on the clean status.
-  const auto eco_issues =
-      core::validate_routing(*eco.flow.router, eco.edited, true);
+  const auto eco_issues = core::validate_routing(
+      *eco.flow.router, eco.flow.router->netlist(), true);
   EXPECT_TRUE(eco_issues.empty())
       << (eco_issues.empty() ? "" : eco_issues.front().what);
   const core::FlowRun full = core::run_flow(edit.edited, fx.config);
@@ -282,8 +283,9 @@ TEST(EcoFlow, RemoveNetFreesGeometryWithoutRippingSurvivors) {
   // Freed space is not dirty: no survivor needs a re-route.
   EXPECT_EQ(eco.summary.nets_ripped, 0);
   EXPECT_EQ(eco.summary.nets_untouched, fx.base.num_nets() - 1);
-  EXPECT_TRUE(
-      core::validate_routing(*eco.flow.router, eco.edited, true).empty());
+  EXPECT_TRUE(core::validate_routing(*eco.flow.router,
+                                     eco.flow.router->netlist(), true)
+                  .empty());
 }
 
 TEST(EcoEdits, RejectsInconsistentChangeLists) {
@@ -497,38 +499,38 @@ TEST(DeltaWire, LooksLikeDeltaLineDiscriminatesDialects) {
 
 TEST(DeltaWire, CacheKeyStripsTransportAndTraceButKeysContent) {
   const api::FlowDeltaRequest request = sample_request();
-  const auto key = api::delta_cache_key(request, request.base_solution);
+  const auto key = server::delta_cache_key(request, request.base_solution);
   ASSERT_TRUE(key.has_value());
 
   // Trace context must not fragment the cache.
   api::FlowDeltaRequest traced = request;
   api::ensure_delta_trace_context(&traced);
-  EXPECT_EQ(api::delta_cache_key(traced, traced.base_solution), key);
+  EXPECT_EQ(server::delta_cache_key(traced, traced.base_solution), key);
 
   // Inline-vs-path transport must not either: the key hashes the loaded
   // text, not the request member it arrived in.
   api::FlowDeltaRequest by_path = request;
   by_path.base_solution.clear();
   by_path.base_solution_path = "/tmp/anywhere.sol";
-  EXPECT_EQ(api::delta_cache_key(by_path, request.base_solution), key);
+  EXPECT_EQ(server::delta_cache_key(by_path, request.base_solution), key);
 
   // Different base text or change list = different entry.
-  EXPECT_NE(api::delta_cache_key(request, "solution other 8 8 3 SIM 0\n"),
+  EXPECT_NE(server::delta_cache_key(request, "solution other 8 8 3 SIM 0\n"),
             key);
   api::FlowDeltaRequest edited = request;
   edited.changes.pop_back();
-  EXPECT_NE(api::delta_cache_key(edited, request.base_solution), key);
+  EXPECT_NE(server::delta_cache_key(edited, request.base_solution), key);
 
   // Uncacheable shapes: file-dependent base jobs and deadlines.
   api::FlowDeltaRequest file_based = request;
   file_based.base.spec.reset();
   file_based.base.netlist_path = "/tmp/a.nl";
   EXPECT_FALSE(
-      api::delta_cache_key(file_based, request.base_solution).has_value());
+      server::delta_cache_key(file_based, request.base_solution).has_value());
   api::FlowDeltaRequest deadlined = request;
   deadlined.base.deadline_seconds = 5.0;
   EXPECT_FALSE(
-      api::delta_cache_key(deadlined, request.base_solution).has_value());
+      server::delta_cache_key(deadlined, request.base_solution).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -659,8 +661,9 @@ TEST(RouteServerDelta, RoundTripMatchesInProcessAndSecondRunHitsCache) {
   server::RouteServer server(quiet_options());
   ASSERT_TRUE(server.start().is_ok());
 
-  const server::RemoteBatch first =
-      server::run_remote_delta("127.0.0.1", server.port(), request);
+  std::vector<std::string> first_lines;
+  const server::RemoteBatch first = server::run_remote_retry(
+      "127.0.0.1", server.port(), request, {}, {}, &first_lines);
   ASSERT_TRUE(first.status.is_ok()) << first.status.to_string();
   ASSERT_TRUE(first.summary_received);
   ASSERT_TRUE(first.delta_received);
@@ -678,8 +681,9 @@ TEST(RouteServerDelta, RoundTripMatchesInProcessAndSecondRunHitsCache) {
   EXPECT_EQ(first.summary.cache_misses, 1u);
 
   // Same request again: served from the result cache, same payloads.
-  const server::RemoteBatch second =
-      server::run_remote_delta("127.0.0.1", server.port(), request);
+  std::vector<std::string> second_lines;
+  const server::RemoteBatch second = server::run_remote_retry(
+      "127.0.0.1", server.port(), request, {}, {}, &second_lines);
   ASSERT_TRUE(second.status.is_ok()) << second.status.to_string();
   ASSERT_EQ(second.rows.size(), 1u);
   EXPECT_EQ(second.row_cache[0], "hit");
@@ -689,6 +693,31 @@ TEST(RouteServerDelta, RoundTripMatchesInProcessAndSecondRunHitsCache) {
   EXPECT_EQ(second.delta.base_fingerprint, first.delta.base_fingerprint);
   EXPECT_EQ(second.rows[0].result.routing.wirelength,
             first.rows[0].result.routing.wirelength);
+  // Row, delta, batch: the hit's row and delta lines are the miss's bytes
+  // apart from the cache member.
+  ASSERT_EQ(first_lines.size(), 3u);
+  ASSERT_EQ(second_lines.size(), 3u);
+  std::string miss_row = first_lines[0];
+  const std::string miss_mark = "\"cache\":\"miss\"";
+  ASSERT_NE(miss_row.find(miss_mark), std::string::npos) << miss_row;
+  miss_row.replace(miss_row.find(miss_mark), miss_mark.size(),
+                   "\"cache\":\"hit\"");
+  EXPECT_EQ(second_lines[0], miss_row);
+  EXPECT_EQ(second_lines[1], first_lines[1]);
+
+  // The key leaves label and arm out, so a delta hits under any label and
+  // its row carries the label it was asked under.
+  api::FlowDeltaRequest renamed = request;
+  renamed.base.label = "renamed";
+  renamed.base.arm = "arm";
+  const server::RemoteBatch third =
+      server::run_remote_delta("127.0.0.1", server.port(), renamed);
+  ASSERT_TRUE(third.status.is_ok()) << third.status.to_string();
+  ASSERT_EQ(third.rows.size(), 1u);
+  EXPECT_EQ(third.row_cache[0], "hit");
+  EXPECT_EQ(third.rows[0].label, "renamed");
+  EXPECT_EQ(third.rows[0].arm, "arm");
+  EXPECT_EQ(third.delta.ripped_ids, first.delta.ripped_ids);
 
   // A malformed delta line comes back as a structured error, not a hang.
   const server::RemoteBatch bad = [&] {

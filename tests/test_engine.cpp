@@ -295,19 +295,32 @@ TEST(ArgParser, ParsesAllKinds) {
   std::string name;
   int jobs = 0;
   double limit = 0.0;
+  int zero = 0;
+  std::string spare;
   util::ArgParser parser("test");
   parser.add_flag("--full", &flag, "");
   parser.add_string("--ckt", &name, "");
   parser.add_int("--jobs", &jobs, "");
   parser.add_double("--ilp-limit", &limit, "");
+  parser.add_int("--zero", &zero, "");
+  parser.add_string("--spare", &spare, "");
 
   const char* argv[] = {"prog", "--full", "--ckt", "ecc", "--jobs", "8",
-                        "--ilp-limit", "2.5"};
-  EXPECT_TRUE(parser.parse(8, const_cast<char**>(argv)));
+                        "--ilp-limit", "2.5", "--zero", "0"};
+  EXPECT_TRUE(parser.parse(10, const_cast<char**>(argv)));
   EXPECT_TRUE(flag);
   EXPECT_EQ(name, "ecc");
   EXPECT_EQ(jobs, 8);
   EXPECT_DOUBLE_EQ(limit, 2.5);
+  EXPECT_EQ(zero, 0);
+  // --zero arrives at its default value and still counts as given.
+  for (const char* given : {"--full", "--ckt", "--jobs", "--ilp-limit",
+                            "--zero"}) {
+    EXPECT_TRUE(parser.given(given)) << given;
+  }
+  EXPECT_FALSE(parser.given("--spare"));
+  // A misspelt name in a mode check must not read as "not given".
+  EXPECT_DEATH((void)parser.given("--spares"), "not a registered flag");
 }
 
 TEST(ArgParser, UnknownFlagIsAnError) {

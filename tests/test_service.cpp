@@ -23,6 +23,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/control.hpp"
@@ -130,24 +131,27 @@ std::vector<std::string> raw_exchange(int port, const std::string& line) {
   return lines;
 }
 
-/// Map label -> the raw bytes of the row's embedded "outcome" journal
-/// object.  Framing fields (done/cache) legitimately differ between a
-/// fresh run and a cached replay; the embedded object must not.  Rows
-/// that fail to parse are skipped and flagged as test failures.
+/// Map label -> the raw row line minus its stream position ("done") and
+/// its cache marker.  A fresh run streams rows in completion order and a
+/// cached replay in request order; nothing else in the line may differ.
+/// Rows that fail to parse are skipped and flagged as test failures.
 std::map<std::string, std::string> rows_by_label(
     const std::vector<std::string>& lines) {
   std::map<std::string, std::string> out;
-  for (const std::string& line : lines) {
+  for (std::string line : lines) {
     if (line.find("\"type\":\"row\"") == std::string::npos) continue;
-    const std::size_t at = line.find("\"outcome\":");
     const auto event = api::parse_response_line(line);
-    if (at == std::string::npos || !event.has_value()) {
+    if (!event.has_value()) {
       ADD_FAILURE() << "unparseable row line: " << line;
       continue;
     }
-    const std::string object = line.substr(at + sizeof("\"outcome\":") - 1);
-    // The trailing '}' closes the framing; strip it to keep only the object.
-    out[event->outcome.label] = object.substr(0, object.size() - 1);
+    const std::string done = "\"done\":" + std::to_string(event->done) + ",";
+    line.erase(line.find(done), done.size());
+    if (!event->cache.empty()) {
+      const std::string cache = ",\"cache\":\"" + event->cache + '"';
+      line.erase(line.find(cache), cache.size());
+    }
+    out[event->outcome.label] = std::move(line);
   }
   return out;
 }
@@ -156,25 +160,83 @@ std::map<std::string, std::string> rows_by_label(
 // Result cache: keys and replay (pure unit level).
 
 TEST(ResultCache, KeyIgnoresDisplayAndBatchFields) {
-  // Same instance (the spec seeds the generator, so it IS the instance);
-  // only the display/batch fields differ.
-  api::JobRequest a = spec_job("alpha", 30, 10);
-  api::JobRequest b = spec_job("alpha", 30, 10);
-  b.label = "renamed";
-  b.arm = "some-arm";
-  const auto key_a = server::job_cache_key(a);
-  const auto key_b = server::job_cache_key(b);
-  ASSERT_TRUE(key_a.has_value());
-  ASSERT_TRUE(key_b.has_value());
-  EXPECT_EQ(*key_a, *key_b) << "label/arm must not affect the cache key";
+  // One key rule for both verbs: each job is keyed as a flow job and as the
+  // base of a delta.  The spec seeds the generator, so it IS the instance.
+  const auto keys = [](const api::JobRequest& job) {
+    api::FlowDeltaRequest delta;
+    delta.base = job;
+    core::EcoChange move;
+    move.kind = core::EcoChange::Kind::kMovePin;
+    move.net = 3;
+    move.pin = 1;
+    move.to = {10, 12};
+    delta.changes = {move};
+    return std::make_pair(
+        server::job_cache_key(job),
+        server::delta_cache_key(delta, "solution keyed 30 30 3 SIM 0\n"));
+  };
+  using Edit = std::function<void(api::JobRequest*)>;
+  const auto check = [&](const api::JobRequest& base,
+                         const std::vector<std::pair<const char*, Edit>>& edits,
+                         bool changes_key) {
+    const auto [flow, delta] = keys(base);
+    ASSERT_TRUE(flow.has_value());
+    ASSERT_TRUE(delta.has_value());
+    for (const auto& [member, edit] : edits) {
+      api::JobRequest edited = base;
+      edit(&edited);
+      const auto [edited_flow, edited_delta] = keys(edited);
+      EXPECT_EQ(edited_flow != flow, changes_key) << "flow job: " << member;
+      EXPECT_EQ(edited_delta != delta, changes_key) << "delta base: " << member;
+    }
+  };
 
-  api::JobRequest c = spec_job("alpha", 30, 10);
-  c.spec->seed += 1;
-  const auto key_c = server::job_cache_key(c);
-  ASSERT_TRUE(key_c.has_value());
-  EXPECT_NE(*key_a, *key_c) << "a different spec must address a new entry";
+  // Everything that changes the routed row changes the key.
+  const api::JobRequest spec = spec_job("keyed", 30, 10);
+  check(spec,
+        {{"style",
+          [](api::JobRequest* j) { j->style = grid::SadpStyle::kSid; }},
+         {"consider_dvi", [](api::JobRequest* j) { j->consider_dvi = false; }},
+         {"consider_tpl", [](api::JobRequest* j) { j->consider_tpl = false; }},
+         {"dvi_method",
+          [](api::JobRequest* j) { j->dvi_method = core::DviMethod::kExact; }},
+         {"ilp_limit", [](api::JobRequest* j) { j->ilp_limit_seconds = 7.0; }},
+         {"degrade_dvi", [](api::JobRequest* j) { j->degrade_dvi = true; }},
+         {"partitions", [](api::JobRequest* j) { j->partitions = 4; }},
+         {"spec.name", [](api::JobRequest* j) { j->spec->name = "other"; }},
+         {"spec.width", [](api::JobRequest* j) { j->spec->width += 1; }},
+         {"spec.height", [](api::JobRequest* j) { j->spec->height += 1; }},
+         {"spec.num_nets", [](api::JobRequest* j) { j->spec->num_nets += 1; }},
+         {"spec.num_metal_layers",
+          [](api::JobRequest* j) { j->spec->num_metal_layers += 1; }},
+         {"spec.local_radius",
+          [](api::JobRequest* j) { j->spec->local_radius += 1; }},
+         {"spec.global_net_fraction",
+          [](api::JobRequest* j) { j->spec->global_net_fraction = 0.5; }},
+         {"spec.min_pin_spacing",
+          [](api::JobRequest* j) { j->spec->min_pin_spacing += 1; }},
+         {"spec.row_structured",
+          [](api::JobRequest* j) { j->spec->row_structured = true; }},
+         {"spec.row_pitch",
+          [](api::JobRequest* j) { j->spec->row_pitch += 1; }},
+         {"spec.seed", [](api::JobRequest* j) { j->spec->seed = 7; }},
+         {"spec.scale", [](api::JobRequest* j) { j->spec->scale = 2.0; }}},
+        true);
+  api::JobRequest bench;
+  bench.benchmark = "ecc";
+  check(bench,
+        {{"benchmark", [](api::JobRequest* j) { j->benchmark = "efc"; }},
+         {"scaled", [](api::JobRequest* j) { j->scaled = false; }}},
+        true);
 
-  EXPECT_NE(server::cache_key_id(*key_a), server::cache_key_id(*key_c));
+  // What only names or traces the row does not.
+  for (const api::JobRequest& base : {spec, bench}) {
+    check(base,
+          {{"label", [](api::JobRequest* j) { j->label = "renamed"; }},
+           {"arm", [](api::JobRequest* j) { j->arm = "some-arm"; }},
+           {"span_id", [](api::JobRequest* j) { j->span_id = "0123abcd"; }}},
+          false);
+  }
 }
 
 TEST(ResultCache, FileAndDeadlineJobsAreUncacheable) {
@@ -189,8 +251,8 @@ TEST(ResultCache, FileAndDeadlineJobsAreUncacheable) {
 
 TEST(ResultCache, LruEvictionAndCounters) {
   server::ResultCache cache(2);
-  server::CachedRow row;
-  row.suffix = "x";
+  engine::JobOutcome row;
+  row.label = "x";
   cache.insert("a", row);
   cache.insert("b", row);
   EXPECT_TRUE(cache.lookup("a").has_value());  // bump "a" to MRU
@@ -202,29 +264,21 @@ TEST(ResultCache, LruEvictionAndCounters) {
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.size(), 2u);
 
+  // Only a row a rerun reproduces is kept.
+  engine::JobOutcome failed = row;
+  failed.status = engine::JobStatus::kFailed;
+  engine::JobOutcome restored = row;
+  restored.from_journal = true;
+  cache.insert("d", failed);
+  cache.insert("e", restored);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_FALSE(cache.lookup("d").has_value());
+  EXPECT_FALSE(cache.lookup("e").has_value());
+
   server::ResultCache disabled(0);
   disabled.insert("a", row);
   EXPECT_FALSE(disabled.lookup("a").has_value());
   EXPECT_EQ(disabled.misses(), 0u) << "a disabled cache must not count";
-}
-
-TEST(ResultCache, ReplayReconstructsJournalLineByteIdentically) {
-  api::FlowRequest request;
-  request.jobs.push_back(spec_job("replay_me", 30, 10));
-  const api::DispatchResult run = api::dispatch(request);
-  ASSERT_TRUE(run.status.is_ok());
-  ASSERT_EQ(run.batch.outcomes.size(), 1u);
-  const engine::JobOutcome& outcome = run.batch.outcomes[0];
-  ASSERT_TRUE(outcome.ok());
-
-  const auto cached = server::make_cached_row(outcome);
-  ASSERT_TRUE(cached.has_value());
-  EXPECT_EQ(server::replay_journal_object(*cached, outcome.label, outcome.arm),
-            engine::journal_line(outcome));
-  // Replay under a different label only rewrites the label member.
-  const std::string relabeled =
-      server::replay_journal_object(*cached, "other", outcome.arm);
-  EXPECT_NE(relabeled.find("\"label\":\"other\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -265,7 +319,7 @@ TEST(ServiceCache, RepeatedRequestIsServedFromCacheByteIdentically) {
   }
   EXPECT_EQ(hit_rows, 3u);
 
-  // The embedded journal objects must be byte-identical across runs.
+  // Each hit line is its miss line apart from "done" and "cache".
   const auto first_rows = rows_by_label(first);
   const auto second_rows = rows_by_label(second);
   ASSERT_EQ(first_rows.size(), 3u);

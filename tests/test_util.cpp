@@ -1,8 +1,11 @@
 // Unit tests for the util library: deterministic RNG, statistics, tables.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
 
+#include "util/args.hpp"
 #include "util/cancel.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -150,6 +153,24 @@ TEST(Stats, HistogramMergeMatchesCombinedSamples) {
   for (const double q : {0.0, 0.25, 0.5, 0.9, 1.0}) {
     EXPECT_EQ(a.percentile(q), combined.percentile(q)) << q;
   }
+}
+
+TEST(ArgParser, UsageLeavesTwoSpacesAfterALongFlag) {
+  int jobs = 0;
+  std::uint64_t seed = 0;
+  ArgParser parser("test");
+  parser.add_int("--jobs", &jobs, "worker threads");
+  parser.add_uint64("--failpoints-seed", &seed, "base seed", "SEED");
+  const std::string usage = parser.usage("prog");
+  // A short flag pads to the 24-column field; one that fills it still
+  // gets two spaces before its help.
+  EXPECT_NE(usage.find("\n  --jobs N" + std::string(14, ' ') +
+                       "worker threads\n"),
+            std::string::npos)
+      << usage;
+  EXPECT_NE(usage.find("\n  --failpoints-seed SEED  base seed\n"),
+            std::string::npos)
+      << usage;
 }
 
 TEST(Table, AlignsColumns) {

@@ -22,11 +22,11 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "util/args.hpp"
+#include "util/fs.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 
@@ -56,13 +56,6 @@ struct Trace {
   std::vector<CounterRow> counters;
 };
 
-std::optional<std::string> slurp(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 double number_or(const util::JsonValue& obj, const char* key, double fallback) {
   const util::JsonValue* v = obj.find(key);
@@ -77,13 +70,13 @@ std::string string_or(const util::JsonValue& obj, const char* key) {
 /// Parse and structurally validate one trace file; nullopt (with a message
 /// on stderr) on any problem.
 std::optional<Trace> load_trace(const std::string& path) {
-  const auto text = slurp(path);
-  if (!text) {
+  std::string text;
+  if (!util::read_file(path, &text)) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return std::nullopt;
   }
   std::string error;
-  const auto doc = util::parse_json(*text, &error);
+  const auto doc = util::parse_json(text, &error);
   if (!doc || !doc->is_object()) {
     std::fprintf(stderr, "%s: not valid JSON: %s\n", path.c_str(), error.c_str());
     return std::nullopt;
@@ -285,13 +278,13 @@ void print_convergence(const Trace& trace, const std::string& csv_path) {
 }
 
 int print_metrics(const std::string& path) {
-  const auto text = slurp(path);
-  if (!text) {
+  std::string text;
+  if (!util::read_file(path, &text)) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 1;
   }
   std::string error;
-  const auto doc = util::parse_json(*text, &error);
+  const auto doc = util::parse_json(text, &error);
   if (!doc || !doc->is_object()) {
     std::fprintf(stderr, "%s: not valid JSON: %s\n", path.c_str(), error.c_str());
     return 1;

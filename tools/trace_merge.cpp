@@ -22,27 +22,15 @@
 // usage.
 #include <cstdio>
 #include <fstream>
-#include <optional>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/merge.hpp"
 #include "util/args.hpp"
-
-namespace {
+#include "util/fs.hpp"
 
 using namespace sadp;
-
-std::optional<std::string> slurp(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string out_path;
@@ -65,12 +53,12 @@ int main(int argc, char** argv) {
   std::vector<obs::MergeInput> traces;
   traces.reserve(inputs.size());
   for (const std::string& path : inputs) {
-    auto text = slurp(path);
-    if (!text) {
+    std::string text;
+    if (!util::read_file(path, &text)) {
       std::fprintf(stderr, "cannot open %s\n", path.c_str());
       return 1;
     }
-    traces.push_back(obs::MergeInput{path, std::move(*text)});
+    traces.push_back(obs::MergeInput{path, std::move(text)});
   }
 
   std::string merged;

@@ -42,7 +42,6 @@
 #include <fstream>
 #include <initializer_list>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -186,8 +185,7 @@ std::optional<CliOptions> parse_cli(int argc, char** argv) {
                     "write the routed solution", "FILE");
   parser.add_string("--svg", &options.svg_path, "render the layout", "FILE");
   parser.add_string("--json-report", &options.json_report_path,
-                    "write a JSON report (single run) or engine metrics (batch)",
-                    "FILE");
+                    "write the run's rows as sadp.flow_metrics.v1 JSON", "FILE");
   parser.add_flag("--stats", &options.print_stats, "print the design statistics");
   parser.add_flag("--validate", &options.validate,
                   "validate the routing and DVI solution(s)");
@@ -320,13 +318,13 @@ std::optional<CliOptions> parse_cli(int argc, char** argv) {
 }
 
 int run_dvi_only(const CliOptions& options) {
-  std::ifstream in(options.dvi_only_path);
-  if (!in) {
+  std::string text;
+  if (!util::read_file(options.dvi_only_path, &text)) {
     std::fprintf(stderr, "cannot open %s\n", options.dvi_only_path.c_str());
     return 1;
   }
   std::string error;
-  const auto solution = core::read_solution(in, &error);
+  const auto solution = core::parse_solution(text, &error);
   if (!solution) {
     std::fprintf(stderr, "parse error: %s\n", error.c_str());
     return 1;
@@ -410,6 +408,17 @@ int write_file_atomically(const std::string& path, const std::string& content) {
   return 0;
 }
 
+/// --json-report: the run's rows as one sadp.flow_metrics.v1 document, in
+/// every mode.
+int write_json_report(const CliOptions& options,
+                      const std::vector<engine::JobOutcome>& rows, int workers,
+                      double wall_seconds) {
+  if (options.json_report_path.empty()) return 0;
+  return write_file_atomically(
+      options.json_report_path,
+      engine::metrics_json(rows, workers, wall_seconds) + "\n");
+}
+
 /// Every --validate check of a finished run that kept its router: the
 /// routing against the netlist the router routed, then the DVI solution
 /// against its problem rebuilt from that router over every net, or over
@@ -458,17 +467,11 @@ int finish_single(const CliOptions& options, const engine::JobOutcome& outcome,
               result.dvi.dead_vias, result.single_vias, result.dvi.uncolorable,
               result.dvi.seconds);
 
-  if (options.print_stats || !options.json_report_path.empty()) {
-    const core::DesignStats stats = core::collect_design_stats(router);
-    if (options.print_stats) {
-      std::fputs(core::render_text_report(result, stats).c_str(), stdout);
-    }
-    if (!options.json_report_path.empty() &&
-        write_file_atomically(options.json_report_path,
-                              core::render_json_report(result, stats) + "\n") !=
-            0) {
-      return 1;
-    }
+  if (options.print_stats) {
+    std::fputs(core::render_text_report(result,
+                                        core::collect_design_stats(router))
+                   .c_str(),
+               stdout);
   }
 
   int exit_code = result.routing.routed_all ? 0 : 1;
@@ -484,15 +487,13 @@ int finish_single(const CliOptions& options, const engine::JobOutcome& outcome,
     }
   }
 
-  if (!options.save_solution_path.empty()) {
-    std::ostringstream out;
-    core::write_solution(out, core::capture_solution(router.netlist().name,
-                                                     router.routing_grid(),
-                                                     options.job.style,
-                                                     router.nets()));
-    if (write_file_atomically(options.save_solution_path, out.str()) != 0) {
-      exit_code = 1;
-    }
+  if (!options.save_solution_path.empty() &&
+      write_file_atomically(
+          options.save_solution_path,
+          core::solution_to_text(core::capture_solution(
+              router.netlist().name, router.routing_grid(), options.job.style,
+              router.nets()))) != 0) {
+    exit_code = 1;
   }
   if (!options.svg_path.empty()) {
     viz::LayoutWriterOptions render;
@@ -772,7 +773,10 @@ int run_delta(const CliOptions& options, api::JobRequest base) {
               run.summary.nets_ripped, run.summary.nets_total,
               run.summary.nets_untouched, run.summary.base_fingerprint.c_str(),
               run.summary.load_seconds);
-  return finish_single(options, run.outcome, &run.summary.ripped_ids);
+  const int code = finish_single(options, run.outcome, &run.summary.ripped_ids);
+  return write_json_report(options, {run.outcome}, 1, run.wall_seconds) != 0
+             ? 1
+             : code;
 }
 
 /// Batch mode: several benchmarks through the engine, summary table + metrics.
@@ -816,14 +820,10 @@ int run_batch(const CliOptions& options, const api::FlowRequest& request) {
   print_table(batch.outcomes);
   print_summary(batch, batch.outcomes.size(), run.workers, run.wall_seconds);
 
-  if (!options.json_report_path.empty() &&
-      write_file_atomically(options.json_report_path,
-                            engine::metrics_json(batch.outcomes, run.workers,
-                                                 run.wall_seconds) +
-                                "\n") != 0) {
-    return 1;
-  }
-  return exit_code;
+  return write_json_report(options, batch.outcomes, run.workers,
+                           run.wall_seconds) != 0
+             ? 1
+             : exit_code;
 }
 
 /// Single-instance mode (one benchmark or a netlist file): a one-job request
@@ -846,7 +846,11 @@ int run_single(const CliOptions& options, api::FlowRequest request) {
     std::fprintf(stderr, "%s\n", run.status.message().c_str());
     return 1;
   }
-  return finish_single(options, run.batch.outcomes[0]);
+  const int code = finish_single(options, run.batch.outcomes[0]);
+  return write_json_report(options, run.batch.outcomes, run.workers,
+                           run.wall_seconds) != 0
+             ? 1
+             : code;
 }
 
 int dispatch(const CliOptions& options) {

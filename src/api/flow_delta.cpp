@@ -290,15 +290,9 @@ void ensure_delta_trace_context(FlowDeltaRequest* request) {
   request->base.span_id = mint_trace_id();
 }
 
-util::Status load_base_solution(const FlowDeltaRequest& request,
-                                std::string* text) {
-  if (!request.base_solution.empty()) {
-    *text = request.base_solution;
-    return util::Status::ok();
-  }
-  if (!util::read_file(request.base_solution_path, text)) {
-    return util::Status::invalid_input("cannot open base solution " +
-                                       request.base_solution_path);
+util::Status load_base_solution(const std::string& path, std::string* text) {
+  if (!util::read_file(path, text)) {
+    return util::Status::invalid_input("cannot open base solution " + path);
   }
   return util::Status::ok();
 }
@@ -411,11 +405,15 @@ DeltaDispatchResult dispatch_delta(const FlowDeltaRequest& request,
   out.status = validate_delta(request);
   if (!out.status.is_ok()) return out;
 
-  std::string base_text;
-  out.status = load_base_solution(request, &base_text);
-  if (!out.status.is_ok()) return out;
+  std::string file_text;
+  if (request.base_solution.empty()) {
+    out.status = load_base_solution(request.base_solution_path, &file_text);
+    if (!out.status.is_ok()) return out;
+  }
   std::string parse_error;
-  const auto solution = core::parse_solution(base_text, &parse_error);
+  const auto solution = core::parse_solution(
+      request.base_solution.empty() ? file_text : request.base_solution,
+      &parse_error);
   if (!solution) {
     out.status =
         util::Status::invalid_input("malformed base solution: " + parse_error);

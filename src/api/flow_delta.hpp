@@ -98,9 +98,9 @@ void write_changes(util::JsonWriter& json,
 /// a trace_id is left untouched.  Mirrors ensure_trace_context.
 void ensure_delta_trace_context(FlowDeltaRequest* request);
 
-/// Resolve the base solution to its text: the inline text verbatim, or the
-/// file's contents.  kInvalidInput when the path cannot be read.
-[[nodiscard]] util::Status load_base_solution(const FlowDeltaRequest& request,
+/// Read the base solution file at `path` into `text`.  kInvalidInput when
+/// it cannot be read.
+[[nodiscard]] util::Status load_base_solution(const std::string& path,
                                               std::string* text);
 
 // ---------------------------------------------------------------------------
@@ -133,7 +133,8 @@ struct DeltaDispatchResult {
   double wall_seconds = 0.0;
 };
 
-/// Run a delta as one engine job: validate, parse the base, to_flow_job,
+/// Run a delta as one engine job: validate, parse the base (an inline one
+/// where it is, a path one after one read), to_flow_job,
 /// then a one-job FlowEngine run on the calling thread (no journal) whose
 /// flow is core::run_eco_flow, so the delta gets the engine's fault site,
 /// isolation, deadline, `job:<label>` span and counters.  Request-shaped

@@ -3,8 +3,6 @@
 #include <bit>
 #include <sstream>
 
-#include "util/json.hpp"
-
 namespace sadp::core {
 
 DesignStats collect_design_stats(const SadpRouter& router) {
@@ -104,62 +102,6 @@ std::string render_text_report(const ExperimentResult& result,
       << result.single_vias << ", " << result.dvi.uncolorable
       << " uncolorable, " << result.dvi.seconds << "s\n";
   return out.str();
-}
-
-std::string render_json_report(const ExperimentResult& result,
-                               const DesignStats& stats) {
-  util::JsonWriter json;
-  json.begin_object();
-  json.key("benchmark").value(result.benchmark);
-
-  json.key("routing").begin_object();
-  json.key("routed_all").value(result.routing.routed_all);
-  json.key("wirelength").value(result.routing.wirelength);
-  json.key("vias").value(result.routing.via_count);
-  json.key("seconds").value(result.routing.route_seconds);
-  json.key("initial_seconds").value(result.routing.initial_routing_seconds);
-  json.key("congestion_rr_seconds").value(result.routing.congestion_rr_seconds);
-  json.key("tpl_rr_seconds").value(result.routing.tpl_rr_seconds);
-  json.key("coloring_seconds").value(result.routing.coloring_seconds);
-  json.key("rr_iterations").value(result.routing.rr_iterations);
-  json.key("remaining_fvps").value(result.routing.remaining_fvps);
-  json.key("uncolorable_vias").value(result.routing.uncolorable_vias);
-  json.end_object();
-
-  json.key("layers").begin_array();
-  for (const auto& layer : stats.layers) {
-    json.begin_object();
-    json.key("layer").value(layer.layer);
-    json.key("occupied_points").value(layer.occupied_points);
-    json.key("wire_segments").value(layer.wire_segments);
-    json.key("preferred_segments").value(layer.preferred_segments);
-    json.key("utilization").value(layer.utilization);
-    json.end_object();
-  }
-  json.end_array();
-
-  json.key("vias_per_layer").begin_array();
-  for (const long long count : stats.vias_per_layer) json.value(count);
-  json.end_array();
-
-  json.key("turns").begin_object();
-  json.key("preferred").value(stats.preferred_turns);
-  json.key("non_preferred").value(stats.non_preferred_turns);
-  json.end_object();
-
-  json.key("dvic_histogram").begin_array();
-  for (const long long count : stats.dvic_histogram) json.value(count);
-  json.end_array();
-
-  json.key("dvi").begin_object();
-  json.key("dead_vias").value(result.dvi.dead_vias);
-  json.key("single_vias").value(result.single_vias);
-  json.key("uncolorable").value(result.dvi.uncolorable);
-  json.key("seconds").value(result.dvi.seconds);
-  json.end_object();
-
-  json.end_object();
-  return json.str();
 }
 
 }  // namespace sadp::core

@@ -1,4 +1,6 @@
-// Design statistics and machine/human-readable reports for a finished flow.
+// Design statistics and the human-readable report of a finished flow
+// (`sadp_route --stats`).  A run's machine-readable record is the journal
+// object, written as metrics by engine::metrics_json.
 #pragma once
 
 #include <array>
@@ -35,10 +37,6 @@ struct DesignStats {
 
 /// Render an ExperimentResult (+ stats) as a human-readable text report.
 [[nodiscard]] std::string render_text_report(const ExperimentResult& result,
-                                             const DesignStats& stats);
-
-/// Render as JSON (one object; schema mirrors the struct fields).
-[[nodiscard]] std::string render_json_report(const ExperimentResult& result,
                                              const DesignStats& stats);
 
 }  // namespace sadp::core

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <istream>
-#include <iterator>
-#include <ostream>
 
 namespace sadp::core {
 
@@ -95,10 +92,6 @@ RoutedSolution capture_solution(const std::string& name,
   return solution;
 }
 
-void write_solution(std::ostream& out, const RoutedSolution& solution) {
-  out << solution_to_text(solution);
-}
-
 std::string solution_to_text(const RoutedSolution& solution) {
   std::size_t records = 1;
   for (const auto& net : solution.nets) {
@@ -141,13 +134,6 @@ std::string solution_to_text(const RoutedSolution& solution) {
     }
   }
   return out;
-}
-
-std::optional<RoutedSolution> read_solution(std::istream& in,
-                                            std::string* error) {
-  const std::string text{std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>()};
-  return parse_solution(text, error);
 }
 
 std::optional<RoutedSolution> parse_solution(std::string_view text,

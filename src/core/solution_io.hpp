@@ -32,7 +32,6 @@
 // sorted per net; its bytes are what solution_fingerprint hashes.
 #pragma once
 
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -61,17 +60,13 @@ struct RoutedSolution {
                                               grid::SadpStyle style,
                                               const std::vector<RoutedNet>& nets);
 
-/// The canonical text, built in one buffer; write_solution streams it.
+/// The canonical text, built in one buffer.
 [[nodiscard]] std::string solution_to_text(const RoutedSolution& solution);
-void write_solution(std::ostream& out, const RoutedSolution& solution);
 
 /// One pass over the text.  On error returns nullopt and, when `error` is
-/// non-null, stores a one-line description.  read_solution reads the whole
-/// stream and parses it.
+/// non-null, stores a one-line description.
 [[nodiscard]] std::optional<RoutedSolution> parse_solution(
     std::string_view text, std::string* error = nullptr);
-[[nodiscard]] std::optional<RoutedSolution> read_solution(
-    std::istream& in, std::string* error = nullptr);
 
 /// Rebuild the shared databases from a solution.  The solution's dimensions
 /// and layer count must agree with the grid, and every metal point and via

@@ -3,14 +3,12 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
 
 #include "engine/journal.hpp"
-#include "grid/colored_grid.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/failpoint.hpp"
@@ -99,32 +97,7 @@ JobOutcome execute_job(FlowJob job, const util::CancelToken& batch_token) {
       outcome.status = JobStatus::kDegraded;
     }
 
-    const core::RoutingReport& routing = outcome.result.routing;
-    outcome.metrics.route_seconds = routing.route_seconds;
-    outcome.metrics.initial_routing_seconds = routing.initial_routing_seconds;
-    outcome.metrics.congestion_rr_seconds = routing.congestion_rr_seconds;
-    outcome.metrics.tpl_rr_seconds = routing.tpl_rr_seconds;
-    outcome.metrics.coloring_seconds = routing.coloring_seconds;
-    outcome.metrics.dvi_seconds = outcome.result.dvi.seconds;
-    outcome.metrics.rr_iterations = routing.rr_iterations;
-    outcome.metrics.queue_peak = routing.queue_peak;
-    outcome.metrics.maze_pops = routing.maze_pops;
-    outcome.metrics.maze_relaxations = routing.maze_relaxations;
-    outcome.metrics.maze_searches = routing.maze_searches;
-    outcome.metrics.heap_reuse = routing.heap_reuse;
-    outcome.metrics.fvp_cache_hits = routing.fvp_cache_hits;
-    outcome.metrics.maze_pops_p50 = routing.maze_pops_p50;
-    outcome.metrics.maze_pops_p95 = routing.maze_pops_p95;
-    outcome.metrics.maze_pops_max = routing.maze_pops_max;
-    outcome.metrics.partitions = routing.partitions;
-    outcome.metrics.partition_regions = routing.partition_regions;
-    outcome.metrics.boundary_nets = routing.boundary_nets;
-    outcome.metrics.partition_seconds = routing.partition_seconds;
-    outcome.metrics.reconcile_seconds = routing.reconcile_seconds;
-    outcome.metrics.boundary_seconds = routing.boundary_seconds;
-    outcome.metrics.merge_seconds = routing.merge_seconds;
-    outcome.metrics.region_seconds_max = routing.region_seconds_max;
-    outcome.metrics.region_seconds_mean = routing.region_seconds_mean;
+    fill_stage_metrics(outcome.result, &outcome.metrics);
   } catch (const FlowError& e) {
     outcome.status = JobStatus::kFailed;
     outcome.error = e.status();
@@ -181,6 +154,36 @@ std::optional<JournalSync> parse_journal_sync(const std::string& name) noexcept 
     if (name == journal_sync_name(s)) return s;
   }
   return std::nullopt;
+}
+
+void fill_stage_metrics(const core::ExperimentResult& result,
+                        StageMetrics* metrics) {
+  const core::RoutingReport& routing = result.routing;
+  metrics->route_seconds = routing.route_seconds;
+  metrics->initial_routing_seconds = routing.initial_routing_seconds;
+  metrics->congestion_rr_seconds = routing.congestion_rr_seconds;
+  metrics->tpl_rr_seconds = routing.tpl_rr_seconds;
+  metrics->coloring_seconds = routing.coloring_seconds;
+  metrics->dvi_seconds = result.dvi.seconds;
+  metrics->rr_iterations = routing.rr_iterations;
+  metrics->queue_peak = routing.queue_peak;
+  metrics->maze_pops = routing.maze_pops;
+  metrics->maze_relaxations = routing.maze_relaxations;
+  metrics->maze_searches = routing.maze_searches;
+  metrics->heap_reuse = routing.heap_reuse;
+  metrics->fvp_cache_hits = routing.fvp_cache_hits;
+  metrics->maze_pops_p50 = routing.maze_pops_p50;
+  metrics->maze_pops_p95 = routing.maze_pops_p95;
+  metrics->maze_pops_max = routing.maze_pops_max;
+  metrics->partitions = routing.partitions;
+  metrics->partition_regions = routing.partition_regions;
+  metrics->boundary_nets = routing.boundary_nets;
+  metrics->partition_seconds = routing.partition_seconds;
+  metrics->reconcile_seconds = routing.reconcile_seconds;
+  metrics->boundary_seconds = routing.boundary_seconds;
+  metrics->merge_seconds = routing.merge_seconds;
+  metrics->region_seconds_max = routing.region_seconds_max;
+  metrics->region_seconds_mean = routing.region_seconds_mean;
 }
 
 FlowEngine::FlowEngine(EngineOptions options) : options_(std::move(options)) {}
@@ -406,71 +409,6 @@ BatchResult FlowEngine::run(std::vector<FlowJob> jobs) const {
   return batch;
 }
 
-namespace {
-
-void emit_outcome(util::JsonWriter& json, const JobOutcome& outcome) {
-  const core::ExperimentResult& r = outcome.result;
-  json.begin_object();
-  json.key("label").value(outcome.label);
-  json.key("arm").value(outcome.arm);
-  json.key("status").value(job_status_name(outcome.status));
-  json.key("error").value(outcome.error.to_string());
-  json.key("from_journal").value(outcome.from_journal);
-  json.key("benchmark").value(r.benchmark);
-  json.key("style").value(grid::style_name(outcome.style));
-  json.key("dvi_method").value(core::dvi_method_name(outcome.dvi_method));
-  json.key("routed_all").value(r.routing.routed_all);
-  json.key("unrouted_nets").value(r.routing.unrouted_nets);
-  json.key("wirelength").value(r.routing.wirelength);
-  json.key("via_count").value(r.routing.via_count);
-  json.key("remaining_fvps").value(r.routing.remaining_fvps);
-  json.key("uncolorable_vias").value(r.routing.uncolorable_vias);
-  json.key("single_vias").value(r.single_vias);
-  json.key("dvi_candidates").value(r.dvi_candidates);
-  json.key("dead_vias").value(r.dvi.dead_vias);
-  json.key("uncolorable").value(r.dvi.uncolorable);
-  json.key("ilp_status").value(ilp::solve_status_name(r.ilp_status));
-  json.key("rr_iterations").value(outcome.metrics.rr_iterations);
-  json.key("queue_peak").value(outcome.metrics.queue_peak);
-  json.key("maze_pops").value(outcome.metrics.maze_pops);
-  json.key("maze_relaxations").value(outcome.metrics.maze_relaxations);
-  json.key("maze_searches").value(outcome.metrics.maze_searches);
-  json.key("heap_reuse").value(outcome.metrics.heap_reuse);
-  json.key("fvp_cache_hits").value(outcome.metrics.fvp_cache_hits);
-  json.key("maze_pops_p50").value(outcome.metrics.maze_pops_p50);
-  json.key("maze_pops_p95").value(outcome.metrics.maze_pops_p95);
-  json.key("maze_pops_max").value(outcome.metrics.maze_pops_max);
-  // Partition members only for partitioned jobs: serial rows keep their
-  // exact pre-partition bytes (the baseline-freeze contract of the perf
-  // smoke files).
-  if (outcome.metrics.partitions > 1) {
-    json.key("partitions").value(outcome.metrics.partitions);
-    json.key("partition_regions").value(outcome.metrics.partition_regions);
-    json.key("boundary_nets").value(outcome.metrics.boundary_nets);
-    json.key("region_seconds_max").value(outcome.metrics.region_seconds_max);
-    json.key("region_seconds_mean").value(outcome.metrics.region_seconds_mean);
-  }
-  json.key("total_seconds").value(outcome.metrics.total_seconds);
-  json.key("stages").begin_object();
-  json.key("generate").value(outcome.metrics.generate_seconds);
-  json.key("route").value(outcome.metrics.route_seconds);
-  json.key("initial_routing").value(outcome.metrics.initial_routing_seconds);
-  json.key("congestion_rr").value(outcome.metrics.congestion_rr_seconds);
-  json.key("tpl_rr").value(outcome.metrics.tpl_rr_seconds);
-  json.key("coloring").value(outcome.metrics.coloring_seconds);
-  json.key("dvi").value(outcome.metrics.dvi_seconds);
-  if (outcome.metrics.partitions > 1) {
-    json.key("partition").value(outcome.metrics.partition_seconds);
-    json.key("boundary").value(outcome.metrics.boundary_seconds);
-    json.key("merge").value(outcome.metrics.merge_seconds);
-    json.key("reconcile").value(outcome.metrics.reconcile_seconds);
-  }
-  json.end_object();
-  json.end_object();
-}
-
-}  // namespace
-
 std::string metrics_json(const std::vector<JobOutcome>& outcomes, int workers,
                          double wall_seconds) {
   util::JsonWriter json;
@@ -480,58 +418,30 @@ std::string metrics_json(const std::vector<JobOutcome>& outcomes, int workers,
   json.key("workers").value(workers);
   json.key("wall_seconds").value(wall_seconds);
   json.key("results").begin_array();
-  for (const auto& outcome : outcomes) emit_outcome(json, outcome);
+  for (const auto& outcome : outcomes) {
+    const StageMetrics& m = outcome.metrics;
+    json.begin_object();
+    write_outcome_members(json, outcome);
+    json.key("stages").begin_object();
+    json.key("generate").value(m.generate_seconds);
+    json.key("route").value(m.route_seconds);
+    json.key("initial_routing").value(m.initial_routing_seconds);
+    json.key("congestion_rr").value(m.congestion_rr_seconds);
+    json.key("tpl_rr").value(m.tpl_rr_seconds);
+    json.key("coloring").value(m.coloring_seconds);
+    json.key("dvi").value(m.dvi_seconds);
+    if (m.partitions > 1) {
+      json.key("partition").value(m.partition_seconds);
+      json.key("boundary").value(m.boundary_seconds);
+      json.key("merge").value(m.merge_seconds);
+      json.key("reconcile").value(m.reconcile_seconds);
+    }
+    json.end_object();
+    json.end_object();
+  }
   json.end_array();
   json.end_object();
   return json.str();
-}
-
-std::string metrics_csv(const std::vector<JobOutcome>& outcomes) {
-  std::string out =
-      "label,arm,status,error,benchmark,style,dvi_method,routed_all,wirelength,"
-      "via_count,single_vias,"
-      "dead_vias,uncolorable,rr_iterations,queue_peak,maze_pops,"
-      "maze_relaxations,maze_searches,heap_reuse,fvp_cache_hits,"
-      "maze_pops_p50,maze_pops_p95,maze_pops_max,total_seconds,"
-      "route_seconds,initial_routing_seconds,congestion_rr_seconds,"
-      "tpl_rr_seconds,coloring_seconds,dvi_seconds,"
-      "partitions,partition_regions,boundary_nets,partition_seconds,"
-      "reconcile_seconds\n";
-  char buffer[512];
-  for (const auto& outcome : outcomes) {
-    const core::ExperimentResult& r = outcome.result;
-    const StageMetrics& m = outcome.metrics;
-    // CSV-hostile characters in the free-text error column degrade to '_'.
-    std::string error = outcome.error.to_string();
-    for (char& c : error) {
-      if (c == ',' || c == '\n' || c == '"') c = '_';
-    }
-    out += outcome.label + ',' + outcome.arm + ',' +
-           job_status_name(outcome.status) + ',' + error + ',' + r.benchmark +
-           ',' + grid::style_name(outcome.style) + ',' +
-           core::dvi_method_name(outcome.dvi_method) + ',';
-    std::snprintf(buffer, sizeof buffer,
-                  "%d,%lld,%d,%d,%d,%d,%zu,%zu,%llu,%llu,%llu,%llu,%llu,"
-                  "%llu,%llu,%llu,"
-                  "%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%d,%d,%.6f,%.6f\n",
-                  r.routing.routed_all ? 1 : 0, r.routing.wirelength,
-                  r.routing.via_count, r.single_vias, r.dvi.dead_vias,
-                  r.dvi.uncolorable, m.rr_iterations, m.queue_peak,
-                  static_cast<unsigned long long>(m.maze_pops),
-                  static_cast<unsigned long long>(m.maze_relaxations),
-                  static_cast<unsigned long long>(m.maze_searches),
-                  static_cast<unsigned long long>(m.heap_reuse),
-                  static_cast<unsigned long long>(m.fvp_cache_hits),
-                  static_cast<unsigned long long>(m.maze_pops_p50),
-                  static_cast<unsigned long long>(m.maze_pops_p95),
-                  static_cast<unsigned long long>(m.maze_pops_max),
-                  m.total_seconds, m.route_seconds, m.initial_routing_seconds,
-                  m.congestion_rr_seconds, m.tpl_rr_seconds, m.coloring_seconds,
-                  m.dvi_seconds, m.partitions, m.partition_regions,
-                  m.boundary_nets, m.partition_seconds, m.reconcile_seconds);
-    out += buffer;
-  }
-  return out;
 }
 
 util::Status write_metrics_files(const std::string& directory,
@@ -547,16 +457,10 @@ util::Status write_metrics_files(const std::string& directory,
         "failpoint(metrics.write): injected write error");
   }
   // Atomic (write-temp-then-rename): a crash mid-write leaves the previous
-  // metrics files intact instead of a truncated JSON document.
+  // metrics file intact instead of a truncated JSON document.
   const std::string path = directory + "/" + stem + ".json";
   if (const util::Status wrote = util::atomic_write_file(
           path, metrics_json(outcomes, workers, wall_seconds) + "\n");
-      !wrote.is_ok()) {
-    return wrote;
-  }
-  const std::string csv_path = directory + "/" + stem + ".csv";
-  if (const util::Status wrote =
-          util::atomic_write_file(csv_path, metrics_csv(outcomes));
       !wrote.is_ok()) {
     return wrote;
   }

@@ -29,8 +29,10 @@
 // are inherently non-deterministic.
 //
 // Each job also records per-stage metrics (StageMetrics) — wall time per
-// flow phase, R&R iterations, violation-queue peak — which metrics_json /
-// metrics_csv serialize for the bench_results/ trajectory files.
+// flow phase, R&R iterations, violation-queue peak.  metrics_json writes a
+// batch as one sadp.flow_metrics.v1 document (the bench_results/ files and
+// `sadp_route --json-report`): each element is the job's journal object
+// (engine/journal.hpp) plus its `stages` times.
 #pragma once
 
 #include <functional>
@@ -88,6 +90,13 @@ struct StageMetrics {
   double region_seconds_max = 0.0;
   double region_seconds_mean = 0.0;
 };
+
+/// Copy `result`'s routing counters and phase times and its DVI time into
+/// `metrics`.  total_seconds and generate_seconds are the engine's own and
+/// stay as they are.  An executed job and a parsed journal record both get
+/// their metrics this way.
+void fill_stage_metrics(const core::ExperimentResult& result,
+                        StageMetrics* metrics);
 
 /// One unit of work: route + post-routing DVI on one instance.
 struct FlowJob {
@@ -182,7 +191,8 @@ struct JobOutcome {
   /// degradation is recorded in `status` alone).
   util::Status error;
   /// True when the row was restored from the resume journal rather than
-  /// executed in this run (timing metrics are then zero).
+  /// executed in this run (its times are then the journaled ones, and the
+  /// per-phase times it does not record are zero).
   bool from_journal = false;
   core::ExperimentResult result;
   StageMetrics metrics;
@@ -303,17 +313,16 @@ class FlowEngine {
 };
 
 /// Serialize outcomes as a JSON document:
-///   {"schema": "sadp.flow_metrics.v1", "workers": W, "wall_seconds": S,
-///    "results": [{job fields, result fields, "stages": {...}}, ...]}
+///   {"schema": "sadp.flow_metrics.v1", "jobs": N, "workers": W,
+///    "wall_seconds": S,
+///    "results": [{<journal object members>, "stages": {...}}, ...]}
+/// Each element parses back through engine::parse_outcome_object.
 [[nodiscard]] std::string metrics_json(const std::vector<JobOutcome>& outcomes,
                                        int workers, double wall_seconds);
 
-/// Flat CSV, one row per job, headers in row one.
-[[nodiscard]] std::string metrics_csv(const std::vector<JobOutcome>& outcomes);
-
-/// Write metrics_json to `<directory>/<stem>.json` (and CSV alongside as
-/// `<stem>.csv`), creating the directory when missing.  On success stores
-/// the JSON path in `json_path` (when non-null).
+/// Write metrics_json to `<directory>/<stem>.json`, creating the directory
+/// when missing.  On success stores the path in `json_path` (when
+/// non-null).
 [[nodiscard]] util::Status write_metrics_files(
     const std::string& directory, const std::string& stem,
     const std::vector<JobOutcome>& outcomes, int workers, double wall_seconds,

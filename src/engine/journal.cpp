@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -32,69 +33,36 @@ std::optional<ilp::SolveStatus> parse_solve_status(const std::string& name) {
   return std::nullopt;
 }
 
-/// Required-field accessors; set `bad` instead of crashing on absent or
-/// mistyped members (truncated crash-time lines must never be fatal).
-const util::JsonValue* member(const util::JsonValue& doc, const char* key,
-                              bool& bad) {
-  const util::JsonValue* v = doc.find(key);
-  if (v == nullptr) bad = true;
-  return v;
-}
+/// The members every record carries: absent means malformed.  The others
+/// are absent on journals written before they existed and keep their
+/// defaults: from_journal, the maze pop percentiles and the partition
+/// members (a serial row).
+constexpr const char* kRequiredMembers[] = {
+    "label", "arm", "status", "error_code", "error", "benchmark", "style",
+    "dvi_method", "routed_all", "unrouted_nets", "wirelength", "via_count",
+    "rr_iterations", "queue_peak", "maze_pops", "maze_relaxations",
+    "maze_searches", "heap_reuse", "fvp_cache_hits", "remaining_congestion",
+    "remaining_fvps", "uncolorable_vias", "single_vias", "dvi_candidates",
+    "dead_vias", "uncolorable", "ilp_status", "inserted", "route_seconds",
+    "dvi_seconds", "total_seconds"};
 
-std::string get_string(const util::JsonValue& doc, const char* key, bool& bad) {
-  const util::JsonValue* v = member(doc, key, bad);
-  if (v == nullptr || !v->is_string()) {
-    bad = true;
-    return {};
-  }
-  return v->string_value;
-}
-
-double get_number(const util::JsonValue& doc, const char* key, bool& bad) {
-  const util::JsonValue* v = member(doc, key, bad);
-  if (v == nullptr || !v->is_number()) {
-    bad = true;
-    return 0.0;
-  }
-  return v->number_value;
-}
-
-/// Optional numeric field: absent (journals written before the field
-/// existed) reads as 0 without poisoning the record.
-double get_number_or_zero(const util::JsonValue& doc, const char* key) {
-  const util::JsonValue* v = doc.find(key);
-  return (v != nullptr && v->is_number()) ? v->number_value : 0.0;
-}
-
-/// Required integer field through util::json_int: absent, mistyped,
-/// fractional or out of range sets `bad` (and `why`, first failure only)
-/// instead of reaching a cast.
-template <typename Int>
-void get_int(const util::JsonValue& doc, const char* key, Int* out, bool& bad,
-             std::string& why) {
-  const util::JsonValue* v = member(doc, key, bad);
-  std::string error;
-  if (v == nullptr || util::json_int(*v, key, out, &error)) return;
-  bad = true;
-  if (why.empty()) why = error;
-}
-
-/// Optional integer field: absent (journals written before the field
-/// existed) reads as 0; present goes through the same check as get_int.
-template <typename Int>
-void get_int_or_zero(const util::JsonValue& doc, const char* key, Int* out,
-                     bool& bad, std::string& why) {
-  *out = 0;
-  if (doc.find(key) != nullptr) get_int(doc, key, out, bad, why);
-}
-
-bool get_bool(const util::JsonValue& doc, const char* key, bool& bad) {
-  const util::JsonValue* v = member(doc, key, bad);
-  if (v == nullptr || !v->is_bool()) {
-    bad = true;
+/// The `inserted` member: DVIC indices, each a checked int.  Absent
+/// succeeds, as with util's readers.
+bool read_inserted(const util::JsonValue& doc, std::vector<int>* out,
+                   std::string* error) {
+  const util::JsonValue* inserted = doc.find("inserted");
+  if (inserted == nullptr) return true;
+  if (!inserted->is_array()) {
+    *error = "field 'inserted' must be an array";
     return false;
   }
-  return v->bool_value;
+  out->reserve(inserted->array.size());
+  for (const util::JsonValue& v : inserted->array) {
+    int dvic = 0;
+    if (!util::json_int(v, "inserted", &dvic, error)) return false;
+    out->push_back(dvic);
+  }
+  return true;
 }
 
 }  // namespace
@@ -108,9 +76,8 @@ std::optional<JobStatus> parse_job_status(const std::string& name) noexcept {
   return std::nullopt;
 }
 
-void write_outcome_object(util::JsonWriter& json, const JobOutcome& outcome) {
+void write_outcome_members(util::JsonWriter& json, const JobOutcome& outcome) {
   const core::ExperimentResult& r = outcome.result;
-  json.begin_object();
   json.key("schema").value(kJournalSchema);
   json.key("from_journal").value(outcome.from_journal);
   json.key("label").value(outcome.label);
@@ -163,6 +130,11 @@ void write_outcome_object(util::JsonWriter& json, const JobOutcome& outcome) {
   json.key("route_seconds").value(r.routing.route_seconds);
   json.key("dvi_seconds").value(r.dvi.seconds);
   json.key("total_seconds").value(outcome.metrics.total_seconds);
+}
+
+void write_outcome_object(util::JsonWriter& json, const JobOutcome& outcome) {
+  json.begin_object();
+  write_outcome_members(json, outcome);
   json.end_object();
 }
 
@@ -180,126 +152,98 @@ std::optional<JobOutcome> parse_outcome_object(const util::JsonValue& doc,
   };
   if (!doc.is_object()) return fail("outcome record is not a JSON object");
 
-  bool bad = false;
-  if (get_string(doc, "schema", bad) != kJournalSchema || bad) {
+  std::string why;
+  std::string schema;
+  if (!util::read_string(doc, "schema", &schema, &why) ||
+      schema != kJournalSchema) {
     return fail("journal schema mismatch (want sadp.flow_journal.v1)");
   }
 
+  // Integer members are checked, never cast: a row or journal record with
+  // 1e30, 0.5 or -1 in a count is malformed, not undefined behaviour.  The
+  // chain stops at the first member of the wrong type, whose reason is
+  // `why`; the label comes first because the error names it.
   JobOutcome outcome;
-  // Absent in journals written before the field existed; those records were
-  // executed rows by construction.
-  {
-    const util::JsonValue* v = doc.find("from_journal");
-    outcome.from_journal = v != nullptr && v->is_bool() && v->bool_value;
-  }
-  outcome.label = get_string(doc, "label", bad);
-  outcome.arm = get_string(doc, "arm", bad);
-
-  const auto status = parse_job_status(get_string(doc, "status", bad));
-  const auto style = grid::parse_style(get_string(doc, "style", bad));
-  const auto method =
-      core::parse_dvi_method(get_string(doc, "dvi_method", bad));
-  const auto ilp_status = parse_solve_status(get_string(doc, "ilp_status", bad));
-  if (bad || !status || !style || !method || !ilp_status) {
-    return fail("malformed journal record for label '" + outcome.label + "'");
-  }
-  outcome.status = *status;
-  outcome.style = *style;
-  outcome.dvi_method = *method;
-  outcome.error = util::Status(
-      util::parse_status_code(get_string(doc, "error_code", bad)),
-      get_string(doc, "error", bad));
-
-  // Integer fields are checked, never cast: a row or journal record with
-  // 1e30, 0.5 or -1 in a count is malformed, not undefined behaviour.
-  std::string why;
   core::ExperimentResult& r = outcome.result;
-  r.benchmark = get_string(doc, "benchmark", bad);
-  r.routing.routed_all = get_bool(doc, "routed_all", bad);
-  get_int(doc, "unrouted_nets", &r.routing.unrouted_nets, bad, why);
-  get_int(doc, "wirelength", &r.routing.wirelength, bad, why);
-  get_int(doc, "via_count", &r.routing.via_count, bad, why);
-  get_int(doc, "rr_iterations", &r.routing.rr_iterations, bad, why);
-  get_int(doc, "queue_peak", &r.routing.queue_peak, bad, why);
-  get_int(doc, "maze_pops", &r.routing.maze_pops, bad, why);
-  get_int(doc, "maze_relaxations", &r.routing.maze_relaxations, bad, why);
-  get_int(doc, "maze_searches", &r.routing.maze_searches, bad, why);
-  get_int(doc, "heap_reuse", &r.routing.heap_reuse, bad, why);
-  get_int(doc, "fvp_cache_hits", &r.routing.fvp_cache_hits, bad, why);
-  get_int_or_zero(doc, "maze_pops_p50", &r.routing.maze_pops_p50, bad, why);
-  get_int_or_zero(doc, "maze_pops_p95", &r.routing.maze_pops_p95, bad, why);
-  get_int_or_zero(doc, "maze_pops_max", &r.routing.maze_pops_max, bad, why);
-  // Optional (absent = serial row, possibly from a pre-partition journal).
-  {
-    int partitions = 0;
-    get_int_or_zero(doc, "partitions", &partitions, bad, why);
-    r.routing.partitions = partitions > 0 ? partitions : 1;
-    get_int_or_zero(doc, "partition_regions", &r.routing.partition_regions,
-                    bad, why);
-    get_int_or_zero(doc, "boundary_nets", &r.routing.boundary_nets, bad, why);
-    r.routing.partition_seconds = get_number_or_zero(doc, "partition_seconds");
-    r.routing.reconcile_seconds = get_number_or_zero(doc, "reconcile_seconds");
-    // Absent on PR 8 journals (pre-breakdown) — restored as 0.
-    r.routing.boundary_seconds = get_number_or_zero(doc, "boundary_seconds");
-    r.routing.merge_seconds = get_number_or_zero(doc, "merge_seconds");
-    r.routing.region_seconds_max =
-        get_number_or_zero(doc, "region_seconds_max");
-    r.routing.region_seconds_mean =
-        get_number_or_zero(doc, "region_seconds_mean");
-  }
-  get_int(doc, "remaining_congestion", &r.routing.remaining_congestion, bad,
-          why);
-  get_int(doc, "remaining_fvps", &r.routing.remaining_fvps, bad, why);
-  get_int(doc, "uncolorable_vias", &r.routing.uncolorable_vias, bad, why);
-  get_int(doc, "single_vias", &r.single_vias, bad, why);
-  get_int(doc, "dvi_candidates", &r.dvi_candidates, bad, why);
-  get_int(doc, "dead_vias", &r.dvi.dead_vias, bad, why);
-  get_int(doc, "uncolorable", &r.dvi.uncolorable, bad, why);
-  r.ilp_status = *ilp_status;
-
-  const util::JsonValue* inserted = doc.find("inserted");
-  if (inserted == nullptr || !inserted->is_array()) bad = true;
-  if (!bad) {
-    r.dvi.inserted.reserve(inserted->array.size());
-    for (const util::JsonValue& v : inserted->array) {
-      int dvic = 0;
-      std::string error;
-      if (!util::json_int(v, "inserted", &dvic, &error)) {
-        bad = true;
-        if (why.empty()) why = error;
-        break;
-      }
-      r.dvi.inserted.push_back(dvic);
-    }
-  }
-
-  r.routing.route_seconds = get_number(doc, "route_seconds", bad);
-  r.dvi.seconds = get_number(doc, "dvi_seconds", bad);
-  outcome.metrics.total_seconds = get_number(doc, "total_seconds", bad);
-  outcome.metrics.rr_iterations = r.routing.rr_iterations;
-  outcome.metrics.queue_peak = r.routing.queue_peak;
-  outcome.metrics.maze_pops = r.routing.maze_pops;
-  outcome.metrics.maze_relaxations = r.routing.maze_relaxations;
-  outcome.metrics.maze_searches = r.routing.maze_searches;
-  outcome.metrics.heap_reuse = r.routing.heap_reuse;
-  outcome.metrics.fvp_cache_hits = r.routing.fvp_cache_hits;
-  outcome.metrics.maze_pops_p50 = r.routing.maze_pops_p50;
-  outcome.metrics.maze_pops_p95 = r.routing.maze_pops_p95;
-  outcome.metrics.maze_pops_max = r.routing.maze_pops_max;
-  outcome.metrics.partitions = r.routing.partitions;
-  outcome.metrics.partition_regions = r.routing.partition_regions;
-  outcome.metrics.boundary_nets = r.routing.boundary_nets;
-  outcome.metrics.partition_seconds = r.routing.partition_seconds;
-  outcome.metrics.reconcile_seconds = r.routing.reconcile_seconds;
-  outcome.metrics.boundary_seconds = r.routing.boundary_seconds;
-  outcome.metrics.merge_seconds = r.routing.merge_seconds;
-  outcome.metrics.region_seconds_max = r.routing.region_seconds_max;
-  outcome.metrics.region_seconds_mean = r.routing.region_seconds_mean;
-
-  if (bad) {
+  core::RoutingReport& routing = r.routing;
+  std::string status, error_code, message, style, method, ilp_status;
+  const bool read =
+      util::read_string(doc, "label", &outcome.label, &why) &&
+      util::read_bool(doc, "from_journal", &outcome.from_journal, &why) &&
+      util::read_string(doc, "arm", &outcome.arm, &why) &&
+      util::read_string(doc, "status", &status, &why) &&
+      util::read_string(doc, "error_code", &error_code, &why) &&
+      util::read_string(doc, "error", &message, &why) &&
+      util::read_string(doc, "benchmark", &r.benchmark, &why) &&
+      util::read_string(doc, "style", &style, &why) &&
+      util::read_string(doc, "dvi_method", &method, &why) &&
+      util::read_bool(doc, "routed_all", &routing.routed_all, &why) &&
+      util::read_json_int(doc, "unrouted_nets", &routing.unrouted_nets, &why) &&
+      util::read_json_int(doc, "wirelength", &routing.wirelength, &why) &&
+      util::read_json_int(doc, "via_count", &routing.via_count, &why) &&
+      util::read_json_int(doc, "rr_iterations", &routing.rr_iterations, &why) &&
+      util::read_json_int(doc, "queue_peak", &routing.queue_peak, &why) &&
+      util::read_json_int(doc, "maze_pops", &routing.maze_pops, &why) &&
+      util::read_json_int(doc, "maze_relaxations", &routing.maze_relaxations,
+                          &why) &&
+      util::read_json_int(doc, "maze_searches", &routing.maze_searches, &why) &&
+      util::read_json_int(doc, "heap_reuse", &routing.heap_reuse, &why) &&
+      util::read_json_int(doc, "fvp_cache_hits", &routing.fvp_cache_hits,
+                          &why) &&
+      util::read_json_int(doc, "maze_pops_p50", &routing.maze_pops_p50, &why) &&
+      util::read_json_int(doc, "maze_pops_p95", &routing.maze_pops_p95, &why) &&
+      util::read_json_int(doc, "maze_pops_max", &routing.maze_pops_max, &why) &&
+      util::read_json_int(doc, "partitions", &routing.partitions, &why) &&
+      util::read_json_int(doc, "partition_regions", &routing.partition_regions,
+                          &why) &&
+      util::read_json_int(doc, "boundary_nets", &routing.boundary_nets, &why) &&
+      util::read_number(doc, "partition_seconds", &routing.partition_seconds,
+                        &why) &&
+      util::read_number(doc, "reconcile_seconds", &routing.reconcile_seconds,
+                        &why) &&
+      util::read_number(doc, "boundary_seconds", &routing.boundary_seconds,
+                        &why) &&
+      util::read_number(doc, "merge_seconds", &routing.merge_seconds, &why) &&
+      util::read_number(doc, "region_seconds_max", &routing.region_seconds_max,
+                        &why) &&
+      util::read_number(doc, "region_seconds_mean",
+                        &routing.region_seconds_mean, &why) &&
+      util::read_json_int(doc, "remaining_congestion",
+                          &routing.remaining_congestion, &why) &&
+      util::read_json_int(doc, "remaining_fvps", &routing.remaining_fvps,
+                          &why) &&
+      util::read_json_int(doc, "uncolorable_vias", &routing.uncolorable_vias,
+                          &why) &&
+      util::read_json_int(doc, "single_vias", &r.single_vias, &why) &&
+      util::read_json_int(doc, "dvi_candidates", &r.dvi_candidates, &why) &&
+      util::read_json_int(doc, "dead_vias", &r.dvi.dead_vias, &why) &&
+      util::read_json_int(doc, "uncolorable", &r.dvi.uncolorable, &why) &&
+      util::read_string(doc, "ilp_status", &ilp_status, &why) &&
+      read_inserted(doc, &r.dvi.inserted, &why) &&
+      util::read_number(doc, "route_seconds", &routing.route_seconds, &why) &&
+      util::read_number(doc, "dvi_seconds", &r.dvi.seconds, &why) &&
+      util::read_number(doc, "total_seconds", &outcome.metrics.total_seconds,
+                        &why);
+  const bool complete =
+      std::all_of(std::begin(kRequiredMembers), std::end(kRequiredMembers),
+                  [&doc](const char* key) { return doc.find(key) != nullptr; });
+  const auto parsed_status = parse_job_status(status);
+  const auto parsed_style = grid::parse_style(style);
+  const auto parsed_method = core::parse_dvi_method(method);
+  const auto parsed_ilp = parse_solve_status(ilp_status);
+  if (!read || !complete || !parsed_status || !parsed_style || !parsed_method ||
+      !parsed_ilp) {
     return fail("malformed journal record for label '" + outcome.label + "'" +
                 (why.empty() ? "" : ": " + why));
   }
+  outcome.status = *parsed_status;
+  outcome.style = *parsed_style;
+  outcome.dvi_method = *parsed_method;
+  outcome.error = util::Status(util::parse_status_code(error_code), message);
+  r.ilp_status = *parsed_ilp;
+  // Serial rows never carry `partitions`; a count below 1 reads as serial.
+  routing.partitions = std::max(routing.partitions, 1);
+  fill_stage_metrics(r, &outcome.metrics);
   return outcome;
 }
 

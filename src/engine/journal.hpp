@@ -6,7 +6,9 @@
 // flight.  A journal record carries the complete non-timing payload of a
 // JobOutcome (every field of the result fingerprint, including the DVI
 // insertion vector), which is what makes resume exact: a restored row is
-// bit-identical to the row the original run produced.
+// bit-identical to the row the original run produced.  The record object
+// is the one serialized form of a finished job: wire rows, result-cache
+// replays and the elements of a metrics file carry the same members.
 //
 // On-disk line format (one line, no internal newlines):
 //
@@ -48,15 +50,20 @@ namespace sadp::engine {
 inline constexpr const char* kJournalSchema = "sadp.flow_journal.v1";
 
 /// Serialize the outcome's full non-timing payload (plus informational
-/// timing fields) as one JSON object on an open writer, schema field
-/// included.  This object IS the journal record; the wire protocol
-/// (sadp.flow_response.v1) embeds the same object in its row lines, which
-/// is what makes a row received over the socket bit-identical to a
-/// journaled one.
+/// timing members) as the members of an open JSON object, "schema" first.
+void write_outcome_members(util::JsonWriter& json, const JobOutcome& outcome);
+
+/// write_outcome_members in braces.  This object IS the journal record; the
+/// wire protocol (sadp.flow_response.v1) embeds the same object in its row
+/// lines, which is what makes a row received over the socket bit-identical
+/// to a journaled one, and each `results` element of a metrics file
+/// (engine::metrics_json) is its members plus a `stages` object.
 void write_outcome_object(util::JsonWriter& json, const JobOutcome& outcome);
 
-/// Inverse of write_outcome_object (`router` stays null).  Returns nullopt
-/// and fills `error` on malformed input or schema mismatch.
+/// Inverse of write_outcome_object (`router` stays null; members it does
+/// not write, such as a metrics element's `stages`, are ignored).  Returns
+/// nullopt and fills `error` on schema mismatch, on an absent required
+/// member, and on a member of the wrong type, optional ones included.
 [[nodiscard]] std::optional<JobOutcome> parse_outcome_object(
     const util::JsonValue& doc, std::string* error = nullptr);
 

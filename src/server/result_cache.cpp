@@ -32,7 +32,7 @@ std::optional<std::string> job_cache_key(const api::JobRequest& job) {
 }
 
 std::optional<std::string> delta_cache_key(const api::FlowDeltaRequest& request,
-                                           const std::string& base_text) {
+                                           std::string_view base_text) {
   std::optional<std::string> key = job_cache_key(request.base);
   if (!key) return std::nullopt;
   // A job key is one line of JSON, so the newlines keep flow and delta keys

@@ -36,6 +36,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -53,7 +54,7 @@ namespace sadp::server {
 /// The cache key of a delta request whose base solution reads `base_text`,
 /// or nullopt when its base job is uncacheable.
 [[nodiscard]] std::optional<std::string> delta_cache_key(
-    const api::FlowDeltaRequest& request, const std::string& base_text);
+    const api::FlowDeltaRequest& request, std::string_view base_text);
 
 /// One cached row: the finished outcome, and for a delta entry the summary
 /// its "delta" line reports.

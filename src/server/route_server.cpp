@@ -393,8 +393,8 @@ void RouteServer::handle_line(const std::shared_ptr<Connection>& conn,
       runner.name = "delta runner";
       runner.trace_id = delta->trace_id;
       runner.body = [this, conn, request = std::move(*delta)](
-                        api::ResponseSummary* summary) {
-        return run_delta(conn, request, summary);
+                        api::ResponseSummary* summary) mutable {
+        return run_delta(conn, std::move(request), summary);
       };
     }
   } else if (auto request = api::parse_request(line, &parse_error)) {
@@ -625,7 +625,7 @@ util::Status RouteServer::run_flow(const std::shared_ptr<Connection>& conn,
 }
 
 util::Status RouteServer::run_delta(const std::shared_ptr<Connection>& conn,
-                                    const api::FlowDeltaRequest& request,
+                                    api::FlowDeltaRequest request,
                                     api::ResponseSummary* summary) {
   if (!options_.quiet) {
     std::fprintf(stderr, "[sadp_routed] delta request: %zu change(s)\n",
@@ -637,17 +637,23 @@ util::Status RouteServer::run_delta(const std::shared_ptr<Connection>& conn,
   }
   ServerMetrics& metrics = server_metrics();
 
-  // The cache key needs the base text (it is content-addressed in the
-  // solution bytes), so resolve it up front; a miss re-parses inside
-  // dispatch_delta, which is cheap next to the route itself.
-  std::string base_text;
-  if (const util::Status loaded = api::load_base_solution(request, &base_text);
-      !loaded.is_ok()) {
-    return loaded;
-  }
+  // The cache key hashes the base text.  A path base is read here, once,
+  // and routed as inline text, so a later write to the file cannot give
+  // the row a key from other bytes; without a cache only dispatch_delta
+  // reads the base.
   const bool use_cache = cache_->enabled();
-  const std::optional<std::string> key =
-      use_cache ? delta_cache_key(request, base_text) : std::nullopt;
+  std::optional<std::string> key;
+  if (use_cache) {
+    if (request.base_solution.empty()) {
+      if (const util::Status loaded = api::load_base_solution(
+              request.base_solution_path, &request.base_solution);
+          !loaded.is_ok()) {
+        return loaded;
+      }
+      request.base_solution_path.clear();
+    }
+    key = delta_cache_key(request, request.base_solution);
+  }
 
   summary->jobs = 1;
   summary->workers = 1;  // ECO re-routes run serially on the runner thread

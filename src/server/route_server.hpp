@@ -243,10 +243,11 @@ class RouteServer {
                                       api::ResponseSummary* summary);
   /// Body of a sadp.flow_delta.v1 request: cache lookup by
   /// delta_cache_key, dispatch_delta on a miss, and a row + "delta" line
-  /// either way.
-  [[nodiscard]] util::Status run_delta(
-      const std::shared_ptr<Connection>& conn,
-      const api::FlowDeltaRequest& request, api::ResponseSummary* summary);
+  /// either way.  With the cache on, a path base is read once into
+  /// `request` as inline text, so the key and the route see the same bytes.
+  [[nodiscard]] util::Status run_delta(const std::shared_ptr<Connection>& conn,
+                                       api::FlowDeltaRequest request,
+                                       api::ResponseSummary* summary);
   /// Stream one cache hit for `job`: the stored row relabelled with the
   /// job's label and arm, written by the same row (and delta) line writer
   /// a miss uses, with "cache":"hit"; tallies it in `summary`.

@@ -219,6 +219,33 @@ TEST(FlowApi, IntegerFieldsMustBeExactAndInRange) {
               std::string::npos)
         << error;
   }
+
+  // Optional members may be absent (older journals), never mistyped: a
+  // present one of the wrong type makes the record malformed.  A
+  // partitioned row carries the partition timing members.
+  outcome.result.routing.partitions = 2;
+  const std::string sharded = api::response_row_line(outcome, 1, 1);
+  ASSERT_TRUE(api::parse_response_line(sharded, &error).has_value()) << error;
+  for (const auto& [field, value] :
+       {std::pair<std::string, std::string>{"from_journal", "0"},
+        {"partition_seconds", "\"0\""},
+        {"reconcile_seconds", "true"},
+        {"boundary_seconds", "null"},
+        {"merge_seconds", "[]"},
+        {"region_seconds_max", "{}"},
+        {"region_seconds_mean", "\"fast\""}}) {
+    const std::string member = "\"" + field + "\":";
+    const std::size_t at = sharded.find(member);
+    ASSERT_NE(at, std::string::npos) << field;
+    const std::size_t from = at + member.size();
+    std::string bad = sharded;
+    bad.replace(from, sharded.find_first_of(",}", from) - from, value);
+    EXPECT_FALSE(api::parse_response_line(bad, &error).has_value()) << bad;
+    EXPECT_NE(error.find("malformed journal record for label 'row_ints': "
+                         "field '" + field + "' must be a"),
+              std::string::npos)
+        << error;
+  }
 }
 
 TEST(FlowApi, ValidateCatchesStructuralErrors) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <set>
 #include <string>
 #include <tuple>
@@ -718,6 +719,60 @@ TEST(RouteServerDelta, RoundTripMatchesInProcessAndSecondRunHitsCache) {
   EXPECT_EQ(third.rows[0].label, "renamed");
   EXPECT_EQ(third.rows[0].arm, "arm");
   EXPECT_EQ(third.delta.ripped_ids, first.delta.ripped_ids);
+
+  // A base given by path is read once, into the request the server keys
+  // and routes: the same base sent inline under another label is a hit
+  // whose row equals the path miss's row.
+  const std::string base_path = testing::TempDir() + "eco_srv_base.sol";
+  std::ofstream(base_path) << request.base_solution;
+  api::FlowDeltaRequest by_path = request;
+  by_path.base_solution.clear();
+  by_path.base_solution_path = base_path;
+  by_path.changes = {fx.move_pin(5)};  // a key nothing has cached yet
+  std::vector<std::string> path_lines;
+  const server::RemoteBatch path_miss = server::run_remote_retry(
+      "127.0.0.1", server.port(), by_path, {}, {}, &path_lines);
+  ASSERT_TRUE(path_miss.status.is_ok()) << path_miss.status.to_string();
+  ASSERT_EQ(path_miss.rows.size(), 1u);
+  EXPECT_EQ(path_miss.row_cache[0], "miss");
+  EXPECT_EQ(path_miss.rows[0].status, engine::JobStatus::kOk);
+  api::FlowDeltaRequest by_text = by_path;
+  by_text.base_solution_path.clear();
+  by_text.base_solution = request.base_solution;
+  by_text.base.label = "inline";
+  std::vector<std::string> text_lines;
+  const server::RemoteBatch text_hit = server::run_remote_retry(
+      "127.0.0.1", server.port(), by_text, {}, {}, &text_lines);
+  ASSERT_TRUE(text_hit.status.is_ok()) << text_hit.status.to_string();
+  ASSERT_EQ(text_hit.rows.size(), 1u);
+  EXPECT_EQ(text_hit.row_cache[0], "hit");
+  ASSERT_EQ(path_lines.size(), 3u);
+  ASSERT_EQ(text_lines.size(), 3u);
+  std::string path_row = path_lines[0];
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{miss_mark, "\"cache\":\"hit\""},
+        {"\"label\":\"" + fx.base.name + "\"", "\"label\":\"inline\""}}) {
+    ASSERT_NE(path_row.find(from), std::string::npos) << path_row;
+    path_row.replace(path_row.find(from), from.size(), to);
+  }
+  EXPECT_EQ(text_lines[0], path_row);
+  EXPECT_EQ(text_lines[1], path_lines[1]);
+
+  // With the cache off only dispatch_delta reads a path base, and it
+  // still routes.
+  server::ServerOptions uncached = quiet_options();
+  uncached.cache_entries = 0;
+  server::RouteServer cacheless(uncached);
+  ASSERT_TRUE(cacheless.start().is_ok());
+  const server::RemoteBatch routed =
+      server::run_remote_delta("127.0.0.1", cacheless.port(), by_path);
+  ASSERT_TRUE(routed.status.is_ok()) << routed.status.to_string();
+  ASSERT_EQ(routed.rows.size(), 1u);
+  EXPECT_EQ(routed.rows[0].status, engine::JobStatus::kOk);
+  EXPECT_EQ(routed.rows[0].result.routing.wirelength,
+            path_miss.rows[0].result.routing.wirelength);
+  cacheless.stop();
+  std::remove(base_path.c_str());
 
   // A malformed delta line comes back as a structured error, not a hang.
   const server::RemoteBatch bad = [&] {

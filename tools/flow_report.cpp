@@ -12,7 +12,9 @@
 //
 // With --metrics METRICS.json (a sadp.flow_metrics.v1 file from
 // --json-report / bench_results/) it also prints the per-job summary rows
-// including the maze-pop percentiles.
+// including the maze-pop percentiles.  An id or count that is not an
+// integer in range (1e30, -5.5) is invalid input, named by file, row or
+// event, and field.
 //
 //   sadp_flow_report --trace trace.json --metrics bench_results/table3.json
 //   sadp_flow_report --trace trace.json --top 20 --csv convergence.csv
@@ -97,8 +99,16 @@ std::optional<Trace> load_trace(const std::string& path) {
     if (!event.is_object()) continue;
     const std::string phase = string_or(event, "ph");
     const std::string name = string_or(event, "name");
-    const int tid = static_cast<int>(number_or(event, "tid", 0));
     const util::JsonValue* args = event.find("args");
+    // Ids go through util::json_int: 1e30 or 0.5 fails the file instead of
+    // reaching a cast.
+    const auto bad_event = [&] {
+      std::fprintf(stderr, "%s: event '%s': %s\n", path.c_str(), name.c_str(),
+                   error.c_str());
+      return std::optional<Trace>();
+    };
+    int tid = 0;
+    if (!util::read_json_int(event, "tid", &tid, &error)) return bad_event();
 
     if (phase == "M") {
       if (name == "thread_name" && args != nullptr) {
@@ -112,12 +122,9 @@ std::optional<Trace> load_trace(const std::string& path) {
       span.tid = tid;
       span.ts_us = number_or(event, "ts", 0.0);
       span.dur_us = number_or(event, "dur", 0.0);
-      if (args != nullptr) {
-        const util::JsonValue* id = args->find("id");
-        if (id != nullptr && id->is_number()) {
-          span.id = static_cast<long long>(id->number_value);
-          span.has_id = true;
-        }
+      span.has_id = args != nullptr && args->find("id") != nullptr;
+      if (span.has_id && !util::read_json_int(*args, "id", &span.id, &error)) {
+        return bad_event();
       }
       trace.spans.push_back(std::move(span));
       continue;
@@ -277,6 +284,28 @@ void print_convergence(const Trace& trace, const std::string& csv_path) {
   std::printf("\nwrote %s\n", csv_path.c_str());
 }
 
+/// One `results` element of a metrics file, as the tables print it.
+struct JobRow {
+  std::string label;
+  std::string status;
+  double total_seconds = 0.0;
+  const util::JsonValue* stages = nullptr;
+  std::size_t rr_iterations = 0;
+  std::size_t pops_p50 = 0;
+  std::size_t pops_p95 = 0;
+  std::size_t pops_max = 0;
+  int partitions = 0;
+  std::size_t regions = 0;
+  std::size_t boundary_nets = 0;
+  double region_seconds_mean = 0.0;
+  double region_seconds_max = 0.0;
+
+  /// The `stages` member `key`, 0 when absent.
+  [[nodiscard]] double stage(const char* key) const {
+    return stages != nullptr ? number_or(*stages, key, 0.0) : 0.0;
+  }
+};
+
 int print_metrics(const std::string& path) {
   std::string text;
   if (!util::read_file(path, &text)) {
@@ -299,25 +328,55 @@ int print_metrics(const std::string& path) {
     std::fprintf(stderr, "%s: missing results array\n", path.c_str());
     return 1;
   }
+  int workers = 0;
+  if (!util::read_json_int(*doc, "workers", &workers, &error)) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
+    return 1;
+  }
+
+  // Members are read by name, so files of every layout load.  Counts go
+  // through util::json_int: 1e30 or -5.5 fails the file, naming the row.
+  std::vector<JobRow> rows;
+  for (const util::JsonValue& element : results->array) {
+    if (!element.is_object()) continue;
+    JobRow& row = rows.emplace_back();
+    row.label = string_or(element, "label");
+    row.status = string_or(element, "status");
+    row.total_seconds = number_or(element, "total_seconds", 0.0);
+    row.stages = element.find("stages");
+    row.region_seconds_mean = number_or(element, "region_seconds_mean", 0.0);
+    row.region_seconds_max = number_or(element, "region_seconds_max", 0.0);
+    if (!util::read_json_int(element, "rr_iterations", &row.rr_iterations,
+                             &error) ||
+        !util::read_json_int(element, "maze_pops_p50", &row.pops_p50, &error) ||
+        !util::read_json_int(element, "maze_pops_p95", &row.pops_p95, &error) ||
+        !util::read_json_int(element, "maze_pops_max", &row.pops_max, &error) ||
+        !util::read_json_int(element, "partitions", &row.partitions, &error) ||
+        !util::read_json_int(element, "partition_regions", &row.regions,
+                             &error) ||
+        !util::read_json_int(element, "boundary_nets", &row.boundary_nets,
+                             &error)) {
+      std::fprintf(stderr, "%s: row '%s': %s\n", path.c_str(),
+                   row.label.c_str(), error.c_str());
+      return 1;
+    }
+  }
 
   std::printf("\n== jobs (%s, %d workers, %.2fs wall) ==\n", path.c_str(),
-              static_cast<int>(number_or(*doc, "workers", 0)),
-              number_or(*doc, "wall_seconds", 0.0));
+              workers, number_or(*doc, "wall_seconds", 0.0));
   util::TextTable table({"label", "status", "total(s)", "route(s)", "dvi(s)",
                          "rr_iters", "pops_p50", "pops_p95", "pops_max"});
-  for (const util::JsonValue& row : results->array) {
-    if (!row.is_object()) continue;
+  for (const JobRow& row : rows) {
     table.begin_row();
-    table.cell(string_or(row, "label"));
-    table.cell(string_or(row, "status"));
-    table.cell(number_or(row, "total_seconds", 0.0), 2);
-    const util::JsonValue* stages = row.find("stages");
-    table.cell(stages != nullptr ? number_or(*stages, "route", 0.0) : 0.0, 2);
-    table.cell(stages != nullptr ? number_or(*stages, "dvi", 0.0) : 0.0, 2);
-    table.cell(static_cast<long long>(number_or(row, "rr_iterations", 0)));
-    table.cell(static_cast<long long>(number_or(row, "maze_pops_p50", 0)));
-    table.cell(static_cast<long long>(number_or(row, "maze_pops_p95", 0)));
-    table.cell(static_cast<long long>(number_or(row, "maze_pops_max", 0)));
+    table.cell(row.label);
+    table.cell(row.status);
+    table.cell(row.total_seconds, 2);
+    table.cell(row.stage("route"), 2);
+    table.cell(row.stage("dvi"), 2);
+    table.cell(row.rr_iterations);
+    table.cell(row.pops_p50);
+    table.cell(row.pops_p95);
+    table.cell(row.pops_max);
   }
   table.print();
 
@@ -325,11 +384,9 @@ int print_metrics(const std::string& path) {
   // only present when partitions > 1; serial rows are skipped).  imbalance
   // is region max/mean wall — the concurrent phase ends with the slowest
   // region, so a ratio well above 1 flags a lopsided cut.
-  std::vector<const util::JsonValue*> sharded;
-  for (const util::JsonValue& row : results->array) {
-    if (row.is_object() && number_or(row, "partitions", 0) > 1) {
-      sharded.push_back(&row);
-    }
+  std::vector<const JobRow*> sharded;
+  for (const JobRow& row : rows) {
+    if (row.partitions > 1) sharded.push_back(&row);
   }
   if (!sharded.empty()) {
     std::printf("\n== partitioned jobs (%zu of %zu) ==\n", sharded.size(),
@@ -337,24 +394,17 @@ int print_metrics(const std::string& path) {
     util::TextTable ptable({"label", "regions", "bnets", "boundary(s)",
                             "partition(s)", "merge(s)", "reconcile(s)",
                             "imbalance"});
-    for (const util::JsonValue* row : sharded) {
-      const util::JsonValue* stages = row->find("stages");
-      const double mean = number_or(*row, "region_seconds_mean", 0.0);
-      const double peak = number_or(*row, "region_seconds_max", 0.0);
+    for (const JobRow* row : sharded) {
+      const double mean = row->region_seconds_mean;
       ptable.begin_row();
-      ptable.cell(string_or(*row, "label"));
-      ptable.cell(static_cast<long long>(
-          number_or(*row, "partition_regions", 0)));
-      ptable.cell(static_cast<long long>(number_or(*row, "boundary_nets", 0)));
-      ptable.cell(stages != nullptr ? number_or(*stages, "boundary", 0.0)
-                                    : 0.0, 3);
-      ptable.cell(stages != nullptr ? number_or(*stages, "partition", 0.0)
-                                    : 0.0, 3);
-      ptable.cell(stages != nullptr ? number_or(*stages, "merge", 0.0) : 0.0,
-                  3);
-      ptable.cell(stages != nullptr ? number_or(*stages, "reconcile", 0.0)
-                                    : 0.0, 3);
-      ptable.cell(mean > 0.0 ? peak / mean : 0.0, 2);
+      ptable.cell(row->label);
+      ptable.cell(row->regions);
+      ptable.cell(row->boundary_nets);
+      ptable.cell(row->stage("boundary"), 3);
+      ptable.cell(row->stage("partition"), 3);
+      ptable.cell(row->stage("merge"), 3);
+      ptable.cell(row->stage("reconcile"), 3);
+      ptable.cell(mean > 0.0 ? row->region_seconds_max / mean : 0.0, 2);
     }
     ptable.print();
   }

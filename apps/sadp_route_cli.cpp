@@ -257,6 +257,16 @@ std::optional<CliOptions> parse_cli(int argc, char** argv) {
     std::fprintf(stderr, "%s needs --connect HOST:PORT\n", flag);
     return std::nullopt;
   }
+  // --wire prints the raw response lines and nothing else, which scripts
+  // parse as JSON lines; output flags would print between them.
+  if (parser.given("--wire")) {
+    if (const char* flag = first_given({"--json-report", "--validate",
+                                        "--save-solution", "--svg",
+                                        "--stats"})) {
+      std::fprintf(stderr, "%s needs a table run, not --wire\n", flag);
+      return std::nullopt;
+    }
+  }
   // --dvi-only prints the one DVI line of one solve; it neither routes nor
   // keeps a router, so there is nothing to validate, save, render or
   // report, no batch to journal, bound or spread, and no routing to tune.

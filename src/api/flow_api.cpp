@@ -70,63 +70,6 @@ bool read_spec(const util::JsonValue& doc, netlist::BenchSpec* spec,
   return true;
 }
 
-// --- JobRequest field table --------------------------------------------------
-//
-// One table drives serialization (emit order, omit-when-default), parsing
-// ("absent = default, mistyped = error") and per-field validation, so the
-// three can never drift apart.  Fields needing cross-member logic — the
-// benchmark+scaled pair, the spec object, style/dvi_method token
-// resolution — get their own kinds instead of a second hand-written list.
-struct JobField {
-  enum class Kind {
-    kString,     ///< std::string member; omitted when empty if omit_default
-    kBool,       ///< bool member, always emitted
-    kNumber,     ///< double member, always emitted; validated >= 0
-    kIntLimit,   ///< int member, omitted when <= 0; validated >= 0
-    kBenchmark,  ///< benchmark + scaled pair, omitted when benchmark empty
-    kSpec,       ///< the optional BenchSpec object
-    kStyle,      ///< SadpStyle token
-    kDviMethod,  ///< DviMethod token
-  };
-  const char* key;
-  Kind kind;
-  bool omit_default = false;
-  std::string JobRequest::* str = nullptr;
-  bool JobRequest::* flag = nullptr;
-  double JobRequest::* num = nullptr;
-  int JobRequest::* count = nullptr;
-};
-
-// Table order IS the wire order: existing requests must stay byte-identical.
-constexpr JobField kJobFields[] = {
-    {.key = "label", .kind = JobField::Kind::kString, .omit_default = true,
-     .str = &JobRequest::label},
-    {.key = "arm", .kind = JobField::Kind::kString, .omit_default = true,
-     .str = &JobRequest::arm},
-    {.key = "span_id", .kind = JobField::Kind::kString, .omit_default = true,
-     .str = &JobRequest::span_id},
-    {.key = "benchmark", .kind = JobField::Kind::kBenchmark},
-    {.key = "spec", .kind = JobField::Kind::kSpec},
-    {.key = "netlist_path", .kind = JobField::Kind::kString,
-     .omit_default = true, .str = &JobRequest::netlist_path},
-    {.key = "style", .kind = JobField::Kind::kStyle},
-    {.key = "consider_dvi", .kind = JobField::Kind::kBool,
-     .flag = &JobRequest::consider_dvi},
-    {.key = "consider_tpl", .kind = JobField::Kind::kBool,
-     .flag = &JobRequest::consider_tpl},
-    {.key = "dvi_method", .kind = JobField::Kind::kDviMethod},
-    {.key = "ilp_limit", .kind = JobField::Kind::kNumber,
-     .num = &JobRequest::ilp_limit_seconds},
-    {.key = "degrade_dvi", .kind = JobField::Kind::kBool,
-     .flag = &JobRequest::degrade_dvi},
-    {.key = "deadline", .kind = JobField::Kind::kNumber,
-     .num = &JobRequest::deadline_seconds},
-    // Omitted when <= 0 (engine default), so pre-partition rows and daemons
-    // keep byte-identical requests.
-    {.key = "partitions", .kind = JobField::Kind::kIntLimit,
-     .count = &JobRequest::partitions},
-};
-
 }  // namespace
 
 std::string mint_trace_id() {
@@ -160,45 +103,33 @@ std::string effective_label(const JobRequest& job) {
 }
 
 void write_job_request(util::JsonWriter& json, const JobRequest& job) {
+  // Member order is the wire order, and a member at its omitted default
+  // stays off the wire: deployed peers and cache keys read these bytes.
   json.begin_object();
-  for (const JobField& field : kJobFields) {
-    switch (field.kind) {
-      case JobField::Kind::kString: {
-        const std::string& value = job.*(field.str);
-        if (!(field.omit_default && value.empty())) {
-          json.key(field.key).value(value);
-        }
-        break;
-      }
-      case JobField::Kind::kBool:
-        json.key(field.key).value(job.*(field.flag));
-        break;
-      case JobField::Kind::kNumber:
-        json.key(field.key).value(job.*(field.num));
-        break;
-      case JobField::Kind::kIntLimit:
-        if (job.*(field.count) > 0) json.key(field.key).value(job.*(field.count));
-        break;
-      case JobField::Kind::kBenchmark:
-        if (!job.benchmark.empty()) {
-          json.key("benchmark").value(job.benchmark);
-          json.key("scaled").value(job.scaled);
-        }
-        break;
-      case JobField::Kind::kSpec:
-        if (job.spec.has_value()) {
-          json.key("spec");
-          write_spec(json, *job.spec);
-        }
-        break;
-      case JobField::Kind::kStyle:
-        json.key(field.key).value(grid::style_name(job.style));
-        break;
-      case JobField::Kind::kDviMethod:
-        json.key(field.key).value(core::dvi_method_name(job.dvi_method));
-        break;
-    }
+  if (!job.label.empty()) json.key("label").value(job.label);
+  if (!job.arm.empty()) json.key("arm").value(job.arm);
+  if (!job.span_id.empty()) json.key("span_id").value(job.span_id);
+  if (!job.benchmark.empty()) {
+    json.key("benchmark").value(job.benchmark);
+    json.key("scaled").value(job.scaled);
   }
+  if (job.spec.has_value()) {
+    json.key("spec");
+    write_spec(json, *job.spec);
+  }
+  if (!job.netlist_path.empty()) {
+    json.key("netlist_path").value(job.netlist_path);
+  }
+  json.key("style").value(grid::style_name(job.style));
+  json.key("consider_dvi").value(job.consider_dvi);
+  json.key("consider_tpl").value(job.consider_tpl);
+  json.key("dvi_method").value(core::dvi_method_name(job.dvi_method));
+  json.key("ilp_limit").value(job.ilp_limit_seconds);
+  json.key("degrade_dvi").value(job.degrade_dvi);
+  json.key("deadline").value(job.deadline_seconds);
+  // Omitted when <= 0 (engine default), so pre-partition requests and
+  // daemons interoperate.
+  if (job.partitions > 0) json.key("partitions").value(job.partitions);
   json.end_object();
 }
 
@@ -210,49 +141,28 @@ bool read_job_request(const util::JsonValue& doc, JobRequest* job,
   }
   std::string style_name = grid::style_name(job->style);
   std::string method_name = core::dvi_method_name(job->dvi_method);
-  for (const JobField& field : kJobFields) {
-    switch (field.kind) {
-      case JobField::Kind::kString:
-        if (!read_string(doc, field.key, &(job->*(field.str)), error)) {
-          return false;
-        }
-        break;
-      case JobField::Kind::kBool:
-        if (!read_bool(doc, field.key, &(job->*(field.flag)), error)) {
-          return false;
-        }
-        break;
-      case JobField::Kind::kNumber:
-        if (!read_number(doc, field.key, &(job->*(field.num)), error)) {
-          return false;
-        }
-        break;
-      case JobField::Kind::kIntLimit:
-        if (!util::read_json_int(doc, field.key, &(job->*(field.count)),
-                                 error)) {
-          return false;
-        }
-        break;
-      case JobField::Kind::kBenchmark:
-        if (!read_string(doc, "benchmark", &job->benchmark, error) ||
-            !read_bool(doc, "scaled", &job->scaled, error)) {
-          return false;
-        }
-        break;
-      case JobField::Kind::kSpec:
-        if (const util::JsonValue* spec = doc.find("spec")) {
-          netlist::BenchSpec parsed;
-          if (!read_spec(*spec, &parsed, error)) return false;
-          job->spec = parsed;
-        }
-        break;
-      case JobField::Kind::kStyle:
-        if (!read_string(doc, field.key, &style_name, error)) return false;
-        break;
-      case JobField::Kind::kDviMethod:
-        if (!read_string(doc, field.key, &method_name, error)) return false;
-        break;
-    }
+  if (!read_string(doc, "label", &job->label, error) ||
+      !read_string(doc, "arm", &job->arm, error) ||
+      !read_string(doc, "span_id", &job->span_id, error) ||
+      !read_string(doc, "benchmark", &job->benchmark, error) ||
+      !read_bool(doc, "scaled", &job->scaled, error)) {
+    return false;
+  }
+  if (const util::JsonValue* spec = doc.find("spec")) {
+    netlist::BenchSpec parsed;
+    if (!read_spec(*spec, &parsed, error)) return false;
+    job->spec = parsed;
+  }
+  if (!read_string(doc, "netlist_path", &job->netlist_path, error) ||
+      !read_string(doc, "style", &style_name, error) ||
+      !read_bool(doc, "consider_dvi", &job->consider_dvi, error) ||
+      !read_bool(doc, "consider_tpl", &job->consider_tpl, error) ||
+      !read_string(doc, "dvi_method", &method_name, error) ||
+      !read_number(doc, "ilp_limit", &job->ilp_limit_seconds, error) ||
+      !read_bool(doc, "degrade_dvi", &job->degrade_dvi, error) ||
+      !read_number(doc, "deadline", &job->deadline_seconds, error) ||
+      !util::read_json_int(doc, "partitions", &job->partitions, error)) {
+    return false;
   }
   const auto style = grid::parse_style(style_name);
   if (!style) {
@@ -276,23 +186,14 @@ util::Status validate_job(const JobRequest& job, const std::string& where) {
     return util::Status::invalid_input(
         where + ": exactly one of benchmark, spec, netlist_path required");
   }
-  for (const JobField& field : kJobFields) {
-    switch (field.kind) {
-      case JobField::Kind::kNumber:
-        if (job.*(field.num) < 0.0) {
-          return util::Status::invalid_input(where + ": " + field.key +
-                                             " must be >= 0");
-        }
-        break;
-      case JobField::Kind::kIntLimit:
-        if (job.*(field.count) < 0) {
-          return util::Status::invalid_input(where + ": " + field.key +
-                                             " must be >= 0");
-        }
-        break;
-      default:
-        break;
-    }
+  if (job.ilp_limit_seconds < 0.0) {
+    return util::Status::invalid_input(where + ": ilp_limit must be >= 0");
+  }
+  if (job.deadline_seconds < 0.0) {
+    return util::Status::invalid_input(where + ": deadline must be >= 0");
+  }
+  if (job.partitions < 0) {
+    return util::Status::invalid_input(where + ": partitions must be >= 0");
   }
   return util::Status::ok();
 }
@@ -393,13 +294,10 @@ std::optional<FlowRequest> parse_request(std::string_view line,
     if (!sync) return fail("unknown journal_sync '" + sync_name + "'");
     request.journal_sync = *sync;
   }
-  {
-    double sent = 0.0;
-    if (!read_string(*doc, "trace_id", &request.trace_id, &field_error) ||
-        !read_number(*doc, "sent_unix_us", &sent, &field_error)) {
-      return fail(field_error);
-    }
-    request.sent_unix_us = static_cast<std::int64_t>(sent);
+  if (!read_string(*doc, "trace_id", &request.trace_id, &field_error) ||
+      !util::read_json_int(*doc, "sent_unix_us", &request.sent_unix_us,
+                           &field_error)) {
+    return fail(field_error);
   }
 
   const util::JsonValue* jobs = doc->find("jobs");

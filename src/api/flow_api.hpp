@@ -121,10 +121,11 @@ struct FlowRequest {
 /// trace), so the dispatcher can call this unconditionally.
 void ensure_trace_context(FlowRequest* request);
 
-/// Serialize one job object (the element of a request's `jobs` array),
-/// driven by the shared JobRequest field table.  sadp.flow_delta.v1 reuses
-/// this for its `base` job, so both schemas carry byte-identical job
-/// objects.
+/// Serialize one job object (the element of a request's `jobs` array):
+/// members in a fixed wire order, empty strings, an absent spec and
+/// partitions <= 0 omitted.  sadp.flow_delta.v1 reuses this for its `base`
+/// job, and the result cache keys jobs with it, so both schemas and the
+/// cache see byte-identical job objects.
 void write_job_request(util::JsonWriter& json, const JobRequest& job);
 
 /// Parse one job object with "absent = default, mistyped = error"
@@ -181,8 +182,9 @@ void write_job_request(util::JsonWriter& json, const JobRequest& job);
 ///  ["trace_id":...,"span_id":...,]["cache":"hit"|"miss",]
 ///  "outcome":{<sadp.flow_journal.v1 object>}}
 /// `cache` (nullptr = omit the member) records whether the serving daemon
-/// answered from its result cache; rows from paths that never consult the
-/// cache (CLI dispatch, journaled batches, journal-restored rows) omit it.
+/// answered from its result cache; rows whose job was never looked up
+/// (CLI dispatch, journaled batches, journal-restored rows, uncacheable
+/// jobs) omit it.
 /// `trace_id`/`span_id` echo the request's trace context (empty = omit):
 /// they live in the row framing, never inside the outcome object, so the
 /// journal payload stays byte-identical with or without tracing.
@@ -242,9 +244,9 @@ struct ResponseEvent {
   engine::JobOutcome outcome;
   std::size_t done = 0;
   std::size_t total = 0;
-  /// "hit" / "miss" when the serving daemon consulted its result cache;
-  /// empty when the row carried no cache member (older daemons, CLI rows,
-  /// journaled batches).
+  /// "hit" / "miss" when the serving daemon looked the job up in its
+  /// result cache; empty when the row carried no cache member (older
+  /// daemons, CLI rows, journaled batches, uncacheable jobs).
   std::string cache;
   /// Trace context of a row (trace_id + span_id) or a delta line
   /// (trace_id).  Empty when the stream is untraced.

@@ -97,7 +97,8 @@ JobOutcome execute_job(FlowJob job, const util::CancelToken& batch_token) {
       outcome.status = JobStatus::kDegraded;
     }
 
-    fill_stage_metrics(outcome.result, &outcome.metrics);
+    static_cast<core::RoutingReport&>(outcome.metrics) = outcome.result.routing;
+    outcome.metrics.dvi_seconds = outcome.result.dvi.seconds;
   } catch (const FlowError& e) {
     outcome.status = JobStatus::kFailed;
     outcome.error = e.status();
@@ -154,36 +155,6 @@ std::optional<JournalSync> parse_journal_sync(const std::string& name) noexcept 
     if (name == journal_sync_name(s)) return s;
   }
   return std::nullopt;
-}
-
-void fill_stage_metrics(const core::ExperimentResult& result,
-                        StageMetrics* metrics) {
-  const core::RoutingReport& routing = result.routing;
-  metrics->route_seconds = routing.route_seconds;
-  metrics->initial_routing_seconds = routing.initial_routing_seconds;
-  metrics->congestion_rr_seconds = routing.congestion_rr_seconds;
-  metrics->tpl_rr_seconds = routing.tpl_rr_seconds;
-  metrics->coloring_seconds = routing.coloring_seconds;
-  metrics->dvi_seconds = result.dvi.seconds;
-  metrics->rr_iterations = routing.rr_iterations;
-  metrics->queue_peak = routing.queue_peak;
-  metrics->maze_pops = routing.maze_pops;
-  metrics->maze_relaxations = routing.maze_relaxations;
-  metrics->maze_searches = routing.maze_searches;
-  metrics->heap_reuse = routing.heap_reuse;
-  metrics->fvp_cache_hits = routing.fvp_cache_hits;
-  metrics->maze_pops_p50 = routing.maze_pops_p50;
-  metrics->maze_pops_p95 = routing.maze_pops_p95;
-  metrics->maze_pops_max = routing.maze_pops_max;
-  metrics->partitions = routing.partitions;
-  metrics->partition_regions = routing.partition_regions;
-  metrics->boundary_nets = routing.boundary_nets;
-  metrics->partition_seconds = routing.partition_seconds;
-  metrics->reconcile_seconds = routing.reconcile_seconds;
-  metrics->boundary_seconds = routing.boundary_seconds;
-  metrics->merge_seconds = routing.merge_seconds;
-  metrics->region_seconds_max = routing.region_seconds_max;
-  metrics->region_seconds_mean = routing.region_seconds_mean;
 }
 
 FlowEngine::FlowEngine(EngineOptions options) : options_(std::move(options)) {}

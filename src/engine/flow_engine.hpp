@@ -28,8 +28,8 @@
 // fields vary between runs — and rows of jobs whose deadline fired, which
 // are inherently non-deterministic.
 //
-// Each job also records per-stage metrics (StageMetrics) — wall time per
-// flow phase, R&R iterations, violation-queue peak.  metrics_json writes a
+// Each job also records per-stage metrics (StageMetrics): its routing
+// report plus the job, generation and DVI times.  metrics_json writes a
 // batch as one sadp.flow_metrics.v1 document (the bench_results/ files and
 // `sadp_route --json-report`): each element is the job's journal object
 // (engine/journal.hpp) plus its `stages` times.
@@ -49,54 +49,16 @@
 
 namespace sadp::engine {
 
-/// Per-stage metrics of one finished flow job (Fig. 8 phases + DVI).
-struct StageMetrics {
-  double total_seconds = 0.0;       ///< whole job, including generation
-  double generate_seconds = 0.0;    ///< netlist synthesis (0 if pre-placed)
-  double route_seconds = 0.0;       ///< whole routing stage
-  double initial_routing_seconds = 0.0;
-  double congestion_rr_seconds = 0.0;
-  double tpl_rr_seconds = 0.0;      ///< TPL-violation-removal R&R (Alg. 2)
-  double coloring_seconds = 0.0;    ///< 3-coloring check + fix loop
-  double dvi_seconds = 0.0;         ///< post-routing DVI solve
-  std::size_t rr_iterations = 0;
-  std::size_t queue_peak = 0;       ///< violation-queue high-water mark
-
-  // Router search-effort perf counters (deterministic per seed; see
-  // RoutingReport).
-  std::uint64_t maze_pops = 0;
-  std::uint64_t maze_relaxations = 0;
-  std::uint64_t maze_searches = 0;
-  std::uint64_t heap_reuse = 0;
-  std::uint64_t fvp_cache_hits = 0;
-  // Per-search pop-count distribution (util::Histogram log2-bin quantiles;
-  // deterministic, so equivalence tests can fingerprint them too).
-  std::uint64_t maze_pops_p50 = 0;
-  std::uint64_t maze_pops_p95 = 0;
-  std::uint64_t maze_pops_max = 0;
-
-  // Partition-parallel routing (RoutingReport; serialized only when the
-  // job requested partitions > 1, so serial rows keep their exact bytes).
-  int partitions = 1;         ///< requested region count (1 = serial)
-  int partition_regions = 0;  ///< effective regions (0 = ran serially)
-  int boundary_nets = 0;      ///< nets routed by the reconcile pass
-  double partition_seconds = 0.0;
-  double reconcile_seconds = 0.0;
-  // Finer partitioned breakdown (RoutingReport): serial boundary pre-pass,
-  // serial merge, and the per-region wall-clock imbalance (max vs mean of
-  // the concurrent region phase).
-  double boundary_seconds = 0.0;
-  double merge_seconds = 0.0;
-  double region_seconds_max = 0.0;
-  double region_seconds_mean = 0.0;
+/// Per-stage metrics of one finished flow job: the routing report (Fig. 8
+/// phase times, search-effort counters, partition breakdown) plus the
+/// engine's own times and the DVI solve time.  It has one field list, the
+/// report's; an executed job and a parsed journal record both slice-assign
+/// their result's report into it.
+struct StageMetrics : core::RoutingReport {
+  double total_seconds = 0.0;     ///< whole job, including generation
+  double generate_seconds = 0.0;  ///< netlist synthesis (0 if pre-placed)
+  double dvi_seconds = 0.0;       ///< post-routing DVI solve
 };
-
-/// Copy `result`'s routing counters and phase times and its DVI time into
-/// `metrics`.  total_seconds and generate_seconds are the engine's own and
-/// stay as they are.  An executed job and a parsed journal record both get
-/// their metrics this way.
-void fill_stage_metrics(const core::ExperimentResult& result,
-                        StageMetrics* metrics);
 
 /// One unit of work: route + post-routing DVI on one instance.
 struct FlowJob {

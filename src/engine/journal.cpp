@@ -243,7 +243,8 @@ std::optional<JobOutcome> parse_outcome_object(const util::JsonValue& doc,
   r.ilp_status = *parsed_ilp;
   // Serial rows never carry `partitions`; a count below 1 reads as serial.
   routing.partitions = std::max(routing.partitions, 1);
-  fill_stage_metrics(r, &outcome.metrics);
+  static_cast<core::RoutingReport&>(outcome.metrics) = routing;
+  outcome.metrics.dvi_seconds = r.dvi.seconds;
   return outcome;
 }
 

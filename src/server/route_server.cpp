@@ -519,6 +519,9 @@ util::Status RouteServer::run_flow(const std::shared_ptr<Connection>& conn,
   const bool use_cache = cache_->enabled() && request.journal_path.empty() &&
                          !request.resume;
 
+  // A job is a hit or a miss only when its key was looked up: rows of
+  // uncacheable jobs (netlist_path, deadline) carry no `cache` member and
+  // no counter counts them.
   std::vector<std::pair<std::size_t, CachedRow>> hits;  // job index -> row
   std::map<std::string, std::string> miss_keys;  // label -> cache key
   api::FlowRequest misses = request;
@@ -537,7 +540,7 @@ util::Status RouteServer::run_flow(const std::shared_ptr<Connection>& conn,
       misses.jobs.push_back(job);
     }
     metrics.cache_hits.inc(hits.size());
-    metrics.cache_misses.inc(total - hits.size());
+    metrics.cache_misses.inc(miss_keys.size());
   }
 
   // Echoing the request's trace context onto each row needs the span id
@@ -568,7 +571,7 @@ util::Status RouteServer::run_flow(const std::shared_ptr<Connection>& conn,
 
   summary->jobs = total;
   summary->cache_hits = hits.size();
-  summary->cache_misses = use_cache ? total - hits.size() : 0;
+  summary->cache_misses = miss_keys.size();
   for (auto& [index, row] : hits) {
     replay_hit(conn, std::move(row), request.jobs[index], ++streamed, total,
                request.trace_id, summary);
@@ -583,18 +586,17 @@ util::Status RouteServer::run_flow(const std::shared_ptr<Connection>& conn,
   hooks.drain = drain_token_;
   hooks.executor = pool_.get();
   hooks.max_workers = pool_->size();
-  const char* miss_mark = use_cache ? "miss" : nullptr;
   // on_job_done is serialized by the engine, so `streamed` needs no lock;
   // the runner itself is blocked inside dispatch() meanwhile.
   hooks.on_job_done = [&](const engine::JobOutcome& outcome, std::size_t,
                           std::size_t) {
-    if (const auto key = miss_keys.find(outcome.label);
-        key != miss_keys.end()) {
-      cache_->insert(key->second, outcome);
-    }
+    const auto key = miss_keys.find(outcome.label);
+    const bool missed = key != miss_keys.end();
+    if (missed) cache_->insert(key->second, outcome);
     if (conn->client_gone.load(std::memory_order_relaxed)) return;
     enqueue_line(conn,
-                 api::response_row_line(outcome, ++streamed, total, miss_mark,
+                 api::response_row_line(outcome, ++streamed, total,
+                                        missed ? "miss" : nullptr,
                                         request.trace_id,
                                         span_for(outcome.label)),
                  false);
@@ -657,6 +659,8 @@ util::Status RouteServer::run_delta(const std::shared_ptr<Connection>& conn,
 
   summary->jobs = 1;
   summary->workers = 1;  // ECO re-routes run serially on the runner thread
+  // An uncacheable base (netlist_path, deadline) has no key: its row is
+  // neither a hit nor a miss.
   if (key.has_value()) {
     if (auto row = cache_->lookup(*key)) {
       metrics.cache_hits.inc();
@@ -665,8 +669,6 @@ util::Status RouteServer::run_delta(const std::shared_ptr<Connection>& conn,
                  summary);
       return util::Status::ok();
     }
-  }
-  if (use_cache) {
     metrics.cache_misses.inc();
     summary->cache_misses = 1;
   }
@@ -681,7 +683,7 @@ util::Status RouteServer::run_delta(const std::shared_ptr<Connection>& conn,
   if (!conn->client_gone.load(std::memory_order_relaxed)) {
     enqueue_line(conn,
                  api::response_row_line(run.outcome, 1, 1,
-                                        use_cache ? "miss" : nullptr,
+                                        key.has_value() ? "miss" : nullptr,
                                         request.trace_id, request.base.span_id),
                  false);
     enqueue_line(conn, api::response_delta_line(run.summary, request.trace_id),

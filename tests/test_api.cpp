@@ -8,6 +8,7 @@
 
 #include "api/control.hpp"
 #include "api/flow_api.hpp"
+#include "api/flow_delta.hpp"
 #include "engine/flow_engine.hpp"
 #include "engine/journal.hpp"
 #include "util/json.hpp"
@@ -118,6 +119,100 @@ TEST(FlowApi, RequestRoundTripsThroughTheWireFormat) {
   EXPECT_EQ(j1.spec->seed, 1234u);
 
   EXPECT_EQ(parsed->jobs[2].netlist_path, "/tmp/design.nl");
+
+  // One job with every member off its default, and one default job.  The
+  // bytes are pinned (a deployed daemon and the result cache's keys read
+  // them), and every member survives the round trip.  A wire job carries
+  // several instance sources here only because the codec does not
+  // validate; validate_job would reject it.
+  api::JobRequest every;
+  every.label = "full";
+  every.arm = "armB";
+  every.span_id = "00000000000000ab";
+  every.benchmark = "efc";
+  every.scaled = false;
+  every.spec = tiny_spec("inline", 36, 9);
+  every.spec->num_metal_layers = 4;
+  every.spec->local_radius = 5;
+  every.spec->global_net_fraction = 0.25;
+  every.spec->min_pin_spacing = 2;
+  every.spec->row_structured = true;
+  every.spec->row_pitch = 8;
+  every.spec->seed = 99;
+  every.spec->scale = 2.5;
+  every.netlist_path = "d.nl";
+  every.style = grid::SadpStyle::kSid;
+  every.consider_dvi = false;
+  every.consider_tpl = false;
+  every.dvi_method = core::DviMethod::kExact;
+  every.ilp_limit_seconds = 7.5;
+  every.degrade_dvi = true;
+  every.deadline_seconds = 2.25;
+  every.partitions = 4;
+  api::FlowRequest pinned;
+  pinned.jobs = {every, api::JobRequest{}};
+
+  const std::string every_job =
+      R"({"label":"full","arm":"armB","span_id":"00000000000000ab",)"
+      R"("benchmark":"efc","scaled":false,"spec":{"name":"inline",)"
+      R"("width":36,"height":36,"num_nets":9,"num_metal_layers":4,)"
+      R"("local_radius":5,"global_net_fraction":0.25,"min_pin_spacing":2,)"
+      R"("row_structured":true,"row_pitch":8,"seed":99,"scale":2.5},)"
+      R"("netlist_path":"d.nl","style":"SID","consider_dvi":false,)"
+      R"("consider_tpl":false,"dvi_method":"exact","ilp_limit":7.5,)"
+      R"("degrade_dvi":true,"deadline":2.25,"partitions":4})";
+  const std::string default_job =
+      R"({"style":"SIM","consider_dvi":true,"consider_tpl":true,)"
+      R"("dvi_method":"heuristic","ilp_limit":60,"degrade_dvi":false,)"
+      R"("deadline":0})";
+  EXPECT_EQ(api::serialize_request(pinned),
+            R"({"schema":"sadp.flow_request.v1","workers":0,)"
+            R"("batch_deadline":0,"keep_going":false,"journal":"",)"
+            R"("resume":false,"journal_sync":"batch","jobs":[)" +
+                every_job + "," + default_job + "]}");
+  api::FlowDeltaRequest delta;
+  delta.base = every;
+  EXPECT_EQ(api::serialize_delta_request(delta),
+            R"({"schema":"sadp.flow_delta.v1","base":)" + every_job +
+                R"(,"changes":[]})");
+
+  const auto back = api::parse_request(api::serialize_request(pinned), &error);
+  ASSERT_TRUE(back.has_value()) << error;
+  ASSERT_EQ(back->jobs.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const api::JobRequest& want = pinned.jobs[i];
+    const api::JobRequest& got = back->jobs[i];
+    EXPECT_EQ(got.label, want.label);
+    EXPECT_EQ(got.arm, want.arm);
+    EXPECT_EQ(got.span_id, want.span_id);
+    EXPECT_EQ(got.benchmark, want.benchmark);
+    EXPECT_EQ(got.scaled, want.scaled);
+    ASSERT_EQ(got.spec.has_value(), want.spec.has_value());
+    if (want.spec.has_value()) {
+      EXPECT_EQ(got.spec->name, want.spec->name);
+      EXPECT_EQ(got.spec->width, want.spec->width);
+      EXPECT_EQ(got.spec->height, want.spec->height);
+      EXPECT_EQ(got.spec->num_nets, want.spec->num_nets);
+      EXPECT_EQ(got.spec->num_metal_layers, want.spec->num_metal_layers);
+      EXPECT_EQ(got.spec->local_radius, want.spec->local_radius);
+      EXPECT_EQ(got.spec->global_net_fraction,
+                want.spec->global_net_fraction);
+      EXPECT_EQ(got.spec->min_pin_spacing, want.spec->min_pin_spacing);
+      EXPECT_EQ(got.spec->row_structured, want.spec->row_structured);
+      EXPECT_EQ(got.spec->row_pitch, want.spec->row_pitch);
+      EXPECT_EQ(got.spec->seed, want.spec->seed);
+      EXPECT_EQ(got.spec->scale, want.spec->scale);
+    }
+    EXPECT_EQ(got.netlist_path, want.netlist_path);
+    EXPECT_EQ(got.style, want.style);
+    EXPECT_EQ(got.consider_dvi, want.consider_dvi);
+    EXPECT_EQ(got.consider_tpl, want.consider_tpl);
+    EXPECT_EQ(got.dvi_method, want.dvi_method);
+    EXPECT_EQ(got.ilp_limit_seconds, want.ilp_limit_seconds);
+    EXPECT_EQ(got.degrade_dvi, want.degrade_dvi);
+    EXPECT_EQ(got.deadline_seconds, want.deadline_seconds);
+    EXPECT_EQ(got.partitions, want.partitions);
+  }
 }
 
 TEST(FlowApi, ParseRequestRejectsBadInputAndIgnoresUnknownMembers) {
@@ -182,6 +277,7 @@ TEST(FlowApi, IntegerFieldsMustBeExactAndInRange) {
        {R"({"schema":"sadp.flow_request.v1","workers":1e30,"jobs":[]})",
         R"({"schema":"sadp.flow_request.v1","workers":-2147483649,"jobs":[]})",
         R"({"schema":"sadp.flow_request.v1","workers":0.5,"jobs":[]})",
+        R"({"schema":"sadp.flow_request.v1","sent_unix_us":1e30,"jobs":[]})",
         R"({"schema":"sadp.flow_request.v1","jobs":[{"benchmark":"ecc","partitions":1e30}]})",
         R"({"schema":"sadp.flow_request.v1","jobs":[{"spec":{"name":"g","width":1e10}}]})"}) {
     EXPECT_FALSE(api::parse_request(bad, &error).has_value()) << bad;

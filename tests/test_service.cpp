@@ -31,6 +31,7 @@
 #include "api/flow_delta.hpp"
 #include "core/solution_io.hpp"
 #include "engine/journal.hpp"
+#include "obs/metrics.hpp"
 #include "server/dispatch.hpp"
 #include "server/result_cache.hpp"
 #include "server/route_client.hpp"
@@ -382,24 +383,36 @@ TEST(ServiceCache, MixedBatchServesHitsAndExecutesTheRest) {
       server::run_remote("127.0.0.1", server.port(), warm);
   ASSERT_TRUE(first.all_ok()) << first.status.to_string();
 
+  // A job with a deadline is never looked up: its row carries no cache
+  // mark, and the summary, the cache and the process-wide metrics counter
+  // all leave it out of the misses.
+  const obs::Counter& miss_counter = obs::metrics().counter(
+      "sadp_server_cache_requests_total", "", "result=\"miss\"");
+  const std::uint64_t counted_before = miss_counter.value();
+  const std::size_t misses_before = server.cache_misses();
   api::FlowRequest mixed;
   mixed.jobs.push_back(spec_job("mix_a", 36, 12));   // cached
   mixed.jobs.push_back(spec_job("mix_b", 38, 13));   // new
+  mixed.jobs.push_back(spec_job("mix_c", 34, 11));   // uncacheable
+  mixed.jobs.back().deadline_seconds = 100.0;
   const server::RemoteBatch batch =
       server::run_remote("127.0.0.1", server.port(), mixed);
   ASSERT_TRUE(batch.all_ok()) << batch.status.to_string();
-  EXPECT_EQ(batch.summary.jobs, 2u);
-  EXPECT_EQ(batch.summary.ok, 2u);
+  EXPECT_EQ(batch.summary.jobs, 3u);
+  EXPECT_EQ(batch.summary.ok, 3u);
   EXPECT_EQ(batch.summary.cache_hits, 1u);
   EXPECT_EQ(batch.summary.cache_misses, 1u);
-  ASSERT_EQ(batch.rows.size(), 2u);
-  ASSERT_EQ(batch.row_cache.size(), 2u);
+  EXPECT_EQ(server.cache_misses() - misses_before, 1u);
+  EXPECT_EQ(miss_counter.value() - counted_before, 1u);
+  ASSERT_EQ(batch.rows.size(), 3u);
+  ASSERT_EQ(batch.row_cache.size(), 3u);
   std::map<std::string, std::string> marks;
   for (std::size_t i = 0; i < batch.rows.size(); ++i) {
     marks[batch.rows[i].label] = batch.row_cache[i];
   }
   EXPECT_EQ(marks.at("mix_a"), "hit");
   EXPECT_EQ(marks.at("mix_b"), "miss");
+  EXPECT_EQ(marks.at("mix_c"), "");
   server.stop();
 }
 

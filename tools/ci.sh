@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Full local CI gate:
-#   1. Debug build with ASan+UBSan, full ctest
+#   1. Debug build with ASan+UBSan (float-cast-overflow included), full
+#      ctest
 #   2. ASan server smoke: sadp_routed + sadp_route --connect round trip
 #   3. ASan fleet smoke: sadp_routed --backends front + 2 daemons, cache
 #      hits, 0 failed rows
 #   4. ASan chaos smoke: 11 seeded failpoint/SIGKILL schedules, rows
 #      must survive bit-identical through --resume and the fleet
-#   5. UBSan fleet smoke: same topology under -DSADP_SANITIZE=undefined
+#   5. UBSan fleet smoke: same topology under
+#      -DSADP_SANITIZE=undefined,float-cast-overflow
 #   6. Release build, full ctest; then exact DVI on ecc/efc/ctl/div with
 #      --validate, which checks the routing and every DVI insertion; then
 #      ecc/efc partitioned into 4 regions with --validate; then one ECO
@@ -30,9 +32,14 @@
 # off, and the fleet smokes (steps 3/5) scrape every process's metrics and
 # merge the per-process traces into one fleet timeline.
 #
+# UBSan reports and continues by default; halt_on_error makes every
+# runtime error fail the sanitized ctest step and the smokes (which
+# inherit the environment).
+#
 # Usage: tools/ci.sh [jobs]   (jobs defaults to nproc)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 
 JOBS="${1:-$(nproc)}"
 
@@ -44,7 +51,8 @@ run_suite() {
 }
 
 echo "== Debug + ASan/UBSan =="
-run_suite build-asan -DCMAKE_BUILD_TYPE=Debug "-DSADP_SANITIZE=address,undefined"
+run_suite build-asan -DCMAKE_BUILD_TYPE=Debug \
+  "-DSADP_SANITIZE=address,undefined,float-cast-overflow"
 
 echo "== ASan server smoke (sadp_routed round trip) =="
 server_log="$(mktemp)"

@@ -29,8 +29,9 @@
 #
 # --ubsan runs the smoke in a dedicated UBSan tree (build-ubsan unless a
 # build_dir is given): the fleet's bit-twiddling paths (CRC32, journal
-# framing, wire parsing) get exercised under -fsanitize=undefined with
-# real sockets, which the unit tests can't fully reach.
+# framing, wire parsing) get exercised under
+# -fsanitize=undefined,float-cast-overflow with real sockets, which the
+# unit tests can't fully reach.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,7 +58,7 @@ fi
 if [ ! -f "$BUILD/CMakeCache.txt" ]; then
   if [ "$UBSAN" -eq 1 ]; then
     cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Debug \
-      -DSADP_SANITIZE=undefined >/dev/null
+      -DSADP_SANITIZE=undefined,float-cast-overflow >/dev/null
   else
     cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   fi

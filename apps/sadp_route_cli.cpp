@@ -60,6 +60,7 @@
 #include "obs/trace.hpp"
 #include "server/route_client.hpp"
 #include "util/args.hpp"
+#include "util/cancel.hpp"
 #include "util/failpoint.hpp"
 #include "util/fs.hpp"
 #include "util/table.hpp"
@@ -151,9 +152,12 @@ std::optional<CliOptions> parse_cli(int argc, char** argv) {
   parser.add_int("--partitions", &options.job.partitions,
                  "partition-parallel regions per job (0/1 = serial)", "K");
   parser.add_double("--deadline", &options.job.deadline_seconds,
-                    "per-job wall-clock deadline in seconds (0 = none)", "S");
+                    "per-job wall-clock deadline in seconds, at most 1e9 "
+                    "(0 = none)",
+                    "S");
   parser.add_double("--batch-deadline", &options.request.batch_deadline_seconds,
-                    "whole-batch wall-clock deadline in seconds (0 = none)",
+                    "whole-batch wall-clock deadline in seconds, at most 1e9 "
+                    "(0 = none)",
                     "S");
   parser.add_flag("--keep-going", &options.request.keep_going,
                   "batch: keep running after a job fails (default fails fast)");
@@ -213,6 +217,16 @@ std::optional<CliOptions> parse_cli(int argc, char** argv) {
 
   options.job.consider_dvi = !no_dvi;
   options.job.consider_tpl = !no_tpl;
+
+  // Checked here, before --connect can send a value the server rejects.
+  for (const auto& [flag, seconds] :
+       {std::pair{"--deadline", options.job.deadline_seconds},
+        std::pair{"--batch-deadline", options.request.batch_deadline_seconds}}) {
+    if (!util::deadline_in_range(seconds)) {
+      std::fprintf(stderr, "%s %s, got %g\n", flag, util::kDeadlineRange, seconds);
+      return std::nullopt;
+    }
+  }
 
   const auto parsed_style = grid::parse_style(style);
   if (!parsed_style) {

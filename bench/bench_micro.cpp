@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <utility>
 
 #include "core/cost_maps.hpp"
 #include "core/dvi_exact.hpp"
@@ -66,16 +67,17 @@ void BM_FvpScan(benchmark::State& state) {
 }
 BENCHMARK(BM_FvpScan)->Arg(64)->Arg(128)->Arg(256)->Complexity();
 
-std::vector<grid::Point> random_spread_vias(int side, int count, std::uint64_t seed) {
+std::vector<std::pair<grid::Point, int>> random_spread_vias(int side, int count,
+                                                            std::uint64_t seed) {
   util::Xoshiro256StarStar rng(seed);
   via::ViaDb db(side, side, 1);
-  std::vector<grid::Point> out;
+  std::vector<std::pair<grid::Point, int>> out;
   while (static_cast<int>(out.size()) < count) {
     const grid::Point p{static_cast<int>(rng.below(side)),
                         static_cast<int>(rng.below(side))};
     if (!db.has(1, p) && !db.would_create_fvp(1, p)) {
       db.add(1, p);
-      out.push_back(p);
+      out.push_back({p, 1});
     }
   }
   return out;
@@ -214,14 +216,14 @@ BENCHMARK(BM_MazeCongested)->Unit(benchmark::kMicrosecond);
 void BM_WelshPowell(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto points = random_spread_vias(128, n, 11);
-  const via::DecompGraph graph = via::DecompGraph::from_points(points);
+  const via::DecompGraph graph = via::DecompGraph::from_located(points);
   for (auto _ : state) benchmark::DoNotOptimize(via::welsh_powell(graph));
 }
 BENCHMARK(BM_WelshPowell)->Arg(256)->Arg(1024);
 
 void BM_ExactColoring(benchmark::State& state) {
   const auto points = random_spread_vias(128, 512, 13);
-  const via::DecompGraph graph = via::DecompGraph::from_points(points);
+  const via::DecompGraph graph = via::DecompGraph::from_located(points);
   for (auto _ : state) benchmark::DoNotOptimize(via::exact_three_coloring(graph));
 }
 BENCHMARK(BM_ExactColoring);

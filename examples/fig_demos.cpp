@@ -53,7 +53,7 @@ void fig2() {
   db.add(1, {4, 3});
   db.add(1, {3, 4});
   db.add(1, {4, 4});
-  const via::DecompGraph graph = via::DecompGraph::build(db, 1);
+  const via::DecompGraph graph = via::DecompGraph::build_all_layers(db);
   const via::ColoringResult coloring = via::welsh_powell(graph);
   std::printf("a 2x2 via block (legal for SADP metal!) has %zu uncolorable "
               "via(s) in TPL\n-- this is why the router must consider via-layer "
@@ -212,7 +212,7 @@ void fig11() {
       else db.add(1, p);
     }
     if (duplicate || !db.scan_fvps(1).empty()) continue;
-    const via::DecompGraph graph = via::DecompGraph::build(db, 1);
+    const via::DecompGraph graph = via::DecompGraph::build_all_layers(db);
     if (via::three_colorable(graph)) continue;
     ++found;
     std::printf("  FVP-free but uncolorable %zu-via pattern:\n", cells.size());

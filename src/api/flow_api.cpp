@@ -189,8 +189,8 @@ util::Status validate_job(const JobRequest& job, const std::string& where) {
   if (job.ilp_limit_seconds < 0.0) {
     return util::Status::invalid_input(where + ": ilp_limit must be >= 0");
   }
-  if (job.deadline_seconds < 0.0) {
-    return util::Status::invalid_input(where + ": deadline must be >= 0");
+  if (!util::deadline_in_range(job.deadline_seconds)) {
+    return util::Status::invalid_input(where + ": deadline " + util::kDeadlineRange);
   }
   if (job.partitions < 0) {
     return util::Status::invalid_input(where + ": partitions must be >= 0");
@@ -205,8 +205,9 @@ util::Status validate(const FlowRequest& request) {
   if (request.workers < 0) {
     return util::Status::invalid_input("workers must be >= 0");
   }
-  if (request.batch_deadline_seconds < 0.0) {
-    return util::Status::invalid_input("batch_deadline must be >= 0");
+  if (!util::deadline_in_range(request.batch_deadline_seconds)) {
+    return util::Status::invalid_input(std::string("batch_deadline ") +
+                                       util::kDeadlineRange);
   }
   if (request.resume && request.journal_path.empty()) {
     return util::Status::invalid_input("resume requires a journal path");

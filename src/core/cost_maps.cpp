@@ -86,12 +86,10 @@ void CostMaps::apply_deposits(const RoutedNet& net, const Record& record,
     // TPLC on every different-color via location around each via: gamma per
     // existing conflicting via, accumulated incrementally.
     for (const auto& via : net.vias()) {
-      for (int dy = -2; dy <= 2; ++dy) {
-        for (int dx = -2; dx <= 2; ++dx) {
-          const grid::Point q{via.at.x + dx, via.at.y + dy};
-          if (!grid_.in_bounds(q) || !via::vias_conflict(via.at, q)) continue;
-          deposit_via(&ViaCosts::tplc, via.via_layer, q, options_.cost.gamma);
-        }
+      for (const grid::Point d : via::kConflictOffsets) {
+        const grid::Point q = via.at + d;
+        if (!grid_.in_bounds(q)) continue;
+        deposit_via(&ViaCosts::tplc, via.via_layer, q, options_.cost.gamma);
       }
     }
   }

@@ -7,6 +7,7 @@
 #include "core/dvi_heuristic.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
+#include "util/union_find.hpp"
 #include "via/coloring.hpp"
 #include "via/decomp_graph.hpp"
 
@@ -16,26 +17,6 @@ namespace {
 
 /// Components with more vias than this are searched after all the others.
 constexpr std::size_t kEagerVias = 64;
-
-/// Union-find over via indices.
-class UnionFind {
- public:
-  explicit UnionFind(int n) : parent_(static_cast<std::size_t>(n)) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-  int find(int x) {
-    while (parent_[static_cast<std::size_t>(x)] != x) {
-      parent_[static_cast<std::size_t>(x)] =
-          parent_[static_cast<std::size_t>(parent_[static_cast<std::size_t>(x)])];
-      x = parent_[static_cast<std::size_t>(x)];
-    }
-    return x;
-  }
-  void unite(int a, int b) { parent_[static_cast<std::size_t>(find(a))] = find(b); }
-
- private:
-  std::vector<int> parent_;
-};
 
 /// Choices below are component-local: entry j is the candidate index
 /// inserted for via comp[j], or -1 for none.
@@ -56,17 +37,13 @@ class ExactSolver {
     // Spatial components: vias interact only within Chebyshev distance 4 of
     // their centers (on the same layer).  Bucketed by 4x4 cells so the
     // pairing stays near-linear.
-    UnionFind uf(n);
+    util::UnionFind uf(n);
     {
       std::unordered_map<std::int64_t, std::vector<int>> buckets;
-      auto bucket_key = [](int layer, int cx, int cy) {
-        return (static_cast<std::int64_t>(layer) << 48) ^
-               (static_cast<std::int64_t>(static_cast<std::uint32_t>(cx)) << 24) ^
-               static_cast<std::int64_t>(static_cast<std::uint32_t>(cy));
-      };
       for (int i = 0; i < n; ++i) {
         const auto& via = problem_.vias[static_cast<std::size_t>(i)];
-        buckets[bucket_key(via.via_layer, via.at.x / 4, via.at.y / 4)].push_back(i);
+        buckets[grid::site_key(via.via_layer, {via.at.x / 4, via.at.y / 4})]
+            .push_back(i);
       }
       // Two vias interact iff some pair of their features (the via itself
       // or any feasible candidate) coincides or lies within same-color
@@ -94,8 +71,8 @@ class ExactSolver {
         const auto& via = problem_.vias[static_cast<std::size_t>(i)];
         for (int dcx = -1; dcx <= 1; ++dcx) {
           for (int dcy = -1; dcy <= 1; ++dcy) {
-            const auto it = buckets.find(bucket_key(
-                via.via_layer, via.at.x / 4 + dcx, via.at.y / 4 + dcy));
+            const auto it = buckets.find(grid::site_key(
+                via.via_layer, {via.at.x / 4 + dcx, via.at.y / 4 + dcy}));
             if (it == buckets.end()) continue;
             for (const int j : it->second) {
               if (j > i &&
@@ -109,19 +86,7 @@ class ExactSolver {
         }
       }
     }
-    std::vector<std::vector<int>> comps;
-    {
-      std::vector<int> comp_of(static_cast<std::size_t>(n), -1);
-      for (int i = 0; i < n; ++i) {
-        const int root = uf.find(i);
-        if (comp_of[static_cast<std::size_t>(root)] < 0) {
-          comp_of[static_cast<std::size_t>(root)] = static_cast<int>(comps.size());
-          comps.emplace_back();
-        }
-        comps[static_cast<std::size_t>(comp_of[static_cast<std::size_t>(root)])]
-            .push_back(i);
-      }
-    }
+    const std::vector<std::vector<int>> comps = uf.groups();
 
     // Residual uncolorable count is inherited from the heuristic's greedy
     // pre-coloring (only ever nonzero for no-TPL routing inputs).

@@ -41,9 +41,7 @@ struct DviExactParams {
   util::CancelToken cancel;
 };
 
-struct DviExactOutput {
-  DviResult result;
-  std::vector<grid::Point> inserted_at;  ///< parallel to result.inserted
+struct DviExactOutput : DviSolution {
   bool proven_optimal = false;
   std::size_t nodes = 0;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <unordered_map>
 
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
@@ -12,12 +11,6 @@
 namespace sadp::core {
 
 namespace {
-
-/// Identity of one feasible DVIC.
-struct CandidateRef {
-  int via = 0;
-  int k = 0;  ///< index into problem.feasible[via]
-};
 
 struct HeapEntry {
   double dp;
@@ -30,26 +23,15 @@ struct HeapEntry {
   }
 };
 
-[[nodiscard]] std::int64_t loc_key(int layer, grid::Point p) {
-  return (static_cast<std::int64_t>(layer) << 48) ^
-         (static_cast<std::int64_t>(static_cast<std::uint32_t>(p.x)) << 24) ^
-         static_cast<std::int64_t>(static_cast<std::uint32_t>(p.y));
-}
-
 class Heuristic {
  public:
   Heuristic(const DviProblem& problem, via::ViaDb db, const DviParams& params,
             const DviHeuristicOptions& options)
-      : problem_(problem), db_(std::move(db)), params_(params), options_(options) {
-    // Spatial index of feasible DVICs per (layer, location).
-    for (int i = 0; i < problem_.num_vias(); ++i) {
-      const int layer = problem_.vias[static_cast<std::size_t>(i)].via_layer;
-      const auto& cands = problem_.feasible[static_cast<std::size_t>(i)];
-      for (int k = 0; k < static_cast<int>(cands.size()); ++k) {
-        at_loc_[loc_key(layer, cands[static_cast<std::size_t>(k)])].push_back(
-            CandidateRef{i, k});
-      }
-    }
+      : problem_(problem),
+        db_(std::move(db)),
+        params_(params),
+        options_(options),
+        sites_(problem) {
     protected_.assign(static_cast<std::size_t>(problem_.num_vias()), false);
   }
 
@@ -176,33 +158,28 @@ class Heuristic {
     const grid::Point p = loc(via, k);
     const int v_layer = layer(via);
 
-    int conflicting = 0;
-    const auto it = at_loc_.find(loc_key(v_layer, p));
-    if (it != at_loc_.end()) {
-      for (const CandidateRef& ref : it->second) {
-        if (ref.via != via && !protected_[static_cast<std::size_t>(ref.via)]) {
-          ++conflicting;
-        }
-      }
-    }
+    // Conflicting DVICs: those of other, unprotected vias at p.
+    const auto live = [&](const DvicRef& ref) {
+      return ref.via != via && !protected_[static_cast<std::size_t>(ref.via)];
+    };
+    const auto here = sites_.at(v_layer, p);
+    const int conflicting =
+        static_cast<int>(std::count_if(here.begin(), here.end(), live));
 
     // Killed DVICs: feasible DVICs of unprotected neighbors that become
-    // FVP-creating once a redundant via lands at p.
+    // FVP-creating once a redundant via lands at p.  The scan is the whole
+    // 5x5 window, not kConflictOffsets: a cell at (+-2, +-2) shares one 3x3
+    // window with p, so a via at p can kill a DVIC there even though the
+    // two sites do not conflict.
     int killed = 0;
     for (int dy = -2; dy <= 2; ++dy) {
       for (int dx = -2; dx <= 2; ++dx) {
         if (dx == 0 && dy == 0) continue;
         const grid::Point q{p.x + dx, p.y + dy};
-        const auto jt = at_loc_.find(loc_key(v_layer, q));
-        if (jt == at_loc_.end()) continue;
-        bool any_live = false;
-        for (const CandidateRef& ref : jt->second) {
-          if (ref.via != via && !protected_[static_cast<std::size_t>(ref.via)]) {
-            any_live = true;
-            break;
-          }
+        const auto there = sites_.at(v_layer, q);
+        if (std::none_of(there.begin(), there.end(), live) || db_.has(v_layer, q)) {
+          continue;
         }
-        if (!any_live || db_.has(v_layer, q)) continue;
         if (db_.would_create_fvp(v_layer, q)) continue;  // already dead
         if (would_kill(v_layer, p, q)) ++killed;
       }
@@ -233,7 +210,7 @@ class Heuristic {
   via::ViaDb db_;
   DviParams params_;
   DviHeuristicOptions options_;
-  std::unordered_map<std::int64_t, std::vector<CandidateRef>> at_loc_;
+  DviSites sites_;
   std::vector<char> protected_;
 };
 

@@ -22,13 +22,9 @@
 
 namespace sadp::core {
 
-/// Detailed outcome of the heuristic (extends DviResult with the final
-/// geometry, used by validation and the demos).
-struct DviHeuristicOutput {
-  DviResult result;
-  /// Locations of the inserted redundant vias, parallel to result.inserted.
-  /// Entry i is meaningful only when result.inserted[i] >= 0.
-  std::vector<grid::Point> inserted_at;
+/// Detailed outcome of the heuristic: the solution plus the TPL colors
+/// (used by the ILP warm start, validation and the demos).
+struct DviHeuristicOutput : DviSolution {
   /// TPL color of each original via (via::kUncolored when the greedy
   /// pre-coloring could not color it).
   std::vector<int> original_color;

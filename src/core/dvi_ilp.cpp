@@ -8,21 +8,6 @@
 
 namespace sadp::core {
 
-namespace {
-
-[[nodiscard]] std::int64_t loc_key(int layer, grid::Point p) {
-  return (static_cast<std::int64_t>(layer) << 48) ^
-         (static_cast<std::int64_t>(static_cast<std::uint32_t>(p.x)) << 24) ^
-         static_cast<std::int64_t>(static_cast<std::uint32_t>(p.y));
-}
-
-struct DvicRef {
-  int via;
-  int k;
-};
-
-}  // namespace
-
 DviIlp build_dvi_ilp(const DviProblem& problem, double big_b, double big_b_prime) {
   DviIlp out;
   ilp::Model& m = out.model;
@@ -70,17 +55,16 @@ DviIlp build_dvi_ilp(const DviProblem& problem, double big_b, double big_b_prime
   }
 
   // Spatial indices.
-  std::unordered_map<std::int64_t, std::vector<DvicRef>> dvics_at;
+  const DviSites sites(problem);
   std::unordered_map<std::int64_t, int> via_at;
   for (int i = 0; i < n; ++i) {
-    const int layer = problem.vias[static_cast<std::size_t>(i)].via_layer;
-    via_at[loc_key(layer, problem.vias[static_cast<std::size_t>(i)].at)] = i;
-    const auto& cands = problem.feasible[static_cast<std::size_t>(i)];
-    for (int k = 0; k < static_cast<int>(cands.size()); ++k) {
-      dvics_at[loc_key(layer, cands[static_cast<std::size_t>(k)])].push_back(
-          DvicRef{i, k});
-    }
+    const auto& via = problem.vias[static_cast<std::size_t>(i)];
+    via_at[grid::site_key(via.via_layer, via.at)] = i;
   }
+  auto via_index_at = [&](int layer, grid::Point p) {
+    const auto it = via_at.find(grid::site_key(layer, p));
+    return it == via_at.end() ? -1 : it->second;
+  };
 
   auto d_var = [&](const DvicRef& r) {
     return out.vars.insert[static_cast<std::size_t>(r.via)]
@@ -92,7 +76,7 @@ DviIlp build_dvi_ilp(const DviProblem& problem, double big_b, double big_b_prime
   };
 
   // --- C2: conflicting DVICs (same location) ----------------------------------
-  for (const auto& [key, refs] : dvics_at) {
+  for (const auto& [key, refs] : sites) {
     for (std::size_t a = 0; a < refs.size(); ++a) {
       for (std::size_t b = a + 1; b < refs.size(); ++b) {
         if (refs[a].via == refs[b].via) continue;  // covered by C1
@@ -130,38 +114,25 @@ DviIlp build_dvi_ilp(const DviProblem& problem, double big_b, double big_b_prime
   }
 
   // --- C5/C6/C7: same-color-pitch exclusions ----------------------------------
-  auto for_conflicting = [&](int layer, grid::Point p, auto&& body) {
-    for (int dy = -2; dy <= 2; ++dy) {
-      for (int dx = -2; dx <= 2; ++dx) {
-        const grid::Point q{p.x + dx, p.y + dy};
-        if (!via::vias_conflict(p, q)) continue;
-        body(layer, q);
-      }
-    }
-  };
-
   for (int i = 0; i < n; ++i) {
     const auto& via = problem.vias[static_cast<std::size_t>(i)];
+    const auto& vc_i = out.vars.via_color[static_cast<std::size_t>(i)];
     // C5: via-via pairs (emit once, i < i').
-    for_conflicting(via.via_layer, via.at, [&](int layer, grid::Point q) {
-      const auto it = via_at.find(loc_key(layer, q));
-      if (it == via_at.end() || it->second <= i) return;
-      const auto& vc_i = out.vars.via_color[static_cast<std::size_t>(i)];
-      const auto& vc_j = out.vars.via_color[static_cast<std::size_t>(it->second)];
+    for (const grid::Point d : via::kConflictOffsets) {
+      const int j = via_index_at(via.via_layer, via.at + d);
+      if (j <= i) continue;
+      const auto& vc_j = out.vars.via_color[static_cast<std::size_t>(j)];
       for (int c = 0; c < 3; ++c) {
         m.add_constraint({{vc_i[static_cast<std::size_t>(c)], 1.0},
                           {vc_j[static_cast<std::size_t>(c)], 1.0}},
                          ilp::Sense::kLe, 1.0);
       }
-    });
+    }
 
     // C6: via i vs DVICs of any via (including its own) within pitch:
     //   oV_i + oD + B'(D - 1) <= 1.
-    for_conflicting(via.via_layer, via.at, [&](int layer, grid::Point q) {
-      const auto it = dvics_at.find(loc_key(layer, q));
-      if (it == dvics_at.end()) return;
-      const auto& vc_i = out.vars.via_color[static_cast<std::size_t>(i)];
-      for (const DvicRef& r : it->second) {
+    for (const grid::Point d : via::kConflictOffsets) {
+      for (const DvicRef& r : sites.at(via.via_layer, via.at + d)) {
         for (int c = 0; c < 3; ++c) {
           m.add_constraint({{vc_i[static_cast<std::size_t>(c)], 1.0},
                             {dc_var(r, c), 1.0},
@@ -169,18 +140,16 @@ DviIlp build_dvi_ilp(const DviProblem& problem, double big_b, double big_b_prime
                            ilp::Sense::kLe, 1.0 + bp);
         }
       }
-    });
+    }
 
     // C7: DVIC of via i vs DVIC of via i' (i < i') within pitch:
     //   oD + oD' + B'(D + D' - 2) <= 1.
     const auto& cands = problem.feasible[static_cast<std::size_t>(i)];
     for (int k = 0; k < static_cast<int>(cands.size()); ++k) {
       const DvicRef r{i, k};
-      const grid::Point p = cands[static_cast<std::size_t>(k)];
-      for_conflicting(via.via_layer, p, [&](int layer, grid::Point q) {
-        const auto it = dvics_at.find(loc_key(layer, q));
-        if (it == dvics_at.end()) return;
-        for (const DvicRef& r2 : it->second) {
+      for (const grid::Point d : via::kConflictOffsets) {
+        for (const DvicRef& r2 :
+             sites.at(via.via_layer, cands[static_cast<std::size_t>(k)] + d)) {
           if (r2.via <= i) continue;
           for (int c = 0; c < 3; ++c) {
             m.add_constraint({{dc_var(r, c), 1.0},
@@ -190,7 +159,7 @@ DviIlp build_dvi_ilp(const DviProblem& problem, double big_b, double big_b_prime
                              ilp::Sense::kLe, 1.0 + 2.0 * bp);
           }
         }
-      });
+      }
     }
   }
   // --- Colorability cuts (valid inequalities) ---------------------------------
@@ -200,19 +169,6 @@ DviIlp build_dvi_ilp(const DviProblem& problem, double big_b, double big_b_prime
   //  * any 3x3 window holds at most 5 colored vias (FVP rule 1).
   // A via with uV=1 takes no color and is exempt, hence the (1 - uV) terms.
   {
-    struct Cell {
-      int existing_via = -1;           // via index, or -1
-      std::vector<DvicRef> candidates; // DVICs at this cell
-    };
-    auto cell_at = [&](int layer, grid::Point p) {
-      Cell cell;
-      const auto vit = via_at.find(loc_key(layer, p));
-      if (vit != via_at.end()) cell.existing_via = vit->second;
-      const auto dit = dvics_at.find(loc_key(layer, p));
-      if (dit != dvics_at.end()) cell.candidates = dit->second;
-      return cell;
-    };
-
     // Window origins worth checking: around every DVIC location.
     std::unordered_map<std::int64_t, char> seen;
     auto emit_window_cut = [&](int layer, grid::Point origin, int size, int cap) {
@@ -222,16 +178,16 @@ DviIlp build_dvi_ilp(const DviProblem& problem, double big_b, double big_b_prime
       int d_count = 0;
       for (int dy = 0; dy < size; ++dy) {
         for (int dx = 0; dx < size; ++dx) {
-          const Cell cell = cell_at(layer, {origin.x + dx, origin.y + dy});
-          if (cell.existing_via >= 0) {
+          const grid::Point q{origin.x + dx, origin.y + dy};
+          const int existing_via = via_index_at(layer, q);
+          if (existing_via >= 0) {
             // (1 - uV) contribution: move the 1 to the rhs, keep +uV slack.
             rhs -= 1.0;
             terms.push_back(
-                {out.vars.via_color[static_cast<std::size_t>(cell.existing_via)][3],
-                 -1.0});
+                {out.vars.via_color[static_cast<std::size_t>(existing_via)][3], -1.0});
             ++population;
           }
-          for (const DvicRef& r : cell.candidates) {
+          for (const DvicRef& r : sites.at(layer, q)) {
             terms.push_back({d_var(r), 1.0});
             ++population;
             ++d_count;
@@ -244,20 +200,18 @@ DviIlp build_dvi_ilp(const DviProblem& problem, double big_b, double big_b_prime
       }
     };
 
-    for (const auto& [key, refs] : dvics_at) {
-      const int layer = static_cast<int>(static_cast<std::uint64_t>(key) >> 48);
-      const grid::Point p{
-          static_cast<std::int32_t>((static_cast<std::uint64_t>(key) >> 24) & 0xFFFFFF),
-          static_cast<std::int32_t>(static_cast<std::uint64_t>(key) & 0xFFFFFF)};
+    for (const auto& [key, refs] : sites) {
+      const int layer = grid::site_layer(key);
+      const grid::Point p = grid::site_point(key);
       for (int oy = p.y - 1; oy <= p.y; ++oy) {
         for (int ox = p.x - 1; ox <= p.x; ++ox) {
-          const std::int64_t wkey = loc_key(layer, {ox, oy}) * 2;
+          const std::int64_t wkey = grid::site_key(layer, {ox, oy}) * 2;
           if (seen.emplace(wkey, 1).second) emit_window_cut(layer, {ox, oy}, 2, 3);
         }
       }
       for (int oy = p.y - 2; oy <= p.y; ++oy) {
         for (int ox = p.x - 2; ox <= p.x; ++ox) {
-          const std::int64_t wkey = loc_key(layer, {ox, oy}) * 2 + 1;
+          const std::int64_t wkey = grid::site_key(layer, {ox, oy}) * 2 + 1;
           if (seen.emplace(wkey, 1).second) emit_window_cut(layer, {ox, oy}, 3, 5);
         }
       }

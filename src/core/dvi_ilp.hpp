@@ -55,9 +55,7 @@ struct DviIlpParams {
   bool warm_start_with_heuristic = true;
 };
 
-struct DviIlpOutput {
-  DviResult result;
-  std::vector<grid::Point> inserted_at;  ///< parallel to result.inserted
+struct DviIlpOutput : DviSolution {
   ilp::SolveStatus status = ilp::SolveStatus::kUnknown;
   double objective = 0.0;
   std::size_t nodes = 0;

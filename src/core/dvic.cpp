@@ -140,4 +140,15 @@ DviProblem build_dvi_problem(const std::vector<RoutedNet>& nets,
   return problem;
 }
 
+DviSites::DviSites(const DviProblem& problem) {
+  for (int i = 0; i < problem.num_vias(); ++i) {
+    const int layer = problem.vias[static_cast<std::size_t>(i)].via_layer;
+    const auto& cands = problem.feasible[static_cast<std::size_t>(i)];
+    for (int k = 0; k < static_cast<int>(cands.size()); ++k) {
+      map_[grid::site_key(layer, cands[static_cast<std::size_t>(k)])].push_back(
+          DvicRef{i, k});
+    }
+  }
+}
+
 }  // namespace sadp::core

@@ -18,6 +18,9 @@
 // *redundant* via is handled at insertion time (FVP check / ILP coloring).
 #pragma once
 
+#include <cstdint>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "core/routed_net.hpp"
@@ -62,6 +65,36 @@ struct DviProblem {
   }
 };
 
+/// One feasible DVIC: candidate k of via `via`.
+struct DvicRef {
+  int via = 0;
+  int k = 0;  ///< index into DviProblem::feasible[via]
+};
+
+/// The feasible DVICs of a problem by site: grid::site_key of the via's
+/// layer and the candidate location maps to that site's DVICs in (via,
+/// then k) order.  Algorithm 3 counts conflicting DVICs here, and the
+/// C1-C8 builder takes its C2 rows and window cuts from it, in the map's
+/// iteration order.
+class DviSites {
+ public:
+  using Map = std::unordered_map<std::int64_t, std::vector<DvicRef>>;
+
+  explicit DviSites(const DviProblem& problem);
+
+  /// The DVICs at (layer, p); empty when none.
+  [[nodiscard]] std::span<const DvicRef> at(int layer, grid::Point p) const {
+    const auto it = map_.find(grid::site_key(layer, p));
+    return it == map_.end() ? std::span<const DvicRef>{} : it->second;
+  }
+
+  [[nodiscard]] Map::const_iterator begin() const noexcept { return map_.begin(); }
+  [[nodiscard]] Map::const_iterator end() const noexcept { return map_.end(); }
+
+ private:
+  Map map_;
+};
+
 /// Options for DVI problem construction.
 struct DviProblemOptions {
   /// Wire-bending extension (post-routing DVI with line-end extension, after
@@ -95,6 +128,15 @@ struct DviResult {
   /// decomposition of the via layers.
   int uncolorable = 0;
   double seconds = 0.0;
+};
+
+/// A DVI pass's choices with the locations they insert at.  Every solver's
+/// output extends it.
+struct DviSolution {
+  DviResult result;
+  /// Locations of the inserted redundant vias, parallel to result.inserted;
+  /// entry i is meaningful only when result.inserted[i] >= 0.
+  std::vector<grid::Point> inserted_at;
 };
 
 }  // namespace sadp::core

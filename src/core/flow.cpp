@@ -11,11 +11,9 @@ namespace {
 DviStageOutput run_dvi_heuristic_stage(const DviProblem& problem,
                                        const via::ViaDb& vias,
                                        const FlowConfig& config) {
-  DviHeuristicOutput heuristic =
-      run_dvi_heuristic(problem, vias, config.options.dvi);
   DviStageOutput out;
-  out.result = std::move(heuristic.result);
-  out.inserted_at = std::move(heuristic.inserted_at);
+  static_cast<DviSolution&>(out) =
+      run_dvi_heuristic(problem, vias, config.options.dvi);
   out.status = ilp::SolveStatus::kOptimal;
   return out;
 }
@@ -38,8 +36,7 @@ DviStageOutput run_post_routing_dvi(const via::ViaDb& vias,
       params.time_limit_seconds = config.ilp_time_limit_seconds;
       params.cancel = config.options.cancel;
       DviExactOutput exact = solve_dvi_exact(problem, vias, params);
-      out.result = std::move(exact.result);
-      out.inserted_at = std::move(exact.inserted_at);
+      static_cast<DviSolution&>(out) = std::move(exact);
       out.status = exact.proven_optimal ? ilp::SolveStatus::kOptimal
                                         : ilp::SolveStatus::kFeasible;
       break;
@@ -55,8 +52,7 @@ DviStageOutput run_post_routing_dvi(const via::ViaDb& vias,
       bool solver_failed = false;
       try {
         DviIlpOutput ilp = solve_dvi_ilp(problem, vias, params);
-        out.result = std::move(ilp.result);
-        out.inserted_at = std::move(ilp.inserted_at);
+        static_cast<DviSolution&>(out) = std::move(ilp);
         out.status = ilp.status;
       } catch (const std::exception&) {
         if (!config.degrade_dvi_on_timeout) throw;

@@ -66,11 +66,7 @@ struct FlowConfig {
 };
 
 /// Everything one post-routing DVI stage produces, regardless of solver.
-struct DviStageOutput {
-  DviResult result;
-  /// Locations of the inserted redundant vias, parallel to result.inserted;
-  /// entry i is meaningful only when result.inserted[i] >= 0.
-  std::vector<grid::Point> inserted_at;
+struct DviStageOutput : DviSolution {
   ilp::SolveStatus status = ilp::SolveStatus::kUnknown;
   /// True when the configured solver failed and the stage fell back to the
   /// heuristic (FlowConfig::degrade_dvi_on_timeout).

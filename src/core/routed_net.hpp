@@ -39,17 +39,13 @@ struct MetalKeyHash {
 };
 
 [[nodiscard]] constexpr MetalKey metal_key(int layer, grid::Point p) noexcept {
-  return MetalKey{(static_cast<std::int64_t>(layer) << 48) |
-                  (static_cast<std::int64_t>(static_cast<std::uint32_t>(p.x)) << 24) |
-                  static_cast<std::int64_t>(static_cast<std::uint32_t>(p.y))};
+  return MetalKey{grid::site_key(layer, p)};
 }
-
 [[nodiscard]] constexpr int key_layer(MetalKey k) noexcept {
-  return static_cast<int>(k.v >> 48);
+  return grid::site_layer(k.v);
 }
 [[nodiscard]] constexpr grid::Point key_point(MetalKey k) noexcept {
-  return {static_cast<std::int32_t>((k.v >> 24) & 0xFFFFFF),
-          static_cast<std::int32_t>(k.v & 0xFFFFFF)};
+  return grid::site_point(k.v);
 }
 
 class RoutedNet {

@@ -157,9 +157,7 @@ std::vector<ValidationIssue> check_dvi_solution(
       add_issue(issues, "via " + std::to_string(i) + ": inserted_at mismatch");
     }
     const int layer = problem.vias[static_cast<std::size_t>(i)].via_layer;
-    const std::int64_t key = (static_cast<std::int64_t>(layer) << 48) ^
-                             (static_cast<std::int64_t>(p.x) << 24) ^ p.y;
-    if (!used.insert(key).second) {
+    if (!used.insert(grid::site_key(layer, p)).second) {
       add_issue(issues, "two redundant vias share location " + grid::to_string(p));
     }
     if (router.via_db().has(layer, p)) {

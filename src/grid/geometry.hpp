@@ -50,6 +50,23 @@ struct Point {
   return dx * dx + dy * dy;
 }
 
+/// The one (layer, x, y) packing: bits 48 and up hold the layer, bits 24-47
+/// x and bits 0-23 y.  In-grid points (0 <= x, y < 2^24) pack one to one and
+/// never collide with an off-grid probe; the XOR keeps off-grid keys (window
+/// origins at -1, -2) distinct across layers.
+[[nodiscard]] constexpr std::int64_t site_key(int layer, Point p) noexcept {
+  return (static_cast<std::int64_t>(layer) << 48) ^
+         (static_cast<std::int64_t>(static_cast<std::uint32_t>(p.x)) << 24) ^
+         static_cast<std::int64_t>(static_cast<std::uint32_t>(p.y));
+}
+[[nodiscard]] constexpr int site_layer(std::int64_t key) noexcept {
+  return static_cast<int>(key >> 48);
+}
+[[nodiscard]] constexpr Point site_point(std::int64_t key) noexcept {
+  return {static_cast<std::int32_t>((key >> 24) & 0xFFFFFF),
+          static_cast<std::int32_t>(key & 0xFFFFFF)};
+}
+
 /// Planar direction of a unit step.
 enum class Dir : std::uint8_t { kEast = 0, kWest = 1, kNorth = 2, kSouth = 3, kNone = 4 };
 

@@ -121,7 +121,7 @@ class ComponentSolver {
     root_bound_ = remaining_upper_bound();
     bool any_objective = false;
     for (const double c : obj_) any_objective |= c != 0.0;
-    if (params_.root_lp_bound && any_objective && model_.num_vars() <= 400) {
+    if (any_objective && model_.num_vars() <= 400) {
       const LpResult lp = solve_lp_relaxation(model_, &fixed_);
       if (lp.status == LpResult::Status::kInfeasible) {
         result.status = SolveStatus::kInfeasible;

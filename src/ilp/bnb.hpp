@@ -7,8 +7,9 @@
 //
 //  * bound propagation: min/max-activity reasoning fixes forced variables
 //    and prunes infeasible subtrees,
-//  * dual bound: sum of remaining positive objective coefficients, optionally
-//    tightened by an LP relaxation at the component root,
+//  * dual bound: sum of remaining positive objective coefficients, tightened
+//    by an LP relaxation at the root of every component of up to 400
+//    variables,
 //  * branching: highest |objective coefficient| first, objective-improving
 //    value first.
 //
@@ -32,8 +33,6 @@ struct BnbParams {
   /// component, then every 256th).  When it fires the solver returns its
   /// incumbent as kFeasible, exactly like hitting the node or time limit.
   util::CancelToken cancel;
-  /// Solve an LP relaxation at each component root to tighten the bound.
-  bool root_lp_bound = true;
   /// Optional feasible assignment (one 0/1 value per model variable) used
   /// as the initial incumbent; infeasible warm starts are ignored.
   const std::vector<int>* warm_start = nullptr;

@@ -1,59 +1,32 @@
 #include "ilp/components.hpp"
 
-#include <algorithm>
-#include <numeric>
+#include <utility>
+
+#include "util/union_find.hpp"
 
 namespace sadp::ilp {
 
-namespace {
-
-class UnionFind {
- public:
-  explicit UnionFind(int n) : parent_(static_cast<std::size_t>(n)) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-  int find(int x) {
-    while (parent_[static_cast<std::size_t>(x)] != x) {
-      parent_[static_cast<std::size_t>(x)] =
-          parent_[static_cast<std::size_t>(parent_[static_cast<std::size_t>(x)])];
-      x = parent_[static_cast<std::size_t>(x)];
-    }
-    return x;
-  }
-  void unite(int a, int b) { parent_[static_cast<std::size_t>(find(a))] = find(b); }
-
- private:
-  std::vector<int> parent_;
-};
-
-}  // namespace
-
 std::vector<ModelComponent> split_components(const Model& model) {
   const int n = model.num_vars();
-  UnionFind uf(n);
+  util::UnionFind uf(n);
   for (const auto& c : model.constraints()) {
     for (std::size_t i = 1; i < c.terms.size(); ++i) {
       uf.unite(c.terms[0].var, c.terms[i].var);
     }
   }
 
-  // Roots in first-seen order for deterministic output.
+  // Components in first-seen order, variables ascending: deterministic
+  // output.
   std::vector<int> comp_of(static_cast<std::size_t>(n), -1);
-  std::vector<ModelComponent> comps;
-  for (int v = 0; v < n; ++v) {
-    const int root = uf.find(v);
-    if (comp_of[static_cast<std::size_t>(root)] < 0) {
-      comp_of[static_cast<std::size_t>(root)] = static_cast<int>(comps.size());
-      comps.emplace_back();
-    }
-    comp_of[static_cast<std::size_t>(v)] = comp_of[static_cast<std::size_t>(root)];
-  }
-
   std::vector<int> local_of(static_cast<std::size_t>(n), -1);
-  for (int v = 0; v < n; ++v) {
-    auto& comp = comps[static_cast<std::size_t>(comp_of[static_cast<std::size_t>(v)])];
-    local_of[static_cast<std::size_t>(v)] = comp.model.add_var(model.var_name(v));
-    comp.global_var.push_back(v);
+  std::vector<ModelComponent> comps;
+  for (std::vector<int>& group : uf.groups()) {
+    ModelComponent& comp = comps.emplace_back();
+    for (const int v : group) {
+      comp_of[static_cast<std::size_t>(v)] = static_cast<int>(comps.size()) - 1;
+      local_of[static_cast<std::size_t>(v)] = comp.model.add_var(model.var_name(v));
+    }
+    comp.global_var = std::move(group);
   }
 
   // Objective per component.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/union_find.hpp"
+
 namespace sadp::litho {
 
 int axis_gap(int a_lo, int a_hi, int b_lo, int b_hi) noexcept {
@@ -30,29 +32,6 @@ std::string DrcViolation::to_string() const {
   return "min-spacing " + rect_str(a) + " vs " + rect_str(b);
 }
 
-namespace {
-
-/// Union-find used to group touching/overlapping rects into one pattern.
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
-    for (std::size_t i = 0; i < n; ++i) parent_[i] = i;
-  }
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
-
- private:
-  std::vector<std::size_t> parent_;
-};
-
-}  // namespace
-
 std::vector<DrcViolation> check_mask(const Mask& mask, int min_width,
                                      int min_spacing) {
   std::vector<DrcViolation> out;
@@ -74,13 +53,15 @@ std::vector<DrcViolation> check_mask(const Mask& mask, int min_width,
     return rects[a].lo_x < rects[b].lo_x;
   });
 
-  UnionFind groups(rects.size());
+  util::UnionFind groups(static_cast<int>(rects.size()));
   for (std::size_t ii = 0; ii < order.size(); ++ii) {
     const auto i = order[ii];
     for (std::size_t jj = ii + 1; jj < order.size(); ++jj) {
       const auto j = order[jj];
       if (rects[j].lo_x - rects[i].hi_x >= min_spacing) break;
-      if (rect_spacing(rects[i], rects[j]) == 0) groups.unite(i, j);
+      if (rect_spacing(rects[i], rects[j]) == 0) {
+        groups.unite(static_cast<int>(i), static_cast<int>(j));
+      }
     }
   }
   for (std::size_t ii = 0; ii < order.size(); ++ii) {
@@ -88,7 +69,9 @@ std::vector<DrcViolation> check_mask(const Mask& mask, int min_width,
     for (std::size_t jj = ii + 1; jj < order.size(); ++jj) {
       const auto j = order[jj];
       if (rects[j].lo_x - rects[i].hi_x >= min_spacing) break;
-      if (groups.find(i) == groups.find(j)) continue;
+      if (groups.find(static_cast<int>(i)) == groups.find(static_cast<int>(j))) {
+        continue;
+      }
       const int spacing = rect_spacing(rects[i], rects[j]);
       if (spacing > 0 && spacing < min_spacing) {
         out.push_back({DrcViolation::Kind::kMinSpacing, rects[i], rects[j]});

@@ -1,5 +1,7 @@
 #include "util/cancel.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 
@@ -10,18 +12,18 @@ CancelToken CancelToken::cancellable() {
 }
 
 CancelToken CancelToken::with_deadline(double seconds) {
-  auto state = std::make_shared<State>();
-  state->has_deadline = true;
-  state->deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                       std::chrono::duration<double>(seconds));
-  return CancelToken(std::move(state));
+  return CancelToken().child_with_deadline(seconds);
 }
 
 CancelToken CancelToken::child_with_deadline(double seconds) const {
+  // Saturate before the tick cast, which is undefined past int64.
+  const double bounded =
+      std::isnan(seconds) ? kMaxDeadlineSeconds
+                          : std::clamp(seconds, 0.0, kMaxDeadlineSeconds);
   auto state = std::make_shared<State>();
   state->has_deadline = true;
   state->deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                       std::chrono::duration<double>(seconds));
+                                       std::chrono::duration<double>(bounded));
   state->parent = state_;
   return CancelToken(std::move(state));
 }

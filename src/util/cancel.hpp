@@ -27,6 +27,19 @@
 
 namespace sadp::util {
 
+/// The longest deadline in seconds (1e9 s, about 31.7 years).  Requests
+/// and the CLI reject larger or non-finite deadlines, and tokens saturate
+/// here, so now() plus a deadline always fits steady_clock's int64 ticks
+/// (about 292 years of nanoseconds).
+inline constexpr double kMaxDeadlineSeconds = 1e9;
+/// The accepted range, as rejections state it.
+inline constexpr const char* kDeadlineRange = "must be in [0, 1e9] seconds";
+
+/// True for a deadline requests and the CLI accept; false for NaN.
+[[nodiscard]] constexpr bool deadline_in_range(double seconds) noexcept {
+  return seconds >= 0.0 && seconds <= kMaxDeadlineSeconds;
+}
+
 enum class StopReason : std::uint8_t {
   kNone = 0,   ///< not stopped
   kCancelled,  ///< request_cancel() was called (on this token or an ancestor)
@@ -42,11 +55,13 @@ class CancelToken {
   [[nodiscard]] static CancelToken cancellable();
 
   /// A fresh token that stops `seconds` from now (and on request_cancel()).
+  /// `seconds` saturates to [0, kMaxDeadlineSeconds]; NaN reads as the
+  /// ceiling.
   [[nodiscard]] static CancelToken with_deadline(double seconds);
 
   /// A child that stops when this token stops OR when its own deadline
-  /// (`seconds` from now) passes.  Works on stateless tokens too: the child
-  /// is then a fresh root.
+  /// (`seconds` from now, saturated as above) passes.  Works on stateless
+  /// tokens too: the child is then a fresh root.
   [[nodiscard]] CancelToken child_with_deadline(double seconds) const;
 
   /// A child with no deadline of its own; stops with this token or on its

@@ -1,36 +1,14 @@
 #include "via/decomp_graph.hpp"
 
-#include <algorithm>
 #include <unordered_map>
 
 namespace sadp::via {
 
-namespace {
-/// Key for a spatial hash bucket.
-[[nodiscard]] std::int64_t cell_key(int layer, grid::Point p) {
-  return (static_cast<std::int64_t>(layer) << 48) ^
-         (static_cast<std::int64_t>(static_cast<std::uint32_t>(p.x)) << 24) ^
-         static_cast<std::int64_t>(static_cast<std::uint32_t>(p.y));
-}
-}  // namespace
-
-DecompGraph DecompGraph::build(const ViaDb& db, int via_layer) {
-  DecompGraph g;
-  g.add_vertices_for_layer(db, via_layer);
-  g.connect_conflicts();
-  return g;
-}
-
 DecompGraph DecompGraph::build_all_layers(const ViaDb& db) {
   DecompGraph g;
-  for (int v = 1; v <= db.num_via_layers(); ++v) g.add_vertices_for_layer(db, v);
-  g.connect_conflicts();
-  return g;
-}
-
-DecompGraph DecompGraph::from_points(const std::vector<grid::Point>& points) {
-  DecompGraph g;
-  g.add_vertices(points, 1);
+  for (int v = 1; v <= db.num_via_layers(); ++v) {
+    for (const grid::Point p : db.locations(v)) g.add_vertex(p, v);
+  }
   g.connect_conflicts();
   return g;
 }
@@ -38,52 +16,30 @@ DecompGraph DecompGraph::from_points(const std::vector<grid::Point>& points) {
 DecompGraph DecompGraph::from_located(
     const std::vector<std::pair<grid::Point, int>>& located) {
   DecompGraph g;
-  for (const auto& [p, layer] : located) {
-    g.point_.push_back(p);
-    g.layer_.push_back(layer);
-    g.adj_.emplace_back();
-  }
+  for (const auto& [p, layer] : located) g.add_vertex(p, layer);
   g.connect_conflicts();
   return g;
 }
 
-void DecompGraph::add_vertices_for_layer(const ViaDb& db, int via_layer) {
-  add_vertices(db.locations(via_layer), via_layer);
-}
-
-void DecompGraph::add_vertices(const std::vector<grid::Point>& points, int via_layer) {
-  for (const auto& p : points) {
-    point_.push_back(p);
-    layer_.push_back(via_layer);
-    adj_.emplace_back();
-  }
+void DecompGraph::add_vertex(grid::Point p, int via_layer) {
+  point_.push_back(p);
+  layer_.push_back(via_layer);
+  adj_.emplace_back();
 }
 
 void DecompGraph::connect_conflicts() {
-  // Rebuild all edges from scratch: hash every vertex, then probe the 5x5
-  // neighborhood (conflict radius < sqrt(8) < 3).
-  for (auto& a : adj_) a.clear();
-  num_edges_ = 0;
-
+  // Hash every vertex by site, then probe its conflict neighbourhood.
   std::unordered_map<std::int64_t, int> at;
   at.reserve(point_.size() * 2);
-  for (int v = 0; v < num_vertices(); ++v) at[cell_key(layer_[v], point_[v])] = v;
-
+  for (int v = 0; v < num_vertices(); ++v) at[grid::site_key(layer_[v], point_[v])] = v;
   for (int v = 0; v < num_vertices(); ++v) {
-    const grid::Point p = point_[v];
-    for (int dy = -2; dy <= 2; ++dy) {
-      for (int dx = -2; dx <= 2; ++dx) {
-        const grid::Point q{p.x + dx, p.y + dy};
-        if (!vias_conflict(p, q)) continue;
-        const auto it = at.find(cell_key(layer_[v], q));
-        if (it == at.end()) continue;
-        const int u = it->second;
-        if (u > v) {
-          adj_[v].push_back(u);
-          adj_[u].push_back(v);
-          ++num_edges_;
-        }
-      }
+    for (const grid::Point d : kConflictOffsets) {
+      const auto it = at.find(grid::site_key(layer_[v], point_[v] + d));
+      if (it == at.end() || it->second <= v) continue;
+      const int u = it->second;
+      adj_[v].push_back(u);
+      adj_[u].push_back(v);
+      ++num_edges_;
     }
   }
 }

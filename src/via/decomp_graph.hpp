@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "grid/geometry.hpp"
@@ -17,16 +18,10 @@ namespace sadp::via {
 /// Adjacency-list graph over the vias of one or more via layers.
 class DecompGraph {
  public:
-  /// Build the decomposition graph of a single via layer.
-  static DecompGraph build(const ViaDb& db, int via_layer);
-
   /// Build one graph spanning all via layers (layers are independent; the
   /// combined graph is simply their disjoint union, convenient for a single
-  /// coloring call).
+  /// coloring call).  Vertices run layer by layer in row-major order.
   static DecompGraph build_all_layers(const ViaDb& db);
-
-  /// Build from an explicit list of same-layer via locations.
-  static DecompGraph from_points(const std::vector<grid::Point>& points);
 
   /// Build from explicit (location, via layer) pairs; vertex i corresponds
   /// to input element i.  Locations must be unique per layer.
@@ -49,8 +44,7 @@ class DecompGraph {
   [[nodiscard]] std::vector<std::vector<int>> components() const;
 
  private:
-  void add_vertices_for_layer(const ViaDb& db, int via_layer);
-  void add_vertices(const std::vector<grid::Point>& points, int via_layer);
+  void add_vertex(grid::Point p, int via_layer);
   void connect_conflicts();
 
   std::vector<std::vector<int>> adj_;

@@ -46,6 +46,17 @@ inline constexpr int kNumWindowMasks = 512;
   return d > 0 && d < 8;
 }
 
+/// Offsets q - p of the 20 locations q that vias_conflict(p, q) admits, in
+/// dy-then-dx order (a row-major scan of the 5x5 neighbourhood).  Graph
+/// adjacency, the C5-C7 rows and the TPLC deposits follow this order.
+inline constexpr std::array<grid::Point, 20> kConflictOffsets = {{
+    {-1, -2}, {0, -2}, {1, -2},
+    {-2, -1}, {-1, -1}, {0, -1}, {1, -1}, {2, -1},
+    {-2, 0}, {-1, 0}, {1, 0}, {2, 0},
+    {-2, 1}, {-1, 1}, {0, 1}, {1, 1}, {2, 1},
+    {-1, 2}, {0, 2}, {1, 2},
+}};
+
 /// True when the 3x3 via pattern `mask` is *not* 3-colorable, i.e. is a
 /// forbidden via pattern.  O(1) table lookup.
 [[nodiscard]] bool is_fvp(WindowMask mask) noexcept;

@@ -116,15 +116,6 @@ void ViaDb::remove(int via_layer, grid::Point p) {
   if (c == 0) update_windows_around(via_layer, p);
 }
 
-int ViaDb::occupied_count(int via_layer) const {
-  int n = 0;
-  const std::size_t base = static_cast<std::size_t>(via_layer - 1) * width_ * height_;
-  for (std::size_t i = 0; i < static_cast<std::size_t>(width_) * height_; ++i) {
-    if (count_[base + i] > 0) ++n;
-  }
-  return n;
-}
-
 std::vector<grid::Point> ViaDb::locations(int via_layer) const {
   std::vector<grid::Point> out;
   for (int y = 0; y < height_; ++y) {
@@ -188,26 +179,11 @@ std::vector<FvpWindow> ViaDb::scan_all_fvps() const {
 
 int ViaDb::conflict_count(int via_layer, grid::Point p) const {
   int n = 0;
-  for (int dy = -2; dy <= 2; ++dy) {
-    for (int dx = -2; dx <= 2; ++dx) {
-      const grid::Point q{p.x + dx, p.y + dy};
-      if (!in_bounds(q) || !vias_conflict(p, q)) continue;
-      if (has(via_layer, q)) ++n;
-    }
+  for (const grid::Point d : kConflictOffsets) {
+    const grid::Point q = p + d;
+    if (in_bounds(q) && has(via_layer, q)) ++n;
   }
   return n;
-}
-
-std::vector<grid::Point> ViaDb::conflicting_vias(int via_layer, grid::Point p) const {
-  std::vector<grid::Point> out;
-  for (int dy = -2; dy <= 2; ++dy) {
-    for (int dx = -2; dx <= 2; ++dx) {
-      const grid::Point q{p.x + dx, p.y + dy};
-      if (!in_bounds(q) || !vias_conflict(p, q)) continue;
-      if (has(via_layer, q)) out.push_back(q);
-    }
-  }
-  return out;
 }
 
 }  // namespace sadp::via

@@ -52,9 +52,6 @@ class ViaDb {
     return count_[slot(via_layer, p)] > 0;
   }
 
-  /// Total number of distinct occupied via locations on a layer.
-  [[nodiscard]] int occupied_count(int via_layer) const;
-
   /// All occupied via locations of a layer.
   [[nodiscard]] std::vector<grid::Point> locations(int via_layer) const;
 
@@ -106,11 +103,6 @@ class ViaDb {
   /// (excluding a via at p itself).  This is the multiplier of the TPLC
   /// penalty gamma * (#coloring conflicts).
   [[nodiscard]] int conflict_count(int via_layer, grid::Point p) const;
-
-  /// Occupied via locations within same-color pitch of p (the "coloring
-  /// conflicts" of the paper), excluding p itself.
-  [[nodiscard]] std::vector<grid::Point> conflicting_vias(int via_layer,
-                                                          grid::Point p) const;
 
  private:
   void check_slot(int via_layer, grid::Point p, const char* op) const;

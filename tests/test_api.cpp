@@ -2,6 +2,7 @@
 // shared dispatch path every front end (CLI, daemon, client) goes through.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -283,6 +284,39 @@ TEST(FlowApi, IntegerFieldsMustBeExactAndInRange) {
     EXPECT_FALSE(api::parse_request(bad, &error).has_value()) << bad;
     EXPECT_NE(error.find("must be an integer"), std::string::npos) << error;
   }
+
+  // Both deadline members are bounded as well: finite, and at most the
+  // ceiling that keeps the token's tick cast in range.  "1e400" parses to
+  // +inf; NaN fails every comparison, so only an explicit range check
+  // catches it.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double seconds :
+       {1e30, inf, std::numeric_limits<double>::quiet_NaN(),
+        util::kMaxDeadlineSeconds * 10, util::kMaxDeadlineSeconds}) {
+    const bool accepted = seconds == util::kMaxDeadlineSeconds;
+    api::FlowRequest job_deadline = tiny_request();
+    job_deadline.jobs[0].deadline_seconds = seconds;
+    api::FlowRequest batch_deadline = tiny_request();
+    batch_deadline.batch_deadline_seconds = seconds;
+    for (const api::FlowRequest& edited : {job_deadline, batch_deadline}) {
+      const util::Status valid = api::validate(edited);
+      EXPECT_EQ(valid.is_ok(), accepted) << seconds;
+      if (!accepted) {
+        EXPECT_NE(valid.message().find("deadline must be in [0, 1e9] seconds"),
+                  std::string::npos)
+            << valid.message();
+      }
+    }
+  }
+  const auto huge = api::parse_request(
+      R"({"schema":"sadp.flow_request.v1","batch_deadline":1e400,)"
+      R"("jobs":[{"benchmark":"ecc","deadline":1e400}]})",
+      &error);
+  ASSERT_TRUE(huge.has_value()) << error;
+  EXPECT_EQ(huge->batch_deadline_seconds, inf);
+  EXPECT_EQ(api::validate(*huge).code(), util::StatusCode::kInvalidInput);
+  EXPECT_EQ(api::validate_job(huge->jobs[0], "job 0").code(),
+            util::StatusCode::kInvalidInput);
 
   // Response lines: counts are non-negative, ids fit an int.
   const std::string prefix = R"({"schema":"sadp.flow_response.v1",)";

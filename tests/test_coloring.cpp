@@ -2,6 +2,10 @@
 // including randomized Welsh-Powell vs exact cross-checks.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "util/rng.hpp"
 #include "via/coloring.hpp"
 #include "via/decomp_graph.hpp"
@@ -10,9 +14,16 @@
 namespace sadp::via {
 namespace {
 
+/// The decomposition graph of `points`, all on via layer 1.
+DecompGraph layer1_graph(const std::vector<grid::Point>& points) {
+  std::vector<std::pair<grid::Point, int>> located;
+  for (const grid::Point p : points) located.push_back({p, 1});
+  return DecompGraph::from_located(located);
+}
+
 TEST(DecompGraph, EdgesMatchConflictPredicate) {
   const std::vector<grid::Point> points = {{0, 0}, {1, 0}, {2, 2}, {5, 5}, {6, 6}};
-  const DecompGraph graph = DecompGraph::from_points(points);
+  const DecompGraph graph = layer1_graph(points);
   ASSERT_EQ(graph.num_vertices(), 5);
 
   auto connected = [&](int a, int b) {
@@ -44,14 +55,14 @@ TEST(DecompGraph, LayersAreIndependent) {
 
 TEST(DecompGraph, Components) {
   const std::vector<grid::Point> points = {{0, 0}, {1, 0}, {10, 10}, {11, 10}};
-  const DecompGraph graph = DecompGraph::from_points(points);
+  const DecompGraph graph = layer1_graph(points);
   const auto comps = graph.components();
   ASSERT_EQ(comps.size(), 2u);
   EXPECT_EQ(comps[0].size() + comps[1].size(), 4u);
 }
 
 TEST(Coloring, TriangleNeedsThreeColors) {
-  const DecompGraph graph = DecompGraph::from_points({{0, 0}, {1, 0}, {0, 1}});
+  const DecompGraph graph = layer1_graph({{0, 0}, {1, 0}, {0, 1}});
   const ColoringResult result = welsh_powell(graph);
   EXPECT_TRUE(result.complete());
   EXPECT_TRUE(is_proper_coloring(graph, result.color));
@@ -61,8 +72,7 @@ TEST(Coloring, TriangleNeedsThreeColors) {
 }
 
 TEST(Coloring, K4IsUncolorable) {
-  const DecompGraph graph =
-      DecompGraph::from_points({{0, 0}, {1, 0}, {0, 1}, {1, 1}});
+  const DecompGraph graph = layer1_graph({{0, 0}, {1, 0}, {0, 1}, {1, 1}});
   const ColoringResult result = welsh_powell(graph);
   EXPECT_FALSE(result.complete());
   EXPECT_FALSE(three_colorable(graph));
@@ -73,7 +83,7 @@ TEST(Coloring, K4IsUncolorable) {
 // smaller budget must fail however it runs out (a rejected try that spent
 // the last step once wrapped the budget and dropped the guard).
 TEST(Coloring, ExactColoringHonorsItsBudget) {
-  const DecompGraph graph = DecompGraph::from_points({{0, 0}, {1, 0}, {0, 1}});
+  const DecompGraph graph = layer1_graph({{0, 0}, {1, 0}, {0, 1}});
   for (std::size_t budget = 0; budget < 6; ++budget) {
     EXPECT_FALSE(exact_three_coloring(graph, budget).has_value()) << budget;
   }
@@ -85,7 +95,7 @@ TEST(Coloring, ExactColoringHonorsItsBudget) {
 }
 
 TEST(Coloring, ExtendRespectsFixedColors) {
-  const DecompGraph graph = DecompGraph::from_points({{0, 0}, {1, 0}, {0, 1}});
+  const DecompGraph graph = layer1_graph({{0, 0}, {1, 0}, {0, 1}});
   std::vector<int> seed = {2, kUncolored, kUncolored};
   const ColoringResult result = welsh_powell_extend(graph, seed);
   EXPECT_TRUE(result.complete());
@@ -94,7 +104,7 @@ TEST(Coloring, ExtendRespectsFixedColors) {
 }
 
 TEST(Coloring, ProperColoringValidator) {
-  const DecompGraph graph = DecompGraph::from_points({{0, 0}, {1, 0}});
+  const DecompGraph graph = layer1_graph({{0, 0}, {1, 0}});
   EXPECT_TRUE(is_proper_coloring(graph, {0, 1}));
   EXPECT_FALSE(is_proper_coloring(graph, {1, 1}));
   EXPECT_TRUE(is_proper_coloring(graph, {kUncolored, 1}));
@@ -112,7 +122,7 @@ TEST(Coloring, WheelLikePatternFvpFreeButUncolorable) {
   ViaDb db(5, 5, 1);
   for (const auto& p : pattern) db.add(1, p);
   ASSERT_TRUE(db.scan_fvps(1).empty()) << "pattern must be FVP-free";
-  const DecompGraph graph = DecompGraph::build(db, 1);
+  const DecompGraph graph = DecompGraph::build_all_layers(db);
   EXPECT_FALSE(three_colorable(graph));
   EXPECT_FALSE(welsh_powell(graph).complete());
 }
@@ -127,7 +137,7 @@ TEST_P(ColoringRandom, WelshPowellNeverBeatsExact) {
                         static_cast<int>(rng.below(16))};
     if (!db.has(1, p)) db.add(1, p);
   }
-  const DecompGraph graph = DecompGraph::build(db, 1);
+  const DecompGraph graph = DecompGraph::build_all_layers(db);
   const ColoringResult greedy = welsh_powell(graph);
   EXPECT_TRUE(is_proper_coloring(graph, greedy.color));
   const bool exact = three_colorable(graph);
@@ -162,7 +172,7 @@ TEST(Coloring, FvpFreeRandomSetsAreUsuallyColorable) {
       if (!db.has(1, p) && !db.would_create_fvp(1, p)) db.add(1, p);
     }
     ASSERT_TRUE(db.scan_fvps(1).empty());
-    const DecompGraph graph = DecompGraph::build(db, 1);
+    const DecompGraph graph = DecompGraph::build_all_layers(db);
     colorable += three_colorable(graph, /*budget=*/2'000'000) ? 1 : 0;
   }
   EXPECT_GE(colorable, kSeeds - 2);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <ostream>
@@ -308,6 +309,66 @@ TEST(DviExact, ProvesTheOptimumOnScaledEfc) {
   EXPECT_TRUE(check_dvi_solution(*d.router, d.problem, out.result.inserted,
                                  out.inserted_at)
                   .empty());
+}
+
+/// Text of an ILP model: every variable name, the objective, and each
+/// constraint's sense, rhs and terms in emission order.
+std::string model_text(const ilp::Model& model) {
+  std::string text;
+  char number[32];
+  const auto add_number = [&](double x) {
+    std::snprintf(number, sizeof number, "%.17g ", x);
+    text += number;
+  };
+  for (int v = 0; v < model.num_vars(); ++v) text += model.var_name(v) + ' ';
+  for (const double c : model.objective()) add_number(c);
+  text += model.maximize() ? "max\n" : "min\n";
+  for (const ilp::Constraint& c : model.constraints()) {
+    text += std::to_string(static_cast<int>(c.sense)) + ' ';
+    add_number(c.rhs);
+    for (const ilp::LinTerm& t : c.terms) {
+      text += std::to_string(t.var) + ':';
+      add_number(t.coef);
+    }
+    text += '\n';
+  }
+  return text;
+}
+
+/// Insertion choices joined with commas (-1 for none).
+std::string choice_text(const std::vector<int>& inserted) {
+  std::string text;
+  for (const int k : inserted) text += std::to_string(k) + ',';
+  return text;
+}
+
+// Routed ecc_s with DVI and TPL on, recorded before the TPL check and the
+// three solvers shared one site key, one conflict neighbourhood, one DVIC
+// map and one union-find.  The C2 rows and the window cuts iterate the
+// DVIC map, and ilp::bnb gives each variable to the first unit clique that
+// holds it, so a reordered map or neighbourhood changes this text.
+TEST(DviIlp, ModelOnScaledEccIsPinned) {
+  const RoutedDesign d(*netlist::spec_for("ecc_s", true));
+  ASSERT_TRUE(d.routed_all);
+  const ilp::Model model = build_dvi_ilp(d.problem).model;
+  EXPECT_EQ(model.num_vars(), 36752);
+  EXPECT_EQ(model.num_constraints(), 51281);
+  EXPECT_EQ(util::crc32(model_text(model)), 19537197u);
+}
+
+// Both solvers' choices on the same problem, recorded with the model pin.
+TEST(DviExact, ChoicesOnScaledEccArePinned) {
+  const RoutedDesign d(*netlist::spec_for("ecc_s", true));
+  ASSERT_TRUE(d.routed_all);
+  const DviHeuristicOutput heuristic =
+      run_dvi_heuristic(d.problem, d.router->via_db(), DviParams{});
+  EXPECT_EQ(heuristic.result.dead_vias, 24);
+  EXPECT_EQ(util::crc32(choice_text(heuristic.result.inserted)), 220180951u);
+  const DviExactOutput exact = solve_dvi_exact(d.problem, d.router->via_db());
+  EXPECT_TRUE(exact.proven_optimal);
+  EXPECT_EQ(exact.nodes, 1677u);
+  EXPECT_EQ(exact.result.dead_vias, 8);
+  EXPECT_EQ(util::crc32(choice_text(exact.result.inserted)), 1664417971u);
 }
 
 TEST(DviHeuristic, ProtectsIsolatedVia) {

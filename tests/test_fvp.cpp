@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <vector>
 
 #include "via/fvp.hpp"
 #include "via/via_db.hpp"
@@ -103,6 +104,19 @@ TEST(FvpConflict, OutsideWindowNeverConflicts) {
   EXPECT_FALSE(vias_conflict({0, 0}, {3, 0}));
   EXPECT_FALSE(vias_conflict({0, 0}, {0, 3}));
   EXPECT_FALSE(vias_conflict({0, 0}, {3, 3}));
+}
+
+// The one conflict neighbourhood is the filtered 5x5 loop it replaced, in
+// the same dy-then-dx order: adjacency lists and cost deposits follow it.
+TEST(FvpConflict, ConflictOffsetsAreTheFilteredWindowInScanOrder) {
+  std::vector<grid::Point> scanned;
+  for (int dy = -2; dy <= 2; ++dy) {
+    for (int dx = -2; dx <= 2; ++dx) {
+      if (vias_conflict({0, 0}, {dx, dy})) scanned.push_back({dx, dy});
+    }
+  }
+  EXPECT_EQ(std::vector<grid::Point>(kConflictOffsets.begin(), kConflictOffsets.end()),
+            scanned);
 }
 
 // --- ViaDb-level FVP queries -------------------------------------------------

@@ -16,6 +16,31 @@ TEST(Geometry, Distances) {
   EXPECT_EQ(sq_dist({1, 1}, {3, 2}), 5);
 }
 
+// The one site key equals both packings it replaced on in-grid points: the
+// metal map's OR form and the via modules' XOR form.
+TEST(Geometry, SiteKeyMatchesTheOldPackingsAndRoundTrips) {
+  const auto or_key = [](int layer, Point p) {
+    return (static_cast<std::int64_t>(layer) << 48) |
+           (static_cast<std::int64_t>(static_cast<std::uint32_t>(p.x)) << 24) |
+           static_cast<std::int64_t>(static_cast<std::uint32_t>(p.y));
+  };
+  const auto xor_key = [](int layer, Point p) {
+    return (static_cast<std::int64_t>(layer) << 48) ^
+           (static_cast<std::int64_t>(static_cast<std::uint32_t>(p.x)) << 24) ^
+           static_cast<std::int64_t>(static_cast<std::uint32_t>(p.y));
+  };
+  for (const int layer : {1, 2, 5, 31}) {
+    for (const Point p : {Point{0, 0}, Point{1, 0}, Point{0, 1}, Point{123, 456},
+                          Point{4095, 17}, Point{0xFFFFFE, 0xFFFFFE}}) {
+      const std::int64_t key = site_key(layer, p);
+      EXPECT_EQ(key, or_key(layer, p));
+      EXPECT_EQ(key, xor_key(layer, p));
+      EXPECT_EQ(site_layer(key), layer);
+      EXPECT_EQ(site_point(key), p);
+    }
+  }
+}
+
 TEST(Geometry, DirectionHelpers) {
   EXPECT_TRUE(is_horizontal(Dir::kEast));
   EXPECT_TRUE(is_vertical(Dir::kSouth));

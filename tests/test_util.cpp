@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "util/args.hpp"
 #include "util/cancel.hpp"
@@ -12,6 +14,7 @@
 #include "util/stats.hpp"
 #include "util/status.hpp"
 #include "util/table.hpp"
+#include "util/union_find.hpp"
 #include "util/zero_array.hpp"
 
 namespace sadp::util {
@@ -385,12 +388,45 @@ TEST(CancelToken, ChildInheritsParentCancellation) {
   EXPECT_FALSE(quiet.stop_requested());
 }
 
+// A deadline past the tick range saturates at the ceiling instead of
+// overflowing the cast (a float-cast-overflow report without the clamp).
+TEST(CancelToken, HugeDeadlinesSaturateAtTheCeiling) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double seconds : {1e30, inf, nan, kMaxDeadlineSeconds * 10}) {
+    for (const CancelToken& token :
+         {CancelToken::with_deadline(seconds),
+          CancelToken::cancellable().child_with_deadline(seconds)}) {
+      EXPECT_FALSE(token.stop_requested()) << seconds;
+      EXPECT_LE(token.seconds_remaining(), kMaxDeadlineSeconds) << seconds;
+      EXPECT_GT(token.seconds_remaining(), kMaxDeadlineSeconds - 60) << seconds;
+    }
+  }
+  // Below zero saturates at zero: the deadline has passed.
+  EXPECT_TRUE(CancelToken::with_deadline(-1e30).stop_requested());
+}
+
 TEST(CancelToken, ChildDeadlineTightensButNeverLoosens) {
   const CancelToken parent = CancelToken::with_deadline(0.0);
   const CancelToken child = parent.child_with_deadline(3600.0);
   // The parent's already-expired deadline wins over the child's slack one.
   EXPECT_TRUE(child.stop_requested());
   EXPECT_EQ(child.reason(), StopReason::kDeadline);
+}
+
+// Groups come out in first-seen order (by smallest member), each one
+// ascending: both component splits rely on that order.
+TEST(UnionFind, GroupsInFirstSeenOrderWithAscendingMembers) {
+  UnionFind uf(8);
+  uf.unite(6, 1);
+  uf.unite(4, 7);
+  uf.unite(7, 0);
+  uf.unite(3, 6);
+  EXPECT_EQ(uf.find(1), uf.find(3));
+  EXPECT_NE(uf.find(1), uf.find(0));
+  const std::vector<std::vector<int>> want = {{0, 4, 7}, {1, 3, 6}, {2}, {5}};
+  EXPECT_EQ(uf.groups(), want);
+  EXPECT_TRUE(UnionFind(0).groups().empty());
 }
 
 }  // namespace

@@ -128,25 +128,27 @@ int main(int argc, char** argv) {
       "SADP routing service: sadp.flow_request.v1 batches over loopback TCP, "
       "routed here or, with --backends, forwarded to a fleet of daemons");
   parser.add_int("--port", &port,
-                 "TCP port on 127.0.0.1 (0 = ephemeral, printed on startup)",
+                 "TCP port on 127.0.0.1, 0-65535 (0 = ephemeral, printed on "
+                 "startup)",
                  "P");
   parser.add_string("--backends", &backends,
                     "front a fleet: forward each request to the least-loaded "
                     "of these daemons",
                     "H:P,...");
   parser.add_int("--workers", &daemon.pool_workers,
-                 "daemon: shared worker pool size (0 = all cores)", "N");
+                 "daemon: shared worker pool size, >= 0 (0 = all cores)", "N");
   parser.add_int("--max-requests", &daemon.max_requests,
-                 "daemon: admission bound; further requests get "
+                 "daemon: admission bound, >= 1; further requests get "
                  "resource_exhausted",
                  "N");
   parser.add_int("--cache-entries", &cache_entries,
                  "daemon: result cache capacity in entries (0 = disabled)",
                  "N");
   parser.add_int("--probe-interval-ms", &front.probe_interval_ms,
-                 "front: stats-probe cadence", "MS");
+                 "front: stats-probe cadence, >= 1", "MS");
   parser.add_int("--stale-after-ms", &front.stale_after_ms,
-                 "front: probe age beyond which a backend is considered dead",
+                 "front: probe age beyond which a backend is considered "
+                 "dead, >= 1",
                  "MS");
   parser.add_flag("--quiet", &quiet, "suppress per-request log lines");
   parser.add_string("--trace", &trace_path,
@@ -175,13 +177,25 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (daemon.max_requests < 1) {
-    std::fprintf(stderr, "--max-requests must be >= 1\n");
+  if (port < 0 || port > 65535) {
+    std::fprintf(stderr, "--port must be in [0, 65535], got %d\n", port);
     return 2;
   }
-  if (cache_entries < 0) {
-    std::fprintf(stderr, "--cache-entries must be >= 0\n");
-    return 2;
+  struct Floor {
+    const char* flag;
+    int value;
+    int min;
+  };
+  const Floor floors[] = {{"--workers", daemon.pool_workers, 0},
+                          {"--max-requests", daemon.max_requests, 1},
+                          {"--cache-entries", cache_entries, 0},
+                          {"--probe-interval-ms", front.probe_interval_ms, 1},
+                          {"--stale-after-ms", front.stale_after_ms, 1}};
+  for (const Floor& bound : floors) {
+    if (bound.value < bound.min) {
+      std::fprintf(stderr, "%s must be >= %d\n", bound.flag, bound.min);
+      return 2;
+    }
   }
   daemon.cache_entries = static_cast<std::size_t>(cache_entries);
   front.backends = util::split_list(backends, ',');

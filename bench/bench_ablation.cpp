@@ -148,8 +148,7 @@ int main(int argc, char** argv) {
     t3.cell(out.status == ilp::SolveStatus::kOptimal ? "optimal" : "time-limit");
     std::fflush(stdout);
   }
-  const auto heuristic =
-      core::run_dvi_heuristic(problem, router.via_db(), core::DviParams{});
+  const auto heuristic = core::run_dvi_heuristic(problem, router.via_db());
   t3.begin_row();
   t3.cell("heuristic (reference)");
   t3.cell(heuristic.result.dead_vias);
@@ -166,7 +165,7 @@ int main(int argc, char** argv) {
   const core::DviProblem problem_ex = core::build_dvi_problem(
       router.nets(), router.routing_grid(), router.turn_rules(), extended);
   const auto heuristic_ex =
-      core::run_dvi_heuristic(problem_ex, router.via_db(), core::DviParams{});
+      core::run_dvi_heuristic(problem_ex, router.via_db());
   util::TextTable t4({"candidate model", "#DV", "#UV", "candidates"});
   t4.begin_row();
   t4.cell("adjacent only (paper)");
@@ -187,8 +186,8 @@ int main(int argc, char** argv) {
   for (int passes : {0, 1, 2, 4}) {
     core::DviHeuristicOptions heuristic_options;
     heuristic_options.repair_passes = passes;
-    const auto out = core::run_dvi_heuristic(problem, router.via_db(),
-                                             core::DviParams{}, heuristic_options);
+    const auto out =
+        core::run_dvi_heuristic(problem, router.via_db(), heuristic_options);
     t5.begin_row();
     t5.cell(passes);
     t5.cell(out.result.dead_vias);

@@ -196,7 +196,7 @@ void BM_MazeCongested(benchmark::State& state) {
   for (int y = 20; y < 44; ++y) {
     for (int x = 0; x < 64; ++x) costs.bump_metal_history(3, {x, y}, 2.0);
   }
-  core::MazeRouter maze(routing, rules, costs, vias, options);
+  core::MazeRouter maze(routing, rules, costs, vias);
   maze.set_present_factor(4.0);
   const std::vector<core::MetalKey> sources{core::metal_key(2, {2, 2})};
   std::uint64_t pops = 0;
@@ -273,7 +273,7 @@ void BM_DviHeuristic(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::run_dvi_heuristic(f.problem, f.router->via_db(), core::DviParams{}));
+        core::run_dvi_heuristic(f.problem, f.router->via_db()));
   }
 }
 BENCHMARK(BM_DviHeuristic)->Unit(benchmark::kMillisecond);

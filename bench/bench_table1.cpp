@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
 
   std::printf("\n== Table II: parameter values in the experiments ==\n");
   const core::CostParams cost;
-  const core::DviParams dvi;
   util::TextTable params({"parameter", "alpha", "AMC", "beta", "gamma", "delta",
                           "lambda", "mu"});
   params.begin_row();
@@ -41,9 +40,9 @@ int main(int argc, char** argv) {
   params.cell(cost.amc, 0);
   params.cell(cost.beta, 0);
   params.cell(cost.gamma, 0);
-  params.cell(dvi.delta, 0);
-  params.cell(dvi.lambda, 0);
-  params.cell(dvi.mu, 0);
+  params.cell(core::kDviDelta, 0);
+  params.cell(core::kDviLambda, 0);
+  params.cell(core::kDviMu, 0);
   params.print();
   return 0;
 }

@@ -27,7 +27,8 @@
 
 namespace sadp::bench {
 
-/// Returns the process exit code (non-zero when any job failed).
+/// Returns the process exit code: non-zero when any job failed or any row's
+/// DVI solution is not valid.
 inline int run_tables67(grid::SadpStyle style, const BenchArgs& args,
                         const std::string& stem) {
   const auto benchmarks = selected_benchmarks(args);
@@ -53,6 +54,7 @@ inline int run_tables67(grid::SadpStyle style, const BenchArgs& args,
                          "Exact CPU(s)", "Exact status", "Heu #DV", "Heu CPU(s)",
                          "#UV", "valid"});
   util::Accumulator ilp_dv, ilp_cpu, exact_dv, exact_cpu, heu_dv, heu_cpu;
+  bool every_row_valid = true;
 
   for (std::size_t b = 0; b < benchmarks.size(); ++b) {
     const engine::JobOutcome& ilp = outcomes[b * 3 + 0];
@@ -97,6 +99,7 @@ inline int run_tables67(grid::SadpStyle style, const BenchArgs& args,
     table.cell(heuristic.result.dvi.seconds, 3);
     table.cell(uv);
     table.cell(all_valid ? "yes" : "NO");
+    every_row_valid = every_row_valid && all_valid;
   }
   table.print();
 
@@ -110,7 +113,7 @@ inline int run_tables67(grid::SadpStyle style, const BenchArgs& args,
                 exact_dv.mean() / heu_dv.mean(), ilp_cpu.mean() / heu_cpu.mean(),
                 exact_cpu.mean() / heu_cpu.mean());
   }
-  return batch.exit_code();
+  return every_row_valid ? batch.exit_code() : 1;
 }
 
 }  // namespace sadp::bench

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   const core::DviIlpOutput ilp = core::solve_dvi_ilp(problem, router.via_db(),
                                                      ilp_params);
   const core::DviHeuristicOutput heuristic =
-      core::run_dvi_heuristic(problem, router.via_db(), options.dvi);
+      core::run_dvi_heuristic(problem, router.via_db());
 
   util::TextTable table({"method", "#DV", "#UV", "CPU(s)", "status", "valid"});
   table.begin_row();

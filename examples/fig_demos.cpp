@@ -243,8 +243,7 @@ void fig12() {
   via::ViaDb db(9, 9, 1);
   db.add(1, {3, 3});
   db.add(1, {5, 3});
-  const core::DviHeuristicOutput out =
-      core::run_dvi_heuristic(problem, db, core::DviParams{});
+  const core::DviHeuristicOutput out = core::run_dvi_heuristic(problem, db);
   for (int i = 0; i < 2; ++i) {
     if (out.result.inserted[static_cast<std::size_t>(i)] >= 0) {
       const grid::Point p = out.inserted_at[static_cast<std::size_t>(i)];

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   const core::DviProblem problem = core::build_dvi_problem(
       router.nets(), router.routing_grid(), router.turn_rules());
   const core::DviHeuristicOutput dvi =
-      core::run_dvi_heuristic(problem, router.via_db(), options.dvi);
+      core::run_dvi_heuristic(problem, router.via_db());
 
   viz::LayoutWriterOptions render;
   render.clip_hi_x = std::min(63, router.routing_grid().width() - 1);

@@ -18,6 +18,9 @@ namespace {
 /// Components with more vias than this are searched after all the others.
 constexpr std::size_t kEagerVias = 64;
 
+/// Search nodes over all components; component_node_limit bounds each one.
+constexpr std::size_t kNodeLimit = 200'000'000;
+
 /// Choices below are component-local: entry j is the candidate index
 /// inserted for via comp[j], or -1 for none.
 class ExactSolver {
@@ -200,7 +203,7 @@ class ExactSolver {
     // DFS over the insertion choices with the FVP cut; colors at leaves.
     auto dfs = [&](auto&& self, int depth, int inserted) -> void {
       if (aborted) return;
-      if (++nodes_ > params_.node_limit ||
+      if (++nodes_ > kNodeLimit ||
           ++component_nodes > params_.component_node_limit ||
           budget_.node_exhausted(component_nodes)) {
         aborted = true;
@@ -277,7 +280,7 @@ DviExactOutput solve_dvi_exact(const DviProblem& problem, const via::ViaDb& vias
   // vectors first left holes that raised the dvi_exact workload's peak RSS
   // from 87 to 95 MB.
   const util::SolverBudget budget(params.time_limit_seconds, params.cancel);
-  const DviHeuristicOutput warm = run_dvi_heuristic(problem, vias, DviParams{});
+  const DviHeuristicOutput warm = run_dvi_heuristic(problem, vias);
   ExactSolver solver(problem, vias, params, budget);
   return solver.run(warm.result);
 }

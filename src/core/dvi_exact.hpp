@@ -32,7 +32,6 @@ namespace sadp::core {
 
 struct DviExactParams {
   double time_limit_seconds = 120.0;
-  std::size_t node_limit = 200'000'000;
   /// Per-component search budget: a single pathological cluster degrades to
   /// its warm-start solution instead of starving every other component.
   std::size_t component_node_limit = 4'000'000;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 
+#include "core/params.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
 #include "via/coloring.hpp"
@@ -25,11 +26,10 @@ struct HeapEntry {
 
 class Heuristic {
  public:
-  Heuristic(const DviProblem& problem, via::ViaDb db, const DviParams& params,
+  Heuristic(const DviProblem& problem, via::ViaDb db,
             const DviHeuristicOptions& options)
       : problem_(problem),
         db_(std::move(db)),
-        params_(params),
         options_(options),
         sites_(problem) {
     protected_.assign(static_cast<std::size_t>(problem_.num_vias()), false);
@@ -187,7 +187,7 @@ class Heuristic {
 
     const double feas =
         static_cast<double>(problem_.feasible[static_cast<std::size_t>(via)].size());
-    return params_.delta * feas + params_.lambda * conflicting + params_.mu * killed;
+    return kDviDelta * feas + kDviLambda * conflicting + kDviMu * killed;
   }
 
   /// Would inserting at `p` make a later insertion at `q` create an FVP?
@@ -208,7 +208,6 @@ class Heuristic {
 
   const DviProblem& problem_;
   via::ViaDb db_;
-  DviParams params_;
   DviHeuristicOptions options_;
   DviSites sites_;
   std::vector<char> protected_;
@@ -218,10 +217,9 @@ class Heuristic {
 
 DviHeuristicOutput run_dvi_heuristic(const DviProblem& problem,
                                      const via::ViaDb& vias,
-                                     const DviParams& params,
                                      const DviHeuristicOptions& options) {
   obs::Span span("dvi_heuristic", static_cast<std::int64_t>(problem.num_vias()));
-  Heuristic heuristic(problem, vias, params, options);
+  Heuristic heuristic(problem, vias, options);
   return heuristic.run();
 }
 

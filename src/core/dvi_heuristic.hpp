@@ -8,7 +8,8 @@
 //      + lambda * #conflicting DVICs            (avoid starving neighbors)
 //      + mu * #killed DVICs                     (avoid creating near-FVPs)
 //
-// with lazy re-evaluation (a popped entry whose stored DP is stale is
+// with the Table II weights delta = lambda = mu = 1 (core/params.hpp),
+// and lazy re-evaluation (a popped entry whose stored DP is stale is
 // re-pushed with the fresh value).  An insertion is valid when no redundant
 // via occupies a conflicting DVIC, the via is not yet protected, and the
 // insertion creates no FVP.  Finally the inserted redundant vias are TPL
@@ -17,7 +18,6 @@
 #pragma once
 
 #include "core/dvic.hpp"
-#include "core/params.hpp"
 #include "via/via_db.hpp"
 
 namespace sadp::core {
@@ -47,7 +47,7 @@ struct DviHeuristicOptions {
 /// Run Algorithm 3.  `vias` must hold exactly the original vias of the
 /// routing solution (it is copied; insertions happen on the copy).
 [[nodiscard]] DviHeuristicOutput run_dvi_heuristic(
-    const DviProblem& problem, const via::ViaDb& vias, const DviParams& params,
+    const DviProblem& problem, const via::ViaDb& vias,
     const DviHeuristicOptions& options = {});
 
 }  // namespace sadp::core

@@ -8,12 +8,14 @@
 
 namespace sadp::core {
 
-DviIlp build_dvi_ilp(const DviProblem& problem, double big_b, double big_b_prime) {
+DviIlp build_dvi_ilp(const DviProblem& problem) {
   DviIlp out;
   ilp::Model& m = out.model;
   const int n = problem.num_vias();
-  if (big_b < 0) big_b = static_cast<double>(n) + 1.0;
-  const double bp = big_b_prime;
+  // B: a single uncolorable via can never be traded for insertions.  B':
+  // deactivates the color constraints of non-inserted DVICs.
+  const double uncolorable_penalty = static_cast<double>(n) + 1.0;
+  constexpr double kBPrime = 4.0;
 
   // --- Variables -------------------------------------------------------------
   out.vars.via_color.resize(static_cast<std::size_t>(n));
@@ -41,7 +43,8 @@ DviIlp build_dvi_ilp(const DviProblem& problem, double big_b, double big_b_prime
     for (const ilp::VarId d : out.vars.insert[static_cast<std::size_t>(i)]) {
       objective.push_back({d, 1.0});
     }
-    objective.push_back({out.vars.via_color[static_cast<std::size_t>(i)][3], -big_b});
+    objective.push_back(
+        {out.vars.via_color[static_cast<std::size_t>(i)][3], -uncolorable_penalty});
   }
   m.set_objective(std::move(objective), /*maximize=*/true);
 
@@ -103,13 +106,13 @@ DviIlp build_dvi_ilp(const DviProblem& problem, double big_b, double big_b_prime
       m.add_constraint({{dc_var(r, 0), 1.0},
                         {dc_var(r, 1), 1.0},
                         {dc_var(r, 2), 1.0},
-                        {d_var(r), -bp}},
-                       ilp::Sense::kGe, 1.0 - bp);
+                        {d_var(r), -kBPrime}},
+                       ilp::Sense::kGe, 1.0 - kBPrime);
       m.add_constraint({{dc_var(r, 0), 1.0},
                         {dc_var(r, 1), 1.0},
                         {dc_var(r, 2), 1.0},
-                        {d_var(r), bp}},
-                       ilp::Sense::kLe, 1.0 + bp);
+                        {d_var(r), kBPrime}},
+                       ilp::Sense::kLe, 1.0 + kBPrime);
     }
   }
 
@@ -136,8 +139,8 @@ DviIlp build_dvi_ilp(const DviProblem& problem, double big_b, double big_b_prime
         for (int c = 0; c < 3; ++c) {
           m.add_constraint({{vc_i[static_cast<std::size_t>(c)], 1.0},
                             {dc_var(r, c), 1.0},
-                            {d_var(r), bp}},
-                           ilp::Sense::kLe, 1.0 + bp);
+                            {d_var(r), kBPrime}},
+                           ilp::Sense::kLe, 1.0 + kBPrime);
         }
       }
     }
@@ -154,9 +157,9 @@ DviIlp build_dvi_ilp(const DviProblem& problem, double big_b, double big_b_prime
           for (int c = 0; c < 3; ++c) {
             m.add_constraint({{dc_var(r, c), 1.0},
                               {dc_var(r2, c), 1.0},
-                              {d_var(r), bp},
-                              {d_var(r2), bp}},
-                             ilp::Sense::kLe, 1.0 + 2.0 * bp);
+                              {d_var(r), kBPrime},
+                              {d_var(r2), kBPrime}},
+                             ilp::Sense::kLe, 1.0 + 2.0 * kBPrime);
           }
         }
       }
@@ -234,8 +237,7 @@ DviIlpOutput solve_dvi_ilp(const DviProblem& problem, const via::ViaDb& vias,
   std::vector<int> warm;
   ilp::BnbParams bnb = params.bnb;
   if (params.warm_start_with_heuristic) {
-    const DviHeuristicOutput heuristic =
-        run_dvi_heuristic(problem, vias, DviParams{});
+    const DviHeuristicOutput heuristic = run_dvi_heuristic(problem, vias);
     warm.assign(static_cast<std::size_t>(ilp_problem.model.num_vars()), 0);
     for (int i = 0; i < n; ++i) {
       const int color = heuristic.original_color[static_cast<std::size_t>(i)];

@@ -37,15 +37,14 @@ struct DviIlpVars {
   std::vector<std::vector<std::array<ilp::VarId, 3>>> dvic_color;
 };
 
-/// Build the literal C1-C8 model.  B defaults to (#vias + 1) so a single
+/// Build the literal C1-C8 model.  B is (#vias + 1) so a single
 /// uncolorable via can never be traded for insertions; B' = 4 deactivates
 /// the color constraints of non-inserted DVICs.
 struct DviIlp {
   ilp::Model model;
   DviIlpVars vars;
 };
-[[nodiscard]] DviIlp build_dvi_ilp(const DviProblem& problem, double big_b = -1.0,
-                                   double big_b_prime = 4.0);
+[[nodiscard]] DviIlp build_dvi_ilp(const DviProblem& problem);
 
 /// Solve parameters for the DVI ILP.
 struct DviIlpParams {

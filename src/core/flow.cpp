@@ -9,11 +9,9 @@ namespace sadp::core {
 namespace {
 
 DviStageOutput run_dvi_heuristic_stage(const DviProblem& problem,
-                                       const via::ViaDb& vias,
-                                       const FlowConfig& config) {
+                                       const via::ViaDb& vias) {
   DviStageOutput out;
-  static_cast<DviSolution&>(out) =
-      run_dvi_heuristic(problem, vias, config.options.dvi);
+  static_cast<DviSolution&>(out) = run_dvi_heuristic(problem, vias);
   out.status = ilp::SolveStatus::kOptimal;
   return out;
 }
@@ -27,7 +25,7 @@ DviStageOutput run_post_routing_dvi(const via::ViaDb& vias,
   switch (config.dvi_method) {
     case DviMethod::kHeuristic: {
       obs::Span span("dvi:heuristic");
-      out = run_dvi_heuristic_stage(problem, vias, config);
+      out = run_dvi_heuristic_stage(problem, vias);
       break;
     }
     case DviMethod::kExact: {
@@ -63,7 +61,7 @@ DviStageOutput run_post_routing_dvi(const via::ViaDb& vias,
           !config.options.cancel.stop_requested()) {
         obs::Span degrade_span("dvi:heuristic_fallback");
         const ilp::SolveStatus ilp_status = out.status;
-        out = run_dvi_heuristic_stage(problem, vias, config);
+        out = run_dvi_heuristic_stage(problem, vias);
         out.status = solver_failed ? ilp::SolveStatus::kUnknown : ilp_status;
         out.degraded = true;
       }

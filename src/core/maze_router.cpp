@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+#include <string>
+
+#include "util/status.hpp"
 
 namespace sadp::core {
 
@@ -9,19 +13,29 @@ namespace {
 
 constexpr int kDirNone = 4;
 
+/// The search's state count, checked to fit the 32-bit parent links.
+std::size_t num_states(const grid::RoutingGrid& grid) {
+  const std::size_t states =
+      static_cast<std::size_t>(grid.num_metal_layers() - 1) *
+      static_cast<std::size_t>(grid.num_points()) * 5;
+  if (states > std::size_t{std::numeric_limits<std::int32_t>::max()}) {
+    throw FlowError(util::StatusCode::kInvalidInput,
+                    "grid too large to route: " + std::to_string(states) +
+                        " search states exceed 32-bit parent links");
+  }
+  return states;
+}
+
 }  // namespace
 
 MazeRouter::MazeRouter(const grid::RoutingGrid& grid, const grid::TurnRules& rules,
-                       const CostMaps& costs, const via::ViaDb& vias,
-                       const FlowOptions& options)
+                       const CostMaps& costs, const via::ViaDb& vias)
     : grid_(grid),
       rules_(rules),
       costs_(costs),
       vias_(vias),
-      options_(options),
       num_points_(grid.num_points()),
-      num_routable_layers_(grid.num_metal_layers() - 1),
-      dist_(static_cast<std::size_t>(num_routable_layers_) * num_points_ * 5),
+      dist_(num_states(grid)),
       parent_(dist_.size()),
       epoch_(dist_.size()) {}
 
@@ -81,12 +95,10 @@ bool MazeRouter::search(RoutedNet& net, const std::vector<MetalKey>& sources,
   const std::size_t open_capacity_before = open_.capacity();
   open_.clear();  // keeps capacity: steady-state searches are allocation-free
   const grid::NetId net_id = net.id();
-  const double via_cost = options_.routing.via;
 
   auto heuristic = [&](int layer, grid::Point p) {
-    return static_cast<double>(grid::manhattan(p, target_pin)) *
-               options_.routing.segment +
-           static_cast<double>(layer - 2) * via_cost;
+    return static_cast<double>(grid::manhattan(p, target_pin)) * kSegmentCost +
+           static_cast<double>(layer - 2) * kViaCost;
   };
 
   auto relax = [&](std::int64_t state, double g, std::int64_t from, int layer,
@@ -95,7 +107,7 @@ bool MazeRouter::search(RoutedNet& net, const std::vector<MetalKey>& sources,
     if (epoch_[s] == current_epoch_ && dist_[s] <= g) return;
     epoch_[s] = current_epoch_;
     dist_[s] = g;
-    parent_[s] = from;
+    parent_[s] = static_cast<std::int32_t>(from);
     ++stats_.relaxations;
     open_.push_back(OpenEntry{g + heuristic(layer, p), g, state});
     std::push_heap(open_.begin(), open_.end());
@@ -142,10 +154,10 @@ bool MazeRouter::search(RoutedNet& net, const std::vector<MetalKey>& sources,
       const grid::Point q = p + grid::step(o);
       if (!grid_.in_bounds(q) || !window.contains(q)) continue;
 
-      double cost = options_.routing.segment;
+      double cost = kSegmentCost;
       const bool preferred =
           grid::RoutingGrid::prefers_horizontal(layer) == grid::is_horizontal(o);
-      if (!preferred) cost *= options_.routing.non_preferred;
+      if (!preferred) cost *= kNonPreferredFactor;
 
       // Turn legality at the departure corner p: the new arm `o` against the
       // incoming travel arm and every existing arm of this net.
@@ -181,7 +193,7 @@ bool MazeRouter::search(RoutedNet& net, const std::vector<MetalKey>& sources,
       }
       if (blocked) continue;
 
-      if (non_preferred_turn) cost += options_.routing.non_preferred_turn;
+      if (non_preferred_turn) cost += kNonPreferredTurnCost;
       cost += metal_vertex_cost(layer, q, net_id);
 
       relax(state_id(layer, q, static_cast<int>(o)), top.g + cost, top.state,
@@ -197,7 +209,7 @@ bool MazeRouter::search(RoutedNet& net, const std::vector<MetalKey>& sources,
       if (fvp_blocking_ && !vias_.has(v, p) && vias_.would_create_fvp(v, p)) {
         continue;  // blocked via location (Algorithm 2, Fig. 10)
       }
-      const double cost = via_cost + via_vertex_cost(v, p, net_id) +
+      const double cost = kViaCost + via_vertex_cost(v, p, net_id) +
                           metal_vertex_cost(to_layer, p, net_id);
       relax(state_id(to_layer, p, kDirNone), top.g + cost, top.state, to_layer, p);
     }

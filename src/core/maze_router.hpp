@@ -35,9 +35,14 @@ namespace sadp::core {
 
 class MazeRouter {
  public:
+  // Base routing costs of the restricted detailed routing model.
+  static constexpr double kSegmentCost = 1.0;  ///< preferred-direction segment
+  static constexpr double kNonPreferredFactor = 4.0;  ///< non-preferred segment
+  static constexpr double kViaCost = 2.0;
+  static constexpr double kNonPreferredTurnCost = 1.5;  ///< added per such turn
+
   MazeRouter(const grid::RoutingGrid& grid, const grid::TurnRules& rules,
-             const CostMaps& costs, const via::ViaDb& vias,
-             const FlowOptions& options);
+             const CostMaps& costs, const via::ViaDb& vias);
 
   /// Penalty multiplier for presently-occupied vertices; the negotiation
   /// engine escalates this between rounds.
@@ -130,10 +135,8 @@ class MazeRouter {
   const grid::TurnRules& rules_;
   const CostMaps& costs_;
   const via::ViaDb& vias_;
-  const FlowOptions& options_;
 
   std::int64_t num_points_;
-  int num_routable_layers_;
 
   double present_factor_ = 1.0;
   bool fvp_blocking_ = false;
@@ -146,7 +149,9 @@ class MazeRouter {
   // the current epoch is unvisited, so a page no search reaches is never
   // materialized, and dist/parent are read only behind a current stamp.
   util::ZeroArray<double> dist_;
-  util::ZeroArray<std::int64_t> parent_;
+  /// Parent of each reached state as a 32-bit state id, half the resident
+  /// bytes of a 64-bit one; the constructor rejects a grid with more states.
+  util::ZeroArray<std::int32_t> parent_;
   util::ZeroArray<std::uint32_t> epoch_;
   std::uint32_t current_epoch_ = 0;
 

@@ -1,11 +1,12 @@
-// Tunable parameters of the SADP-aware detailed routing flow.
+// Parameters of the SADP-aware detailed routing flow.
 //
 // The cost-assignment parameters follow the paper's Table II: alpha = 8
 // (BDC numerator), AMC = 1, beta = 4 (CDC numerator), gamma = 4 (TPLC
-// multiplier); the DVI-penalty weights delta = lambda = mu = 1.  The
-// remaining knobs (base costs, negotiation schedule) are implementation
-// parameters of the negotiated-congestion framework of [20], which the
-// paper inherits.
+// multiplier); the DVI-penalty weights delta = lambda = mu = 1.  Only the
+// four cost weights vary between experiments (Table V and the ablations),
+// so only they are settable; the DVI-penalty weights are constants here,
+// and the base routing costs and the negotiation schedule of [20], which
+// the paper inherits, are constants of the maze and the router.
 #pragma once
 
 #include <cstddef>
@@ -24,12 +25,12 @@ struct CostParams {
   double gamma = 4.0;  ///< TPLC = gamma * #coloring conflicts
 };
 
-/// DVI-penalty weights of the post-routing heuristic (Algorithm 3).
-struct DviParams {
-  double delta = 1.0;   ///< weight of #feasible DVICs of the via
-  double lambda = 1.0;  ///< weight of #conflicting DVICs with the DVIC
-  double mu = 1.0;      ///< weight of #killed DVICs by the DVIC
-};
+/// DVI-penalty weights of the post-routing heuristic (Algorithm 3): of the
+/// via's #feasible DVICs, of the DVIC's #conflicting DVICs, and of the
+/// #DVICs the DVIC would kill.
+inline constexpr double kDviDelta = 1.0;
+inline constexpr double kDviLambda = 1.0;
+inline constexpr double kDviMu = 1.0;
 
 /// The conference version [36] used smaller cost-assignment weights; the
 /// journal version "enlarges the parameters to emphasize DVI consideration"
@@ -38,24 +39,6 @@ struct DviParams {
   return CostParams{2.0, 0.5, 1.0, 4.0};
 }
 
-/// Base routing costs of the restricted detailed routing model.
-struct RoutingCosts {
-  double segment = 1.0;          ///< preferred-direction unit segment
-  double non_preferred = 4.0;    ///< multiplier for non-preferred segments
-  double via = 2.0;              ///< via base cost
-  double non_preferred_turn = 1.5;  ///< extra cost of a non-preferred turn
-};
-
-/// Negotiated-congestion schedule.
-struct NegotiationParams {
-  double present_factor_initial = 1.0;  ///< first-iteration overlap penalty
-  double present_factor_growth = 1.6;   ///< growth per R&R round
-  double present_factor_max = 512.0;
-  double history_increment = 1.0;
-  /// Hard cap on rip-up/reroute iterations, as a multiple of the net count.
-  double max_iterations_per_net = 40.0;
-};
-
 /// Which of the paper's optional considerations are active.  The four
 /// combinations are the four experiment arms of Tables III/IV.
 struct FlowOptions {
@@ -63,24 +46,14 @@ struct FlowOptions {
   bool consider_dvi = false;  ///< BDC/AMC/CDC costs in routing
   bool consider_tpl = false;  ///< TPLC cost + TPL-violation-removal R&R
   CostParams cost;
-  DviParams dvi;
-  RoutingCosts routing;
-  NegotiationParams negotiation;
   /// Partition-parallel routing: shard the grid into up to `partitions`
-  /// strip regions (with `partition_halo` slack each side of the cuts),
-  /// route regions concurrently on private sub-grid worlds, then merge and
-  /// reconcile boundary/halo conflicts serially.  1 (the default) runs the
-  /// classic single-world flow bit-identically; results at a fixed K > 1
-  /// are deterministic but follow a different (cost-equivalent) net order
-  /// than K = 1 — see DESIGN.md section 14.
+  /// strip regions (with kPartitionHalo slack each side of the cuts, see
+  /// core/partition.hpp), route regions concurrently on private sub-grid
+  /// worlds, then merge and reconcile boundary/halo conflicts serially.
+  /// 1 (the default) runs the classic single-world flow bit-identically;
+  /// results at a fixed K > 1 are deterministic but follow a different
+  /// (cost-equivalent) net order than K = 1 — see DESIGN.md section 14.
   int partitions = 1;
-  /// Halo margin (grid units) each region window extends past its core on
-  /// the cut axis.  The halo is detour/search room only: a net stays
-  /// regional when its bounding box fits the owner's *core* strip (see
-  /// core/partition.cpp for the measured cost of looser assignment);
-  /// everything else routes in the boundary pass before the regions and is
-  /// injected into overlapping sub-worlds as immovable obstacle geometry.
-  int partition_halo = 16;
   /// Threads for the region workers.  Null = spawn one transient
   /// std::thread per region.  Never hand this a fixed-size pool that is
   /// itself executing the enclosing job (see util/executor.hpp on

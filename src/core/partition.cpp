@@ -13,18 +13,16 @@ constexpr int align_down(int v) noexcept {
 }  // namespace
 
 PartitionPlan plan_partitions(const netlist::PlacedNetlist& netlist,
-                              int partitions, int halo) {
+                              int partitions) {
   PartitionPlan plan;
   plan.cut_along_x = netlist.width >= netlist.height;
-  plan.halo = std::max(halo, 0);
   const int axis_len = plan.cut_along_x ? netlist.width : netlist.height;
 
   // Every core strip must be wide enough that the halo does not swallow it
   // (and that the sub-world is a meaningful search space); shrink K until
   // that holds.  Fewer than two usable regions means "route serially".
-  const int min_core = std::max(2 * plan.halo, 32);
-  int k = std::max(partitions, 1);
-  if (min_core > 0) k = std::min(k, axis_len / min_core);
+  constexpr int kMinCore = std::max(2 * kPartitionHalo, 32);
+  const int k = std::min(std::max(partitions, 1), axis_len / kMinCore);
   if (k < 2) return plan;
 
   plan.regions.resize(static_cast<std::size_t>(k));
@@ -34,8 +32,8 @@ PartitionPlan plan_partitions(const netlist::PlacedNetlist& netlist,
         (static_cast<long long>(axis_len) * r) / k);
     region.core_hi = static_cast<int>(
         (static_cast<long long>(axis_len) * (r + 1)) / k) - 1;
-    region.window_lo = align_down(region.core_lo - plan.halo);
-    region.window_hi = std::min(axis_len - 1, region.core_hi + plan.halo);
+    region.window_lo = align_down(region.core_lo - kPartitionHalo);
+    region.window_hi = std::min(axis_len - 1, region.core_hi + kPartitionHalo);
   }
 
   for (const auto& net : netlist.nets) {

@@ -32,6 +32,14 @@ namespace sadp::core {
 /// turn-rule periods, so one planner serves every style.
 inline constexpr int kPartitionAlign = 4;
 
+/// Halo margin (grid units) each region window extends past its core on
+/// the cut axis.  The halo is detour/search room only: a net stays
+/// regional when its bounding box fits the owner's *core* strip (see
+/// core/partition.cpp for the measured cost of looser assignment);
+/// everything else routes in the boundary pass before the regions and is
+/// injected into overlapping sub-worlds as immovable obstacle geometry.
+inline constexpr int kPartitionHalo = 16;
+
 /// One strip region of a partition plan.  Coordinates are along the cut
 /// axis; the other axis always spans the full grid.
 struct PartitionRegion {
@@ -45,7 +53,6 @@ struct PartitionRegion {
 
 struct PartitionPlan {
   bool cut_along_x = true;  ///< strips cut the x axis (grid wider than tall)
-  int halo = 0;
   std::vector<PartitionRegion> regions;
   /// Nets no region can own (bounding box exceeds every core), ascending.
   std::vector<grid::NetId> boundary;
@@ -64,12 +71,12 @@ struct PartitionPlan {
   }
 };
 
-/// Shard `netlist` into at most `partitions` strip regions with the given
-/// halo.  Deterministic in its inputs.  The plan may hold fewer regions
-/// than requested (the axis must give every core at least
+/// Shard `netlist` into at most `partitions` strip regions with
+/// kPartitionHalo halos.  Deterministic in its inputs.  The plan may hold
+/// fewer regions than requested (the axis must give every core at least
 /// max(2 * halo, 32) coordinates, so small grids degrade gracefully — a
 /// plan with < 2 regions tells the caller to route serially).
 [[nodiscard]] PartitionPlan plan_partitions(
-    const netlist::PlacedNetlist& netlist, int partitions, int halo);
+    const netlist::PlacedNetlist& netlist, int partitions);
 
 }  // namespace sadp::core

@@ -18,15 +18,21 @@ namespace sadp::core {
 
 namespace {
 
+// The negotiated-congestion schedule of [20], which the paper inherits.
+constexpr double kPresentFactorInitial = 1.0;  ///< first-round overlap penalty
+constexpr double kPresentFactorGrowth = 1.6;   ///< growth per escalation
+constexpr double kPresentFactorMax = 512.0;
+constexpr double kHistoryIncrement = 1.0;
+/// Hard cap on rip-up/reroute iterations, as a multiple of the net count.
+constexpr double kMaxIterationsPerNet = 40.0;
+
 // The schedule's escalated present factors, each multiplied left to right
 // from the initial factor (the order fixes the bits every row reads).
 
 /// initial x growth^2: prices the partition boundary pass and starts region
 /// congestion negotiation.
-double regional_factor(const NegotiationParams& n) {
-  return n.present_factor_initial * n.present_factor_growth *
-         n.present_factor_growth;
-}
+constexpr double kRegionalFactor =
+    kPresentFactorInitial * kPresentFactorGrowth * kPresentFactorGrowth;
 
 /// initial x growth^4: resumes negotiation on a merged or adopted state
 /// (partition reconcile, ECO).  A merged grid carries each region's
@@ -34,10 +40,9 @@ double regional_factor(const NegotiationParams& n) {
 /// resolve in roughly half the iterations at this level than at growth^2
 /// (measured; quality is unchanged because history costs, not the present
 /// factor, carry the placement memory).
-double resumed_factor(const NegotiationParams& n) {
-  const double growth = n.present_factor_growth;
-  return n.present_factor_initial * growth * growth * growth * growth;
-}
+constexpr double kResumedFactor = kPresentFactorInitial * kPresentFactorGrowth *
+                                  kPresentFactorGrowth * kPresentFactorGrowth *
+                                  kPresentFactorGrowth;
 
 }  // namespace
 
@@ -58,7 +63,7 @@ SadpRouter::SadpRouter(const netlist::PlacedNetlist& netlist, FlowOptions option
   vias_ = std::make_unique<via::ViaDb>(netlist_.width, netlist_.height,
                                        grid_->num_via_layers());
   costs_ = std::make_unique<CostMaps>(*grid_, rules_, options_);
-  maze_ = std::make_unique<MazeRouter>(*grid_, rules_, *costs_, *vias_, options_);
+  maze_ = std::make_unique<MazeRouter>(*grid_, rules_, *costs_, *vias_);
 
   nets_.reserve(netlist_.nets.size());
   for (const auto& net : netlist_.nets) nets_.emplace_back(net.id);
@@ -156,8 +161,7 @@ bool SadpRouter::route_net(grid::NetId id) {
     const auto bad_corners = forbidden_turn_corners(net);
     if (bad_corners.empty()) break;
     for (const auto& [layer, p] : bad_corners) {
-      costs_->bump_metal_history(layer, p,
-                                 options_.negotiation.history_increment * 8.0);
+      costs_->bump_metal_history(layer, p, kHistoryIncrement * 8.0);
     }
     net.clear_routing();
   }
@@ -342,8 +346,7 @@ void SadpRouter::push_net_violations(grid::NetId id, bool consider_fvps) {
           for (int dx = 0; dx < via::kWindowSize; ++dx) {
             const grid::Point cell{ox + dx, oy + dy};
             if (grid_->in_bounds(cell) && vias_->has(via.via_layer, cell)) {
-              costs_->bump_via_history(via.via_layer, cell,
-                                       options_.negotiation.history_increment);
+              costs_->bump_via_history(via.via_layer, cell, kHistoryIncrement);
             }
           }
         }
@@ -358,8 +361,7 @@ std::size_t SadpRouter::ripup_reroute_loop(bool consider_fvps,
   next_seq_ = 0;
 
   maze_->set_fvp_blocking(consider_fvps);
-  present_factor_ =
-      std::min(start_present_factor, options_.negotiation.present_factor_max);
+  present_factor_ = std::min(start_present_factor, kPresentFactorMax);
   maze_->set_present_factor(present_factor_);
 
   // Seed with all current violations.
@@ -375,7 +377,7 @@ std::size_t SadpRouter::ripup_reroute_loop(bool consider_fvps,
   }
 
   const std::size_t cap = static_cast<std::size_t>(
-      options_.negotiation.max_iterations_per_net *
+      kMaxIterationsPerNet *
       static_cast<double>(std::max<std::size_t>(nets_.size(), 1)));
   const std::size_t escalate_every = std::max<std::size_t>(32, nets_.size() / 4);
 
@@ -395,20 +397,18 @@ std::size_t SadpRouter::ripup_reroute_loop(bool consider_fvps,
     ++iterations;
     obs::Span iter_span(consider_fvps ? "tpl_rr_iter" : "congestion_rr_iter",
                         static_cast<std::int64_t>(iterations));
-    if (iterations % escalate_every == 0 &&
-        present_factor_ < options_.negotiation.present_factor_max) {
-      present_factor_ *= options_.negotiation.present_factor_growth;
+    if (iterations % escalate_every == 0 && present_factor_ < kPresentFactorMax) {
+      present_factor_ *= kPresentFactorGrowth;
       maze_->set_present_factor(present_factor_);
     }
 
     // History escalation at the violating vertex (negotiation).
-    const double bump = options_.negotiation.history_increment;
     switch (v.kind) {
       case Violation::Kind::kCongestionMetal:
-        costs_->bump_metal_history(v.layer, v.at, bump);
+        costs_->bump_metal_history(v.layer, v.at, kHistoryIncrement);
         break;
       case Violation::Kind::kCongestionVia:
-        costs_->bump_via_history(v.layer, v.at, bump);
+        costs_->bump_via_history(v.layer, v.at, kHistoryIncrement);
         break;
       case Violation::Kind::kFvp:
         break;  // FVP history is bumped on creation (push_net_violations)
@@ -466,7 +466,7 @@ void SadpRouter::coloring_fix_loop(RoutingReport& report) {
     for (int v : result.uncolored) {
       const grid::Point p = graph.vertex_point(v);
       const int layer = graph.vertex_layer(v);
-      costs_->bump_via_history(layer, p, options_.negotiation.history_increment * 4);
+      costs_->bump_via_history(layer, p, kHistoryIncrement * 4);
       for (const grid::NetId id : grid_->via_occupants(layer, p)) {
         if (id == grid::kNoNet || static_cast<std::size_t>(id) >= nets_.size()) {
           continue;
@@ -484,8 +484,7 @@ void SadpRouter::coloring_fix_loop(RoutingReport& report) {
     }
     report.rr_iterations += owners.size();
     // A reroute can create congestion or FVPs; clean them up.
-    ripup_reroute_loop(options_.consider_tpl,
-                       options_.negotiation.present_factor_initial);
+    ripup_reroute_loop(options_.consider_tpl, kPresentFactorInitial);
   }
 }
 
@@ -509,19 +508,17 @@ void SadpRouter::negotiate(RoutingReport& report, double start_factor) {
 }
 
 void SadpRouter::run_serial_body(RoutingReport& report) {
-  const double initial = options_.negotiation.present_factor_initial;
   util::Timer phase;
   {
     obs::Span span("initial_routing");
-    route_shortest_first(all_net_ids(), initial);
+    route_shortest_first(all_net_ids(), kPresentFactorInitial);
   }
   report.initial_routing_seconds = phase.seconds();
-  negotiate(report, initial);
+  negotiate(report, kPresentFactorInitial);
 }
 
 bool SadpRouter::run_partitioned_body(RoutingReport& report) {
-  const PartitionPlan plan =
-      plan_partitions(netlist_, options_.partitions, options_.partition_halo);
+  const PartitionPlan plan = plan_partitions(netlist_, options_.partitions);
   if (plan.regions.size() < 2) return false;
   const std::size_t num_regions = plan.regions.size();
   report.partition_regions = static_cast<int>(num_regions);
@@ -543,7 +540,7 @@ bool SadpRouter::run_partitioned_body(RoutingReport& report) {
     // routes off the pin pads of yet-unrouted nets — overlaps the region
     // sub-worlds could never resolve (both sides immovable there).
     obs::Span span("partition.boundary");
-    route_shortest_first(plan.boundary, regional_factor(options_.negotiation));
+    route_shortest_first(plan.boundary, kRegionalFactor);
   }
   report.boundary_seconds = sub_phase.seconds();
   // Build the region sub-worlds serially: each is a complete netlist over
@@ -662,19 +659,17 @@ bool SadpRouter::run_partitioned_body(RoutingReport& report) {
           for (const RoutedNet& obstacle : work.obstacles) {
             sub.add_obstacle(obstacle);
           }
-          const NegotiationParams& negotiation = region_options.negotiation;
-          sub.route_shortest_first(sub.all_net_ids(),
-                                   negotiation.present_factor_initial);
+          sub.route_shortest_first(sub.all_net_ids(), kPresentFactorInitial);
           // Region congestion negotiation starts pre-escalated: sub-worlds
           // are small and their conflicts dense, so the slow pressure ramp
           // tuned for full-grid negotiation only burns iterations here
           // (measured ~30% fewer region R&R iterations at equal quality).
           // The TPL loop keeps the initial factor.
           work.rr_iterations += sub.ripup_reroute_loop(
-              /*consider_fvps=*/false, regional_factor(negotiation));
+              /*consider_fvps=*/false, kRegionalFactor);
           if (region_options.consider_tpl) {
             work.rr_iterations += sub.ripup_reroute_loop(
-                /*consider_fvps=*/true, negotiation.present_factor_initial);
+                /*consider_fvps=*/true, kPresentFactorInitial);
           }
         } catch (...) {
           work.error = std::current_exception();
@@ -729,7 +724,7 @@ bool SadpRouter::run_partitioned_body(RoutingReport& report) {
   phase.reset();
   {
     obs::Span span("partition.reconcile");
-    negotiate(report, resumed_factor(options_.negotiation));
+    negotiate(report, kResumedFactor);
   }
   report.reconcile_seconds = phase.seconds();
   return true;
@@ -788,19 +783,17 @@ RoutingReport SadpRouter::run_eco(const std::vector<grid::NetId>& dirty) {
   // dirty subset reroutes at the reconcile's resumed present factor:
   // restarting the schedule would let the fresh nets trample the adopted
   // state that history costs are there to defend.
-  const double resumed = resumed_factor(options_.negotiation);
-
   util::Timer phase;
   {
     obs::Span span("eco.ripup");
     span.set_str("dirty_nets", std::to_string(dirty.size()));
-    route_shortest_first(dirty, resumed);
+    route_shortest_first(dirty, kResumedFactor);
   }
   report.initial_routing_seconds = phase.seconds();
 
   {
     obs::Span span("eco.reroute");
-    negotiate(report, resumed);
+    negotiate(report, kResumedFactor);
   }
 
   finish_run(report, timer);
@@ -818,8 +811,8 @@ void SadpRouter::finish_run(RoutingReport& report, util::Timer& timer) {
       route_net(id);
     }
     if (!unrouted_.empty()) {
-      report.rr_iterations += ripup_reroute_loop(
-          options_.consider_tpl, options_.negotiation.present_factor_initial);
+      report.rr_iterations +=
+          ripup_reroute_loop(options_.consider_tpl, kPresentFactorInitial);
     }
   }
 

@@ -9,10 +9,11 @@ namespace sadp::ilp {
 namespace {
 constexpr double kEps = 1e-9;
 constexpr double kBigM = 1e7;
+/// Pivot cap; past half of it the entering rule switches to Bland's.
+constexpr std::size_t kMaxIters = 20000;
 }  // namespace
 
-LpResult solve_lp_relaxation(const Model& model, const std::vector<int>* var_fixed,
-                             std::size_t max_iters) {
+LpResult solve_lp_relaxation(const Model& model, const std::vector<int>* var_fixed) {
   const int n_total = model.num_vars();
 
   // Map free variables to dense LP columns; fixed variables fold into the
@@ -148,9 +149,9 @@ LpResult solve_lp_relaxation(const Model& model, const std::vector<int>* var_fix
 
   LpResult result;
   std::size_t iter = 0;
-  for (; iter < max_iters; ++iter) {
+  for (; iter < kMaxIters; ++iter) {
     // Entering column: Dantzig rule, Bland fallback late in the search.
-    const bool bland = iter > max_iters / 2;
+    const bool bland = iter > kMaxIters / 2;
     int enter = -1;
     double best = kEps;
     for (int j = 0; j < width; ++j) {
@@ -197,7 +198,7 @@ LpResult solve_lp_relaxation(const Model& model, const std::vector<int>* var_fix
     }
     basis[static_cast<std::size_t>(leave)] = enter;
   }
-  if (iter >= max_iters) {
+  if (iter >= kMaxIters) {
     result.status = LpResult::Status::kIterLimit;
     return result;
   }

@@ -23,9 +23,9 @@ struct LpResult {
 };
 
 /// Solve the LP relaxation of `model` (variables in [0, 1]).
-/// `var_fixed` optionally pins variables: -1 free, 0 or 1 fixed.
-[[nodiscard]] LpResult solve_lp_relaxation(const Model& model,
-                                           const std::vector<int>* var_fixed = nullptr,
-                                           std::size_t max_iters = 20000);
+/// `var_fixed` optionally pins variables: -1 free, 0 or 1 fixed.  Gives up
+/// with kIterLimit after 20000 pivots.
+[[nodiscard]] LpResult solve_lp_relaxation(
+    const Model& model, const std::vector<int>* var_fixed = nullptr);
 
 }  // namespace sadp::ilp

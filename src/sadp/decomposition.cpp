@@ -91,8 +91,7 @@ TurnCensus census_turns(const LayerPattern& pattern, const grid::TurnRules& rule
 }
 
 LayerDecomposition decompose_layer(const LayerPattern& pattern,
-                                   grid::SadpStyle style,
-                                   const DesignRules& rules) {
+                                   grid::SadpStyle style) {
   LayerDecomposition out;
   out.core.name = "core";
   out.assist.name = (style == grid::SadpStyle::kSid ||
@@ -101,7 +100,7 @@ LayerDecomposition decompose_layer(const LayerPattern& pattern,
                       : "cut";
 
   const grid::TurnRules turn_rules = grid::TurnRules::for_style(style);
-  const int w = rules.wire_width;
+  constexpr int w = kWireWidth;
 
   for (const auto& [p, arms] : pattern.points) {
     // Landing pad at every occupied point (pins and via landings included);
@@ -156,7 +155,7 @@ LayerDecomposition decompose_layer(const LayerPattern& pattern,
             // geometric DRC reports the violation.
             out.assist.rects.push_back(corner_rect(p, kind, w, kScale));
             out.assist.rects.push_back(
-                corner_rect(p, kind, w, kScale + w + rules.min_mask_spacing - 1));
+                corner_rect(p, kind, w, kScale + w + kMinMaskSpacing - 1));
             ++out.forbidden_turns;
             break;
         }
@@ -164,10 +163,8 @@ LayerDecomposition decompose_layer(const LayerPattern& pattern,
     }
   }
 
-  auto core_violations =
-      check_mask(out.core, rules.min_mask_width, rules.min_mask_spacing);
-  auto assist_violations =
-      check_mask(out.assist, rules.min_mask_width, rules.min_mask_spacing);
+  auto core_violations = check_mask(out.core, kMinMaskWidth, kMinMaskSpacing);
+  auto assist_violations = check_mask(out.assist, kMinMaskWidth, kMinMaskSpacing);
   out.violations = std::move(core_violations);
   out.violations.insert(out.violations.end(), assist_violations.begin(),
                         assist_violations.end());

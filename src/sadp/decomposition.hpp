@@ -50,10 +50,9 @@ struct TurnCensus {
 [[nodiscard]] TurnCensus census_turns(const LayerPattern& pattern,
                                       const grid::TurnRules& rules);
 
-/// Synthesize and DRC the two masks of one metal layer.
+/// Synthesize and DRC the two masks of one metal layer under the rules of
+/// sadp/rules.hpp.
 [[nodiscard]] LayerDecomposition decompose_layer(const LayerPattern& pattern,
-                                                 grid::SadpStyle style,
-                                                 const DesignRules& rules =
-                                                     DesignRules::default_rules());
+                                                 grid::SadpStyle style);
 
 }  // namespace sadp::litho

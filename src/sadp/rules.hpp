@@ -9,17 +9,12 @@ namespace sadp::litho {
 
 inline constexpr int kMaskUnitsPerTrack = 4;
 
-/// Rule set for one SADP process.
-struct DesignRules {
-  /// Drawn wire width (= spacer width in SIM), in mask units.
-  int wire_width = 2;
-  /// Minimum width of any core-mask (mandrel) pattern.
-  int min_mask_width = 2;
-  /// Minimum spacing between two patterns of the same mask (core-core or
-  /// cut-cut / trim-trim), in mask units.
-  int min_mask_spacing = 2;
-
-  [[nodiscard]] static DesignRules default_rules() { return DesignRules{}; }
-};
+/// Drawn wire width (= spacer width in SIM), in mask units.
+inline constexpr int kWireWidth = 2;
+/// Minimum width of any core-mask (mandrel) pattern.
+inline constexpr int kMinMaskWidth = 2;
+/// Minimum spacing between two patterns of the same mask (core-core or
+/// cut-cut / trim-trim), in mask units.
+inline constexpr int kMinMaskSpacing = 2;
 
 }  // namespace sadp::litho

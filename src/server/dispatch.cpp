@@ -53,6 +53,12 @@ util::Status RouteDispatcher::start() {
   if (options_.backends.empty()) {
     return util::Status::invalid_input("dispatcher needs at least one backend");
   }
+  // A zero interval spins the probe loop; a zero staleness bound declares
+  // every backend dead.
+  if (options_.probe_interval_ms < 1 || options_.stale_after_ms < 1) {
+    return util::Status::invalid_input(
+        "probe_interval_ms and stale_after_ms must be >= 1");
+  }
   for (const std::string& addr : options_.backends) {
     const std::optional<HostPort> parsed = parse_host_port(addr);
     if (!parsed) {

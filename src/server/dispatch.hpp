@@ -52,8 +52,10 @@ struct DispatcherOptions {
   /// Backend daemons ("HOST:PORT", HOST a name or a literal).  At least
   /// one is required.
   std::vector<std::string> backends;
+  /// Stats-probe cadence; start() rejects a value below 1.
   int probe_interval_ms = 200;
-  /// A backend whose last successful probe is older than this is dead.
+  /// A backend whose last successful probe is older than this is dead;
+  /// start() rejects a value below 1.
   int stale_after_ms = 1000;
   /// Send/receive timeout on probe and drain fan-out round trips.  A wedged
   /// (e.g. SIGSTOPped) backend then shows up as a timed-out probe — stale,

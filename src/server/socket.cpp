@@ -14,6 +14,10 @@
 namespace sadp::server {
 
 util::Status listen_loopback(int port, int* fd, int* bound_port) {
+  if (port < 0 || port > 65535) {
+    return util::Status::invalid_input("port " + std::to_string(port) +
+                                       " is outside [0, 65535]");
+  }
   const auto fail = [](int sock, const std::string& what) {
     const util::Status status =
         util::Status::internal(what + ": " + std::strerror(errno));

@@ -13,7 +13,8 @@
 namespace sadp::server {
 
 /// Bind and listen on 127.0.0.1:`port` (0 = ephemeral): the listener and
-/// its port, or a status naming the step ("bind 127.0.0.1:P: ...").
+/// its port, or a status naming the step ("bind 127.0.0.1:P: ...").  A port
+/// outside [0, 65535] is invalid_input.
 [[nodiscard]] util::Status listen_loopback(int port, int* fd, int* bound_port);
 
 /// Connect to host:port, `host` a name or a literal, trying each address

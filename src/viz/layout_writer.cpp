@@ -15,38 +15,38 @@ const char* layer_color(int layer) {
   }
 }
 
+/// SVG pixels per grid unit of a layout, and per mask unit of a mask.
+constexpr double kLayoutScale = 12.0;
+constexpr double kMaskScale = 6.0;
+
 struct Clip {
-  int lo_x, lo_y, hi_x, hi_y;
+  int hi_x, hi_y;
   [[nodiscard]] bool contains(grid::Point p) const noexcept {
-    return p.x >= lo_x && p.x <= hi_x && p.y >= lo_y && p.y <= hi_y;
+    return p.x >= 0 && p.x <= hi_x && p.y >= 0 && p.y <= hi_y;
   }
 };
 
 Clip make_clip(const core::SadpRouter& router, const LayoutWriterOptions& options) {
-  Clip clip{options.clip_lo_x, options.clip_lo_y, options.clip_hi_x,
-            options.clip_hi_y};
+  Clip clip{options.clip_hi_x, options.clip_hi_y};
   if (clip.hi_x < 0) clip.hi_x = router.routing_grid().width() - 1;
   if (clip.hi_y < 0) clip.hi_y = router.routing_grid().height() - 1;
   return clip;
 }
 
-void draw_base(SvgDocument& doc, const core::SadpRouter& router, const Clip& clip,
-               const LayoutWriterOptions& options) {
+void draw_base(SvgDocument& doc, const core::SadpRouter& router, const Clip& clip) {
   const auto& grid = router.routing_grid();
 
-  if (options.draw_grid) {
-    doc.begin_group("grid", 0.25);
-    Style grid_style;
-    grid_style.stroke = "#cccccc";
-    grid_style.stroke_width = 0.4;
-    for (int x = clip.lo_x; x <= clip.hi_x; ++x) {
-      doc.line(x - clip.lo_x, 0, x - clip.lo_x, clip.hi_y - clip.lo_y, grid_style);
-    }
-    for (int y = clip.lo_y; y <= clip.hi_y; ++y) {
-      doc.line(0, y - clip.lo_y, clip.hi_x - clip.lo_x, y - clip.lo_y, grid_style);
-    }
-    doc.end_group();
+  doc.begin_group("grid", 0.25);
+  Style grid_style;
+  grid_style.stroke = "#cccccc";
+  grid_style.stroke_width = 0.4;
+  for (int x = 0; x <= clip.hi_x; ++x) {
+    doc.line(x, 0, x, clip.hi_y, grid_style);
   }
+  for (int y = 0; y <= clip.hi_y; ++y) {
+    doc.line(0, y, clip.hi_x, y, grid_style);
+  }
+  doc.end_group();
 
   // Wires: one line per unit arm (drawn from the point halfway, so shared
   // segments render once per endpoint without bookkeeping).
@@ -60,7 +60,7 @@ void draw_base(SvgDocument& doc, const core::SadpRouter& router, const Clip& cli
         if (core::key_layer(key) != layer) continue;
         const grid::Point p = core::key_point(key);
         if (!clip.contains(p)) continue;
-        const double x = p.x - clip.lo_x, y = p.y - clip.lo_y;
+        const double x = p.x, y = p.y;
         for (grid::Dir d : grid::kPlanarDirs) {
           if (!grid::has_arm(arms, d)) continue;
           const grid::Point s = grid::step(d);
@@ -71,33 +71,27 @@ void draw_base(SvgDocument& doc, const core::SadpRouter& router, const Clip& cli
     doc.end_group();
   }
 
-  if (options.draw_vias) {
-    doc.begin_group("vias");
-    for (const auto& net : router.nets()) {
-      for (const auto& via : net.vias()) {
-        if (!clip.contains(via.at)) continue;
-        Style dot;
-        dot.fill = via.is_pin_via ? "black" : "#555555";
-        dot.stroke = "none";
-        doc.circle(via.at.x - clip.lo_x, via.at.y - clip.lo_y,
-                   via.is_pin_via ? 0.22 : 0.18, dot);
-      }
+  doc.begin_group("vias");
+  for (const auto& net : router.nets()) {
+    for (const auto& via : net.vias()) {
+      if (!clip.contains(via.at)) continue;
+      Style dot;
+      dot.fill = via.is_pin_via ? "black" : "#555555";
+      dot.stroke = "none";
+      doc.circle(via.at.x, via.at.y, via.is_pin_via ? 0.22 : 0.18, dot);
     }
-    doc.end_group();
   }
+  doc.end_group();
 
-  if (options.highlight_fvps) {
-    doc.begin_group("fvps");
-    Style bad;
-    bad.stroke = "#ff9900";
-    bad.stroke_width = 2.0;
-    for (const auto& fvp : router.via_db().scan_all_fvps()) {
-      if (!clip.contains(fvp.origin)) continue;
-      doc.rect(fvp.origin.x - clip.lo_x - 0.4, fvp.origin.y - clip.lo_y - 0.4,
-               2.8, 2.8, bad);
-    }
-    doc.end_group();
+  doc.begin_group("fvps");
+  Style bad;
+  bad.stroke = "#ff9900";
+  bad.stroke_width = 2.0;
+  for (const auto& fvp : router.via_db().scan_all_fvps()) {
+    if (!clip.contains(fvp.origin)) continue;
+    doc.rect(fvp.origin.x - 0.4, fvp.origin.y - 0.4, 2.8, 2.8, bad);
   }
+  doc.end_group();
 }
 
 }  // namespace
@@ -105,9 +99,8 @@ void draw_base(SvgDocument& doc, const core::SadpRouter& router, const Clip& cli
 SvgDocument render_layout(const core::SadpRouter& router,
                           const LayoutWriterOptions& options) {
   const Clip clip = make_clip(router, options);
-  SvgDocument doc(clip.hi_x - clip.lo_x + 2.0, clip.hi_y - clip.lo_y + 2.0,
-                  options.scale);
-  draw_base(doc, router, clip, options);
+  SvgDocument doc(clip.hi_x + 2.0, clip.hi_y + 2.0, kLayoutScale);
+  draw_base(doc, router, clip);
   return doc;
 }
 
@@ -117,9 +110,8 @@ SvgDocument render_layout_with_dvi(const core::SadpRouter& router,
                                    const std::vector<grid::Point>& inserted_at,
                                    const LayoutWriterOptions& options) {
   const Clip clip = make_clip(router, options);
-  SvgDocument doc(clip.hi_x - clip.lo_x + 2.0, clip.hi_y - clip.lo_y + 2.0,
-                  options.scale);
-  draw_base(doc, router, clip, options);
+  SvgDocument doc(clip.hi_x + 2.0, clip.hi_y + 2.0, kLayoutScale);
+  draw_base(doc, router, clip);
 
   doc.begin_group("redundant-vias");
   Style ring;
@@ -133,18 +125,17 @@ SvgDocument render_layout_with_dvi(const core::SadpRouter& router,
     if (inserted[static_cast<std::size_t>(i)] >= 0) {
       const grid::Point p = inserted_at[static_cast<std::size_t>(i)];
       if (!clip.contains(p)) continue;
-      doc.circle(p.x - clip.lo_x, p.y - clip.lo_y, 0.3, ring);
+      doc.circle(p.x, p.y, 0.3, ring);
     } else if (clip.contains(at)) {
       // Dead via: red ring around the original.
-      doc.circle(at.x - clip.lo_x, at.y - clip.lo_y, 0.34, dead);
+      doc.circle(at.x, at.y, 0.34, dead);
     }
   }
   doc.end_group();
   return doc;
 }
 
-SvgDocument render_masks(const litho::LayerDecomposition& decomposition,
-                         double scale) {
+SvgDocument render_masks(const litho::LayerDecomposition& decomposition) {
   // Bounds over both masks, in mask units.
   int lo_x = 0, lo_y = 0, hi_x = 1, hi_y = 1;
   bool first = true;
@@ -165,7 +156,7 @@ SvgDocument render_masks(const litho::LayerDecomposition& decomposition,
   for (const auto& r : decomposition.core.rects) grow(r);
   for (const auto& r : decomposition.assist.rects) grow(r);
 
-  SvgDocument doc(hi_x - lo_x + 4.0, hi_y - lo_y + 4.0, scale);
+  SvgDocument doc(hi_x - lo_x + 4.0, hi_y - lo_y + 4.0, kMaskScale);
   const double ox = 2.0 - lo_x, oy = 2.0 - lo_y;
 
   doc.begin_group("core", 0.7);

@@ -1,10 +1,10 @@
 // Render a routed design (and optionally its DVI result or synthesized SADP
 // masks) to SVG for visual inspection.
 //
-// Layers render as translucent groups: metal 2 in blue, metal 3 in red,
-// higher layers in green hues; pins are black squares, vias are filled
-// circles, redundant vias are ring markers, FVP windows (if any survive)
-// are highlighted.
+// Layers render as translucent groups over the grid lines: metal 2 in
+// blue, metal 3 in red, higher layers in green hues; vias are filled
+// circles (pin vias black), redundant vias are ring markers, FVP windows
+// (if any survive) are highlighted.
 #pragma once
 
 #include <string>
@@ -17,14 +17,10 @@
 
 namespace sadp::viz {
 
+/// The rendered window runs from grid point (0, 0) to (clip_hi_x,
+/// clip_hi_y); a negative bound means the grid's far edge.
 struct LayoutWriterOptions {
-  double scale = 12.0;
-  bool draw_grid = true;
-  bool draw_pins = true;
-  bool draw_vias = true;
-  bool highlight_fvps = true;
-  /// Clip to a window of the grid; empty = whole grid.
-  int clip_lo_x = 0, clip_lo_y = 0, clip_hi_x = -1, clip_hi_y = -1;
+  int clip_hi_x = -1, clip_hi_y = -1;
 };
 
 /// Render the routed design of `router` to an SVG document.
@@ -39,7 +35,6 @@ struct LayoutWriterOptions {
 
 /// Render the synthesized core + cut/trim masks of one layer decomposition
 /// (mask units; Fig. 1/4 style).
-[[nodiscard]] SvgDocument render_masks(const litho::LayerDecomposition& decomposition,
-                                       double scale = 6.0);
+[[nodiscard]] SvgDocument render_masks(const litho::LayerDecomposition& decomposition);
 
 }  // namespace sadp::viz

@@ -141,8 +141,7 @@ TEST_P(DviSmallRandom, IlpMatchesBruteForce) {
 
 TEST_P(DviSmallRandom, HeuristicIsValidAndBounded) {
   const DviProblem problem = make_problem(977, 3, 5);
-  const DviHeuristicOutput heuristic =
-      run_dvi_heuristic(problem, db_, DviParams{});
+  const DviHeuristicOutput heuristic = run_dvi_heuristic(problem, db_);
 
   const int inserted = problem.num_vias() - heuristic.result.dead_vias;
   EXPECT_LE(inserted, brute_force_max_insertions(problem));
@@ -214,7 +213,7 @@ TEST(DviExact, AtLeastAsGoodAsHeuristicOnRoutedDesign) {
   const DviProblem problem = build_dvi_problem(router.nets(), router.routing_grid(),
                                                router.turn_rules());
   const DviHeuristicOutput heuristic =
-      run_dvi_heuristic(problem, router.via_db(), DviParams{});
+      run_dvi_heuristic(problem, router.via_db());
   DviExactParams params;
   params.time_limit_seconds = 30.0;
   const DviExactOutput exact = solve_dvi_exact(problem, router.via_db(), params);
@@ -261,7 +260,7 @@ TEST(DviExact, ZeroTimeLimitKeepsTheWarmStart) {
   const RoutedDesign d(square_spec("deadline_probe_1", 64, 50));
   ASSERT_TRUE(d.routed_all);
   const DviHeuristicOutput warm =
-      run_dvi_heuristic(d.problem, d.router->via_db(), DviParams{});
+      run_dvi_heuristic(d.problem, d.router->via_db());
   const DviExactOutput unlimited = solve_dvi_exact(d.problem, d.router->via_db());
   ASSERT_TRUE(unlimited.proven_optimal);
   ASSERT_LT(unlimited.result.dead_vias, warm.result.dead_vias);
@@ -361,7 +360,7 @@ TEST(DviExact, ChoicesOnScaledEccArePinned) {
   const RoutedDesign d(*netlist::spec_for("ecc_s", true));
   ASSERT_TRUE(d.routed_all);
   const DviHeuristicOutput heuristic =
-      run_dvi_heuristic(d.problem, d.router->via_db(), DviParams{});
+      run_dvi_heuristic(d.problem, d.router->via_db());
   EXPECT_EQ(heuristic.result.dead_vias, 24);
   EXPECT_EQ(util::crc32(choice_text(heuristic.result.inserted)), 220180951u);
   const DviExactOutput exact = solve_dvi_exact(d.problem, d.router->via_db());
@@ -377,7 +376,7 @@ TEST(DviHeuristic, ProtectsIsolatedVia) {
   DviProblem problem;
   problem.vias.push_back(SingleVia{0, 1, {4, 4}, false});
   problem.feasible = {{{5, 4}, {3, 4}}};
-  const DviHeuristicOutput out = run_dvi_heuristic(problem, db, DviParams{});
+  const DviHeuristicOutput out = run_dvi_heuristic(problem, db);
   EXPECT_EQ(out.result.dead_vias, 0);
   EXPECT_GE(out.result.inserted[0], 0);
   EXPECT_NE(out.redundant_color[0], out.original_color[0]);
@@ -389,7 +388,7 @@ TEST(DviHeuristic, ViaWithNoCandidatesIsDead) {
   DviProblem problem;
   problem.vias.push_back(SingleVia{0, 1, {4, 4}, false});
   problem.feasible = {{}};
-  const DviHeuristicOutput out = run_dvi_heuristic(problem, db, DviParams{});
+  const DviHeuristicOutput out = run_dvi_heuristic(problem, db);
   EXPECT_EQ(out.result.dead_vias, 1);
 }
 
@@ -402,7 +401,7 @@ TEST(DviHeuristic, ConflictingCandidatesServeOnlyOneVia) {
   problem.vias.push_back(SingleVia{0, 1, {3, 4}, false});
   problem.vias.push_back(SingleVia{1, 1, {5, 4}, false});
   problem.feasible = {{{4, 4}}, {{4, 4}}};
-  const DviHeuristicOutput out = run_dvi_heuristic(problem, db, DviParams{});
+  const DviHeuristicOutput out = run_dvi_heuristic(problem, db);
   EXPECT_EQ(out.result.dead_vias, 1);
 }
 
@@ -417,7 +416,7 @@ TEST(DviHeuristic, RefusesFvpCreatingInsertion) {
   problem.vias.push_back(SingleVia{0, 1, {4, 4}, false});
   problem.feasible = {{{5, 5}}};
   ASSERT_TRUE(db.would_create_fvp(1, {5, 5}));
-  const DviHeuristicOutput out = run_dvi_heuristic(problem, db, DviParams{});
+  const DviHeuristicOutput out = run_dvi_heuristic(problem, db);
   EXPECT_EQ(out.result.dead_vias, 1);
 }
 
@@ -468,7 +467,7 @@ TEST(DviFlow, IlpNeverWorseThanHeuristicOnRoutedDesign) {
   const DviProblem problem = build_dvi_problem(router.nets(), router.routing_grid(),
                                                router.turn_rules());
   const DviHeuristicOutput heuristic =
-      run_dvi_heuristic(problem, router.via_db(), DviParams{});
+      run_dvi_heuristic(problem, router.via_db());
   DviIlpParams params;
   params.bnb.time_limit_seconds = 20.0;
   const DviIlpOutput ilp = solve_dvi_ilp(problem, router.via_db(), params);
@@ -502,12 +501,11 @@ TEST(DviHeuristic, RepairPassNeverHurts) {
 
   const DviProblem problem = build_dvi_problem(router.nets(), router.routing_grid(),
                                                router.turn_rules());
-  const DviHeuristicOutput base =
-      run_dvi_heuristic(problem, router.via_db(), DviParams{});
+  const DviHeuristicOutput base = run_dvi_heuristic(problem, router.via_db());
   DviHeuristicOptions repair;
   repair.repair_passes = 3;
   const DviHeuristicOutput improved =
-      run_dvi_heuristic(problem, router.via_db(), DviParams{}, repair);
+      run_dvi_heuristic(problem, router.via_db(), repair);
 
   EXPECT_LE(improved.result.dead_vias, base.result.dead_vias);
   EXPECT_TRUE(check_dvi_solution(router, problem, improved.result.inserted,

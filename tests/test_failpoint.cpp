@@ -239,7 +239,7 @@ TEST_F(FailPointTest, SolverCancelStopsBothSolvers) {
   const core::DviProblem problem = core::build_dvi_problem(
       router.nets(), router.routing_grid(), router.turn_rules());
   const core::DviHeuristicOutput warm =
-      core::run_dvi_heuristic(problem, router.via_db(), core::DviParams{});
+      core::run_dvi_heuristic(problem, router.via_db());
   ASSERT_LT(core::solve_dvi_exact(problem, router.via_db()).result.dead_vias,
             warm.result.dead_vias);
 

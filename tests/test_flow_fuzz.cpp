@@ -68,8 +68,7 @@ TEST_P(FlowFuzz, InvariantsHoldOnRandomInstances) {
   if (options.consider_tpl) {
     const DviProblem problem = build_dvi_problem(
         router.nets(), router.routing_grid(), router.turn_rules());
-    const DviHeuristicOutput dvi =
-        run_dvi_heuristic(problem, router.via_db(), DviParams{});
+    const DviHeuristicOutput dvi = run_dvi_heuristic(problem, router.via_db());
     EXPECT_TRUE(check_dvi_solution(router, problem, dvi.result.inserted,
                                    dvi.inserted_at)
                     .empty())

@@ -12,13 +12,13 @@ namespace sadp::core {
 namespace {
 
 struct Harness {
-  explicit Harness(int side = 24)
+  explicit Harness(int side = 24, grid::SadpStyle style = grid::SadpStyle::kSim)
       : routing(side, side, 3),
         vias(side, side, 2),
-        rules(grid::TurnRules::sim_cut()),
+        rules(grid::TurnRules::for_style(style)),
         options(make_options()),
         costs(routing, rules, options),
-        maze(routing, rules, costs, vias, options) {}
+        maze(routing, rules, costs, vias) {}
 
   static FlowOptions make_options() {
     FlowOptions options;
@@ -75,8 +75,7 @@ TEST(Maze, VerticalConnectionUsesViaOrNonPreferred) {
 
 TEST(Maze, PathNeverContainsForbiddenTurn) {
   for (auto style : {grid::SadpStyle::kSim, grid::SadpStyle::kSid}) {
-    Harness h;
-    h.options.style = style;
+    Harness h(24, style);
     RoutedNet net = h.pinned_net(0, {4, 4});
     ASSERT_TRUE(h.route(net, {4, 4}, {15, 15}));
     const grid::TurnRules rules = grid::TurnRules::for_style(style);

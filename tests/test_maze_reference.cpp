@@ -30,7 +30,7 @@ struct Harness {
         rules(grid::TurnRules::for_style(style)),
         options(make_options(style)),
         costs(routing, rules, options),
-        maze(routing, rules, costs, vias, options) {}
+        maze(routing, rules, costs, vias) {}
 
   static FlowOptions make_options(grid::SadpStyle style) {
     FlowOptions options;
@@ -86,7 +86,6 @@ double bellman_ford(const Harness& h, const RoutedNet& net, grid::Point source,
                            std::numeric_limits<double>::infinity());
   dist[static_cast<std::size_t>(state_id(g, 2, source, kDirNone))] = 0.0;
 
-  const RoutingCosts& rc = h.options.routing;
   bool changed = true;
   while (changed) {
     changed = false;
@@ -113,10 +112,10 @@ double bellman_ford(const Harness& h, const RoutedNet& net, grid::Point source,
             const grid::Point q = p + grid::step(o);
             if (!g.in_bounds(q)) continue;
 
-            double cost = rc.segment;
+            double cost = MazeRouter::kSegmentCost;
             if (grid::RoutingGrid::prefers_horizontal(layer) !=
                 grid::is_horizontal(o)) {
-              cost *= rc.non_preferred;
+              cost *= MazeRouter::kNonPreferredFactor;
             }
             grid::ArmMask arms = net.arms_at(layer, p);
             if (dir != kDirNone) {
@@ -147,7 +146,7 @@ double bellman_ford(const Harness& h, const RoutedNet& net, grid::Point source,
               }
             }
             if (blocked) continue;
-            if (non_preferred_turn) cost += rc.non_preferred_turn;
+            if (non_preferred_turn) cost += MazeRouter::kNonPreferredTurnCost;
             cost += metal_cost(h, layer, q, net.id());
             relax(state_id(g, layer, q, static_cast<int>(o)), cost);
           }
@@ -156,7 +155,8 @@ double bellman_ford(const Harness& h, const RoutedNet& net, grid::Point source,
           for (int to_layer : {layer - 1, layer + 1}) {
             if (!g.routable(to_layer)) continue;
             const int vl = std::min(layer, to_layer);
-            const double cost = rc.via + via_cost(h, vl, p, net.id()) +
+            const double cost = MazeRouter::kViaCost +
+                                via_cost(h, vl, p, net.id()) +
                                 metal_cost(h, to_layer, p, net.id());
             relax(state_id(g, to_layer, p, kDirNone), cost);
           }
@@ -174,7 +174,6 @@ double bellman_ford(const Harness& h, const RoutedNet& net, grid::Point source,
 
 /// Cost of the materialized single-connection path (source was a bare pad).
 double path_cost(const Harness& h, const RoutedNet& net, grid::Point source) {
-  const RoutingCosts& rc = h.options.routing;
   double cost = 0.0;
   for (const auto& [key, arms] : net.metal()) {
     const int layer = key_layer(key);
@@ -183,10 +182,10 @@ double path_cost(const Harness& h, const RoutedNet& net, grid::Point source) {
     // Segments (east/north bits count each segment once).
     for (grid::Dir d : {grid::Dir::kEast, grid::Dir::kNorth}) {
       if (!grid::has_arm(arms, d)) continue;
-      cost += rc.segment * (grid::RoutingGrid::prefers_horizontal(layer) ==
-                                    grid::is_horizontal(d)
-                                ? 1.0
-                                : rc.non_preferred);
+      cost += MazeRouter::kSegmentCost *
+              (grid::RoutingGrid::prefers_horizontal(layer) == grid::is_horizontal(d)
+                   ? 1.0
+                   : MazeRouter::kNonPreferredFactor);
     }
     // Turn penalties (each corner charged once).
     for (grid::Dir hd : {grid::Dir::kEast, grid::Dir::kWest}) {
@@ -195,7 +194,7 @@ double path_cost(const Harness& h, const RoutedNet& net, grid::Point source) {
         if (!grid::has_arm(arms, vd)) continue;
         if (h.rules.classify(p, grid::turn_kind(hd, vd)) ==
             grid::TurnClass::kNonPreferred) {
-          cost += rc.non_preferred_turn;
+          cost += MazeRouter::kNonPreferredTurnCost;
         }
       }
     }
@@ -203,7 +202,7 @@ double path_cost(const Harness& h, const RoutedNet& net, grid::Point source) {
     if (!(layer == 2 && p == source)) cost += metal_cost(h, layer, p, net.id());
   }
   for (const auto& via : net.vias()) {
-    cost += rc.via + via_cost(h, via.via_layer, via.at, net.id());
+    cost += MazeRouter::kViaCost + via_cost(h, via.via_layer, via.at, net.id());
   }
   return cost;
 }

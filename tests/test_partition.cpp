@@ -32,7 +32,7 @@ netlist::PlacedNetlist partition_instance(int side = 160, int nets = 360,
 
 TEST(PartitionPlan, CoresTileTheAxisAndWindowsAreAligned) {
   const netlist::PlacedNetlist instance = partition_instance(192, 100);
-  const PartitionPlan plan = plan_partitions(instance, 4, 16);
+  const PartitionPlan plan = plan_partitions(instance, 4);
   ASSERT_EQ(plan.regions.size(), 4u);
   EXPECT_TRUE(plan.cut_along_x);  // width >= height
 
@@ -56,14 +56,14 @@ TEST(PartitionPlan, CoresTileTheAxisAndWindowsAreAligned) {
 TEST(PartitionPlan, SmallGridsDegradeToSerial) {
   // 48 wide / min_core 32 -> at most one region -> empty plan.
   const netlist::PlacedNetlist instance = partition_instance(48, 30);
-  const PartitionPlan plan = plan_partitions(instance, 4, 16);
+  const PartitionPlan plan = plan_partitions(instance, 4);
   EXPECT_TRUE(plan.regions.empty());
   EXPECT_TRUE(plan.boundary.empty());
 }
 
 TEST(PartitionPlan, EveryNetIsAssignedExactlyOnce) {
   const netlist::PlacedNetlist instance = partition_instance();
-  const PartitionPlan plan = plan_partitions(instance, 4, 16);
+  const PartitionPlan plan = plan_partitions(instance, 4);
   ASSERT_GE(plan.regions.size(), 2u);
 
   std::vector<int> seen(instance.nets.size(), 0);
@@ -89,7 +89,7 @@ TEST(PartitionPlan, EveryNetIsAssignedExactlyOnce) {
 
 TEST(PartitionPlan, RegionWorldGeometryIsConsistent) {
   const netlist::PlacedNetlist instance = partition_instance();
-  const PartitionPlan plan = plan_partitions(instance, 3, 16);
+  const PartitionPlan plan = plan_partitions(instance, 3);
   ASSERT_GE(plan.regions.size(), 2u);
   for (std::size_t r = 0; r < plan.regions.size(); ++r) {
     const PartitionRegion& region = plan.regions[r];

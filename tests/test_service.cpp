@@ -1082,6 +1082,33 @@ TEST(ServiceAddress, HostPortParsesWholeTokensOnly) {
   EXPECT_NE(started.message().find("bad backend address"), std::string::npos);
 }
 
+TEST(ServiceAddress, ListenersRejectPortsOutsideTheTcpRange) {
+  for (const int port : {70000, -1}) {
+    server::ServerOptions daemon = quiet_options();
+    daemon.port = port;
+    server::RouteServer server(daemon);
+    EXPECT_EQ(server.start().code(), util::StatusCode::kInvalidInput) << port;
+
+    server::DispatcherOptions front = dispatcher_options({"127.0.0.1:1"});
+    front.port = port;
+    server::RouteDispatcher dispatcher(front);
+    EXPECT_EQ(dispatcher.start().code(), util::StatusCode::kInvalidInput)
+        << port;
+  }
+}
+
+TEST(ServiceDispatch, StartRejectsProbeTimingsBelowOneMillisecond) {
+  server::DispatcherOptions spinning = dispatcher_options({"127.0.0.1:1"});
+  spinning.probe_interval_ms = 0;
+  server::RouteDispatcher spinner(spinning);
+  EXPECT_EQ(spinner.start().code(), util::StatusCode::kInvalidInput);
+
+  server::DispatcherOptions all_stale = dispatcher_options({"127.0.0.1:1"});
+  all_stale.stale_after_ms = 0;
+  server::RouteDispatcher blind(all_stale);
+  EXPECT_EQ(blind.start().code(), util::StatusCode::kInvalidInput);
+}
+
 #if defined(SADP_ROUTE_BIN) && defined(SADP_FIXTURES_DIR)
 
 /// Run the built sadp_route with `args` plus --connect to a listener that

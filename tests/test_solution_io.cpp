@@ -288,7 +288,7 @@ TEST(SolutionIo, DviOnReloadedSolutionMatches) {
     EXPECT_TRUE(apply_solution(solution, grid, vias).is_ok());
     const grid::TurnRules rules = grid::TurnRules::for_style(solution.style);
     const DviProblem problem = build_dvi_problem(solution.nets, grid, rules);
-    return run_dvi_heuristic(problem, vias, DviParams{}).result.dead_vias;
+    return run_dvi_heuristic(problem, vias).result.dead_vias;
   };
   EXPECT_EQ(run_dvi(*original), run_dvi(*parsed));
 }

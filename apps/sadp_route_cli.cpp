@@ -144,7 +144,7 @@ std::optional<CliOptions> parse_cli(int argc, char** argv) {
   parser.add_string("--dvi-method", &method, "heuristic, exact or ilp (ILP)",
                     "M");
   parser.add_double("--ilp-limit", &options.job.ilp_limit_seconds,
-                    "DVI solver time limit in seconds", "S");
+                    "DVI solver time limit in seconds, at most 1e9", "S");
   parser.add_int("--jobs", &options.request.workers,
                  "worker threads for batch runs (0 = all cores; a server "
                  "caps this to its pool)",
@@ -218,10 +218,12 @@ std::optional<CliOptions> parse_cli(int argc, char** argv) {
   options.job.consider_dvi = !no_dvi;
   options.job.consider_tpl = !no_tpl;
 
-  // Checked here, before --connect can send a value the server rejects.
+  // Checked here, before --connect can send a value the server rejects
+  // and before --dvi-only, which skips validate_job, uses the limit.
   for (const auto& [flag, seconds] :
        {std::pair{"--deadline", options.job.deadline_seconds},
-        std::pair{"--batch-deadline", options.request.batch_deadline_seconds}}) {
+        std::pair{"--batch-deadline", options.request.batch_deadline_seconds},
+        std::pair{"--ilp-limit", options.job.ilp_limit_seconds}}) {
     if (!util::deadline_in_range(seconds)) {
       std::fprintf(stderr, "%s %s, got %g\n", flag, util::kDeadlineRange, seconds);
       return std::nullopt;

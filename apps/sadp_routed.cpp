@@ -29,7 +29,7 @@
 // See src/util/failpoint.hpp for the spec grammar and DESIGN.md §13 for
 // the failure model.  --trace FILE records the process's obs spans and
 // writes a sadp.flow_trace.v1 file on exit, mergeable across the fleet
-// with sadp_trace_merge.
+// with `sadp_flow_report --merge`.
 //
 // Prints "listening on 127.0.0.1:<port>" once ready (scripts wait for that
 // line).  SIGTERM/SIGINT stop either mode gracefully, as does a daemon's

@@ -135,11 +135,11 @@ int main(int argc, char** argv) {
       router.nets(), router.routing_grid(), router.turn_rules());
 
   util::TextTable t3({"solver", "#DV", "#UV", "CPU(s)", "status"});
-  for (bool warm : {false, true}) {
-    core::DviIlpParams params;
-    params.bnb.time_limit_seconds = args.ilp_limit;
-    params.warm_start_with_heuristic = warm;
-    const auto out = core::solve_dvi_ilp(problem, router.via_db(), params);
+  const auto heuristic = core::run_dvi_heuristic(problem, router.via_db());
+  for (const bool warm : {false, true}) {
+    const util::SolverBudget budget(args.ilp_limit, {});
+    const auto out =
+        core::solve_dvi_ilp(problem, warm ? &heuristic : nullptr, budget);
     t3.begin_row();
     t3.cell(warm ? "ILP, heuristic warm start" : "ILP, cold start");
     t3.cell(out.result.dead_vias);
@@ -148,7 +148,6 @@ int main(int argc, char** argv) {
     t3.cell(out.status == ilp::SolveStatus::kOptimal ? "optimal" : "time-limit");
     std::fflush(stdout);
   }
-  const auto heuristic = core::run_dvi_heuristic(problem, router.via_db());
   t3.begin_row();
   t3.cell("heuristic (reference)");
   t3.cell(heuristic.result.dead_vias);

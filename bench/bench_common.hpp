@@ -39,7 +39,7 @@ inline void register_common_flags(util::ArgParser& parser, BenchArgs& args) {
                   "run the paper-scale benchmark set (default: scaled)");
   parser.add_string("--ckt", &args.only_ckt, "restrict to one circuit", "NAME");
   parser.add_double("--ilp-limit", &args.ilp_limit,
-                    "per-instance ILP time limit in seconds", "S");
+                    "per-instance ILP time limit in seconds, at most 1e9", "S");
   parser.add_int("--jobs", &args.jobs,
                  "worker threads for the batch engine (0 = all cores)", "N");
   parser.add_int("--partitions", &args.partitions,
@@ -51,12 +51,18 @@ inline void register_common_flags(util::ArgParser& parser, BenchArgs& args) {
                     "FILE");
 }
 
-/// Parse the shared flags; exits 2 on unknown flags or malformed values.
+/// Parse the shared flags; exits 2 on unknown flags or malformed values,
+/// such as an --ilp-limit outside the deadlines' range (NaN never runs out).
 inline BenchArgs parse_args(int argc, char** argv) {
   BenchArgs args;
   util::ArgParser parser("reproduce one of the paper's experiment tables");
   register_common_flags(parser, args);
   if (!parser.parse(argc, argv)) std::exit(2);
+  if (!util::deadline_in_range(args.ilp_limit)) {
+    std::fprintf(stderr, "--ilp-limit %s, got %g\n", util::kDeadlineRange,
+                 args.ilp_limit);
+    std::exit(2);
+  }
   return args;
 }
 

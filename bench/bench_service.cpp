@@ -146,7 +146,6 @@ int main(int argc, char** argv) {
       retry.retries = 8;
       retry.base_delay_ms = 1;
       retry.max_delay_ms = 50;
-      retry.seed = 77 + static_cast<std::uint64_t>(c);
       int i = c;  // stagger the pool walk per client
       while (!stop_flag.load(std::memory_order_relaxed)) {
         util::Timer timer;

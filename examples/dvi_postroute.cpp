@@ -45,13 +45,13 @@ int main(int argc, char** argv) {
     std::printf("  %zu feasible DVIC(s): %d vias\n", count, vias);
   }
 
-  // ILP (warm-started with the heuristic) vs the heuristic alone.
-  core::DviIlpParams ilp_params;
-  ilp_params.bnb.time_limit_seconds = ilp_seconds;
-  const core::DviIlpOutput ilp = core::solve_dvi_ilp(problem, router.via_db(),
-                                                     ilp_params);
+  // ILP (warm-started with the heuristic) vs the heuristic alone.  As in
+  // the flow, one budget covers the heuristic and the ILP search.
+  const util::SolverBudget ilp_budget(ilp_seconds, {});
   const core::DviHeuristicOutput heuristic =
       core::run_dvi_heuristic(problem, router.via_db());
+  const core::DviIlpOutput ilp =
+      core::solve_dvi_ilp(problem, &heuristic, ilp_budget);
 
   util::TextTable table({"method", "#DV", "#UV", "CPU(s)", "status", "valid"});
   table.begin_row();

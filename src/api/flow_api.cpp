@@ -186,8 +186,8 @@ util::Status validate_job(const JobRequest& job, const std::string& where) {
     return util::Status::invalid_input(
         where + ": exactly one of benchmark, spec, netlist_path required");
   }
-  if (job.ilp_limit_seconds < 0.0) {
-    return util::Status::invalid_input(where + ": ilp_limit must be >= 0");
+  if (!util::deadline_in_range(job.ilp_limit_seconds)) {
+    return util::Status::invalid_input(where + ": ilp_limit " + util::kDeadlineRange);
   }
   if (!util::deadline_in_range(job.deadline_seconds)) {
     return util::Status::invalid_input(where + ": deadline " + util::kDeadlineRange);

@@ -91,8 +91,8 @@ struct FlowRequest {
   /// so older clients parse).  Batch-level: does not affect rows or cache
   /// keys, only durability.
   engine::JournalSync journal_sync = engine::JournalSync::kBatch;
-  /// Trace context, propagated across processes so sadp_trace_merge can
-  /// stitch one request's spans together: a fleet-unique id for this
+  /// Trace context, propagated across processes so a merged fleet trace
+  /// can stitch one request's spans together: a fleet-unique id for this
   /// request (dispatcher relay span, daemon admission/run spans and engine
   /// job spans all carry it as an arg) and the sender's CLOCK_REALTIME
   /// send instant.  Both optional on the wire (absent = untraced = exact
@@ -212,9 +212,9 @@ struct ResponseSummary {
   double wall_seconds = 0.0;
   /// Trace context, echoed from the request when present.  The hop
   /// timestamps are the daemon's CLOCK_REALTIME receive/reply instants
-  /// (microseconds), which is what lets sadp_trace_merge bound the network
-  /// leg between the dispatcher's relay span and the daemon's work.  All
-  /// three omitted from the wire when the request carried no trace_id.
+  /// (microseconds), which is what lets a merged fleet trace bound the
+  /// network leg between the dispatcher's relay span and the daemon's work.
+  /// All three omitted from the wire when the request carried no trace_id.
   std::string trace_id;
   std::int64_t recv_unix_us = 0;
   std::int64_t sent_unix_us = 0;

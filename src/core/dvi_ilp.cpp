@@ -2,8 +2,6 @@
 
 #include <unordered_map>
 
-#include "core/dvi_heuristic.hpp"
-#include "util/timer.hpp"
 #include "via/coloring.hpp"
 
 namespace sadp::core {
@@ -223,32 +221,29 @@ DviIlp build_dvi_ilp(const DviProblem& problem) {
   return out;
 }
 
-DviIlpOutput solve_dvi_ilp(const DviProblem& problem, const via::ViaDb& vias,
-                           const DviIlpParams& params) {
-  util::Timer timer;
+DviIlpOutput solve_dvi_ilp(const DviProblem& problem,
+                           const DviHeuristicOutput* warm_start,
+                           const util::SolverBudget& budget) {
   DviIlpOutput out;
   const int n = problem.num_vias();
 
   DviIlp ilp_problem = build_dvi_ilp(problem);
 
-  // Warm start from the heuristic: map its insertions and coloring onto the
-  // ILP variables.  Strictly an incumbent seed; the search still proves
-  // optimality (or improves on it).
+  // Map the warm start's insertions and coloring onto the ILP variables.
   std::vector<int> warm;
-  ilp::BnbParams bnb = params.bnb;
-  if (params.warm_start_with_heuristic) {
-    const DviHeuristicOutput heuristic = run_dvi_heuristic(problem, vias);
+  ilp::BnbParams bnb;
+  if (warm_start != nullptr) {
     warm.assign(static_cast<std::size_t>(ilp_problem.model.num_vars()), 0);
     for (int i = 0; i < n; ++i) {
-      const int color = heuristic.original_color[static_cast<std::size_t>(i)];
+      const int color = warm_start->original_color[static_cast<std::size_t>(i)];
       const auto& vc = ilp_problem.vars.via_color[static_cast<std::size_t>(i)];
       warm[static_cast<std::size_t>(vc[color == via::kUncolored ? 3 : color])] = 1;
-      const int k = heuristic.result.inserted[static_cast<std::size_t>(i)];
+      const int k = warm_start->result.inserted[static_cast<std::size_t>(i)];
       if (k < 0) continue;
       warm[static_cast<std::size_t>(
           ilp_problem.vars.insert[static_cast<std::size_t>(i)]
                                  [static_cast<std::size_t>(k)])] = 1;
-      const int dc = heuristic.redundant_color[static_cast<std::size_t>(i)];
+      const int dc = warm_start->redundant_color[static_cast<std::size_t>(i)];
       warm[static_cast<std::size_t>(
           ilp_problem.vars.dvic_color[static_cast<std::size_t>(i)]
                                      [static_cast<std::size_t>(k)]
@@ -257,10 +252,8 @@ DviIlpOutput solve_dvi_ilp(const DviProblem& problem, const via::ViaDb& vias,
     bnb.warm_start = &warm;
   }
 
-  const ilp::Solution solution = ilp::solve(ilp_problem.model, bnb);
+  const ilp::Solution solution = ilp::solve(ilp_problem.model, bnb, budget);
   out.status = solution.status;
-  out.nodes = solution.nodes_explored;
-  out.objective = solution.objective;
 
   out.result.inserted.assign(static_cast<std::size_t>(n), -1);
   out.inserted_at.assign(static_cast<std::size_t>(n), {});
@@ -287,7 +280,7 @@ DviIlpOutput solve_dvi_ilp(const DviProblem& problem, const via::ViaDb& vias,
       ++out.result.dead_vias;
     }
   }
-  out.result.seconds = timer.seconds();
+  out.result.seconds = budget.seconds();
   return out;
 }
 

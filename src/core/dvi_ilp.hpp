@@ -21,6 +21,7 @@
 
 #include <vector>
 
+#include "core/dvi_heuristic.hpp"
 #include "core/dvic.hpp"
 #include "ilp/bnb.hpp"
 #include "ilp/model.hpp"
@@ -46,23 +47,15 @@ struct DviIlp {
 };
 [[nodiscard]] DviIlp build_dvi_ilp(const DviProblem& problem);
 
-/// Solve parameters for the DVI ILP.
-struct DviIlpParams {
-  ilp::BnbParams bnb;
-  /// Run Algorithm 3 first and hand its solution to the solver as the
-  /// initial incumbent (strictly an optimization; results only improve).
-  bool warm_start_with_heuristic = true;
-};
-
 struct DviIlpOutput : DviSolution {
   ilp::SolveStatus status = ilp::SolveStatus::kUnknown;
-  double objective = 0.0;
-  std::size_t nodes = 0;
 };
 
 /// Build and solve; decode insertions / dead vias / uncolorable count.
+/// `warm_start` (Algorithm 3's answer, or null) seeds the search, which
+/// polls `budget`; result.seconds reads the budget's clock.
 [[nodiscard]] DviIlpOutput solve_dvi_ilp(const DviProblem& problem,
-                                         const via::ViaDb& vias,
-                                         const DviIlpParams& params = {});
+                                         const DviHeuristicOutput* warm_start,
+                                         const util::SolverBudget& budget = {});
 
 }  // namespace sadp::core

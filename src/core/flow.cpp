@@ -6,18 +6,6 @@
 
 namespace sadp::core {
 
-namespace {
-
-DviStageOutput run_dvi_heuristic_stage(const DviProblem& problem,
-                                       const via::ViaDb& vias) {
-  DviStageOutput out;
-  static_cast<DviSolution&>(out) = run_dvi_heuristic(problem, vias);
-  out.status = ilp::SolveStatus::kOptimal;
-  return out;
-}
-
-}  // namespace
-
 DviStageOutput run_post_routing_dvi(const via::ViaDb& vias,
                                     const FlowConfig& config,
                                     const DviProblem& problem) {
@@ -25,7 +13,8 @@ DviStageOutput run_post_routing_dvi(const via::ViaDb& vias,
   switch (config.dvi_method) {
     case DviMethod::kHeuristic: {
       obs::Span span("dvi:heuristic");
-      out = run_dvi_heuristic_stage(problem, vias);
+      static_cast<DviSolution&>(out) = run_dvi_heuristic(problem, vias);
+      out.status = ilp::SolveStatus::kOptimal;
       break;
     }
     case DviMethod::kExact: {
@@ -41,15 +30,18 @@ DviStageOutput run_post_routing_dvi(const via::ViaDb& vias,
     }
     case DviMethod::kIlp: {
       obs::Span span("dvi:ilp");
-      DviIlpParams params;
-      params.bnb.time_limit_seconds = config.ilp_time_limit_seconds;
-      params.bnb.cancel = config.options.cancel;
+      // One budget and one Algorithm 3 run per stage: the clock starts
+      // before the warm start, so the limit and the row's seconds cover
+      // Algorithm 3, the C1-C8 build and the search.
+      const util::SolverBudget budget(config.ilp_time_limit_seconds,
+                                      config.options.cancel);
+      DviHeuristicOutput heuristic = run_dvi_heuristic(problem, vias);
       // Degradation policy: an ILP solve that cannot prove optimality (time
-      // limit, external cancel) or dies outright falls back to the
-      // heuristic, keeping the batch row usable at the cost of optimality.
+      // limit, external cancel) or dies outright falls back to the warm
+      // start, keeping the batch row usable at the cost of optimality.
       bool solver_failed = false;
       try {
-        DviIlpOutput ilp = solve_dvi_ilp(problem, vias, params);
+        DviIlpOutput ilp = solve_dvi_ilp(problem, &heuristic, budget);
         static_cast<DviSolution&>(out) = std::move(ilp);
         out.status = ilp.status;
       } catch (const std::exception&) {
@@ -59,10 +51,9 @@ DviStageOutput run_post_routing_dvi(const via::ViaDb& vias,
       if (config.degrade_dvi_on_timeout &&
           (solver_failed || out.status != ilp::SolveStatus::kOptimal) &&
           !config.options.cancel.stop_requested()) {
-        obs::Span degrade_span("dvi:heuristic_fallback");
-        const ilp::SolveStatus ilp_status = out.status;
-        out = run_dvi_heuristic_stage(problem, vias);
-        out.status = solver_failed ? ilp::SolveStatus::kUnknown : ilp_status;
+        static_cast<DviSolution&>(out) = std::move(heuristic);
+        out.result.seconds = budget.seconds();
+        if (solver_failed) out.status = ilp::SolveStatus::kUnknown;
         out.degraded = true;
       }
       break;

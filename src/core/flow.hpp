@@ -59,9 +59,10 @@ struct FlowConfig {
   DviMethod dvi_method = DviMethod::kIlp;
   double ilp_time_limit_seconds = 120.0;
   /// Graceful degradation: when the ILP DVI solve fails to prove optimality
-  /// (time limit, external cancel) or throws, automatically re-solve with
-  /// the O(n log n) heuristic and mark the run degraded.  Off by default so
-  /// the paper-faithful tables keep reporting the time-limited ILP rows.
+  /// (time limit, external cancel) or throws, keep the stage's Algorithm 3
+  /// answer (the ILP's warm start) and mark the run degraded.  Off by
+  /// default so the paper-faithful tables keep reporting the time-limited
+  /// ILP rows.
   bool degrade_dvi_on_timeout = false;
 };
 
@@ -94,7 +95,7 @@ struct FlowRun {
 
 /// Solve a caller-built DVI problem with config's method against the
 /// routed design's via occupancy `vias`, degrading an ILP solve that cannot
-/// prove optimality to the heuristic when config asks for it.
+/// prove optimality to its Algorithm 3 warm start when config asks for it.
 [[nodiscard]] DviStageOutput run_post_routing_dvi(const via::ViaDb& vias,
                                                   const FlowConfig& config,
                                                   const DviProblem& problem);

@@ -7,9 +7,6 @@ namespace sadp::core {
 
 namespace {
 
-/// Largest header width/height: metal keys hold 24-bit coordinates.
-constexpr int kMaxSide = 1 << 24;
-
 /// Token separators inside a line ('\n' ends the line itself).
 constexpr bool is_space(char c) noexcept {
   return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
@@ -215,8 +212,8 @@ std::optional<RoutedSolution> parse_solution(std::string_view text,
       if (!style) {
         return fail("unknown style '" + std::string(style_text) + "'");
       }
-      if (solution.width < 1 || solution.width > kMaxSide ||
-          solution.height < 1 || solution.height > kMaxSide ||
+      if (solution.width < 1 || solution.width > grid::kMaxSide ||
+          solution.height < 1 || solution.height > grid::kMaxSide ||
           solution.num_metal_layers < 1) {
         return fail("solution header dimensions out of range" + at_line());
       }

@@ -46,8 +46,9 @@ JobOutcome execute_job(FlowJob job, const util::CancelToken& batch_token) {
   // only when tracing on).
   obs::Span job_span(
       obs::tracing_enabled() ? "job:" + outcome.label : std::string());
-  // Stamp propagated trace context on the job span; sadp_trace_merge joins
-  // this process's spans to the dispatcher's relay span through these args.
+  // Stamp propagated trace context on the job span; a merged fleet trace
+  // joins this process's spans to the dispatcher's relay span through
+  // these args.
   if (!job.trace_id.empty()) job_span.set_str("trace_id", job.trace_id);
   if (!job.span_id.empty()) job_span.set_str("span_id", job.span_id);
 

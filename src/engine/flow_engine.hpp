@@ -70,7 +70,7 @@ struct FlowJob {
   std::string arm;
   /// Propagated trace context (api::FlowRequest trace_id / JobRequest
   /// span_id).  When tracing is on, the engine stamps both as string args
-  /// on the job's span so sadp_trace_merge can correlate this process's
+  /// on the job's span so a merged fleet trace correlates this process's
   /// spans with the dispatcher's relay span.  Never enters the outcome or
   /// the journal; empty = untraced.
   std::string trace_id;

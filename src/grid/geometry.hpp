@@ -50,6 +50,11 @@ struct Point {
   return dx * dx + dy * dy;
 }
 
+/// The largest grid side the site key below packs one to one (coordinates
+/// 0 to 2^24 - 1).  Solution headers and scaled benchmark specs are held to
+/// it.
+inline constexpr int kMaxSide = 1 << 24;
+
 /// The one (layer, x, y) packing: bits 48 and up hold the layer, bits 24-47
 /// x and bits 0-23 y.  In-grid points (0 <= x, y < 2^24) pack one to one and
 /// never collide with an off-grid probe; the XOR keeps off-grid keys (window

@@ -453,27 +453,36 @@ class ComponentSolver {
 
 }  // namespace
 
-Solution solve(const Model& model, const BnbParams& params) {
+Solution solve(const Model& model, const BnbParams& params,
+               const util::SolverBudget& budget) {
   obs::Span solve_span("ilp_bnb", model.num_vars());
-  const util::SolverBudget budget(params.time_limit_seconds, params.cancel);
   Solution total;
   total.status = SolveStatus::kOptimal;
   total.value.assign(static_cast<std::size_t>(model.num_vars()), 0);
   total.objective = 0.0;
 
+  const bool warm = params.warm_start != nullptr &&
+                    static_cast<int>(params.warm_start->size()) == model.num_vars();
   std::int64_t comp_index = 0;
   for (const auto& comp : split_components(model)) {
-    obs::Span comp_span("ilp_bnb_component", comp_index++);
-    ComponentSolver solver(comp.model, params, budget);
-    if (params.warm_start != nullptr &&
-        static_cast<int>(params.warm_start->size()) == model.num_vars()) {
-      std::vector<int> local(comp.global_var.size());
-      for (std::size_t i = 0; i < comp.global_var.size(); ++i) {
-        local[i] = (*params.warm_start)[static_cast<std::size_t>(comp.global_var[i])];
-      }
-      solver.warm_start(local);
+    std::vector<int> part;  // the component's part of the warm start
+    for (const VarId v : comp.global_var) {
+      if (warm) part.push_back((*params.warm_start)[static_cast<std::size_t>(v)]);
     }
-    const Solution sub = solver.run();
+    Solution sub;
+    if (!budget.exhausted()) {
+      obs::Span comp_span("ilp_bnb_component", comp_index);
+      ComponentSolver solver(comp.model, params, budget);
+      if (warm) solver.warm_start(part);
+      sub = solver.run();
+    } else if (comp.model.feasible(part)) {
+      // A spent budget searches nothing more: the component keeps its warm
+      // start, as one stopped at its first node would.
+      sub.status = SolveStatus::kFeasible;
+      sub.objective = comp.model.objective_value(part);
+      sub.value = std::move(part);
+    }
+    ++comp_index;
     total.nodes_explored += sub.nodes_explored;
     if (sub.status == SolveStatus::kInfeasible || sub.status == SolveStatus::kUnknown) {
       total.status = sub.status;

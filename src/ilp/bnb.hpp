@@ -13,32 +13,30 @@
 //  * branching: highest |objective coefficient| first, objective-improving
 //    value first.
 //
-// Limits (nodes, thread CPU time) turn the solver into an anytime optimizer
-// that reports kFeasible instead of kOptimal, mirroring a time-limited Gurobi
-// run.
+// Limits (nodes, the caller's budget) turn the solver into an anytime
+// optimizer that reports kFeasible instead of kOptimal, mirroring a
+// time-limited Gurobi run.
 #pragma once
 
 #include <cstddef>
 
 #include "ilp/model.hpp"
-#include "util/cancel.hpp"
+#include "util/timer.hpp"
 
 namespace sadp::ilp {
 
 struct BnbParams {
   std::size_t max_nodes = 50'000'000;
-  double time_limit_seconds = 600.0;
-  /// Cooperative external stop (wall deadline / batch cancel), polled with
-  /// the CPU-time budget above (util::SolverBudget: first node of every
-  /// component, then every 256th).  When it fires the solver returns its
-  /// incumbent as kFeasible, exactly like hitting the node or time limit.
-  util::CancelToken cancel;
   /// Optional feasible assignment (one 0/1 value per model variable) used
   /// as the initial incumbent; infeasible warm starts are ignored.
   const std::vector<int>* warm_start = nullptr;
 };
 
-/// Solve a 0-1 model to optimality (within limits).
-[[nodiscard]] Solution solve(const Model& model, const BnbParams& params = {});
+/// Solve a 0-1 model to optimality (within limits), polling `budget` before
+/// every component and inside its search.  Once it is spent, each remaining
+/// component keeps its part of the warm start unsearched (kUnknown without
+/// one).  The default budget has no time limit and no token.
+[[nodiscard]] Solution solve(const Model& model, const BnbParams& params = {},
+                             const util::SolverBudget& budget = {});
 
 }  // namespace sadp::ilp

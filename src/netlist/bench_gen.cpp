@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <limits>
+#include <tuple>
 
 #include "util/rng.hpp"
 
@@ -122,7 +125,25 @@ util::Status validate_spec(const BenchSpec& spec) {
                                        "' needs scale > 0, got " +
                                        std::to_string(spec.scale));
   }
-  if (spec.scale != 1.0) return validate_spec(resolve_scale(spec));
+  if (spec.scale != 1.0) {
+    // resolve_scale casts the scaled sizes to int, and a side must also fit
+    // the site key's coordinates, so both are checked before it runs.
+    const double linear = std::sqrt(spec.scale);
+    for (const auto& [field, size, limit] :
+         {std::tuple{"width", spec.width * linear, grid::kMaxSide},
+          std::tuple{"height", spec.height * linear, grid::kMaxSide},
+          std::tuple{"num_nets", spec.num_nets * spec.scale,
+                     std::numeric_limits<int>::max()}}) {
+      if (!(std::abs(std::round(size)) <= limit)) {
+        char detail[128];
+        std::snprintf(detail, sizeof detail,
+                      "' at scale %g resolves %s to %.0f, past its limit %d",
+                      spec.scale, field, std::round(size), limit);
+        return util::Status::invalid_input("benchmark spec '" + spec.name + detail);
+      }
+    }
+    return validate_spec(resolve_scale(spec));
+  }
   if (spec.width < 16 || spec.height < 16) {
     return util::Status::invalid_input(
         "benchmark spec '" + spec.name + "' needs a grid of at least 16x16, got " +

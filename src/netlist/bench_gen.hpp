@@ -80,7 +80,9 @@ struct BenchStats {
 [[nodiscard]] BenchSpec resolve_scale(BenchSpec spec);
 
 /// Check a spec before generation: grid at least 16x16, a positive net
-/// count, and enough area for the requested pins at min_pin_spacing.
+/// count, and enough area for the requested pins at min_pin_spacing.  A
+/// scale is checked before it is resolved: the scaled net count must fit an
+/// int and each scaled side grid::kMaxSide.
 /// Returns kInvalidInput with a human-readable message on violations.
 [[nodiscard]] util::Status validate_spec(const BenchSpec& spec);
 

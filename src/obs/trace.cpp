@@ -93,8 +93,8 @@ std::string TraceSession::to_json() const {
   json.begin_object();
   json.key("schema").value(kTraceSchema);
   json.key("displayTimeUnit").value("ms");
-  // The realtime instant of ts == 0 (process start).  sadp_trace_merge uses
-  // it to shift per-process files onto one fleet timeline.
+  // The realtime instant of ts == 0 (process start).  obs::merge_traces
+  // uses it to shift per-process files onto one fleet timeline.
   json.key("clock_unix_us")
       .value(static_cast<long long>(util::process_unix_anchor_us()));
   json.key("process").value(process_name_);

@@ -120,7 +120,7 @@ class TraceSession {
   /// enable the span sites.  Timestamps are reported on the process
   /// telemetry clock (microseconds since process start, util/timer.hpp),
   /// the same epoch log-line prefixes use, so log lines, spans, and the
-  /// traces of sibling fleet processes line up after sadp_trace_merge
+  /// traces of sibling fleet processes line up after obs::merge_traces
   /// shifts each file by its `clock_unix_us` anchor.
   void install();
 

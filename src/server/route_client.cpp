@@ -7,6 +7,7 @@
 #include <charconv>
 #include <chrono>
 #include <cstring>
+#include <random>
 #include <thread>
 
 #include "server/socket.hpp"
@@ -126,7 +127,8 @@ RemoteBatch run_stream_retry(
     const std::string& host, int port, const std::string& request_line,
     const RetryOptions& retry, const RowCallback& on_row,
     std::vector<std::string>* wire_lines = nullptr) {
-  util::Xoshiro256StarStar jitter(retry.seed != 0 ? retry.seed : 0x5adbull);
+  std::random_device entropy;
+  util::Xoshiro256StarStar jitter((std::uint64_t{entropy()} << 32) ^ entropy());
   RemoteBatch batch;
   for (int attempt = 0;; ++attempt) {
     batch = run_stream(host, port, request_line, on_row, wire_lines);

@@ -79,11 +79,12 @@ struct RemoteBatch {
 /// the protocol defines as "same request, later, may succeed".  The delay
 /// before attempt k is uniform in (0, min(base * 2^(k-1), max_delay)] —
 /// full jitter, so a thundering herd of rejected clients decorrelates.
+/// Each retry loop seeds its jitter from std::random_device, so clients
+/// rejected together do not draw the same delays.
 struct RetryOptions {
   int retries = 0;          ///< extra attempts after the first
   int base_delay_ms = 50;   ///< backoff scale for the first retry
   int max_delay_ms = 2000;  ///< backoff cap (--retry-max-ms)
-  std::uint64_t seed = 0;   ///< jitter PRNG seed (deterministic per client)
 };
 
 /// run_remote plus the retry policy above; `batch.attempts` reports how

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <ctime>
+#include <limits>
 #include <utility>
 
 #include "util/cancel.hpp"
@@ -18,7 +19,7 @@ namespace sadp::util {
 /// prefixes, trace-event `ts` values, metrics uptime — is expressed as
 /// microseconds since this single epoch, so log lines and trace spans line
 /// up without conversion.  The unix anchor travels inside trace files
-/// (sadp.flow_trace.v1 `clock_unix_us`), which is how sadp_trace_merge
+/// (sadp.flow_trace.v1 `clock_unix_us`), which is how obs::merge_traces
 /// aligns timelines recorded by different processes.
 ///
 /// The pair is captured by the first caller (thread-safe magic static);
@@ -102,18 +103,22 @@ class ThreadCpuTimer {
 
 /// The one budget poll of the exact solvers (B&B ILP, exact DVI): the
 /// thread-CPU time limit, the external cancel token and the `solver.cancel`
-/// failpoint behind a single check.
+/// failpoint behind a single check.  The caller owns it, so its clock can
+/// start before the warm start and cover the whole stage.
 ///
 /// Because a thread-CPU clock read is a syscall, a search reads all three
-/// at the first node of every component and every 256th node of that
-/// component after, not per node.  A deadline that passes mid-component is
-/// therefore noticed up to 255 nodes late; one that passed before a
-/// component starts stops it at its first node.  Node limits are exact and
-/// free to check, so they stay with each solver.
+/// before every component, then at the first node of the component and
+/// every 256th node after, not per node.  A deadline that passes
+/// mid-component is therefore noticed up to 255 nodes late; once it has
+/// passed, every later component keeps its warm start unsearched.  Node
+/// limits are exact and free to check, so they stay with each solver.
 class SolverBudget {
  public:
   SolverBudget(double time_limit_seconds, CancelToken cancel) noexcept
       : time_limit_seconds_(time_limit_seconds), cancel_(std::move(cancel)) {}
+  /// No time limit and no token: only the failpoint stops it.
+  SolverBudget() noexcept
+      : SolverBudget(std::numeric_limits<double>::infinity(), CancelToken()) {}
 
   /// The per-node poll.  `component_node` is the node's 1-based index
   /// within its component.

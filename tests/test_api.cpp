@@ -318,6 +318,30 @@ TEST(FlowApi, IntegerFieldsMustBeExactAndInRange) {
   EXPECT_EQ(api::validate_job(huge->jobs[0], "job 0").code(),
             util::StatusCode::kInvalidInput);
 
+  // ilp_limit takes the deadlines' range: a NaN or infinite limit never
+  // runs out, and "1e400" parses to +inf.
+  for (const double seconds :
+       {-1.0, 1e30, std::numeric_limits<double>::quiet_NaN(),
+        util::kMaxDeadlineSeconds}) {
+    const bool accepted = seconds == util::kMaxDeadlineSeconds;
+    api::FlowRequest limited = tiny_request();
+    limited.jobs[0].ilp_limit_seconds = seconds;
+    const util::Status valid = api::validate(limited);
+    EXPECT_EQ(valid.is_ok(), accepted) << seconds;
+    if (!accepted) {
+      EXPECT_NE(valid.message().find("ilp_limit must be in [0, 1e9] seconds"),
+                std::string::npos)
+          << valid.message();
+    }
+  }
+  const auto huge_limit = api::parse_request(
+      R"({"schema":"sadp.flow_request.v1","jobs":[{"benchmark":"ecc","ilp_limit":1e400}]})",
+      &error);
+  ASSERT_TRUE(huge_limit.has_value()) << error;
+  EXPECT_EQ(huge_limit->jobs[0].ilp_limit_seconds, inf);
+  EXPECT_EQ(api::validate_job(huge_limit->jobs[0], "job 0").code(),
+            util::StatusCode::kInvalidInput);
+
   // Response lines: counts are non-negative, ids fit an int.
   const std::string prefix = R"({"schema":"sadp.flow_response.v1",)";
   for (const std::string& bad :

@@ -132,8 +132,8 @@ TEST_P(DviSmallRandom, IlpMatchesBruteForce) {
   const DviProblem problem = make_problem(131, 7, 4);
   const int reference = brute_force_max_insertions(problem);
 
-  DviIlpParams params;
-  const DviIlpOutput ilp = solve_dvi_ilp(problem, db_, params);
+  const DviHeuristicOutput warm = run_dvi_heuristic(problem, db_);
+  const DviIlpOutput ilp = solve_dvi_ilp(problem, &warm);
   ASSERT_EQ(ilp.status, ilp::SolveStatus::kOptimal);
   EXPECT_EQ(ilp.result.uncolorable, 0);
   EXPECT_EQ(problem.num_vias() - ilp.result.dead_vias, reference);
@@ -166,7 +166,8 @@ TEST_P(DviSmallRandom, ExactSolverMatchesBruteForce) {
   EXPECT_TRUE(exact.proven_optimal);
   EXPECT_EQ(problem.num_vias() - exact.result.dead_vias, reference);
   // And agrees with the literal ILP.
-  const DviIlpOutput ilp = solve_dvi_ilp(problem, db_);
+  const DviHeuristicOutput warm = run_dvi_heuristic(problem, db_);
+  const DviIlpOutput ilp = solve_dvi_ilp(problem, &warm);
   ASSERT_EQ(ilp.status, ilp::SolveStatus::kOptimal);
   EXPECT_EQ(exact.result.dead_vias, ilp.result.dead_vias);
 }
@@ -445,7 +446,8 @@ TEST(DviIlp, UncolorableOriginalsAreCounted) {
     problem.vias.push_back(SingleVia{i, 1, block[i], false});
     problem.feasible.push_back({});
   }
-  const DviIlpOutput out = solve_dvi_ilp(problem, db);
+  const DviHeuristicOutput warm = run_dvi_heuristic(problem, db);
+  const DviIlpOutput out = solve_dvi_ilp(problem, &warm);
   ASSERT_EQ(out.status, ilp::SolveStatus::kOptimal);
   EXPECT_EQ(out.result.uncolorable, 1);
 }
@@ -468,9 +470,8 @@ TEST(DviFlow, IlpNeverWorseThanHeuristicOnRoutedDesign) {
                                                router.turn_rules());
   const DviHeuristicOutput heuristic =
       run_dvi_heuristic(problem, router.via_db());
-  DviIlpParams params;
-  params.bnb.time_limit_seconds = 20.0;
-  const DviIlpOutput ilp = solve_dvi_ilp(problem, router.via_db(), params);
+  const DviIlpOutput ilp =
+      solve_dvi_ilp(problem, &heuristic, util::SolverBudget(20.0, {}));
 
   EXPECT_LE(ilp.result.dead_vias, heuristic.result.dead_vias);
   EXPECT_EQ(ilp.result.uncolorable, 0);

@@ -10,12 +10,15 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/flow_engine.hpp"
 #include "engine/journal.hpp"
 #include "netlist/bench_gen.hpp"
+#include "obs/trace.hpp"
 #include "util/cancel.hpp"
+#include "util/json.hpp"
 #include "util/status.hpp"
 #include "via/via_db.hpp"
 
@@ -249,6 +252,45 @@ TEST(FaultIsolation, IlpTimeoutDegradesToHeuristicWhenEnabled) {
   EXPECT_EQ(degraded.result.dvi.inserted, heuristic.result.dvi.inserted);
 }
 
+// The ILP stage runs Algorithm 3 once, as its warm start, and degrades to
+// that same answer instead of running it again.
+TEST(FaultIsolation, IlpDegradationRunsAlgorithm3Once) {
+  auto degraded_job = cheap_job("degrade", 48, 24);
+  degraded_job.config.dvi_method = core::DviMethod::kIlp;
+  degraded_job.config.ilp_time_limit_seconds = 1e-9;
+  degraded_job.config.degrade_dvi_on_timeout = true;
+  std::vector<engine::FlowJob> degraded_jobs;
+  degraded_jobs.push_back(std::move(degraded_job));
+  std::vector<engine::FlowJob> heuristic_jobs;
+  heuristic_jobs.push_back(cheap_job("degrade", 48, 24));
+  engine::EngineOptions serial;
+  serial.num_workers = 1;
+
+  obs::TraceSession session;
+  session.install();
+  const engine::BatchResult degraded =
+      engine::FlowEngine(serial).run(std::move(degraded_jobs));
+  session.uninstall();
+  const engine::BatchResult heuristic =
+      engine::FlowEngine(serial).run(std::move(heuristic_jobs));
+
+  std::string error;
+  const auto doc = util::parse_json(session.to_json(), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const util::JsonValue* events = doc->find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  int heuristic_spans = 0;
+  for (const util::JsonValue& event : events->array) {
+    const util::JsonValue* name = event.find("name");
+    heuristic_spans += name != nullptr && name->is_string() &&
+                       name->string_value == "dvi_heuristic";
+  }
+  EXPECT_EQ(heuristic_spans, 1);
+  ASSERT_EQ(degraded.outcomes[0].status, engine::JobStatus::kDegraded);
+  EXPECT_EQ(result_fingerprint(degraded.outcomes[0].result),
+            result_fingerprint(heuristic.outcomes[0].result));
+}
+
 // Off by default: the same timeout without the flag is NOT degraded (the
 // row keeps the time-limited ILP incumbent, faithful to the paper setup).
 TEST(FaultIsolation, IlpTimeoutWithoutDegradationKeepsTheIncumbent) {
@@ -472,6 +514,47 @@ TEST(InputValidation, ImpossibleSpecIsRejectedBeforeGeneration) {
   good.height = 40;
   good.num_nets = 12;
   EXPECT_TRUE(netlist::validate_spec(good).is_ok());
+}
+
+// A scale is checked before resolve_scale casts it: the resolved net count
+// must fit an int and each resolved side the site key's 2^24.  Scale 2^28
+// multiplies the sides by 2^14, so 1024 resolves to exactly 2^24 and 7
+// nets to 7 x 2^28, the largest multiple that fits.
+TEST(InputValidation, ScaledSizesMustFitTheirFields) {
+  netlist::BenchSpec edge;
+  edge.name = "scale_edge";
+  edge.width = 1024;
+  edge.height = 1024;
+  edge.num_nets = 7;
+  edge.scale = 268435456.0;
+  EXPECT_TRUE(netlist::validate_spec(edge).is_ok());
+  netlist::BenchSpec wide = edge;
+  wide.width = 1025;
+  netlist::BenchSpec tall = edge;
+  tall.height = 1025;
+  netlist::BenchSpec many = edge;
+  many.num_nets = 8;
+  for (const auto& [spec, field] : {std::pair{wide, "width"}, std::pair{tall, "height"},
+                                    std::pair{many, "num_nets"}}) {
+    const util::Status status = netlist::validate_spec(spec);
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidInput) << field;
+    EXPECT_NE(status.message().find(std::string("resolves ") + field + " to"),
+              std::string::npos)
+        << status.message();
+  }
+
+  // Unchecked, ecc_s wrapped its net count negative at 1e8 and to a
+  // positive count that passed at 1e10.
+  for (const auto& [scale, field] : {std::pair{1e8, "num_nets"}, std::pair{1e10, "width"}}) {
+    netlist::BenchSpec ecc = *netlist::spec_for("ecc", /*scaled=*/true);
+    ecc.scale = scale;
+    const util::Status status = netlist::validate_spec(ecc);
+    EXPECT_NE(status.message().find("'ecc_s' at scale"), std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find(std::string("resolves ") + field + " to"),
+              std::string::npos)
+        << status.message();
+  }
 }
 
 TEST(InputValidation, EngineIsolatesGeneratorFailures) {

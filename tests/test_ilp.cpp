@@ -9,7 +9,9 @@
 #include "ilp/components.hpp"
 #include "ilp/model.hpp"
 #include "ilp/simplex.hpp"
+#include "util/cancel.hpp"
 #include "util/rng.hpp"
+#include "util/timer.hpp"
 
 namespace sadp::ilp {
 namespace {
@@ -184,6 +186,37 @@ TEST(Bnb, WarmStartDoesNotChangeOptimum) {
   const Solution sol = solve(m, params);
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, 3.0, 1e-9);
+}
+
+// A budget spent before the solve searches no component: each keeps its
+// part of the warm start unsearched, and with no warm start there is
+// nothing to keep.
+TEST(Bnb, SpentBudgetKeepsTheWarmStartWithoutSearching) {
+  Model m;
+  std::vector<LinTerm> objective;
+  for (int c = 0; c < 3; ++c) {  // three components: pick one of a, b
+    const VarId a = m.add_var();
+    const VarId b = m.add_var();
+    objective.push_back({a, 1.0});
+    objective.push_back({b, 2.0});
+    m.add_constraint({{a, 1.0}, {b, 1.0}}, Sense::kLe, 1.0);
+  }
+  m.set_objective(std::move(objective), true);
+  ASSERT_EQ(split_components(m).size(), 3u);
+
+  const std::vector<int> warm = {1, 0, 0, 0, 0, 1};  // 3 of an optimal 6
+  BnbParams params;
+  params.warm_start = &warm;
+  const util::CancelToken cancel = util::CancelToken::cancellable();
+  cancel.request_cancel();
+  const util::SolverBudget budget(60.0, cancel);
+  const Solution sol = solve(m, params, budget);
+  EXPECT_EQ(sol.status, SolveStatus::kFeasible);
+  EXPECT_EQ(sol.value, warm);
+  EXPECT_NEAR(sol.objective, 3.0, 1e-9);
+  EXPECT_EQ(sol.nodes_explored, 0u);
+
+  EXPECT_EQ(solve(m, {}, budget).status, SolveStatus::kUnknown);
 }
 
 /// Brute-force reference optimum.

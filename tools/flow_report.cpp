@@ -16,10 +16,19 @@
 // integer in range (1e30, -5.5) is invalid input, named by file, row or
 // event, and field.
 //
+// --merge OUT TRACE... instead combines per-process traces (sadp_routed in
+// either mode, sadp_route, the bench binaries) into one sadp.fleet_trace.v1
+// timeline: one pid row per input, shifted onto a common clock by each
+// file's `clock_unix_us` anchor (obs/merge.hpp).  Spans keep their
+// trace_id/span_id args, so one request's relay, admission, run and job
+// spans line up.  OUT "-" writes to stdout.
+//
 //   sadp_flow_report --trace trace.json --metrics bench_results/table3.json
 //   sadp_flow_report --trace trace.json --top 20 --csv convergence.csv
+//   sadp_flow_report --merge fleet.json d1.json d2.json dispatch.json
 //
-// Exit codes: 0 ok, 1 unreadable/invalid input, 2 bad usage.
+// Exit codes: 0 ok, 1 unreadable/invalid input or write failure, 2 bad
+// usage.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -27,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/merge.hpp"
 #include "util/args.hpp"
 #include "util/fs.hpp"
 #include "util/json.hpp"
@@ -411,6 +421,41 @@ int print_metrics(const std::string& path) {
   return 0;
 }
 
+/// --merge: the traces at `inputs` as one fleet timeline at `out_path`.
+int merge(const std::string& out_path, const std::vector<std::string>& inputs) {
+  std::vector<obs::MergeInput> traces;
+  traces.reserve(inputs.size());
+  for (const std::string& path : inputs) {
+    std::string text;
+    if (!util::read_file(path, &text)) {
+      std::fprintf(stderr, "cannot open %s\n", path.c_str());
+      return 1;
+    }
+    traces.push_back(obs::MergeInput{path, std::move(text)});
+  }
+  std::string merged;
+  obs::MergeStats stats;
+  if (const util::Status status = obs::merge_traces(traces, &merged, &stats);
+      !status.is_ok()) {
+    std::fprintf(stderr, "merge failed: %s\n", status.to_string().c_str());
+    return 1;
+  }
+  merged += '\n';
+  if (out_path == "-") {
+    std::fputs(merged.c_str(), stdout);
+  } else if (const util::Status written = util::atomic_write_file(out_path, merged);
+             !written.is_ok()) {
+    std::fprintf(stderr, "cannot write %s: %s\n", out_path.c_str(),
+                 written.to_string().c_str());
+    return 1;
+  }
+  std::fprintf(stderr,
+               "merged %zu process(es), %zu event(s); fleet epoch unix_us=%lld\n",
+               stats.processes, stats.events,
+               static_cast<long long>(stats.epoch_unix_us));
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -429,7 +474,30 @@ int main(int argc, char** argv) {
   parser.add_int("--top", &top, "slowest route_net spans to list", "N");
   parser.add_string("--csv", &csv_path,
                     "write the full per-iteration convergence table", "FILE");
+  std::string merge_path;
+  parser.add_string("--merge", &merge_path,
+                    "merge the TRACE files into one sadp.fleet_trace.v1 "
+                    "timeline at FILE (- for stdout) instead of summarizing",
+                    "FILE");
+  parser.allow_positional("TRACE...");
   if (!parser.parse(argc, argv)) return 2;
+  if (parser.given("--merge")) {
+    for (const char* flag : {"--trace", "--metrics", "--top", "--csv"}) {
+      if (parser.given(flag)) {
+        std::fprintf(stderr, "%s summarizes a trace, not --merge\n", flag);
+        return 2;
+      }
+    }
+    if (parser.positional().empty()) {
+      std::fprintf(stderr, "--merge FILE needs at least one TRACE\n");
+      return 2;
+    }
+    return merge(merge_path, parser.positional());
+  }
+  if (!parser.positional().empty()) {
+    std::fprintf(stderr, "TRACE arguments need --merge FILE\n");
+    return 2;
+  }
   if (trace_path.empty()) {
     std::fprintf(stderr, "--trace FILE is required\n");
     return 2;

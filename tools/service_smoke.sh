@@ -15,9 +15,9 @@
 #     same wire lines (modulo framing/timings) as the in-process CLI, and a
 #     repeat of the same delta is served from the result cache;
 #   * with --trace on every process, graceful shutdown writes per-process
-#     trace files that sadp_trace_merge combines into one fleet timeline
-#     where a single trace_id links dispatcher relay spans to backend
-#     admission/run spans.
+#     trace files that `sadp_flow_report --merge` combines into one fleet
+#     timeline where a single trace_id links dispatcher relay spans to
+#     backend admission/run spans.
 #
 # Then (unless --skip-bench) run bench_service and track the numbers in
 # BENCH_service.json with the same freeze-on-first-run baseline scheme
@@ -64,7 +64,7 @@ if [ ! -f "$BUILD/CMakeCache.txt" ]; then
   fi
 fi
 cmake --build "$BUILD" -j "$(nproc)" \
-  --target sadp_routed bench_service sadp_trace_merge sadp_route \
+  --target sadp_routed bench_service sadp_flow_report sadp_route \
   >/dev/null
 
 workdir="$(mktemp -d)"
@@ -247,7 +247,7 @@ EOF
   for pid in "${pids[@]}"; do kill -TERM "$pid" 2>/dev/null || true; done
   for pid in "${pids[@]}"; do wait "$pid" 2>/dev/null || true; done
   pids=()
-  "./$BUILD/tools/sadp_trace_merge" --out "$workdir/fleet_trace.json" \
+  "./$BUILD/tools/sadp_flow_report" --merge "$workdir/fleet_trace.json" \
     "$workdir/trace_d.json" "$workdir/trace_a.json" "$workdir/trace_b.json" \
     2>"$workdir/merge.err"
   FLEET="$workdir/fleet_trace.json" python3 - <<'EOF'
